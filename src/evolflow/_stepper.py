@@ -1,4 +1,7 @@
-"""Classical fixed-step 4th-order marching for A'(t) = A(t) X(t)."""
+"""One classical 4th-order Runge-Kutta step for A'(t) = A(t) X(t).
+
+Marching a table of such steps over a horizon is `flows.march`.
+"""
 
 from __future__ import annotations
 

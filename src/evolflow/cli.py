@@ -260,15 +260,13 @@ def _cmd_flow_orbit(args):
     A = jsonio.load_matrix(args.base)
     group = lie.Group.from_name(args.group, X.shape[0], args.s)
     grid = sorted(parse_grid(args.grid))
+    fl = flows.Flow(X, group)
     if args.side == "right":
-        fl = flows.Flow(X, group)
-        line = flows.flow_line(fl, A, grid, args.tol)
-        samples = sorted(line.samples, key=lambda p: p[0])
+        samples = flows.flow_line(fl, A, grid, args.tol).samples
     else:
-        rep = lie.in_algebra(X, lie.algebra_of(group), args.tol)
-        if not rep.belongs:
-            return "fail", {"algebra_defect": rep.residual}, {}
-        samples = sorted(((t, expm(t * X) @ A) for t in {0.0, *grid}), key=lambda p: p[0])
+        A = flows.base_point(fl, A, args.tol)
+        samples = [(t, expm(t * X) @ A) for t in {0.0, *grid}]
+    samples = sorted(samples, key=lambda p: p[0])
     rows = []
     worst = 0.0
     for t, M in samples:
@@ -288,8 +286,7 @@ def _cmd_ode_solve(args):
     A0 = jsonio.load_matrix(args.a0)
     cfg = flows.IntegratorConfig(h=args.h, horizon=args.T)
     if args.side == "right":
-        line = flows.integrate_right(mf, A0, cfg)
-        samples = line.samples
+        samples = flows.integrate_right(mf, A0, cfg).samples
     else:
         # A' = X A is the transpose of the right-sided problem
         line = flows.integrate_right(lambda t: mf(t).T, A0.T, cfg)
@@ -440,12 +437,10 @@ def run(argv=None) -> int:
 
     try:
         status, residuals, payload = _HANDLERS[args.subcommand](args)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"evolflow {args.subcommand}: input error: {exc}", file=sys.stderr)
-        print(Report(args.subcommand, "error", {}, {"message": str(exc)}, seed).to_json())
-        return 2
-    except EvolflowError as exc:
-        print(f"evolflow {args.subcommand}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (EvolflowError, OSError, ValueError, KeyError) as exc:
+        # plain ValueErrors (json.JSONDecodeError among them) are bad input too
+        kind = type(exc).__name__ if isinstance(exc, EvolflowError) else "input error"
+        print(f"evolflow {args.subcommand}: {kind}: {exc}", file=sys.stderr)
         print(Report(args.subcommand, "error", {}, {"message": str(exc)}, seed).to_json())
         return 2
 

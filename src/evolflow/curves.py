@@ -13,7 +13,7 @@ their derivatives are exact rather than numerical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -21,13 +21,13 @@ import numpy as np
 from . import lie
 from ._stepper import checked_generator, rk4_step
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
+from .flows import IntegratorConfig, march
 from .matcore import (
-    SINGULAR_TOL,
-    _scaled_abs_det,
     as_matrix,
     expm,
     frob_norm,
     inv,
+    is_nonsingular,
     is_real,
     spectral_radius_estimate,
 )
@@ -177,8 +177,8 @@ class Curve:
 
 
 @dataclass(frozen=True)
-class Constant(Curve):
-    """A(t) = A for all t (a time-invariant algebra)."""
+class _OneMatrixCurve(Curve):
+    """Base of the curves given by a single square matrix A."""
 
     A: np.ndarray = field(repr=False)
 
@@ -188,6 +188,11 @@ class Constant(Curve):
     @property
     def n(self):
         return self.A.shape[0]
+
+
+@dataclass(frozen=True)
+class Constant(_OneMatrixCurve):
+    """A(t) = A for all t (a time-invariant algebra)."""
 
     def value(self, t):
         return self.A.copy()
@@ -197,17 +202,8 @@ class Constant(Curve):
 
 
 @dataclass(frozen=True)
-class AffineLine(Curve):
+class AffineLine(_OneMatrixCurve):
     """A(t) = I + t*A."""
-
-    A: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A))
-
-    @property
-    def n(self):
-        return self.A.shape[0]
 
     def value(self, t):
         return np.eye(self.n, dtype=self.A.dtype) + t * self.A
@@ -242,45 +238,33 @@ class ExpLine(Curve):
         return self.A0 @ expm(t * self.X) @ self.X
 
 
-@dataclass(frozen=True)
-class TangentInduced(Curve):
+@dataclass(frozen=True, init=False)
+class TangentInduced(ExpLine):
     """Curve through a tangent vector: A(t) = B exp(t X) with X = B^{-1} V.
 
     Then A(0) = B and A'(0) = V, realizing the tangent-bundle element
-    (B, V) as a curve in the connected component of B.
+    (B, V) as a curve in the connected component of B.  It is the ExpLine
+    with A0 = B.
     """
 
-    B: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    X: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        B = as_matrix(self.B, name="B")
-        V = as_matrix(self.V, name="V")
+    def __init__(self, B, V):
+        B = as_matrix(B, name="B")
+        V = as_matrix(V, name="V")
         if B.shape != V.shape:
             raise DimensionMismatch("B and V must have the same dimension")
-        object.__setattr__(self, "B", B)
+        super().__init__(B, inv(B) @ V)
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "X", inv(B) @ V)
 
     @property
-    def n(self):
-        return self.B.shape[0]
-
-    def value(self, t):
-        return self.B @ expm(t * self.X)
-
-    def derivative(self, t):
-        return self.B @ expm(t * self.X) @ self.X
+    def B(self):
+        return self.A0
 
 
 @dataclass(frozen=True)
 class So2(Curve):
     """The rotation one-parameter subgroup [[cos t, sin t], [-sin t, cos t]]."""
 
-    @property
-    def n(self):
-        return 2
+    n = 2
 
     def value(self, t):
         c, s = math.cos(t), math.sin(t)
@@ -302,12 +286,9 @@ class Lorentz11(Curve):
     i: int = 1
 
     def __post_init__(self):
-        if self.i not in (1, 2, 3, 4):
-            raise ValueError("component index must be in 1..4")
+        lie.o11_factor(self.i)  # raises unless i is in 1..4
 
-    @property
-    def n(self):
-        return 2
+    n = 2
 
     def value(self, t):
         return lie.o11_element(self.i, t)
@@ -317,28 +298,27 @@ class Lorentz11(Curve):
         return lie.o11_factor(self.i) @ np.array([[s, c], [c, s]])
 
 
-def _heis(alpha: float, beta: float, delta: float) -> np.ndarray:
-    return np.array([[1.0, alpha, beta], [0.0, 1.0, delta], [0.0, 0.0, 1.0]])
+class _ScalarCoefficientCurve(Curve):
+    """Base of the curves whose every field is a catalog scalar function."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_scalar_function(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
-class Heisenberg(Curve):
+class Heisenberg(_ScalarCoefficientCurve):
     """Upper unitriangular curve [[1, a(t), b(t)], [0, 1, d(t)], [0, 0, 1]]."""
 
     alpha: ScalarFunction
     beta: ScalarFunction
     delta: ScalarFunction
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "delta"):
-            object.__setattr__(self, name, as_scalar_function(getattr(self, name)))
-
-    @property
-    def n(self):
-        return 3
+    n = 3
 
     def value(self, t):
-        return _heis(self.alpha.value(t), self.beta.value(t), self.delta.value(t))
+        a, b, d = self.alpha.value(t), self.beta.value(t), self.delta.value(t)
+        return np.array([[1.0, a, b], [0.0, 1.0, d], [0.0, 0.0, 1.0]])
 
     def derivative(self, t):
         D = np.zeros((3, 3))
@@ -349,24 +329,17 @@ class Heisenberg(Curve):
 
 
 @dataclass(frozen=True)
-class HeisenbergExp(Curve):
+class HeisenbergExp(_ScalarCoefficientCurve):
     """exp of the strictly-upper generator path: A(a(t), b(t) + a(t)c(t)/2, c(t))."""
 
     a: ScalarFunction
     b: ScalarFunction
     c: ScalarFunction
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, as_scalar_function(getattr(self, name)))
-
-    @property
-    def n(self):
-        return 3
+    n = 3
 
     def value(self, t):
-        a, b, c = self.a.value(t), self.b.value(t), self.c.value(t)
-        return _heis(a, b + 0.5 * a * c, c)
+        return lie.heisenberg_exp(self.a.value(t), self.b.value(t), self.c.value(t))
 
     def derivative(self, t):
         a, c = self.a.value(t), self.c.value(t)
@@ -379,20 +352,14 @@ class HeisenbergExp(Curve):
 
 
 @dataclass(frozen=True)
-class Sl2Iwasawa(Curve):
+class Sl2Iwasawa(_ScalarCoefficientCurve):
     """Iwasawa-factorized SL2(R) curve: rotation(a(t)) diag(e^b, e^-b) shear(d(t))."""
 
     alpha: ScalarFunction
     beta: ScalarFunction
     delta: ScalarFunction
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "delta"):
-            object.__setattr__(self, name, as_scalar_function(getattr(self, name)))
-
-    @property
-    def n(self):
-        return 2
+    n = 2
 
     def value(self, t):
         return lie.sl2_iwasawa(self.alpha.value(t), self.beta.value(t), self.delta.value(t))
@@ -426,9 +393,7 @@ class FlipFlop(Curve):
             raise ValueError("flip-flop intensity must be positive")
         object.__setattr__(self, "lam", float(self.lam))
 
-    @property
-    def n(self):
-        return 2
+    n = 2
 
     def value(self, t):
         e = math.exp(-2.0 * self.lam * t)
@@ -444,11 +409,11 @@ class FlipFlop(Curve):
 class Numeric(Curve):
     """Curve defined by A' = A X(t), A(0) = A0, on the horizon [-T, T].
 
-    A dense trajectory table at spacing h is integrated once at
-    construction (classical 4th-order steps, both time directions) and is
-    read-only afterwards; evaluation takes one partial step off the
-    nearest stored node.  Derivatives are central differences with step
-    1e-5.  Evaluation outside the horizon raises HorizonExceeded.
+    A dense trajectory table with nodes at +-k*h is integrated once at
+    construction (`flows.march` in both time directions) and is read-only
+    afterwards; evaluation takes one partial step off the nearest stored
+    node.  Derivatives are central differences with step 1e-5.
+    Evaluation outside the horizon raises HorizonExceeded.
     """
 
     A0: np.ndarray = field(repr=False)
@@ -461,31 +426,15 @@ class Numeric(Curve):
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "horizon", float(self.horizon))
-        if not 0.0 < self.h <= self.horizon:
-            raise ValueError("need 0 < h <= horizon")
+        IntegratorConfig(self.h, self.horizon)  # validates 0 < h <= horizon
         spec = self.generator if isinstance(self.generator, MatrixFunction) else None
         object.__setattr__(self, "generator_spec", spec)
         gen = checked_generator(self.generator, A0.shape[0])
         object.__setattr__(self, "_gen", gen)
-        fwd_t, fwd_m = self._march(gen, +1.0)
-        bwd_t, bwd_m = self._march(gen, -1.0)
-        ts = np.array(bwd_t[::-1] + fwd_t[1:])
-        object.__setattr__(self, "_ts", ts)
+        fwd_t, fwd_m = march(gen, A0, self.h, self.horizon, +1.0)
+        bwd_t, bwd_m = march(gen, A0, self.h, self.horizon, -1.0)
+        object.__setattr__(self, "_ts", np.array(bwd_t[::-1] + fwd_t[1:]))
         object.__setattr__(self, "_table", bwd_m[::-1] + fwd_m[1:])
-
-    def _march(self, gen, direction):
-        ts, ms = [0.0], [self.A0]
-        t, A = 0.0, self.A0
-        step = direction * self.h
-        while direction * t < self.horizon - 1e-12:
-            dt = step
-            if direction * (t + dt) > self.horizon:
-                dt = direction * self.horizon - t  # short final step
-            A = rk4_step(A, t, dt, gen)
-            t = t + dt
-            ts.append(t)
-            ms.append(A)
-        return ts, ms
 
     @property
     def n(self):
@@ -542,8 +491,10 @@ class OdeReport(NamedTuple):
 
 
 def check_ode(curve: Curve, X, grid, tol: float = 1e-9) -> OdeReport:
-    """Residual of A'(t) = A(t) X over the grid."""
+    """Residual of A'(t) = A(t) X over the grid; X must be curve.n x curve.n."""
     X = as_matrix(X, name="X")
+    if X.shape[0] != curve.n:
+        raise DimensionMismatch(f"generator is {X.shape[0]}x{X.shape[0]}, curve has n={curve.n}")
     worst = 0.0
     for t in grid:
         worst = max(worst, frob_norm(curve.derivative(t) - curve.value(t) @ X))
@@ -566,7 +517,7 @@ class PerfectnessProfile(NamedTuple):
 def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
     """Per-sample determinant magnitude and sign along the curve.
 
-    A sample is perfect when its scaled determinant clears SINGULAR_TOL.
+    A sample is perfect when `matcore.is_nonsingular` accepts it.
     For real curves the report also says whether the determinant sign is
     constant (it must be along any real curve of nonsingular matrices).
     """
@@ -575,7 +526,7 @@ def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
     for t in grid:
         A = curve.value(t)
         d = np.linalg.det(A)
-        nonsing = _scaled_abs_det(A) > SINGULAR_TOL
+        nonsing = is_nonsingular(A)
         perfect_flags.append(nonsing)
         if is_real(A, 0.0):
             sign = int(np.sign(d.real)) if nonsing else 0

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import SINGULAR_TOL, as_matrix, as_vector, is_real, _scaled_abs_det
+from .matcore import as_matrix, as_vector, is_nonsingular, is_real
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,10 @@ def evolution_operator(alg: EvolutionAlgebra) -> np.ndarray:
 def is_perfect(alg: EvolutionAlgebra) -> PerfectnessReport:
     """Whether the algebra equals its own square, i.e. det A != 0.
 
-    Near-singular structure matrices (scaled |det| <= SINGULAR_TOL) are
+    Structure matrices that `matcore.is_nonsingular` rejects are
     classified not perfect.
     """
-    scaled = _scaled_abs_det(alg.A)
-    return PerfectnessReport(scaled > SINGULAR_TOL, float(abs(np.linalg.det(alg.A))))
+    return PerfectnessReport(is_nonsingular(alg.A), float(abs(np.linalg.det(alg.A))))
 
 
 def is_markov_algebra(alg: EvolutionAlgebra, tol: float = 1e-9) -> bool:

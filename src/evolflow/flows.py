@@ -3,10 +3,11 @@
 A Flow pairs a generator X with a declared ambient group whose Lie
 algebra must contain X; its flow lines are the orbits of base points,
 each one a structure-matrix curve staying in the base point's connected
-component.  The module also integrates the time-dependent problem
-A' = A X(t) with fixed classical 4th-order steps, and evaluates the
-closed-form solution A0 exp(integral of X) available when X(t) commutes
-with its integral.
+component.  The module also owns fixed-step integration of the
+time-dependent problem A' = A X(t): `march` is the one classical
+4th-order marching loop, used by `integrate_right` and by the Numeric
+curve's trajectory table.  Finally it evaluates the closed-form solution
+A0 exp(integral of X) available when X(t) commutes with its integral.
 """
 
 from __future__ import annotations
@@ -70,13 +71,18 @@ class FlowLine:
         return self.samples[-1][1]
 
 
-def flow_apply(flow: Flow, t: float, A, tol: float = 1e-9) -> np.ndarray:
-    """Phi(t, A) = A exp(t X) for a base point A of the declared group."""
+def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
+    """A as a validated base point: raises NotInGroup outside the declared group."""
     A = as_matrix(A, name="base point")
     rep = in_group(A, flow.group, tol)
     if not rep.belongs:
         raise NotInGroup(f"base point fails {flow.group.kind} membership (residual {rep.residual:.3e})")
-    return A @ expm(t * flow.X)
+    return A
+
+
+def flow_apply(flow: Flow, t: float, A, tol: float = 1e-9) -> np.ndarray:
+    """Phi(t, A) = A exp(t X) for a base point A of the declared group."""
+    return base_point(flow, A, tol) @ expm(t * flow.X)
 
 
 class FlowAxiomsReport(NamedTuple):
@@ -102,10 +108,7 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
 
 def flow_line(flow: Flow, A, grid, tol: float = 1e-9) -> FlowLine:
     """Sample the orbit of A; the sample at t = 0 always comes first."""
-    A = as_matrix(A, name="base point")
-    rep = in_group(A, flow.group, tol)
-    if not rep.belongs:
-        raise NotInGroup(f"base point fails {flow.group.kind} membership (residual {rep.residual:.3e})")
+    A = base_point(flow, A, tol)
     samples = [(0.0, A.copy())]
     for t in grid:
         t = float(t)
@@ -115,26 +118,36 @@ def flow_line(flow: Flow, A, grid, tol: float = 1e-9) -> FlowLine:
     return FlowLine(A, tuple(samples))
 
 
+def march(gen, A0: np.ndarray, h: float, horizon: float, direction: float):
+    """Classical 4th-order steps of A' = A gen(t) from (0, A0) out to the horizon.
+
+    Node k sits at direction * min(k h, horizon), so the nodes carry no
+    accumulated rounding and the final, possibly short, step lands exactly
+    on the horizon.  Returns the node times and the matrices there; the
+    first node is (0, a copy of A0).
+    """
+    ts, ms = [0.0], [A0.copy()]
+    t, A = 0.0, A0
+    k = 0
+    while direction * t < horizon - 1e-12:
+        k += 1
+        nxt = direction * min(k * h, horizon)
+        A = rk4_step(A, t, nxt - t, gen)
+        t = nxt
+        ts.append(t)
+        ms.append(A)
+    return ts, ms
+
+
 def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
     """Solve A' = A X(t), A(0) = A0 with fixed classical 4th-order steps.
 
-    Samples every h up to the horizon (the final step may be short so the
-    last sample lands exactly on the horizon).  For constant X the global
-    error against A0 exp(T X) is O(h^4).
+    Samples every h up to the horizon (see `march`).  For constant X the
+    global error against A0 exp(T X) is O(h^4).
     """
     A0 = as_matrix(A0, name="A0")
-    gen = checked_generator(Xfun, A0.shape[0])
-    samples = [(0.0, A0.copy())]
-    A = A0
-    t = 0.0
-    k = 0
-    while t < cfg.horizon - 1e-12:
-        k += 1
-        nxt = min(k * cfg.h, cfg.horizon)
-        A = rk4_step(A, t, nxt - t, gen)
-        t = nxt
-        samples.append((t, A))
-    return FlowLine(A0, tuple(samples))
+    ts, ms = march(checked_generator(Xfun, A0.shape[0]), A0, cfg.h, cfg.horizon, 1.0)
+    return FlowLine(A0, tuple(zip(ts, ms)))
 
 
 def _simpson_matrix(gen, t: float, nodes: int) -> np.ndarray:

@@ -8,12 +8,13 @@ Scalar function (curve catalog):
           {"kind": "sin"|"cos"|"exp"|"cosh"|"sinh", "scale": s, "shift": c}
 Matrix function (time-dependent generator):
           {"terms": [{"fun": <scalar function>, "matrix": <matrix>}, ...]}
-Curve:    tagged union on "variant", see `curve_from_json`.
+Curve:    tagged union on "variant", one row per variant in `CURVE_VARIANTS`.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,89 +116,66 @@ def load_matrix_function(path) -> "curves.MatrixFunction":
         return matrix_function_from_json(json.load(fh))
 
 
-_FN = scalar_function_from_json
+def _generator_to_json(g) -> dict:
+    if not isinstance(g, curves.MatrixFunction):
+        raise ValueError("numeric curve built from a bare callable cannot be serialized")
+    return matrix_function_to_json(g)
+
+
+class _Field(NamedTuple):
+    """How one JSON key of a curve maps to the curve's constructor field."""
+
+    encode: Callable
+    decode: Callable
+    default: object = None  # None: the key is required
+    attr: str | None = None  # the field name when it differs from the key
+
+
+_MAT = _Field(matrix_to_json, matrix_from_json)
+_FUN = _Field(scalar_function_to_json, scalar_function_from_json)
+
+# variant tag -> (curve class, JSON key -> field codec), in wire-format key order
+CURVE_VARIANTS = {
+    "constant": (curves.Constant, {"A": _MAT}),
+    "affine_line": (curves.AffineLine, {"A": _MAT}),
+    "exp_line": (curves.ExpLine, {"A0": _MAT, "X": _MAT}),
+    "tangent_induced": (curves.TangentInduced, {"B": _MAT, "V": _MAT}),
+    "so2": (curves.So2, {}),
+    "lorentz11": (curves.Lorentz11, {"i": _Field(int, int, 1)}),
+    "heisenberg": (curves.Heisenberg, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
+    "heisenberg_exp": (curves.HeisenbergExp, {"a": _FUN, "b": _FUN, "c": _FUN}),
+    "sl2_iwasawa": (curves.Sl2Iwasawa, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
+    "flip_flop": (curves.FlipFlop, {"lambda": _Field(float, float, attr="lam")}),
+    "numeric": (curves.Numeric, {
+        "A0": _MAT,
+        "generator": _Field(_generator_to_json, matrix_function_from_json),
+        "h": _Field(float, float, 1e-3),
+        "horizon": _Field(float, float, 2.0),
+    }),
+}
+_VARIANT_OF = {cls: variant for variant, (cls, _) in CURVE_VARIANTS.items()}
 
 
 def curve_to_json(c) -> dict:
-    if isinstance(c, curves.Constant):
-        return {"variant": "constant", "A": matrix_to_json(c.A)}
-    if isinstance(c, curves.AffineLine):
-        return {"variant": "affine_line", "A": matrix_to_json(c.A)}
-    if isinstance(c, curves.ExpLine):
-        return {"variant": "exp_line", "A0": matrix_to_json(c.A0), "X": matrix_to_json(c.X)}
-    if isinstance(c, curves.TangentInduced):
-        return {"variant": "tangent_induced", "B": matrix_to_json(c.B), "V": matrix_to_json(c.V)}
-    if isinstance(c, curves.So2):
-        return {"variant": "so2"}
-    if isinstance(c, curves.Lorentz11):
-        return {"variant": "lorentz11", "i": c.i}
-    if isinstance(c, curves.Heisenberg):
-        return {
-            "variant": "heisenberg",
-            "alpha": scalar_function_to_json(c.alpha),
-            "beta": scalar_function_to_json(c.beta),
-            "delta": scalar_function_to_json(c.delta),
-        }
-    if isinstance(c, curves.HeisenbergExp):
-        return {
-            "variant": "heisenberg_exp",
-            "a": scalar_function_to_json(c.a),
-            "b": scalar_function_to_json(c.b),
-            "c": scalar_function_to_json(c.c),
-        }
-    if isinstance(c, curves.Sl2Iwasawa):
-        return {
-            "variant": "sl2_iwasawa",
-            "alpha": scalar_function_to_json(c.alpha),
-            "beta": scalar_function_to_json(c.beta),
-            "delta": scalar_function_to_json(c.delta),
-        }
-    if isinstance(c, curves.FlipFlop):
-        return {"variant": "flip_flop", "lambda": c.lam}
-    if isinstance(c, curves.Numeric):
-        if c.generator_spec is None:
-            raise ValueError("numeric curve built from a bare callable cannot be serialized")
-        return {
-            "variant": "numeric",
-            "A0": matrix_to_json(c.A0),
-            "generator": matrix_function_to_json(c.generator_spec),
-            "h": c.h,
-            "horizon": c.horizon,
-        }
-    raise TypeError(f"not a curve: {c!r}")
+    # the most derived catalog class wins: a TangentInduced is also an ExpLine
+    variant = next((_VARIANT_OF[k] for k in type(c).__mro__ if k in _VARIANT_OF), None)
+    if variant is None:
+        raise TypeError(f"not a curve: {c!r}")
+    out = {"variant": variant}
+    for key, f in CURVE_VARIANTS[variant][1].items():
+        out[key] = f.encode(getattr(c, f.attr or key))
+    return out
 
 
 def curve_from_json(obj: dict):
     variant = obj.get("variant")
-    if variant == "constant":
-        return curves.Constant(matrix_from_json(obj["A"]))
-    if variant == "affine_line":
-        return curves.AffineLine(matrix_from_json(obj["A"]))
-    if variant == "exp_line":
-        return curves.ExpLine(matrix_from_json(obj["A0"]), matrix_from_json(obj["X"]))
-    if variant == "tangent_induced":
-        return curves.TangentInduced(matrix_from_json(obj["B"]), matrix_from_json(obj["V"]))
-    if variant == "so2":
-        return curves.So2()
-    if variant == "lorentz11":
-        return curves.Lorentz11(int(obj.get("i", 1)))
-    if variant == "heisenberg":
-        return curves.Heisenberg(_FN(obj["alpha"]), _FN(obj["beta"]), _FN(obj["delta"]))
-    if variant == "heisenberg_exp":
-        return curves.HeisenbergExp(_FN(obj["a"]), _FN(obj["b"]), _FN(obj["c"]))
-    if variant == "sl2_iwasawa":
-        return curves.Sl2Iwasawa(_FN(obj["alpha"]), _FN(obj["beta"]), _FN(obj["delta"]))
-    if variant == "flip_flop":
-        return curves.FlipFlop(float(obj["lambda"]))
-    if variant == "numeric":
-        mf = matrix_function_from_json(obj["generator"])
-        return curves.Numeric(
-            matrix_from_json(obj["A0"]),
-            mf,
-            h=float(obj.get("h", 1e-3)),
-            horizon=float(obj.get("horizon", 2.0)),
-        )
-    raise ValueError(f"unknown curve variant {variant!r}")
+    if not isinstance(variant, str) or variant not in CURVE_VARIANTS:
+        raise ValueError(f"unknown curve variant {variant!r}")
+    cls, codecs = CURVE_VARIANTS[variant]
+    kwargs = {}
+    for key, f in codecs.items():
+        kwargs[f.attr or key] = f.decode(obj[key] if f.default is None else obj.get(key, f.default))
+    return cls(**kwargs)
 
 
 def load_curve(path):

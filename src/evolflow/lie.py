@@ -13,20 +13,125 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotStochastic, SingularMatrix
-from .matcore import SINGULAR_TOL, as_matrix, frob_norm, is_nonsingular, is_real
+from .matcore import as_matrix, frob_norm, is_nonsingular, is_real
 
-_GROUP_KINDS = (
-    "gl", "sl", "o", "so", "u", "su",
-    "stochastic", "gds", "lorentz11", "o11", "heis3", "affine",
-)
-_ALGEBRA_KINDS = ("gl", "sl", "so", "u", "su", "rate", "omega0", "heis3", "lor11")
 
-_FIXED_GROUP_DIM = {"lorentz11": 2, "o11": 2, "heis3": 3}
-_FIXED_ALGEBRA_DIM = {"lor11": 2, "heis3": 3}
+def _imag_mass(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M.imag)) if np.iscomplexobj(M) else 0.0
+
+
+def _orth_defect(M) -> float:
+    return frob_norm(M.real.T @ M.real - np.eye(M.shape[0]))
+
+
+def _unitary_defect(M) -> float:
+    return frob_norm(M.conj().T @ M - np.eye(M.shape[0]))
+
+
+def _det_defect(M) -> float:
+    return float(abs(np.linalg.det(M) - 1.0))
+
+
+def _sum_defect(M, axis, target) -> float:
+    return float(np.max(np.abs(M.real.sum(axis=axis) - target)))
+
+
+def _nonsingular_then(defect):
+    # membership that also needs an invertible matrix
+    def residual(M, ident):
+        return defect(M, ident) if is_nonsingular(M) else math.inf
+    return residual
+
+
+def _lorentz11_defect(M, group) -> float:
+    A = M.real
+    return max(
+        float(abs(A[0, 0] - A[1, 1])),
+        float(abs(A[0, 1] - A[1, 0])),
+        float(abs(A[0, 0] ** 2 - A[0, 1] ** 2 - 1.0)),
+        max(0.0, 1.0 - float(A[0, 0])),
+    )
+
+
+def _affine_defect(M, group) -> float:
+    n = group.n
+    last = np.zeros(n, dtype=M.dtype)
+    last[-1] = 1.0
+    defect = float(np.linalg.norm(M[:, -1] - last))
+    if n > 1 and not is_nonsingular(M[: n - 1, : n - 1]):
+        return math.inf
+    return defect
+
+
+def _rate_defect(X, algebra) -> float:
+    A = X.real
+    off = A - np.diag(np.diag(A))
+    return max(max(0.0, -float(off.min())), _sum_defect(X, 1, 0.0))
+
+
+def _lor11_defect(X, algebra) -> float:
+    A = X.real
+    return max(float(abs(A[0, 0])), float(abs(A[1, 1])), float(abs(A[0, 1] - A[1, 0])))
+
+
+_J11 = np.diag([1.0, -1.0])  # the form preserved by O(1,1)
+
+
+class _Kind(NamedTuple):
+    dim: int | None          # fixed dimension, or None when any n >= 1 is allowed
+    real_only: bool          # imaginary mass is folded into the defect
+    defect: Callable         # (matrix, Group or Algebra) -> defect norm
+    algebra: str | None = None  # groups only: the catalog Lie algebra
+
+
+_GROUPS = {
+    "gl": _Kind(None, False, _nonsingular_then(lambda M, g: 0.0), "gl"),
+    "sl": _Kind(None, False, lambda M, g: _det_defect(M), "sl"),
+    "o": _Kind(None, True, lambda M, g: _orth_defect(M), "so"),
+    "so": _Kind(None, True, lambda M, g: max(_orth_defect(M), _det_defect(M.real)), "so"),
+    "u": _Kind(None, False, lambda M, g: _unitary_defect(M), "u"),
+    "su": _Kind(None, False, lambda M, g: max(_unitary_defect(M), _det_defect(M)), "su"),
+    "stochastic": _Kind(None, True, _nonsingular_then(lambda M, g: _sum_defect(M, 1, 1.0)), "rate"),
+    "gds": _Kind(None, True, _nonsingular_then(
+        lambda M, g: max(_sum_defect(M, 1, g.s), _sum_defect(M, 0, g.s))), "omega0"),
+    "lorentz11": _Kind(2, True, _lorentz11_defect, "lor11"),
+    "o11": _Kind(2, True, lambda M, g: frob_norm(M.real.T @ _J11 @ M.real - _J11), "lor11"),
+    "heis3": _Kind(3, True, lambda M, g: frob_norm(M.real - (np.triu(M.real, 1) + np.eye(3))), "heis3"),
+    "affine": _Kind(None, False, _affine_defect),
+}
+
+_ALGEBRAS = {
+    "gl": _Kind(None, False, lambda X, a: 0.0),
+    "sl": _Kind(None, False, lambda X, a: float(abs(np.trace(X)))),
+    "so": _Kind(None, True, lambda X, a: frob_norm(X.real + X.real.T)),
+    "u": _Kind(None, False, lambda X, a: frob_norm(X + X.conj().T)),
+    "su": _Kind(None, False, lambda X, a: max(frob_norm(X + X.conj().T), float(abs(np.trace(X))))),
+    "rate": _Kind(None, True, _rate_defect),
+    "omega0": _Kind(None, True, lambda X, a: max(_sum_defect(X, 1, 0.0), _sum_defect(X, 0, 0.0))),
+    "heis3": _Kind(3, True, lambda X, a: frob_norm(X.real - np.triu(X.real, 1))),
+    "lor11": _Kind(2, True, _lor11_defect),
+}
+
+
+def _validate(ident, table: dict, what: str) -> None:
+    row = table.get(ident.kind)
+    if row is None:
+        raise ValueError(f"unknown {what} kind {ident.kind!r}")
+    if row.dim is not None and ident.n != row.dim:
+        raise ValueError(f"{what} {ident.kind} has fixed dimension {row.dim}")
+    if ident.n < 1:
+        raise ValueError(f"{what} dimension must be positive")
+
+
+def _named_dim(table: dict, name: str, n: int) -> int:
+    # the fixed dimension of a catalog kind overrides the requested n
+    row = table.get(name)
+    return n if row is None or row.dim is None else row.dim
 
 
 @dataclass(frozen=True)
@@ -38,13 +143,7 @@ class Group:
     s: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _GROUP_KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        fixed = _FIXED_GROUP_DIM.get(self.kind)
-        if fixed is not None and self.n != fixed:
-            raise ValueError(f"group {self.kind} has fixed dimension {fixed}")
-        if self.n < 1:
-            raise ValueError("group dimension must be positive")
+        _validate(self, _GROUPS, "group")
 
     @classmethod
     def gl(cls, n):
@@ -99,9 +198,7 @@ class Group:
         name = name.lower()
         if name == "gds":
             return cls.gen_doubly_stochastic(n, s)
-        if name in _FIXED_GROUP_DIM:
-            return cls(name, _FIXED_GROUP_DIM[name])
-        return cls(name, n)
+        return cls(name, _named_dim(_GROUPS, name, n))
 
 
 @dataclass(frozen=True)
@@ -112,13 +209,7 @@ class Algebra:
     n: int
 
     def __post_init__(self):
-        if self.kind not in _ALGEBRA_KINDS:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        fixed = _FIXED_ALGEBRA_DIM.get(self.kind)
-        if fixed is not None and self.n != fixed:
-            raise ValueError(f"algebra {self.kind} has fixed dimension {fixed}")
-        if self.n < 1:
-            raise ValueError("algebra dimension must be positive")
+        _validate(self, _ALGEBRAS, "algebra")
 
     @classmethod
     def gl(cls, n):
@@ -159,9 +250,7 @@ class Algebra:
     @classmethod
     def from_name(cls, name, n):
         name = name.lower()
-        if name in _FIXED_ALGEBRA_DIM:
-            return cls(name, _FIXED_ALGEBRA_DIM[name])
-        return cls(name, n)
+        return cls(name, _named_dim(_ALGEBRAS, name, n))
 
 
 @dataclass(frozen=True)
@@ -173,91 +262,27 @@ class MembershipReport:
 
 def algebra_of(group: Group) -> Algebra:
     """The catalog Lie algebra whose exponentials land in `group`."""
-    mapping = {
-        "gl": "gl",
-        "sl": "sl",
-        "o": "so",
-        "so": "so",
-        "u": "u",
-        "su": "su",
-        "stochastic": "rate",
-        "lorentz11": "lor11",
-        "o11": "lor11",
-        "heis3": "heis3",
-    }
-    if group.kind == "gds":
-        if group.s != 1.0:
-            raise ValueError("only the s=1 generalized doubly stochastic group has a catalog algebra")
-        return Algebra.omega0(group.n)
-    if group.kind not in mapping:
+    if group.kind == "gds" and group.s != 1.0:
+        raise ValueError("only the s=1 generalized doubly stochastic group has a catalog algebra")
+    algebra = _GROUPS[group.kind].algebra
+    if algebra is None:
         raise ValueError(f"no catalog algebra for group kind {group.kind!r}")
-    return Algebra(mapping[group.kind], group.n)
+    return Algebra(algebra, group.n)
 
 
-def _imag_mass(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M.imag)) if np.iscomplexobj(M) else 0.0
-
-
-def _group_residual(M: np.ndarray, group: Group) -> float:
-    n = group.n
-    eye = np.eye(n)
-    kind = group.kind
-    if kind == "gl":
-        return 0.0 if is_nonsingular(M) else math.inf
-    if kind == "sl":
-        return float(abs(np.linalg.det(M) - 1.0))
-    if kind == "o":
-        return max(_imag_mass(M), frob_norm(M.real.T @ M.real - eye))
-    if kind == "so":
-        orth = frob_norm(M.real.T @ M.real - eye)
-        return max(_imag_mass(M), orth, float(abs(np.linalg.det(M.real) - 1.0)))
-    if kind == "u":
-        return frob_norm(M.conj().T @ M - eye)
-    if kind == "su":
-        return max(frob_norm(M.conj().T @ M - eye), float(abs(np.linalg.det(M) - 1.0)))
-    if kind == "stochastic":
-        if not is_nonsingular(M):
-            return math.inf
-        rows = float(np.max(np.abs(M.real.sum(axis=1) - 1.0)))
-        return max(_imag_mass(M), rows)
-    if kind == "gds":
-        if not is_nonsingular(M):
-            return math.inf
-        rows = float(np.max(np.abs(M.real.sum(axis=1) - group.s)))
-        cols = float(np.max(np.abs(M.real.sum(axis=0) - group.s)))
-        return max(_imag_mass(M), rows, cols)
-    if kind == "lorentz11":
-        A = M.real
-        return max(
-            _imag_mass(M),
-            float(abs(A[0, 0] - A[1, 1])),
-            float(abs(A[0, 1] - A[1, 0])),
-            float(abs(A[0, 0] ** 2 - A[0, 1] ** 2 - 1.0)),
-            max(0.0, 1.0 - float(A[0, 0])),
-        )
-    if kind == "o11":
-        J = np.diag([1.0, -1.0])
-        return max(_imag_mass(M), frob_norm(M.real.T @ J @ M.real - J))
-    if kind == "heis3":
-        A = M.real
-        proj = np.triu(A, 1) + np.eye(3)
-        return max(_imag_mass(M), frob_norm(A - proj))
-    if kind == "affine":
-        last = np.zeros(n, dtype=M.dtype)
-        last[-1] = 1.0
-        defect = float(np.linalg.norm(M[:, -1] - last))
-        if n > 1 and not is_nonsingular(M[: n - 1, : n - 1]):
-            return math.inf
-        return defect
-    raise AssertionError(kind)
+def _residual(M, ident, table: dict, what: str):
+    # the validated matrix and its defect norm for a Group or an Algebra
+    M = as_matrix(M)
+    if M.shape[0] != ident.n:
+        raise DimensionMismatch(f"matrix is {M.shape[0]}x{M.shape[0]}, {what} fixes n={ident.n}")
+    row = table[ident.kind]
+    defect = row.defect(M, ident)
+    return M, (max(_imag_mass(M), defect) if row.real_only else defect)
 
 
 def in_group(M, group: Group, tol: float = 1e-9) -> MembershipReport:
     """Membership of M in the group, with the defect norm as residual."""
-    M = as_matrix(M)
-    if M.shape[0] != group.n:
-        raise DimensionMismatch(f"matrix is {M.shape[0]}x{M.shape[0]}, group fixes n={group.n}")
-    residual = _group_residual(M, group)
+    M, residual = _residual(M, group, _GROUPS, "group")
     component = None
     if is_real(M, 0.0):
         d = float(np.linalg.det(M.real))
@@ -266,49 +291,9 @@ def in_group(M, group: Group, tol: float = 1e-9) -> MembershipReport:
     return MembershipReport(bool(residual <= tol), float(residual), component)
 
 
-def _algebra_residual(X: np.ndarray, algebra: Algebra) -> float:
-    kind = algebra.kind
-    if kind == "gl":
-        return 0.0
-    if kind == "sl":
-        return float(abs(np.trace(X)))
-    if kind == "so":
-        return max(_imag_mass(X), frob_norm(X.real + X.real.T))
-    if kind == "u":
-        return frob_norm(X + X.conj().T)
-    if kind == "su":
-        return max(frob_norm(X + X.conj().T), float(abs(np.trace(X))))
-    if kind == "rate":
-        A = X.real
-        off = A - np.diag(np.diag(A))
-        neg = max(0.0, -float(off.min()))
-        rows = float(np.max(np.abs(A.sum(axis=1))))
-        return max(_imag_mass(X), neg, rows)
-    if kind == "omega0":
-        A = X.real
-        rows = float(np.max(np.abs(A.sum(axis=1))))
-        cols = float(np.max(np.abs(A.sum(axis=0))))
-        return max(_imag_mass(X), rows, cols)
-    if kind == "heis3":
-        A = X.real
-        return max(_imag_mass(X), frob_norm(A - np.triu(A, 1)))
-    if kind == "lor11":
-        A = X.real
-        return max(
-            _imag_mass(X),
-            float(abs(A[0, 0])),
-            float(abs(A[1, 1])),
-            float(abs(A[0, 1] - A[1, 0])),
-        )
-    raise AssertionError(kind)
-
-
 def in_algebra(X, algebra: Algebra, tol: float = 1e-9) -> MembershipReport:
     """Membership of X in the Lie algebra, with the defect norm as residual."""
-    X = as_matrix(X)
-    if X.shape[0] != algebra.n:
-        raise DimensionMismatch(f"matrix is {X.shape[0]}x{X.shape[0]}, algebra fixes n={algebra.n}")
-    residual = _algebra_residual(X, algebra)
+    _, residual = _residual(X, algebra, _ALGEBRAS, "algebra")
     return MembershipReport(bool(residual <= tol), float(residual))
 
 
@@ -317,7 +302,7 @@ def connected_component_sign(M) -> int:
     M = as_matrix(M)
     if not is_real(M, 0.0):
         raise ValueError("connected components by determinant sign need a real matrix")
-    if not is_nonsingular(M, SINGULAR_TOL):
+    if not is_nonsingular(M):
         raise SingularMatrix("determinant too close to zero to classify a component")
     return 1 if float(np.linalg.det(M.real)) > 0 else -1
 

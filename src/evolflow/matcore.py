@@ -42,6 +42,14 @@ _PADE13_B = (
 )
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    # complex128 for complex data, float64 otherwise; every entry finite
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput(f"{name} has non-finite entries")
+    return a
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and coerce `a` to a square float64/complex128 array.
 
@@ -51,13 +59,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     M = np.asarray(a)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    if np.iscomplexobj(M):
-        M = M.astype(np.complex128, copy=False)
-    else:
-        M = M.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteInput(f"{name} has non-finite entries")
-    return M
+    return _finite(M, name)
 
 
 def as_vector(a, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -67,13 +69,7 @@ def as_vector(a, n: int | None = None, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {x.shape}")
     if n is not None and x.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {n}")
-    if np.iscomplexobj(x):
-        x = x.astype(np.complex128, copy=False)
-    else:
-        x = x.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput(f"{name} has non-finite entries")
-    return x
+    return _finite(x, name)
 
 
 def is_real(M, tol: float = 0.0) -> bool:
@@ -136,20 +132,17 @@ def det(M):
     return complex(d) if np.iscomplexobj(M) else float(d)
 
 
-def _scaled_abs_det(M: np.ndarray) -> float:
-    # |det| of the entry-normalized matrix; scale-invariant singularity gauge.
-    scale = np.max(np.abs(M))
-    if scale == 0.0:
-        return 0.0
-    return float(abs(np.linalg.det(M / scale)))
-
-
 def is_nonsingular(M, tol: float = SINGULAR_TOL) -> bool:
     """Decide invertibility on the entry-normalized determinant.
 
     Near-singular matrices (scaled |det| <= tol) are classified singular.
+    This is the library's one singularity gauge: membership, perfectness
+    and inversion all decide through it.
     """
-    return _scaled_abs_det(as_matrix(M)) > tol
+    M = as_matrix(M)
+    scale = np.max(np.abs(M))  # |det| of M / scale is scale-invariant
+    scaled = float(abs(np.linalg.det(M / scale))) if scale != 0.0 else 0.0
+    return scaled > tol
 
 
 def inv(M) -> np.ndarray:

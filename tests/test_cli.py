@@ -7,7 +7,22 @@ import pytest
 
 from evolflow import jsonio
 from evolflow.cli import parse_grid, run
-from evolflow.curves import ExpLine, FlipFlop, Heisenberg, Numeric, MatrixFunction, Poly
+from evolflow.curves import (
+    AffineArg,
+    AffineLine,
+    Constant,
+    ExpLine,
+    FlipFlop,
+    Heisenberg,
+    HeisenbergExp,
+    Lorentz11,
+    MatrixFunction,
+    Numeric,
+    Poly,
+    Sl2Iwasawa,
+    So2,
+    TangentInduced,
+)
 from evolflow.errors import BadGrid
 from evolflow.matcore import expm, frob_norm
 
@@ -91,6 +106,46 @@ def test_curve_json_round_trip():
         again = jsonio.curve_from_json(json.loads(json.dumps(jsonio.curve_to_json(c))))
         for t in (-0.5, 0.0, 0.9):
             assert np.allclose(c.value(t), again.value(t), atol=0.0)
+
+
+def test_every_curve_variant_round_trips():
+    rng = np.random.default_rng(83)
+    A0 = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
+    X = rng.normal(size=(2, 2))
+    mf = MatrixFunction([(AffineArg("cos", 1.3), X), (Poly((0.5, -1.0)), np.eye(2))])
+    specimens = {
+        "constant": Constant(A0),
+        "affine_line": AffineLine(X),
+        "exp_line": ExpLine(A0, X),
+        "tangent_induced": TangentInduced(A0, X),
+        "so2": So2(),
+        "lorentz11": Lorentz11(3),
+        "heisenberg": Heisenberg(1.0, Poly((0.0, 1.0)), AffineArg("sin", 2.0, 0.1)),
+        "heisenberg_exp": HeisenbergExp(AffineArg("exp", 0.5), 2.0, Poly((1.0, -1.0))),
+        "sl2_iwasawa": Sl2Iwasawa(AffineArg("cos"), Poly((0.1, 0.2)), AffineArg("sinh", -1.0)),
+        "flip_flop": FlipFlop(0.7),
+        "numeric": Numeric(A0, mf, h=0.01, horizon=1.0),
+    }
+    assert set(specimens) == set(jsonio.CURVE_VARIANTS)
+    for variant, c in specimens.items():
+        doc = json.loads(json.dumps(jsonio.curve_to_json(c)))
+        assert doc["variant"] == variant
+        again = jsonio.curve_from_json(doc)
+        assert type(again) is type(c)
+        for t in (-0.5, 0.0, 0.37, 0.9):
+            assert np.array_equal(c.value(t), again.value(t))
+
+
+def test_curve_json_optional_keys_and_errors():
+    eye = jsonio.matrix_to_json(np.eye(2))
+    gen = jsonio.matrix_function_to_json(MatrixFunction([(1.0, np.zeros((2, 2)))]))
+    assert jsonio.curve_from_json({"variant": "lorentz11"}).i == 1
+    c = jsonio.curve_from_json({"variant": "numeric", "A0": eye, "generator": gen})
+    assert (c.h, c.horizon) == (1e-3, 2.0)
+    with pytest.raises(KeyError):
+        jsonio.curve_from_json({"variant": "exp_line", "A0": eye})
+    with pytest.raises(ValueError, match="unknown curve variant"):
+        jsonio.curve_from_json({"variant": "bogus"})
 
 
 def test_bare_callable_numeric_curve_is_not_serializable():
@@ -267,6 +322,21 @@ def test_flow_orbit_left_side(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("bad, error", [("generator", "NotInAlgebra"), ("base", "NotInGroup")])
+def test_flow_orbit_rejects_bad_input_on_both_sides(tmp_path, capsys, side, bad, error):
+    eye = {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]}
+    rot = {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}
+    gen = write(tmp_path / "x.json", eye if bad == "generator" else rot)
+    base = write(tmp_path / "a.json", {"n": 2, "real": [[2.0, 0.0], [0.0, 2.0]]} if bad == "base" else eye)
+    code, report, err = invoke(
+        capsys, "flow-orbit", "--generator", gen, "--base", base, "--group", "so", "--side", side,
+    )
+    assert code == 2
+    assert report["status"] == "error"
+    assert error in err
+
+
 def gen_spec(Q):
     return {"terms": [{"fun": {"kind": "poly", "coeffs": [1.0]}, "matrix": jsonio.matrix_to_json(Q)}]}
 
@@ -350,3 +420,26 @@ def test_seed_is_echoed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EVOLFLOW_SEED", "7")
     code, report, _ = invoke(capsys, "expm", m)
     assert report["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-check", "{eye}", "--group", "bogus"],
+    ["algebra-check", "{eye}", "--algebra", "bogus"],
+    ["curve-eval", "--curve", "{bogus_curve}"],
+    ["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "1", "--h", "0"],
+    ["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "1", "--h", "2"],
+    ["markov-semigroup", "--lambda", "-1"],
+    ["curve-check", "--curve", "{so2}", "--check", "ode", "--generator", "{eye3}"],
+], ids=["group", "algebra", "variant", "h-zero", "h-above-T", "lambda", "ode-shape"])
+def test_bad_input_exits_2_with_error_report(tmp_path, capsys, argv):
+    files = {
+        "eye": write(tmp_path / "eye.json", {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]}),
+        "eye3": write(tmp_path / "eye3.json", jsonio.matrix_to_json(np.eye(3))),
+        "bogus_curve": write(tmp_path / "bogus.json", {"variant": "bogus"}),
+        "so2": write(tmp_path / "so2.json", {"variant": "so2"}),
+        "gen": write(tmp_path / "gen.json", gen_spec(np.zeros((2, 2)))),
+    }
+    code, report, err = invoke(capsys, *[a.format(**files) for a in argv])
+    assert code == 2
+    assert report["status"] == "error"
+    assert "Traceback" not in err

@@ -25,7 +25,7 @@ from evolflow.curves import (
     nonsingularity_interval,
     perfectness_profile,
 )
-from evolflow.errors import HorizonExceeded, SingularMatrix, WrongVariant
+from evolflow.errors import DimensionMismatch, HorizonExceeded, SingularMatrix, WrongVariant
 from evolflow.matcore import expm, frob_norm
 from oracles import taylor_expm
 
@@ -168,6 +168,19 @@ def test_tangent_induced_contract():
         TangentInduced(np.ones((2, 2)), V[:2, :2])
 
 
+def test_tangent_induced_is_the_exp_line_through_b():
+    rng = np.random.default_rng(49)
+    B = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
+    V = rng.normal(size=(2, 2))
+    c = TangentInduced(B, V)
+    assert isinstance(c, ExpLine)
+    assert np.array_equal(c.B, B) and np.array_equal(c.V, V)
+    line = ExpLine(B, np.linalg.solve(B, np.eye(2)) @ V)
+    for t in GRID:
+        assert np.array_equal(c.value(t), line.value(t))
+        assert np.array_equal(c.derivative(t), line.derivative(t))
+
+
 def test_exp_line_group_action():
     rng = np.random.default_rng(45)
     A0 = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
@@ -236,6 +249,11 @@ def test_ode_check():
     assert not bad.passed
 
 
+def test_ode_check_rejects_generator_of_another_size():
+    with pytest.raises(DimensionMismatch):
+        check_ode(So2(), np.eye(3), GRID)
+
+
 def test_perfectness_profile_signs():
     rng = np.random.default_rng(48)
     X = 0.5 * rng.normal(size=(3, 3))
@@ -281,6 +299,18 @@ def test_numeric_derivative_is_central_difference():
     c = Numeric(np.eye(2), mf, h=1e-3, horizon=2.0)
     for t in (-1.0, 0.25, 1.4):
         assert frob_norm(c.derivative(t) - c.value(t) @ Q) <= 1e-8
+
+
+@pytest.mark.parametrize("h, horizon", [(1e-3, 2.0), (0.03, 1.0), (0.3, 1.0)])
+def test_numeric_nodes_sit_exactly_at_multiples_of_h(h, horizon):
+    mf, _ = flip_flop_gen()
+    ts = Numeric(np.eye(2), mf, h=h, horizon=horizon)._ts
+    assert ts[0] == -horizon and ts[-1] == horizon
+    assert np.array_equal(ts, -ts[::-1])
+    for t in ts[1:-1]:
+        k = round(abs(t) / h)
+        assert t == math.copysign(k * h, t)
+    assert np.all(np.diff(ts) <= h * (1.0 + 1e-12))
 
 
 def test_numeric_horizon_errors():

@@ -40,6 +40,7 @@ from .errors import (
     NotInAlgebra,
     NotInGroup,
     NotStochastic,
+    QuadratureNotConverged,
     RowSumNonzero,
     SingularMatrix,
     SubsetTooSmall,
@@ -93,6 +94,7 @@ from .matcore import (
     SINGULAR_TOL,
     as_matrix,
     det,
+    det_gauge,
     expm,
     frob_norm,
     inv,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves, flows, jsonio, lie, markov
-from .errors import BadGrid, CommutatorTooLarge, EvolflowError, RateMatrixError
+from .errors import BadGrid, CommutatorTooLarge, EvolflowError, QuadratureNotConverged, RateMatrixError
 from .matcore import expm
 
 DEFAULT_GRID = "-2:2:0.1"  # 41 equispaced points
@@ -203,7 +203,7 @@ def _cmd_markov_semigroup(args):
     rate = _load_rate(args)
     if args.t_grid:
         with open(args.t_grid, "r", encoding="utf-8") as fh:
-            grid = [float(x) for x in json.load(fh)]
+            grid = parse_grid(fh.read())
     else:
         grid = parse_grid(args.t)
     tr = float(np.trace(rate.Q))
@@ -306,6 +306,8 @@ def _cmd_magnus(args):
         result = flows.commuting_magnus(mf, A0, args.t, args.tol)
     except CommutatorTooLarge as exc:
         return "fail", {"commutator_defect": exc.defect}, {"error": "CommutatorTooLarge"}
+    except QuadratureNotConverged as exc:
+        return "fail", {"quadrature_change": exc.change}, {"error": "QuadratureNotConverged"}
     return "pass", {}, {"result": jsonio.matrix_to_json(result)}
 
 
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", type=float, help="flip-flop intensity")
     s.add_argument("--rate", help="rate matrix JSON file")
     s.add_argument("--t", default="0:4:0.25")
-    s.add_argument("--t-grid", help="JSON file with a list of times")
+    s.add_argument("--t-grid", help="file holding a grid in --t syntax")
     s.add_argument("--out")
 
     s = sub.add_parser("markov-validate", help="validate a rate matrix")

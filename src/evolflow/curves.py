@@ -24,11 +24,10 @@ from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .flows import IntegratorConfig, march
 from .matcore import (
     as_matrix,
+    det_gauge,
     expm,
     frob_norm,
     inv,
-    is_nonsingular,
-    is_real,
     spectral_radius_estimate,
 )
 
@@ -108,10 +107,6 @@ class AffineArg(ScalarFunction):
 
     def derivative(self, t: float) -> float:
         return self.scale * _SLOPE[self.kind](self.scale * t + self.shift)
-
-
-def constant(c: float) -> Poly:
-    return Poly((c,))
 
 
 def as_scalar_function(f) -> ScalarFunction:
@@ -517,22 +512,18 @@ class PerfectnessProfile(NamedTuple):
 def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
     """Per-sample determinant magnitude and sign along the curve.
 
-    A sample is perfect when `matcore.is_nonsingular` accepts it.
-    For real curves the report also says whether the determinant sign is
-    constant (it must be along any real curve of nonsingular matrices).
+    A sample is perfect when the singularity gauge `matcore.det_gauge`
+    accepts it, and its sign is the gauge's.  For real curves the report
+    also says whether the determinant sign is constant (it must be along
+    any real curve of nonsingular matrices).
     """
     samples = []
     perfect_flags = []
     for t in grid:
         A = curve.value(t)
-        d = np.linalg.det(A)
-        nonsing = is_nonsingular(A)
-        perfect_flags.append(nonsing)
-        if is_real(A, 0.0):
-            sign = int(np.sign(d.real)) if nonsing else 0
-        else:
-            sign = None
-        samples.append(PerfectnessSample(float(t), float(abs(d)), sign))
+        gauge = det_gauge(A)
+        perfect_flags.append(gauge.nonsingular)
+        samples.append(PerfectnessSample(float(t), float(abs(np.linalg.det(A))), gauge.sign))
     all_perfect = all(perfect_flags)
     signs = [s.sign for s in samples]
     if any(s is None for s in signs):

@@ -3,7 +3,8 @@
 Membership is tolerance-based: every predicate returns the norm of a
 defect (orthogonality defect, |det - 1|, row-sum defect, ...) together
 with the boolean decision `residual <= tol`, and, for real nonsingular
-input, the connected-component sign of the determinant.
+input, the connected-component sign of the determinant, read from the
+singularity gauge `matcore.det_gauge`.
 
 Real-only groups and algebras fold any imaginary mass into the defect, so
 complex matrices are rejected with an informative residual.
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotStochastic, SingularMatrix
-from .matcore import as_matrix, frob_norm, is_nonsingular, is_real
+from .matcore import as_matrix, det_gauge, frob_norm, is_nonsingular, is_real
 
 
 def _imag_mass(M: np.ndarray) -> float:
@@ -39,13 +40,6 @@ def _det_defect(M) -> float:
 
 def _sum_defect(M, axis, target) -> float:
     return float(np.max(np.abs(M.real.sum(axis=axis) - target)))
-
-
-def _nonsingular_then(defect):
-    # membership that also needs an invertible matrix
-    def residual(M, ident):
-        return defect(M, ident) if is_nonsingular(M) else math.inf
-    return residual
 
 
 def _lorentz11_defect(M, group) -> float:
@@ -87,18 +81,19 @@ class _Kind(NamedTuple):
     real_only: bool          # imaginary mass is folded into the defect
     defect: Callable         # (matrix, Group or Algebra) -> defect norm
     algebra: str | None = None  # groups only: the catalog Lie algebra
+    invertible: bool = False    # groups only: a gauge-singular matrix is not a member
 
 
 _GROUPS = {
-    "gl": _Kind(None, False, _nonsingular_then(lambda M, g: 0.0), "gl"),
+    "gl": _Kind(None, False, lambda M, g: 0.0, "gl", invertible=True),
     "sl": _Kind(None, False, lambda M, g: _det_defect(M), "sl"),
     "o": _Kind(None, True, lambda M, g: _orth_defect(M), "so"),
     "so": _Kind(None, True, lambda M, g: max(_orth_defect(M), _det_defect(M.real)), "so"),
     "u": _Kind(None, False, lambda M, g: _unitary_defect(M), "u"),
     "su": _Kind(None, False, lambda M, g: max(_unitary_defect(M), _det_defect(M)), "su"),
-    "stochastic": _Kind(None, True, _nonsingular_then(lambda M, g: _sum_defect(M, 1, 1.0)), "rate"),
-    "gds": _Kind(None, True, _nonsingular_then(
-        lambda M, g: max(_sum_defect(M, 1, g.s), _sum_defect(M, 0, g.s))), "omega0"),
+    "stochastic": _Kind(None, True, lambda M, g: _sum_defect(M, 1, 1.0), "rate", invertible=True),
+    "gds": _Kind(None, True, lambda M, g: max(_sum_defect(M, 1, g.s), _sum_defect(M, 0, g.s)),
+                 "omega0", invertible=True),
     "lorentz11": _Kind(2, True, _lorentz11_defect, "lor11"),
     "o11": _Kind(2, True, lambda M, g: frob_norm(M.real.T @ _J11 @ M.real - _J11), "lor11"),
     "heis3": _Kind(3, True, lambda M, g: frob_norm(M.real - (np.triu(M.real, 1) + np.eye(3))), "heis3"),
@@ -281,13 +276,17 @@ def _residual(M, ident, table: dict, what: str):
 
 
 def in_group(M, group: Group, tol: float = 1e-9) -> MembershipReport:
-    """Membership of M in the group, with the defect norm as residual."""
+    """Membership of M in the group, with the defect norm as residual.
+
+    The singularity gauge runs at most once: when the group needs an
+    invertible matrix or M is real, where it also gives the component sign.
+    """
     M, residual = _residual(M, group, _GROUPS, "group")
-    component = None
-    if is_real(M, 0.0):
-        d = float(np.linalg.det(M.real))
-        if is_nonsingular(M):
-            component = 1 if d > 0 else -1
+    invertible = _GROUPS[group.kind].invertible
+    gauge = det_gauge(M) if invertible or is_real(M, 0.0) else None
+    if invertible and not gauge.nonsingular:
+        residual = math.inf
+    component = None if gauge is None else gauge.sign or None
     return MembershipReport(bool(residual <= tol), float(residual), component)
 
 
@@ -299,12 +298,12 @@ def in_algebra(X, algebra: Algebra, tol: float = 1e-9) -> MembershipReport:
 
 def connected_component_sign(M) -> int:
     """Sign of det(M) for real nonsingular M: which GL_n(R) component it is in."""
-    M = as_matrix(M)
-    if not is_real(M, 0.0):
+    sign = det_gauge(M).sign
+    if sign is None:
         raise ValueError("connected components by determinant sign need a real matrix")
-    if not is_nonsingular(M):
+    if sign == 0:
         raise SingularMatrix("determinant too close to zero to classify a component")
-    return 1 if float(np.linalg.det(M.real)) > 0 else -1
+    return sign
 
 
 def heisenberg_exp(a: float, b: float, c: float) -> np.ndarray:

@@ -147,22 +147,23 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
     Q = rate.Q
     n = rate.n
     eye = np.eye(n)
+    memo = {}  # t -> exp(tQ) for the grid, A(0) and the Chapman-Kolmogorov sums
 
-    values = {t: expm(t * Q) for t in ts}
-    nonneg = max((max(0.0, -float(values[t].min())) for t in ts), default=0.0)
+    def A(t: float) -> np.ndarray:
+        if t not in memo:
+            memo[t] = expm(t * Q)
+        return memo[t]
+
+    nonneg = max((max(0.0, -float(A(t).min())) for t in ts), default=0.0)
     row_sum = max(
-        (float(np.max(np.abs(values[t].sum(axis=1) - 1.0))) for t in ts), default=0.0
+        (float(np.max(np.abs(A(t).sum(axis=1) - 1.0))) for t in ts), default=0.0
     )
-    identity = frob_norm(expm(0.0 * Q) - eye)
+    identity = frob_norm(A(0.0) - eye)
 
     chapman = 0.0
-    sums = {}
     for s in ts:
         for t in ts:
-            key = s + t
-            if key not in sums:
-                sums[key] = expm(key * Q)
-            chapman = max(chapman, frob_norm(sums[key] - values[s] @ values[t]))
+            chapman = max(chapman, frob_norm(A(s + t) - A(s) @ A(t)))
 
     qnorm = frob_norm(Q)
     defects = []

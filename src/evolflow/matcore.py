@@ -4,13 +4,16 @@ Matrices throughout the library are plain numpy arrays, square, with finite
 entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
-matrix exponential, determinant-based nonsingularity decisions, and a
-guaranteed upper estimate of the spectral radius.
+matrix exponential, the determinant gauge behind every nonsingularity
+and determinant-sign decision, and a guaranteed upper estimate of the
+spectral radius.
 
 All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,17 +135,33 @@ def det(M):
     return complex(d) if np.iscomplexobj(M) else float(d)
 
 
-def is_nonsingular(M, tol: float = SINGULAR_TOL) -> bool:
-    """Decide invertibility on the entry-normalized determinant.
+class DetGauge(NamedTuple):
+    nonsingular: bool  # entry-normalized |det| above the tolerance
+    sign: int | None   # real: +-1 when nonsingular, else 0; None when complex
 
-    Near-singular matrices (scaled |det| <= tol) are classified singular.
-    This is the library's one singularity gauge: membership, perfectness
-    and inversion all decide through it.
+
+def det_gauge(M, tol: float = SINGULAR_TOL) -> DetGauge:
+    """Decide invertibility and the determinant sign from one LU.
+
+    The determinant is taken of the entry-normalized copy (largest |entry|
+    scaled to 1), so neither verdict is spoiled by an unscaled determinant
+    that underflows or overflows.  Near-singular matrices (scaled |det| <=
+    tol) are classified singular.  This is the library's one singularity
+    gauge and its one source of determinant signs: membership, component
+    signs, perfectness and inversion all decide through it.
     """
     M = as_matrix(M)
     scale = np.max(np.abs(M))  # |det| of M / scale is scale-invariant
-    scaled = float(abs(np.linalg.det(M / scale))) if scale != 0.0 else 0.0
-    return scaled > tol
+    d = np.linalg.det(M / scale) if scale != 0.0 else 0.0
+    nonsingular = float(abs(d)) > tol
+    if not is_real(M, 0.0):
+        return DetGauge(nonsingular, None)
+    return DetGauge(nonsingular, int(np.sign(d.real)) if nonsingular else 0)
+
+
+def is_nonsingular(M, tol: float = SINGULAR_TOL) -> bool:
+    """Invertibility by the singularity gauge of `det_gauge`."""
+    return det_gauge(M, tol).nonsingular
 
 
 def inv(M) -> np.ndarray:

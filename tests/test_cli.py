@@ -188,6 +188,28 @@ def test_markov_semigroup_t_grid_file(tmp_path, capsys):
     assert [s["t"] for s in report["payload"]["samples"]] == [0.0, 0.5, 1.0]
 
 
+def test_markov_semigroup_t_grid_file_takes_the_t_syntax(tmp_path, capsys):
+    rate = write(tmp_path / "q.json", {"n": 2, "real": [[-1.0, 1.0], [1.0, -1.0]]})
+    for spec in ("5", "0:1:0.5"):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(spec + "\n")
+        from_file = invoke(capsys, "markov-semigroup", "--rate", rate, "--t-grid", str(grid))
+        from_flag = invoke(capsys, "markov-semigroup", "--rate", rate, "--t", spec)
+        assert from_file[0] == 0
+        assert from_file[:2] == from_flag[:2]
+
+
+@pytest.mark.parametrize("content", ["[]", "[\"a\"]", "{}", ""])
+def test_markov_semigroup_rejects_a_bad_t_grid_file(tmp_path, capsys, content):
+    rate = write(tmp_path / "q.json", {"n": 2, "real": [[-1.0, 1.0], [1.0, -1.0]]})
+    grid = tmp_path / "grid.json"
+    grid.write_text(content)
+    code, report, err = invoke(capsys, "markov-semigroup", "--rate", rate, "--t-grid", str(grid))
+    assert code == 2
+    assert report["status"] == "error"
+    assert "BadGrid" in err
+
+
 def test_group_check_detects_wrong_determinant(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", {"n": 2, "real": [[0.0, 1.0], [1.0, 0.5]]})
     code, report, _ = invoke(capsys, "group-check", "--group", "sl", "--tol", "1e-9", bad)
@@ -400,6 +422,20 @@ def test_magnus_non_commuting_fails(tmp_path, capsys):
     code, report, _ = invoke(capsys, "magnus", "--gen-spec", spec, "--a0", a0, "--t", "1")
     assert code == 1
     assert report["payload"]["error"] == "CommutatorTooLarge"
+
+
+def test_magnus_unconverged_quadrature_fails(tmp_path, capsys):
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    spec = write(tmp_path / "gen.json", {
+        "terms": [{"fun": {"kind": "sin", "scale": 2000.0, "shift": 0.0},
+                   "matrix": jsonio.matrix_to_json(Q)}]
+    })
+    a0 = write(tmp_path / "a0.json", jsonio.matrix_to_json(np.eye(2)))
+    code, report, _ = invoke(capsys, "magnus", "--gen-spec", spec, "--a0", a0, "--t", "2")
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["payload"] == {"error": "QuadratureNotConverged"}
+    assert report["residuals"]["quadrature_change"] > 1e-11
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -269,6 +269,22 @@ def test_perfectness_profile_signs():
     assert all(s.abs_det <= 1e-10 for s in degenerate.samples)
 
 
+@pytest.mark.parametrize("M, sign", [
+    (0.01 * np.eye(200), 1),
+    (1e-110 * np.eye(3), 1),
+    (-1e-110 * np.eye(3), -1),
+])
+def test_perfectness_sign_of_slices_whose_determinant_underflows(M, sign):
+    prof = perfectness_profile(Constant(M), [0.0, 1.0])
+    assert prof.all_perfect and prof.sign_constant and prof.passed
+    assert all(s.sign == sign and s.abs_det == 0.0 for s in prof.samples)
+
+
+def test_perfectness_sign_is_none_for_complex_slices():
+    prof = perfectness_profile(Constant(np.eye(2) * 1j), [0.0])
+    assert prof.samples[0].sign is None and prof.sign_constant is None and prof.passed
+
+
 # ---------------------------------------------------------------------------
 # numeric curves
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evolflow.curves import FlipFlop
+from evolflow.curves import Constant, FlipFlop, perfectness_profile
 from evolflow.errors import DimensionMismatch, NotStochastic, SingularMatrix
 from evolflow.lie import (
     Algebra,
@@ -188,6 +188,73 @@ def test_component_signs():
         connected_component_sign(np.ones((2, 2)))
     with pytest.raises(ValueError):
         connected_component_sign(np.eye(2) * (1.0 + 1j))
+
+
+@pytest.mark.parametrize("M, sign", [
+    (0.01 * np.eye(200), 1),
+    (1e-110 * np.eye(3), 1),
+    (-1e-110 * np.eye(3), -1),
+])
+def test_component_sign_of_matrices_whose_determinant_underflows(M, sign):
+    rep = in_group(M, Group.gl(M.shape[0]))
+    assert rep.belongs and rep.component == sign
+    assert connected_component_sign(M) == sign
+
+
+GROUPS = [
+    Group.gl(3), Group.sl(3), Group.o(3), Group.so(3), Group.u(3), Group.su(3),
+    Group.stochastic(3), Group.gen_doubly_stochastic(3), Group.lorentz11(),
+    Group.o11(), Group.heisenberg3(), Group.affine(3),
+]
+
+# LUs one in_group call takes on a real member-shaped input: the gauge once,
+# plus the |det - 1| defect for sl/so/su and the linear block for affine
+LU_COUNTS = {
+    "gl": 1, "sl": 2, "o": 1, "so": 2, "u": 1, "su": 2, "stochastic": 1,
+    "gds": 1, "lorentz11": 1, "o11": 1, "heis3": 1, "affine": 2,
+}
+
+
+def test_in_group_takes_the_gauge_once(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return det(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    assert set(LU_COUNTS) == {g.kind for g in GROUPS}
+    for group in GROUPS:
+        calls.clear()
+        rep = in_group(np.eye(group.n), group)
+        assert rep.component == 1
+        assert len(calls) == LU_COUNTS[group.kind], group
+        # a complex input takes the gauge only where invertibility is part of membership
+        calls.clear()
+        in_group(np.eye(group.n) + 1e-3j, group)
+        gauge = 1 if group.kind in ("gl", "stochastic", "gds") else 0
+        assert len(calls) == LU_COUNTS[group.kind] - 1 + gauge, group
+
+
+def test_component_signs_agree_across_the_library():
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        M = 10.0 ** rng.uniform(-130.0, 40.0) * rng.normal(size=(n, n))
+        if rng.uniform() < 0.2:
+            M[-1] = M[0]  # singular (n = 1 stays regular)
+        component = in_group(M, Group.gl(n)).component
+        profile = perfectness_profile(Constant(M), [0.0])
+        sign = profile.samples[0].sign
+        if component is None:
+            assert sign == 0 and not profile.passed
+            with pytest.raises(SingularMatrix):
+                connected_component_sign(M)
+            continue
+        sign_ref, _ = np.linalg.slogdet(M)
+        assert component == sign == connected_component_sign(M) == int(sign_ref)
+        assert profile.passed
 
 
 # ---------------------------------------------------------------------------

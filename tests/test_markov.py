@@ -19,7 +19,7 @@ from evolflow.markov import (
     truncate_reversible,
     validate_rate,
 )
-from evolflow.matcore import frob_norm
+from evolflow.matcore import expm, frob_norm
 
 GRID = [0.0, 0.3, 0.7, 1.1]
 
@@ -129,6 +129,25 @@ def test_axioms_random_five_state():
     assert rep.identity_defect == 0.0
     d = rep.continuity_defects
     assert all(d[k + 1] <= d[k] * (1.0 + 1e-9) for k in range(len(d) - 1))
+
+
+def test_axioms_share_one_exponential_memo(monkeypatch):
+    args = []
+
+    def counted(X):
+        args.append(X.tobytes())
+        return expm(X)
+
+    monkeypatch.setattr("evolflow.markov.expm", counted)
+    rate = random_rate_matrix(3, 9)
+    grid = np.linspace(0.0, 2.0, 21)
+    rep = axioms_report(rate, grid)
+    assert rep.passed
+    sums = {float(s + t) for s in grid for t in grid}
+    assert sums >= {float(t) for t in grid} | {0.0}
+    continuity = 20  # A(2^-k), k = 1..20, taken afresh
+    assert len(args) == len(sums) + continuity  # not another len(grid) + 1
+    assert len(set(args[:-continuity])) == len(sums)
 
 
 def test_axioms_reject_negative_grid():

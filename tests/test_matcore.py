@@ -7,6 +7,7 @@ from evolflow.errors import DimensionMismatch, NonFiniteInput, SingularMatrix
 from evolflow.matcore import (
     as_matrix,
     det,
+    det_gauge,
     expm,
     frob_norm,
     inv,
@@ -105,6 +106,29 @@ def test_det_against_cofactor_oracle():
         M = rng.normal(size=(4, 4))
         expected = cofactor_det(M)
         assert abs(det(M) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_det_gauge_encoding():
+    assert det_gauge(np.diag([2.0, 3.0])) == (True, 1)
+    assert det_gauge(np.diag([-2.0, 3.0])) == (True, -1)
+    assert det_gauge(np.ones((2, 2))) == (False, 0)
+    assert det_gauge(np.zeros((3, 3))) == (False, 0)
+    assert det_gauge(np.eye(2) * (1.0 + 1j)) == (True, None)
+    assert det_gauge(np.ones((2, 2)) * 1j) == (False, None)
+    # complex dtype with no imaginary mass is real
+    assert det_gauge(np.eye(2).astype(complex)) == (True, 1)
+
+
+@pytest.mark.parametrize("M, sign", [
+    (0.01 * np.eye(200), 1),
+    (1e-110 * np.eye(3), 1),
+    (-1e-110 * np.eye(3), -1),
+    (-1e-110 * np.eye(4), 1),
+    (1e150 * np.diag([1.0, 1.0, -1.0]), -1),
+])
+def test_det_gauge_sign_survives_an_unscaled_determinant_out_of_range(M, sign):
+    assert det_gauge(M) == (True, sign)
+    assert is_nonsingular(M)
 
 
 def test_inv_identity():

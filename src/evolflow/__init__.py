@@ -40,7 +40,6 @@ from .errors import (
     NotInAlgebra,
     NotInGroup,
     NotStochastic,
-    QuadratureNotConverged,
     RowSumNonzero,
     SingularMatrix,
     SubsetTooSmall,

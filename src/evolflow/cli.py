@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves, flows, jsonio, lie, markov
-from .errors import BadGrid, CommutatorTooLarge, EvolflowError, QuadratureNotConverged, RateMatrixError
+from .errors import BadGrid, CommutatorTooLarge, EvolflowError, RateMatrixError
 from .matcore import expm
 
 DEFAULT_GRID = "-2:2:0.1"  # 41 equispaced points
@@ -306,8 +306,6 @@ def _cmd_magnus(args):
         result = flows.commuting_magnus(mf, A0, args.t, args.tol)
     except CommutatorTooLarge as exc:
         return "fail", {"commutator_defect": exc.defect}, {"error": "CommutatorTooLarge"}
-    except QuadratureNotConverged as exc:
-        return "fail", {"quadrature_change": exc.change}, {"error": "QuadratureNotConverged"}
     return "pass", {}, {"result": jsonio.matrix_to_json(result)}
 
 

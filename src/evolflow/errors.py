@@ -66,15 +66,6 @@ class CommutatorTooLarge(EvolflowError, ValueError):
         self.defect = defect
 
 
-class QuadratureNotConverged(EvolflowError):
-    """Quadrature refinement reached its node cap without meeting its
-    tolerance; `change` is the last refinement's change."""
-
-    def __init__(self, message, change=None):
-        super().__init__(message)
-        self.change = change
-
-
 class NonFiniteGenerator(EvolflowError, ValueError):
     """A time-dependent generator returned non-finite entries."""
 

@@ -424,20 +424,6 @@ def test_magnus_non_commuting_fails(tmp_path, capsys):
     assert report["payload"]["error"] == "CommutatorTooLarge"
 
 
-def test_magnus_unconverged_quadrature_fails(tmp_path, capsys):
-    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    spec = write(tmp_path / "gen.json", {
-        "terms": [{"fun": {"kind": "sin", "scale": 2000.0, "shift": 0.0},
-                   "matrix": jsonio.matrix_to_json(Q)}]
-    })
-    a0 = write(tmp_path / "a0.json", jsonio.matrix_to_json(np.eye(2)))
-    code, report, _ = invoke(capsys, "magnus", "--gen-spec", spec, "--a0", a0, "--t", "2")
-    assert code == 1
-    assert report["status"] == "fail"
-    assert report["payload"] == {"error": "QuadratureNotConverged"}
-    assert report["residuals"]["quadrature_change"] > 1e-11
-
-
 def test_reports_are_deterministic(tmp_path, capsys):
     m = write(tmp_path / "m.json", {"n": 2, "real": [[0.0, 0.3], [-0.3, 0.0]]})
     _, _, _ = invoke(capsys, "expm", m)

@@ -9,7 +9,6 @@ from evolflow.errors import (
     NonFiniteGenerator,
     NotInAlgebra,
     NotInGroup,
-    QuadratureNotConverged,
 )
 from evolflow.flows import (
     Flow,
@@ -228,13 +227,6 @@ def test_magnus_rejects_non_commuting_family():
     X2 = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(CommutatorTooLarge):
         commuting_magnus(lambda tau: X1 + tau * X2, np.eye(2), 1.0)
-
-
-def test_magnus_raises_when_quadrature_hits_its_node_cap():
-    Q = flip_flop_rate(1.0).Q
-    with pytest.raises(QuadratureNotConverged) as info:
-        commuting_magnus(lambda tau: math.sin(2000.0 * tau) * Q, np.eye(2), 2.0)
-    assert info.value.change > 1e-11
 
 
 def test_magnus_agrees_with_integrator_on_commuting_family():

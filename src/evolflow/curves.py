@@ -28,6 +28,7 @@ from .matcore import (
     expm,
     frob_norm,
     inv,
+    memo,
     spectral_radius_estimate,
 )
 
@@ -464,18 +465,23 @@ class SubgroupReport(NamedTuple):
 
 
 def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> SubgroupReport:
-    """Verify A(0) = I and A(s+t) = A(s) A(t) over all grid pairs."""
+    """Verify A(0) = I and A(s+t) = A(s) A(t) over all grid pairs.
+
+    The check runs in one `matcore.memo()` block, so a curve built on
+    `expm` computes each distinct exponential once.
+    """
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
     n = curve.n
-    id_res = frob_norm(curve.value(0.0) - np.eye(n))
-    values = {t: curve.value(t) for t in grid}
     hom = 0.0
-    for s in grid:
-        for t in grid:
-            r = frob_norm(curve.value(s + t) - values[s] @ values[t])
-            hom = max(hom, r)
+    with memo():
+        id_res = frob_norm(curve.value(0.0) - np.eye(n))
+        values = {t: curve.value(t) for t in grid}
+        for s in grid:
+            for t in grid:
+                r = frob_norm(curve.value(s + t) - values[s] @ values[t])
+                hom = max(hom, r)
     return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)
 
 

@@ -9,6 +9,9 @@ Scalar function (curve catalog):
 Matrix function (time-dependent generator):
           {"terms": [{"fun": <scalar function>, "matrix": <matrix>}, ...]}
 Curve:    tagged union on "variant", one row per variant in `CURVE_VARIANTS`.
+
+Decoding a scalar function or a curve raises ValueError on a key its kind
+or variant does not define.
 """
 
 from __future__ import annotations
@@ -85,11 +88,20 @@ def scalar_function_to_json(f) -> dict:
     return {"kind": f.kind, "scale": f.scale, "shift": f.shift}
 
 
+def _reject_unknown_keys(obj: dict, known, what: str) -> None:
+    # a misspelt parameter must not fall back to its default silently
+    stray = sorted(str(k) for k in obj if k not in known)
+    if stray:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, stray))} in {what} JSON")
+
+
 def scalar_function_from_json(obj: dict):
     kind = obj["kind"]
     if kind == "poly":
+        _reject_unknown_keys(obj, ("kind", "coeffs"), "poly scalar function")
         return curves.Poly(tuple(float(c) for c in obj["coeffs"]))
     if kind in curves.AFFINE_ARG_KINDS:
+        _reject_unknown_keys(obj, ("kind", "scale", "shift"), f"{kind} scalar function")
         return curves.AffineArg(kind, float(obj.get("scale", 1.0)), float(obj.get("shift", 0.0)))
     raise ValueError(f"unknown scalar function kind {kind!r}")
 
@@ -172,6 +184,7 @@ def curve_from_json(obj: dict):
     if not isinstance(variant, str) or variant not in CURVE_VARIANTS:
         raise ValueError(f"unknown curve variant {variant!r}")
     cls, codecs = CURVE_VARIANTS[variant]
+    _reject_unknown_keys(obj, ("variant", *codecs), f"{variant} curve")
     kwargs = {}
     for key, f in codecs.items():
         kwargs[f.attr or key] = f.decode(obj[key] if f.default is None else obj.get(key, f.default))

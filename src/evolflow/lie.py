@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotStochastic, SingularMatrix
-from .matcore import as_matrix, det_gauge, frob_norm, is_nonsingular, is_real
+from .matcore import as_matrix, det_gauge, frob_norm, is_nonsingular, is_real, memoized
 
 
 def _imag_mass(M: np.ndarray) -> float:
@@ -275,11 +275,13 @@ def _residual(M, ident, table: dict, what: str):
     return M, (max(_imag_mass(M), defect) if row.real_only else defect)
 
 
+@memoized
 def in_group(M, group: Group, tol: float = 1e-9) -> MembershipReport:
     """Membership of M in the group, with the defect norm as residual.
 
     The singularity gauge runs at most once: when the group needs an
     invertible matrix or M is real, where it also gives the component sign.
+    Inside `matcore.memo()` each distinct (M, group, tol) is decided once.
     """
     M, residual = _residual(M, group, _GROUPS, "group")
     invertible = _GROUPS[group.kind].invertible

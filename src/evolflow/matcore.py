@@ -5,14 +5,18 @@ entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
 matrix exponential, the determinant gauge behind every nonsingularity
-and determinant-sign decision, and a guaranteed upper estimate of the
-spectral radius.
+and determinant-sign decision, a guaranteed upper estimate of the
+spectral radius, and the per-check memo that lets a grid check compute
+each distinct exponential and membership once.
 
 All functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +47,63 @@ _PADE13_B = (
     182.0,
     1.0,
 )
+
+
+# The table of the innermost open `memo()` block, None outside every block.
+_MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
+
+
+@contextmanager
+def memo():
+    """Scope in which memoized kernels compute each distinct argument once.
+
+    The outermost block creates the table, nested blocks share it, and it
+    is dropped when the outermost block exits, also on an exception; no
+    result outlives the block.  Each entry holds the argument's bytes and
+    the result: two matrices per distinct exponential, one per distinct
+    membership.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def memoized(fn):
+    """Decorate a kernel f(M, *args) to look its result up inside `memo()`.
+
+    The key is the exact raw input (`np.asarray(M)`'s dtype, shape, strides
+    and bytes) with the remaining arguments, taken before validation: the
+    same bytes passed validation before, and a call that raises stores
+    nothing.  Array results are handed out as copies, so callers own them.
+    Outside a block, and for a matrix passed by keyword, of a non-numeric
+    dtype or with an unhashable argument, the function runs as if
+    undecorated.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        table = _MEMO.get()
+        if table is None or not args:
+            return fn(*args, **kwargs)
+        M = np.asarray(args[0])
+        if M.dtype.kind not in "biufc":
+            return fn(*args, **kwargs)
+        key = (fn, M.dtype.str, M.shape, M.strides, M.tobytes(), args[1:], tuple(kwargs.items()))
+        try:
+            hit = key in table
+        except TypeError:  # an unhashable argument: no lookup
+            return fn(*args, **kwargs)
+        if not hit:
+            table[key] = fn(*args, **kwargs)
+        result = table[key]
+        return result.copy() if isinstance(result, np.ndarray) else result
+
+    return wrapper
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -93,13 +154,14 @@ def one_norm(M) -> float:
     return float(np.abs(np.asarray(M)).sum(axis=0).max())
 
 
+@memoized
 def expm(X) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Pade(13,13) core.
 
     The input 1-norm decides the number k of halvings so that
     ||X / 2**k|| <= _PADE13_THETA; the approximant is then squared k times.
     Relative accuracy against the truncated-series oracle is ~1e-15 on
-    well-conditioned inputs.
+    well-conditioned inputs.  Inside `memo()` each distinct X is computed once.
     """
     X = as_matrix(X)
     n = X.shape[0]

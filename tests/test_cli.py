@@ -148,6 +148,35 @@ def test_curve_json_optional_keys_and_errors():
         jsonio.curve_from_json({"variant": "bogus"})
 
 
+@pytest.mark.parametrize("doc, stray", [
+    ({"variant": "so2", "omega": "x"}, "omega"),
+    ({"variant": "flip_flop", "lambda": 1.0, "lam": 2.0}, "lam"),
+    ({"variant": "heisenberg", "alpha": {"kind": "sin", "scal": 2.0},
+      "beta": {"kind": "poly", "coeffs": [1.0]}, "delta": {"kind": "cos"}}, "scal"),
+])
+def test_curve_json_rejects_unknown_keys(doc, stray):
+    with pytest.raises(ValueError, match=stray):
+        jsonio.curve_from_json(doc)
+
+
+def test_scalar_function_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="scal"):
+        jsonio.scalar_function_from_json({"kind": "sin", "scal": 2})
+    with pytest.raises(ValueError, match="scale"):
+        jsonio.scalar_function_from_json({"kind": "poly", "coeffs": [1.0], "scale": 2.0})
+    assert jsonio.scalar_function_from_json({"kind": "sin", "scale": 2}) == AffineArg("sin", 2.0)
+    assert jsonio.scalar_function_from_json({"kind": "poly", "coeffs": [1, 2]}) == Poly((1.0, 2.0))
+
+
+def test_curve_eval_rejects_an_unknown_key(tmp_path, capsys):
+    curve = write(tmp_path / "c.json", {"variant": "so2", "omega": "x"})
+    code, report, err = invoke(capsys, "curve-eval", "--curve", curve, "--t", "0:1:0.5")
+    assert code == 2
+    assert report["status"] == "error"
+    assert "omega" in report["payload"]["message"]
+    assert "Traceback" not in err
+
+
 def test_bare_callable_numeric_curve_is_not_serializable():
     c = Numeric(np.eye(2), lambda t: np.zeros((2, 2)), h=0.1, horizon=1.0)
     with pytest.raises(ValueError):

@@ -222,6 +222,51 @@ def test_subgroup_check_passes_for_exp_line():
     assert rep.homomorphism_residual <= 1e-9
 
 
+def _plain_subgroup_report(curve, grid, tol=1e-9):
+    # the check's formula, evaluated call by call outside any memo
+    id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
+    hom = max(frob_norm(curve.value(s + t) - curve.value(s) @ curve.value(t))
+              for s in grid for t in grid)
+    return (id_res <= tol and hom <= tol, id_res, hom, tol)
+
+
+@pytest.mark.parametrize("curve", [
+    ExpLine(np.eye(3), 0.5 * np.random.default_rng(47).normal(size=(3, 3))),
+    ExpLine(np.eye(2), np.array([[0.2 + 0.3j, -0.5j], [0.4, -0.1 + 0.2j]])),
+    TangentInduced(np.array([[1.0, 0.2], [-0.1, 0.9]]), np.array([[0.3, 1.0], [-0.4, 0.2]])),
+    AffineLine(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+], ids=["real", "complex", "tangent", "affine"])
+def test_subgroup_report_equals_a_plain_loop(curve):
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [0.5, -0.0]
+    assert tuple(check_one_parameter_subgroup(curve, grid)) == _plain_subgroup_report(curve, grid)
+
+
+def test_subgroup_check_solves_once_per_distinct_argument(monkeypatch):
+    # the call structure stays G^2 + G + 1 expm calls; the memo leaves one
+    # Padé solve per distinct nonzero argument t X
+    expm_args, solves = [], []
+    solve = np.linalg.solve
+
+    def counted_expm(X):
+        expm_args.append(np.array(X))
+        return expm(X)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("evolflow.curves.expm", counted_expm)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    grid = np.linspace(-2.0, 2.0, 41)
+    rep = check_one_parameter_subgroup(ExpLine(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])), grid)
+    assert rep.passed
+    G = len(grid)
+    assert len(expm_args) == G * G + G + 1
+    distinct = {X.tobytes() for X in expm_args if np.any(X != 0.0)}
+    assert len(distinct) < G * G / 5
+    assert len(solves) == len(distinct)
+
+
 def test_subgroup_check_fails_off_identity_start():
     A0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = check_one_parameter_subgroup(ExpLine(A0, np.eye(2)), [0.5, 1.0])

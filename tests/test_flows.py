@@ -79,6 +79,49 @@ def test_flow_axioms_pass():
     assert rep.composition_residual <= 1e-9
 
 
+def _plain_flow_axioms(flow, bases, grid, tol=1e-9):
+    # the check's formula, one flow_apply after another outside any memo
+    ident = max(frob_norm(flow_apply(flow, 0.0, A, tol) - A) for A in bases)
+    comp = max(frob_norm(flow_apply(flow, s, flow_apply(flow, t, A, tol), tol)
+                         - flow_apply(flow, s + t, A, tol))
+               for A in bases for s in grid for t in grid)
+    return (ident <= tol and comp <= tol, ident, comp, tol)
+
+
+def _unitary(rng, n):
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Q * (np.diag(R) / abs(np.diag(R)))
+
+
+def test_flow_axioms_report_equals_a_plain_loop():
+    rng = np.random.default_rng(72)
+    grid = [float(t) for t in np.linspace(-1.5, 1.5, 7)] + [0.25]
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cases = [
+        (Flow(so3_generator(rng), Group.so(3)), [expm(so3_generator(rng)) for _ in range(2)]),
+        (Flow(0.3 * (H - H.conj().T), Group.u(2)), [_unitary(rng, 2), _unitary(rng, 2)]),
+        (Flow(random_rate_matrix(3, 5).Q, Group.stochastic(3)), [np.eye(3), expm(random_rate_matrix(3, 6).Q)]),
+    ]
+    for flow, bases in cases:
+        assert tuple(flow_axioms(flow, bases, grid)) == _plain_flow_axioms(flow, bases, grid)
+
+
+def test_flow_axioms_solves_once_per_distinct_exponential(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    grid = np.linspace(-2.0, 2.0, 41)
+    assert flow_axioms(Flow(SO2_GEN, Group.so(2)), [np.eye(2)], grid).passed
+    ts = {0.0} | {float(t) for t in grid} | {float(s + t) for s in grid for t in grid}
+    distinct = {(t * SO2_GEN).tobytes() for t in ts if t != 0.0}
+    assert len(solves) == len(distinct)
+
+
 def test_broken_flow_fails_composition():
     # replacing A exp(tX) by A (I + tX) leaves a composition defect of st X^2
     X = SO2_GEN

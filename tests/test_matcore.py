@@ -12,9 +12,12 @@ from evolflow.matcore import (
     frob_norm,
     inv,
     is_nonsingular,
+    memo,
+    memoized,
     one_norm,
     spectral_radius_estimate,
 )
+from evolflow import matcore
 from oracles import cofactor_det, taylor_expm
 
 
@@ -198,3 +201,106 @@ def test_mat_arithmetic_contracts():
     Z = A + 1j * B
     assert np.array_equal(Z.conj().T, Z.T.conj())
     assert is_nonsingular(A)
+
+
+# ---------------------------------------------------------------------------
+# per-check memo
+
+X_MEMO = np.array([[0.3, -1.2], [0.7, 0.1]])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Padé solves taken so far: one per expm that computes a nonzero input."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_expm_outside_a_memo_computes_every_call(solves):
+    expm(X_MEMO)
+    expm(X_MEMO)
+    assert len(solves) == 2
+    assert matcore._MEMO.get() is None
+
+
+def test_memo_computes_each_distinct_argument_once(solves):
+    with memo():
+        first = expm(X_MEMO)
+        again = expm(X_MEMO.copy())
+        assert len(solves) == 1
+        # exact bytes: a one-ulp change is a different argument
+        expm(np.nextafter(X_MEMO, 2.0))
+        assert len(solves) == 2
+    assert np.array_equal(first, again)
+    assert np.array_equal(first, expm(X_MEMO))
+
+
+def test_memo_hit_hands_out_a_private_copy():
+    with memo():
+        first = expm(X_MEMO)
+        first[:] = 99.0
+        again = expm(X_MEMO)
+        assert again is not first
+    assert np.array_equal(again, expm(X_MEMO))
+
+
+def test_memo_table_is_dropped_on_exit(solves):
+    with memo():
+        expm(X_MEMO)
+        assert matcore._MEMO.get()
+    assert matcore._MEMO.get() is None
+    expm(X_MEMO)
+    assert len(solves) == 2
+
+
+def test_memo_table_is_dropped_after_an_exception(solves):
+    with pytest.raises(RuntimeError):
+        with memo():
+            expm(X_MEMO)
+            raise RuntimeError("inside the block")
+    assert matcore._MEMO.get() is None
+    expm(X_MEMO)
+    assert len(solves) == 2
+
+
+def test_nested_memo_blocks_share_one_table(solves):
+    with memo():
+        outer = matcore._MEMO.get()
+        expm(X_MEMO)
+        with memo():
+            assert matcore._MEMO.get() is outer
+            expm(X_MEMO)
+        # leaving the inner block keeps the outer table
+        assert matcore._MEMO.get() is outer
+        expm(X_MEMO)
+    assert len(solves) == 1
+
+
+def test_memo_stores_no_call_that_raises():
+    calls = []
+
+    @memoized
+    def flaky(M):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("first call fails")
+        return float(np.sum(M))
+
+    with memo():
+        with pytest.raises(RuntimeError):
+            flaky(np.eye(2))
+        assert flaky(np.eye(2)) == 2.0
+        assert flaky(np.eye(2)) == 2.0
+        with pytest.raises(NonFiniteInput):
+            expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteInput):
+            expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert len(matcore._MEMO.get()) == 1  # flaky's one success
+    assert len(calls) == 2

@@ -19,28 +19,35 @@ import numpy as np
 
 from . import curves, flows, jsonio, lie, markov
 from .errors import BadGrid, CommutatorTooLarge, EvolflowError, RateMatrixError
-from .matcore import expm
+from .matcore import expm, worst
 
 DEFAULT_GRID = "-2:2:0.1"  # 41 equispaced points
 
+# Most points a grid may hold; an "a:b:step" range is counted before a
+# point is built, so a tiny step cannot exhaust time or memory.
+MAX_GRID_POINTS = 10**6
+
 
 def parse_grid(spec: str) -> list:
-    """Parse "a:b:step" (inclusive, step > 0) or a JSON list/number."""
+    """Parse "a:b:step" (inclusive, step > 0) or a JSON list/number.
+
+    Every value must be finite and the grid at most MAX_GRID_POINTS long.
+    """
     s = spec.strip()
     try:
         val = json.loads(s)
     except json.JSONDecodeError:
         val = None
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        val = [val]
     if isinstance(val, list):
         try:
             out = [float(x) for x in val]
         except (TypeError, ValueError) as exc:
             raise BadGrid(f"grid list has non-numeric entries: {spec!r}") from exc
-        if not out:
-            raise BadGrid("grid list is empty")
+        if not 0 < len(out) <= MAX_GRID_POINTS or not all(map(math.isfinite, out)):
+            raise BadGrid(f"a grid list needs 1 to {MAX_GRID_POINTS} finite entries")
         return out
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return [float(val)]
     parts = s.split(":")
     if len(parts) != 3:
         raise BadGrid(f"expected a:b:step or a JSON list, got {spec!r}")
@@ -48,10 +55,14 @@ def parse_grid(spec: str) -> list:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise BadGrid(f"non-numeric grid bounds in {spec!r}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise BadGrid(f"grid bounds and step must be finite in {spec!r}")
     if step <= 0.0:
         raise BadGrid("grid step must be positive")
     if a > b:
         raise BadGrid("grid start must not exceed grid end")
+    if (b - a) / step + 1.0 > MAX_GRID_POINTS:
+        raise BadGrid(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     eps = step * 1e-9
     pts = []
     k = 0
@@ -207,26 +218,17 @@ def _cmd_markov_semigroup(args):
     else:
         grid = parse_grid(args.t)
     tr = float(np.trace(rate.Q))
+    sems = [markov.semigroup_at(rate, t) for t in grid]
     samples = []
     rows = []
-    worst_row = 0.0
-    worst_neg = 0.0
-    for t in grid:
-        s = markov.semigroup_at(rate, t)
+    for s in sems:
         d = float(np.linalg.det(s.matrix))
-        samples.append(
-            {
-                "t": s.t,
-                "matrix": jsonio.matrix_to_json(s.matrix),
-                "non_markov_range": s.non_markov_range,
-                "det": d,
-                "exp_trace": math.exp(t * tr),
-            }
-        )
-        rows.append([s.t, *_entry_values(s.matrix), s.row_sum_defect, d, math.exp(t * tr)])
-        worst_row = max(worst_row, s.row_sum_defect)
-        if not s.non_markov_range:
-            worst_neg = max(worst_neg, max(0.0, -s.min_entry))
+        e = math.exp(s.t * tr)
+        samples.append({"t": s.t, "matrix": jsonio.matrix_to_json(s.matrix),
+                        "non_markov_range": s.non_markov_range, "det": d, "exp_trace": e})
+        rows.append([s.t, *_entry_values(s.matrix), s.row_sum_defect, d, e])
+    worst_row = worst(s.row_sum_defect for s in sems)
+    worst_neg = worst(-s.min_entry for s in sems if not s.non_markov_range)
     payload = {"samples": samples}
     if args.out:
         header = ["t", *_entry_headers(rate.n), "row_sum_defect", "det", "exp_t_trace"]
@@ -264,21 +266,21 @@ def _cmd_flow_orbit(args):
     if args.side == "right":
         samples = flows.flow_line(fl, A, grid, args.tol).samples
     else:
+        # the times of `flows.flow_line`: t = 0 first, then every nonzero grid point
         A = flows.base_point(fl, A, args.tol)
-        samples = [(t, expm(t * X) @ A) for t in {0.0, *grid}]
+        times = [0.0, *(t for t in grid if t != 0.0)]
+        samples = [(t, expm(t * X) @ A) for t in times]
     samples = sorted(samples, key=lambda p: p[0])
-    rows = []
-    worst = 0.0
-    for t, M in samples:
-        r = lie.in_group(M, group, args.tol).residual
-        worst = max(worst, r)
-        rows.append([t, *_entry_values(M), r, float(np.linalg.det(M).real)])
+    residuals = [lie.in_group(M, group, args.tol).residual for _, M in samples]
+    rows = [[t, *_entry_values(M), r, float(np.linalg.det(M).real)]
+            for (t, M), r in zip(samples, residuals)]
     payload = {"n_samples": len(samples)}
     if args.out:
         header = ["t", *_entry_headers(group.n), "group_residual", "det"]
         _write_csv(args.out, header, rows)
         payload["csv"] = args.out
-    return ("pass" if worst <= args.tol else "fail"), {"max_group_residual": worst}, payload
+    top = worst(residuals)
+    return ("pass" if top <= args.tol else "fail"), {"max_group_residual": top}, payload
 
 
 def _cmd_ode_solve(args):

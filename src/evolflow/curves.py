@@ -30,6 +30,7 @@ from .matcore import (
     inv,
     memo,
     spectral_radius_estimate,
+    worst,
 )
 
 # ---------------------------------------------------------------------------
@@ -473,15 +474,11 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
-    n = curve.n
-    hom = 0.0
     with memo():
-        id_res = frob_norm(curve.value(0.0) - np.eye(n))
+        id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         values = {t: curve.value(t) for t in grid}
-        for s in grid:
-            for t in grid:
-                r = frob_norm(curve.value(s + t) - values[s] @ values[t])
-                hom = max(hom, r)
+        hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])
+                    for s in grid for t in grid)
     return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)
 
 
@@ -496,10 +493,8 @@ def check_ode(curve: Curve, X, grid, tol: float = 1e-9) -> OdeReport:
     X = as_matrix(X, name="X")
     if X.shape[0] != curve.n:
         raise DimensionMismatch(f"generator is {X.shape[0]}x{X.shape[0]}, curve has n={curve.n}")
-    worst = 0.0
-    for t in grid:
-        worst = max(worst, frob_norm(curve.derivative(t) - curve.value(t) @ X))
-    return OdeReport(worst <= tol, worst, tol)
+    res = worst(frob_norm(curve.derivative(t) - curve.value(t) @ X) for t in grid)
+    return OdeReport(res <= tol, res, tol)
 
 
 class PerfectnessSample(NamedTuple):

@@ -10,8 +10,8 @@ Matrix function (time-dependent generator):
           {"terms": [{"fun": <scalar function>, "matrix": <matrix>}, ...]}
 Curve:    tagged union on "variant", one row per variant in `CURVE_VARIANTS`.
 
-Decoding a scalar function or a curve raises ValueError on a key its kind
-or variant does not define.
+Decoding any of these raises ValueError on a key its format (or its kind
+or variant) does not define.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         real = np.asarray(obj["real"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"bad matrix JSON: {exc}") from exc
+    _reject_unknown_keys(obj, ("n", "real", "imag"), "matrix")
     if real.shape != (n, n):
         raise DimensionMismatch(f"matrix JSON says n={n} but real part has shape {real.shape}")
     if "imag" in obj and obj["imag"] is not None:
@@ -61,6 +62,7 @@ def element_to_json(x) -> dict:
 
 def element_from_json(obj: dict) -> np.ndarray:
     real = np.asarray(obj["coords_real"], dtype=np.float64)
+    _reject_unknown_keys(obj, ("coords_real", "coords_imag"), "element")
     if "coords_imag" in obj and obj["coords_imag"] is not None:
         imag = np.asarray(obj["coords_imag"], dtype=np.float64)
         if imag.shape != real.shape:
@@ -116,10 +118,11 @@ def matrix_function_to_json(mf: "curves.MatrixFunction") -> dict:
 
 
 def matrix_function_from_json(obj: dict) -> "curves.MatrixFunction":
-    terms = [
-        (scalar_function_from_json(term["fun"]), matrix_from_json(term["matrix"]))
-        for term in obj["terms"]
-    ]
+    _reject_unknown_keys(obj, ("terms",), "matrix function")
+    terms = []
+    for term in obj["terms"]:
+        _reject_unknown_keys(term, ("fun", "matrix"), "matrix function term")
+        terms.append((scalar_function_from_json(term["fun"]), matrix_from_json(term["matrix"])))
     return curves.MatrixFunction(terms)
 
 

@@ -6,8 +6,9 @@ arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
 matrix exponential, the determinant gauge behind every nonsingularity
 and determinant-sign decision, a guaranteed upper estimate of the
-spectral radius, and the per-check memo that lets a grid check compute
-each distinct exponential and membership once.
+spectral radius, the per-check memo that lets a grid check compute
+each distinct exponential and membership once, and `worst`, the one
+reduction of a grid check's residuals.
 
 All functions are pure and never mutate their arguments.
 """
@@ -104,6 +105,20 @@ def memoized(fn):
         return result.copy() if isinstance(result, np.ndarray) else result
 
     return wrapper
+
+
+def worst(residuals) -> float:
+    """Largest residual, 0.0 for none, NaN when any residual is NaN.
+
+    Every grid check reduces its residuals here, consuming them lazily.
+    Finite residuals give the float `max(0.0, r1, r2, ...)` gives, so a
+    check `residual <= tol` fails exactly on a large, infinite or NaN one.
+    """
+    acc = 0.0
+    for r in residuals:
+        if r > acc or r != r:  # once acc is NaN, neither test holds for a number
+            acc = r
+    return float(acc)
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evolflow import jsonio
+from evolflow import cli, jsonio
 from evolflow.cli import parse_grid, run
 from evolflow.curves import (
     AffineArg,
@@ -64,10 +64,32 @@ def test_parse_grid_json_forms():
     assert parse_grid("1.25") == [1.25]
 
 
-@pytest.mark.parametrize("bad", ["1:0:0.5", "0:1:0", "0:1:-2", "a:b:c", "[]", "0:1", '["x"]'])
+@pytest.mark.parametrize("bad", [
+    "1:0:0.5", "0:1:0", "0:1:-2", "a:b:c", "[]", "0:1", '["x"]',
+    # non-finite or oversized: rejected before a single point is built
+    "0:inf:1", "-inf:0:1", "nan:1:0.5", "0:1:nan", "0:1:inf", "0:1:1e-300",
+    "-1e308:1e308:1", "[0, NaN]", "[Infinity]", "NaN", "1e999",
+])
 def test_parse_grid_rejects(bad):
     with pytest.raises(BadGrid):
         parse_grid(bad)
+
+
+def test_parse_grid_range_points_are_exact():
+    assert parse_grid("0:4:0.25") == [0.25 * k for k in range(17)]
+    assert parse_grid("-2:2:0.1") == [min(-2.0 + k * 0.1, 2.0) for k in range(41)]
+    assert parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    assert parse_grid("0:0:1") == [0.0]
+
+
+def test_parse_grid_caps_the_point_count(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert len(parse_grid("0:9:1")) == 10
+    assert len(parse_grid(json.dumps(list(range(10))))) == 10
+    with pytest.raises(BadGrid):
+        parse_grid("0:10:1")
+    with pytest.raises(BadGrid):
+        parse_grid(json.dumps(list(range(11))))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +188,31 @@ def test_scalar_function_json_rejects_unknown_keys():
         jsonio.scalar_function_from_json({"kind": "poly", "coeffs": [1.0], "scale": 2.0})
     assert jsonio.scalar_function_from_json({"kind": "sin", "scale": 2}) == AffineArg("sin", 2.0)
     assert jsonio.scalar_function_from_json({"kind": "poly", "coeffs": [1, 2]}) == Poly((1.0, 2.0))
+
+
+def test_matrix_and_element_json_reject_unknown_keys():
+    with pytest.raises(ValueError, match="imga"):
+        jsonio.matrix_from_json({"n": 1, "real": [[1.0]], "imga": [[2.0]]})
+    with pytest.raises(ValueError, match="coords_imga"):
+        jsonio.element_from_json({"coords_real": [1.0], "coords_imga": [2.0]})
+    assert jsonio.matrix_from_json({"n": 1, "real": [[1.0]], "imag": None}) == 1.0
+
+
+def test_matrix_function_json_rejects_unknown_keys():
+    term = {"fun": {"kind": "poly", "coeffs": [1.0]}, "matrix": {"n": 1, "real": [[1.0]]}}
+    assert jsonio.matrix_function_from_json({"terms": [term]})(0.5) == 1.0
+    with pytest.raises(ValueError, match="scale"):
+        jsonio.matrix_function_from_json({"terms": [{**term, "scale": 3}]})
+    with pytest.raises(ValueError, match="term"):
+        jsonio.matrix_function_from_json({"terms": [term], "term": []})
+
+
+def test_cli_rejects_a_matrix_file_with_an_unknown_key(tmp_path, capsys):
+    m = write(tmp_path / "m.json", {"n": 1, "real": [[1.0]], "imga": [[2.0]]})
+    code, report, err = invoke(capsys, "expm", m)
+    assert code == 2
+    assert "imga" in report["payload"]["message"]
+    assert "Traceback" not in err
 
 
 def test_curve_eval_rejects_an_unknown_key(tmp_path, capsys):
@@ -303,6 +350,38 @@ def test_curve_check_subgroup(tmp_path, capsys):
     assert code == 1 and report["status"] == "fail"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("check, grid, key", [
+    ("subgroup", "[0, 1]", "homomorphism"),
+    ("ode", "[0, 2]", "ode"),
+])
+def test_curve_check_fails_on_a_nan_residual(tmp_path, capsys, check, grid, key):
+    # exp(2X) overflows to [[inf, 0], [nan, 0]]
+    X = jsonio.matrix_to_json(np.diag([500.0, -500.0]))
+    curve = write(tmp_path / "c.json", {"variant": "exp_line", "A0": jsonio.matrix_to_json(np.eye(2)), "X": X})
+    gen = write(tmp_path / "x.json", X)
+    code, report, _ = invoke(
+        capsys, "curve-check", "--curve", curve, "--check", check, "--generator", gen, "--grid", grid,
+    )
+    assert code == 1 and report["status"] == "fail"
+    assert report["residuals"][key] == "nan"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_markov_semigroup_does_not_pass_a_nan_exponential(monkeypatch, capsys):
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+    def patched(X):
+        E = expm(X)
+        return np.full_like(E, np.nan) if np.array_equal(X, 0.5 * Q) else E
+
+    monkeypatch.setattr("evolflow.markov.expm", patched)
+    code, report, err = invoke(capsys, "markov-semigroup", "--lambda", "1", "--t", "0:1:0.25")
+    # the non-finite matrix cannot be encoded into the report, so it is an error
+    assert code == 2 and report["status"] == "error"
+    assert "NonFiniteInput" in err
+
+
 def test_curve_check_ode_and_perfectness(tmp_path, capsys):
     curve = write(tmp_path / "ff.json", {"variant": "flip_flop", "lambda": 1.0})
     gen = write(tmp_path / "q.json", {"n": 2, "real": [[-1.0, 1.0], [1.0, -1.0]]})
@@ -371,6 +450,25 @@ def test_flow_orbit_left_side(tmp_path, capsys):
         "--group", "so", "--grid", "0:1:0.5", "--side", "left",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("grid", ["[0.5, 0.5, 1]", "[1, -0.0, 0.5, 0.5, 0, -1]"])
+def test_flow_orbit_sides_sample_the_same_times(tmp_path, capsys, grid):
+    gen = write(tmp_path / "x.json", {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]})
+    base = write(tmp_path / "a.json", {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]})
+    times = {}
+    for side in ("right", "left"):
+        out = tmp_path / f"{side}.csv"
+        code, report, _ = invoke(
+            capsys, "flow-orbit", "--generator", gen, "--base", base, "--group", "so",
+            "--grid", grid, "--side", side, "--out", str(out),
+        )
+        assert code == 0
+        times[side] = [r[0] for r in list(csv.reader(out.open()))[1:]]
+        assert report["payload"]["n_samples"] == len(times[side])
+    # t = 0 once, then every nonzero grid point, duplicates kept
+    nonzero = [t for t in json.loads(grid) if t != 0.0]
+    assert times["left"] == times["right"] == [repr(float(t)) for t in sorted([0.0, *nonzero])]
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -267,6 +267,24 @@ def test_subgroup_check_solves_once_per_distinct_argument(monkeypatch):
     assert len(solves) == len(distinct)
 
 
+# exp(2X) overflows to [[inf, 0], [nan, 0]]: a NaN residual must fail, not vanish
+OVERFLOW_GEN = np.diag([500.0, -500.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_subgroup_check_fails_on_a_nan_residual():
+    rep = check_one_parameter_subgroup(ExpLine(np.eye(2), OVERFLOW_GEN), [0.0, 1.0])
+    assert not rep.passed
+    assert math.isnan(rep.homomorphism_residual)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ode_check_fails_on_a_nan_residual():
+    rep = check_ode(ExpLine(np.eye(2), OVERFLOW_GEN), OVERFLOW_GEN, [0.0, 2.0])
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+
+
 def test_subgroup_check_fails_off_identity_start():
     A0 = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = check_one_parameter_subgroup(ExpLine(A0, np.eye(2)), [0.5, 1.0])

@@ -106,6 +106,23 @@ def test_flow_axioms_report_equals_a_plain_loop():
         assert tuple(flow_axioms(flow, bases, grid)) == _plain_flow_axioms(flow, bases, grid)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flow_axioms_fail_on_a_nan_residual():
+    # exp(2X) overflows to [[inf, 0], [nan, 0]] on sl(2)
+    rep = flow_axioms(Flow(np.diag([500.0, -500.0]), Group.sl(2)), [np.eye(2)], [0.0, 1.0])
+    assert not rep.passed
+    assert rep.identity_residual == 0.0
+    assert math.isnan(rep.composition_residual)
+
+
+def test_flow_axioms_take_a_one_shot_iterable_of_bases():
+    rng = np.random.default_rng(73)
+    flow = Flow(so3_generator(rng), Group.so(3))
+    bases = [expm(so3_generator(rng)) for _ in range(2)]
+    grid = [-0.5, 0.0, 0.8]
+    assert flow_axioms(flow, iter(bases), grid) == flow_axioms(flow, bases, grid)
+
+
 def test_flow_axioms_solves_once_per_distinct_exponential(monkeypatch):
     solves = []
     solve = np.linalg.solve

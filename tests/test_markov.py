@@ -150,6 +150,35 @@ def test_axioms_share_one_exponential_memo(monkeypatch):
     assert len(set(args[:-continuity])) == len(sums)
 
 
+def nan_exponential_at(T, Q):
+    """`expm` that returns all NaN at exp(T Q) and the true value elsewhere."""
+    def patched(X):
+        E = expm(X)
+        return np.full_like(E, np.nan) if np.array_equal(X, T * Q) else E
+    return patched
+
+
+@pytest.mark.parametrize("T", [0.3, 1.1])
+def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
+    rate = random_rate_matrix(3, 11)
+    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(T, rate.Q))
+    rep = axioms_report(rate, GRID)
+    assert not rep.passed
+    assert math.isnan(rep.nonneg_defect)
+    assert math.isnan(rep.row_sum_defect)
+    assert math.isnan(rep.chapman_defect)
+    assert rep.identity_defect == 0.0 and rep.continuity_ok
+
+
+def test_axioms_continuity_fails_on_a_nan_defect(monkeypatch):
+    rate = flip_flop_rate(1.0)
+    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(2.0**-5, rate.Q))
+    rep = axioms_report(rate, GRID)
+    assert math.isnan(rep.continuity_defects[4])
+    assert not rep.continuity_ok
+    assert not rep.passed
+
+
 def test_axioms_reject_negative_grid():
     with pytest.raises(ValueError):
         axioms_report(flip_flop_rate(1.0), [-0.5, 1.0])
@@ -173,6 +202,38 @@ def test_kolmogorov_residuals_random():
         res = kolmogorov_residuals(rate, GRID)
         assert res.backward <= 1e-8
         assert res.forward <= 1e-8
+
+
+def test_kolmogorov_residuals_keep_a_nan_exponential(monkeypatch):
+    rate = random_rate_matrix(3, 12)
+    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(0.7, rate.Q))
+    res = kolmogorov_residuals(rate, GRID)
+    assert math.isnan(res.backward)
+    assert math.isnan(res.forward)
+    assert res.initial == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_det_trace_identity_keeps_a_nan_exponential(monkeypatch):
+    rate = random_rate_matrix(3, 13)
+    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(0.3, rate.Q))
+    assert math.isnan(det_trace_identity(rate, GRID))
+
+
+def test_kolmogorov_and_det_trace_take_one_exponential_per_grid_point(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(1)
+        return expm(X)
+
+    monkeypatch.setattr("evolflow.markov.expm", counted)
+    rate = random_rate_matrix(3, 14)
+    kolmogorov_residuals(rate, iter(GRID))
+    assert len(calls) == len(GRID) + 1  # and exp(0 Q) for the initial residual
+    calls.clear()
+    det_trace_identity(rate, iter(GRID))
+    assert len(calls) == len(GRID)
 
 
 def test_det_trace_identity_flip_flop():

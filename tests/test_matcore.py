@@ -304,3 +304,55 @@ def test_memo_stores_no_call_that_raises():
             expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         assert len(matcore._MEMO.get()) == 1  # flaky's one success
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the residual fold
+
+
+def test_worst_of_nothing_is_zero():
+    assert matcore.worst([]) == 0.0
+    assert matcore.worst(iter(())) == 0.0
+
+
+def test_worst_of_zeros_is_positive_zero():
+    r = matcore.worst([0.0, -0.0, 0.0])
+    assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
+
+def test_worst_is_the_fold_from_zero_on_finite_residuals():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rs = list(rng.exponential(size=int(rng.integers(1, 9))))
+        assert matcore.worst(rs) == max(0.0, *rs)
+
+
+@pytest.mark.parametrize("rs", [
+    [math.nan, 1.0, 2.0],
+    [1.0, 2.0, math.nan],
+    [math.inf, math.nan],
+    [math.nan, math.inf],
+    [0.0, math.nan, 0.0],
+])
+def test_worst_keeps_a_nan_wherever_it_comes(rs):
+    r = matcore.worst(rs)
+    assert math.isnan(r)
+    assert not r <= 1e-9
+
+
+def test_worst_keeps_inf():
+    assert matcore.worst([1.0, math.inf, 2.0]) == math.inf
+
+
+def test_worst_consumes_a_generator_once_and_lazily():
+    seen = []
+
+    def residuals():
+        for r in (0.5, 3.0, 1.0):
+            seen.append(r)
+            yield r
+
+    gen = residuals()
+    assert matcore.worst(gen) == 3.0
+    assert seen == [0.5, 3.0, 1.0]
+    assert list(gen) == []

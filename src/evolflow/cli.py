@@ -127,11 +127,26 @@ def _entry_values(M):
     return [float(x) for x in flat]
 
 
-def _write_csv(path, header, rows):
+def _sample_dets(mats) -> list:
+    # one stacked det when the matrices share a dtype; a real matrix beside
+    # complex ones (a numeric curve's real A0 among complex nodes) goes row
+    # by row, as a real det is not the real part of a complex one bit for bit
+    if len({M.dtype for M in mats}) > 1:
+        return [float(np.linalg.det(M).real) for M in mats]
+    return np.linalg.det(np.stack(mats)).real.tolist()
+
+
+def _write_samples_csv(path, times, mats, columns: dict):
+    """One row per sample: t, the entries of its matrix, then each column's value."""
+    stack = np.stack(mats)
+    if np.iscomplexobj(stack):
+        entries = [_entry_values(M) for M in mats]
+    else:
+        entries = stack.reshape(len(mats), -1).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        w.writerow(["t", *_entry_headers(stack.shape[1]), *columns])
+        w.writerows([t, *e, *vals] for t, e, *vals in zip(times, entries, *columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +162,14 @@ def _cmd_expm(args):
 def _cmd_curve_eval(args):
     c = jsonio.load_curve(args.curve)
     grid = parse_grid(args.t)
-    samples = []
-    rows = []
+    samples, values = [], []
     for t in grid:
         A = c.value(t)
         samples.append({"t": t, "matrix": jsonio.matrix_to_json(A)})
-        rows.append([t, *_entry_values(A), np.linalg.det(A).real])
+        values.append(A)
     payload = {"samples": samples}
     if args.out:
-        _write_csv(args.out, ["t", *_entry_headers(c.n), "det"], rows)
+        _write_samples_csv(args.out, grid, values, {"det": _sample_dets(values)})
         payload["csv"] = args.out
     return "pass", {}, payload
 
@@ -219,20 +233,20 @@ def _cmd_markov_semigroup(args):
         grid = parse_grid(args.t)
     tr = float(np.trace(rate.Q))
     sems = [markov.semigroup_at(rate, t) for t in grid]
-    samples = []
-    rows = []
-    for s in sems:
-        d = float(np.linalg.det(s.matrix))
+    mats = [s.matrix for s in sems]
+    dets = _sample_dets(mats)
+    samples, exps = [], []
+    for s, d in zip(sems, dets):
         e = math.exp(s.t * tr)
         samples.append({"t": s.t, "matrix": jsonio.matrix_to_json(s.matrix),
                         "non_markov_range": s.non_markov_range, "det": d, "exp_trace": e})
-        rows.append([s.t, *_entry_values(s.matrix), s.row_sum_defect, d, e])
+        exps.append(e)
     worst_row = worst(s.row_sum_defect for s in sems)
     worst_neg = worst(-s.min_entry for s in sems if not s.non_markov_range)
     payload = {"samples": samples}
     if args.out:
-        header = ["t", *_entry_headers(rate.n), "row_sum_defect", "det", "exp_t_trace"]
-        _write_csv(args.out, header, rows)
+        columns = {"row_sum_defect": [s.row_sum_defect for s in sems], "det": dets, "exp_t_trace": exps}
+        _write_samples_csv(args.out, [s.t for s in sems], mats, columns)
         payload["csv"] = args.out
     ok = worst_row <= 1e-10 and worst_neg <= markov.NONNEG_TOL
     residuals = {"max_row_sum_defect": worst_row, "max_negative_entry": worst_neg}
@@ -272,12 +286,11 @@ def _cmd_flow_orbit(args):
         samples = [(t, expm(t * X) @ A) for t in times]
     samples = sorted(samples, key=lambda p: p[0])
     residuals = [lie.in_group(M, group, args.tol).residual for _, M in samples]
-    rows = [[t, *_entry_values(M), r, float(np.linalg.det(M).real)]
-            for (t, M), r in zip(samples, residuals)]
     payload = {"n_samples": len(samples)}
     if args.out:
-        header = ["t", *_entry_headers(group.n), "group_residual", "det"]
-        _write_csv(args.out, header, rows)
+        times, mats = zip(*samples)
+        columns = {"group_residual": residuals, "det": _sample_dets(mats)}
+        _write_samples_csv(args.out, times, mats, columns)
         payload["csv"] = args.out
     top = worst(residuals)
     return ("pass" if top <= args.tol else "fail"), {"max_group_residual": top}, payload
@@ -291,12 +304,13 @@ def _cmd_ode_solve(args):
         samples = flows.integrate_right(mf, A0, cfg).samples
     else:
         # A' = X A is the transpose of the right-sided problem
-        line = flows.integrate_right(lambda t: mf(t).T, A0.T, cfg)
+        transposed = curves.MatrixFunction([(f, M.T) for f, M in mf.terms])
+        line = flows.integrate_right(transposed, A0.T, cfg)
         samples = tuple((t, M.T) for t, M in line.samples)
-    rows = [[t, *_entry_values(M), float(np.linalg.det(M).real)] for t, M in samples]
     payload = {"final": jsonio.matrix_to_json(samples[-1][1]), "n_steps": len(samples) - 1}
     if args.out:
-        _write_csv(args.out, ["t", *_entry_headers(A0.shape[0]), "det"], rows)
+        times, mats = zip(*samples)
+        _write_samples_csv(args.out, times, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
     return "pass", {}, payload
 
@@ -439,8 +453,9 @@ def run(argv=None) -> int:
 
     try:
         status, residuals, payload = _HANDLERS[args.subcommand](args)
-    except (EvolflowError, OSError, ValueError, KeyError) as exc:
-        # plain ValueErrors (json.JSONDecodeError among them) are bad input too
+    except (EvolflowError, OSError, ValueError, KeyError, OverflowError) as exc:
+        # plain ValueErrors (json.JSONDecodeError among them) are bad input
+        # too, and so is an input whose math.exp overflows
         kind = type(exc).__name__ if isinstance(exc, EvolflowError) else "input error"
         print(f"evolflow {args.subcommand}: {kind}: {exc}", file=sys.stderr)
         print(Report(args.subcommand, "error", {}, {"message": str(exc)}, seed).to_json())

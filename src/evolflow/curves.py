@@ -124,7 +124,8 @@ class MatrixFunction:
     """Time-dependent generator of the form sum_k f_k(t) * M_k.
 
     The f_k come from the scalar catalog, so the function is exactly
-    differentiable and JSON-serializable.  Instances are callable.
+    differentiable and JSON-serializable.  Instances are callable, and
+    `at` evaluates a whole array of times at once.
     """
 
     def __init__(self, terms: Sequence[tuple]):
@@ -147,6 +148,24 @@ class MatrixFunction:
         for f, M in self.terms[1:]:
             acc = acc + f.value(t) * M
         return acc
+
+    def at(self, ts) -> np.ndarray:
+        """The values at each time of ts, stacked with shape (len(ts), n, n).
+
+        Bit-identical to calling the function at each time: each
+        coefficient is the same `f.value(t)` float (no vectorised ufunc,
+        whose rounding may differ), and the terms are added in term order.
+        """
+        (f, M), *rest = self.terms
+        acc = _coefficients(f, ts) * M
+        for f, M in rest:
+            acc = acc + _coefficients(f, ts) * M
+        return acc
+
+
+def _coefficients(f: ScalarFunction, ts) -> np.ndarray:
+    # f at each time of ts, shaped to scale a stack of matrices
+    return np.array([f.value(t) for t in ts], dtype=float).reshape(-1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +445,10 @@ class Numeric(Curve):
         IntegratorConfig(self.h, self.horizon)  # validates 0 < h <= horizon
         spec = self.generator if isinstance(self.generator, MatrixFunction) else None
         object.__setattr__(self, "generator_spec", spec)
-        gen = checked_generator(self.generator, A0.shape[0])
-        object.__setattr__(self, "_gen", gen)
-        fwd_t, fwd_m = march(gen, A0, self.h, self.horizon, +1.0)
-        bwd_t, bwd_m = march(gen, A0, self.h, self.horizon, -1.0)
+        # the partial step in `value` evaluates one time at a time
+        object.__setattr__(self, "_gen", checked_generator(self.generator, A0.shape[0]))
+        fwd_t, fwd_m = march(self.generator, A0, self.h, self.horizon, +1.0)
+        bwd_t, bwd_m = march(self.generator, A0, self.h, self.horizon, -1.0)
         object.__setattr__(self, "_ts", np.array(bwd_t[::-1] + fwd_t[1:]))
         object.__setattr__(self, "_table", bwd_m[::-1] + fwd_m[1:])
 

@@ -8,16 +8,21 @@ time-dependent problem A' = A X(t): `march` is the one classical
 4th-order marching loop, used by `integrate_right` and by the Numeric
 curve's trajectory table.  Finally it evaluates the closed-form solution
 A0 exp(integral of X) available when X(t) commutes with its integral.
+
+Both `march` and the Simpson rule of `commuting_magnus` read the generator
+from a `_stepper.GeneratorTable`: each distinct time is evaluated once, in
+chunks of bounded size, and checked as `checked_generator` checks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._stepper import checked_generator, rk4_step
+from ._stepper import GeneratorTable, checked_generator, rk4_step
 from .errors import CommutatorTooLarge, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
 from .matcore import as_matrix, expm, frob_norm, memo, worst
@@ -123,23 +128,34 @@ def flow_line(flow: Flow, A, grid, tol: float = 1e-9) -> FlowLine:
     return FlowLine(A, tuple(samples))
 
 
-def march(gen, A0: np.ndarray, h: float, horizon: float, direction: float):
-    """Classical 4th-order steps of A' = A gen(t) from (0, A0) out to the horizon.
+def _nodes(h: float, horizon: float, direction: float):
+    # node k at direction * min(k h, horizon), yielded one at a time
+    t, k = 0.0, 0
+    yield t
+    while direction * t < horizon - 1e-12:
+        k += 1
+        t = direction * min(k * h, horizon)
+        yield t
+
+
+def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
+    """Classical 4th-order steps of A' = A fun(t) from (0, A0) out to the horizon.
 
     Node k sits at direction * min(k h, horizon), so the nodes carry no
     accumulated rounding and the final, possibly short, step lands exactly
-    on the horizon.  Returns the node times and the matrices there; the
-    first node is (0, a copy of A0).
+    on the horizon.  The generator is read from a `GeneratorTable` over the
+    times the steps use, so each distinct time is evaluated once; the table
+    reads at most one chunk of steps ahead.  Returns the node times and the
+    matrices there; the first node is (0, a copy of A0).
     """
-    ts, ms = [0.0], [A0.copy()]
-    t, A = 0.0, A0
-    k = 0
-    while direction * t < horizon - 1e-12:
-        k += 1
-        nxt = direction * min(k * h, horizon)
+    steps, ahead = itertools.tee(itertools.pairwise(_nodes(h, horizon, direction)))
+    # the times `rk4_step` passes to its generator, in call order
+    times = (s for t, nxt in ahead for s in (t, t + 0.5 * (nxt - t), t + (nxt - t)))
+    gen = GeneratorTable(fun, A0.shape[0], times).__getitem__
+    ts, ms, A = [0.0], [A0.copy()], A0
+    for t, nxt in steps:
         A = rk4_step(A, t, nxt - t, gen)
-        t = nxt
-        ts.append(t)
+        ts.append(nxt)
         ms.append(A)
     return ts, ms
 
@@ -151,17 +167,20 @@ def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
     global error against A0 exp(T X) is O(h^4).
     """
     A0 = as_matrix(A0, name="A0")
-    ts, ms = march(checked_generator(Xfun, A0.shape[0]), A0, cfg.h, cfg.horizon, 1.0)
+    ts, ms = march(Xfun, A0, cfg.h, cfg.horizon, 1.0)
     return FlowLine(A0, tuple(zip(ts, ms)))
 
 
-def _simpson_matrix(gen, t: float, nodes: int) -> np.ndarray:
+def _simpson_matrix(fun, n: int, t: float, nodes: int) -> np.ndarray:
     # composite Simpson rule with an odd number of equispaced nodes
-    xs = np.linspace(0.0, t, nodes)
+    # a list of node objects: the table finds a node again by identity,
+    # even a NaN one (from t = NaN)
+    xs = list(np.linspace(0.0, t, nodes))
     h = (t - 0.0) / (nodes - 1)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
+    gen = GeneratorTable(fun, n, xs).__getitem__
     acc = w[0] * gen(xs[0])
     for i in range(1, nodes):
         acc = acc + w[i] * gen(xs[i])
@@ -179,17 +198,17 @@ def commuting_magnus(Xfun: Callable, A0, t: float, tol: float = 1e-8) -> np.ndar
     deliberately not attempted.
     """
     A0 = as_matrix(A0, name="A0")
-    gen = checked_generator(Xfun, A0.shape[0])
+    n = A0.shape[0]
     nodes = 129
-    omega = _simpson_matrix(gen, t, nodes)
+    omega = _simpson_matrix(Xfun, n, t, nodes)
     while nodes < 8193:
         nodes = 2 * nodes - 1
-        refined = _simpson_matrix(gen, t, nodes)
+        refined = _simpson_matrix(Xfun, n, t, nodes)
         done = frob_norm(refined - omega) <= 1e-11
         omega = refined
         if done:
             break
-    Xt = gen(t)
+    Xt = checked_generator(Xfun, n)(t)
     defect = frob_norm(Xt @ omega - omega @ Xt)
     if defect > tol * frob_norm(Xt) * frob_norm(omega):
         raise CommutatorTooLarge(

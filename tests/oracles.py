@@ -2,10 +2,15 @@
 
 These deliberately avoid the library's own code paths: the exponential is
 a scaled truncated Taylor sum, the determinant is a cofactor expansion,
-and the algebra product expands bilinearity over all basis pairs.
+the algebra product expands bilinearity over all basis pairs.  The RK4
+march is the exception: it reuses `rk4_step`, but evaluates the generator
+through `checked_generator` at every one of its four calls a step, with
+no table of values in between.
 """
 
 import numpy as np
+
+from evolflow._stepper import checked_generator, rk4_step
 
 
 def taylor_expm(M, terms=60):
@@ -50,3 +55,19 @@ def brute_evo_mul(A, x, y):
             if i == j:
                 out = out + x[i] * y[j] * A[i]
     return out
+
+
+def per_step_march(fun, A0, h, horizon, direction):
+    """RK4 nodes (ts, ms) calling the checked generator four times a step."""
+    gen = checked_generator(fun, A0.shape[0])
+    ts, ms = [0.0], [A0.copy()]
+    t, A = 0.0, A0
+    k = 0
+    while direction * t < horizon - 1e-12:
+        k += 1
+        nxt = direction * min(k * h, horizon)
+        A = rk4_step(A, t, nxt - t, gen)
+        t = nxt
+        ts.append(t)
+        ms.append(A)
+    return ts, ms

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -24,7 +25,9 @@ from evolflow.curves import (
     TangentInduced,
 )
 from evolflow.errors import BadGrid
+from evolflow.flows import IntegratorConfig
 from evolflow.matcore import expm, frob_norm
+from oracles import per_step_march
 
 
 def write(path, obj):
@@ -519,6 +522,122 @@ def test_ode_solve_left_side(tmp_path, capsys):
     final = jsonio.matrix_from_json(report["payload"]["final"])
     A0 = np.eye(2) + 0.1
     assert frob_norm(final - expm(Q) @ A0) <= 1e-7
+
+
+def per_row_csv(header, samples, *columns):
+    # one det and one entry list per row, as the handlers once built them
+    rows = []
+    for (t, M), *vals in zip(samples, *columns):
+        flat = M.reshape(-1)
+        entries = [repr(complex(z)) for z in flat] if np.iscomplexobj(flat) else [float(x) for x in flat]
+        rows.append([t, *entries, *vals, float(np.linalg.det(M).real)])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def three_term_spec(rng, n):
+    return {"terms": [
+        {"fun": {"kind": "cos", "scale": 1.7, "shift": 0.2}, "matrix": jsonio.matrix_to_json(rng.normal(size=(n, n)))},
+        {"fun": {"kind": "exp", "scale": -0.6, "shift": 0.0}, "matrix": jsonio.matrix_to_json(rng.normal(size=(n, n)))},
+        {"fun": {"kind": "poly", "coeffs": [0.3, -1.1]}, "matrix": jsonio.matrix_to_json(rng.normal(size=(n, n)))},
+    ]}
+
+
+def test_ode_solve_left_csv_is_the_transposed_march_byte_for_byte(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    spec = three_term_spec(rng, 3)
+    A0 = rng.normal(size=(3, 3))
+    out = tmp_path / "left.csv"
+    code, report, _ = invoke(
+        capsys, "ode-solve", "--gen-spec", write(tmp_path / "gen.json", spec),
+        "--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(A0)),
+        "--T", "1.37", "--h", "0.03", "--side", "left", "--out", str(out),
+    )
+    assert code == 0
+    mf = jsonio.matrix_function_from_json(spec)
+    ts, ms = per_step_march(lambda t: mf(t).T, A0.T, 0.03, 1.37, 1.0)
+    samples = [(t, M.T) for t, M in zip(ts, ms)]
+    header = ["t", *(f"a_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3)), "det"]
+    assert out.read_bytes() == per_row_csv(header, samples).encode()
+    assert report["payload"]["final"] == jsonio.matrix_to_json(samples[-1][1])
+
+
+def test_curve_eval_csv_keeps_a_real_row_among_complex_ones(tmp_path, capsys):
+    # a numeric curve with a real A0 and a complex generator: the node at
+    # t = 0 is real, every other sample complex; a real det is not the real
+    # part of the complex det bit for bit, so the t = 0 row keeps its own
+    rng = np.random.default_rng(16)  # an A0 whose complex det differs in the last bit
+    A0 = rng.normal(size=(3, 3))
+    curve = {"variant": "numeric", "A0": jsonio.matrix_to_json(A0),
+             "generator": gen_spec(1j * rng.normal(size=(3, 3))), "h": 0.1, "horizon": 1.0}
+    out = tmp_path / "c.csv"
+    grid = [-0.45, 0.0, 0.3, 1.0]
+    code, _, _ = invoke(capsys, "curve-eval", "--curve", write(tmp_path / "c.json", curve),
+                        "--t", json.dumps(grid), "--out", str(out))
+    assert code == 0
+    c = jsonio.curve_from_json(curve)
+    header = ["t", *(f"a_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3)), "det"]
+    want = per_row_csv(header, [(t, c.value(t)) for t in grid])
+    assert f"\r\n0.0,{float(A0[0, 0])!r}," in want
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command", ["ode-solve", "curve-eval"])
+def test_csv_rows_are_built_once_and_only_with_out(tmp_path, capsys, monkeypatch, command):
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    if command == "ode-solve":
+        argv = ["ode-solve", "--gen-spec", write(tmp_path / "gen.json", gen_spec(Q)),
+                "--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(np.eye(2))), "--T", "1", "--h", "0.01"]
+    else:
+        curve = {"variant": "numeric", "A0": jsonio.matrix_to_json(np.eye(2)), "generator": gen_spec(Q),
+                 "h": 0.01, "horizon": 1.0}
+        argv = ["curve-eval", "--curve", write(tmp_path / "c.json", curve), "--t", "-1:1:0.1"]
+    det_calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda M: det_calls.append(np.shape(M)) or det(M))
+    assert invoke(capsys, *argv)[0] == 0
+    assert det_calls == []
+    assert invoke(capsys, *argv, "--out", str(tmp_path / "rows.csv"))[0] == 0
+    assert len(det_calls) == 1 and len(det_calls[0]) == 3
+
+
+def test_markov_semigroup_dets_agree_between_the_report_and_the_csv(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    code, report, _ = invoke(capsys, "markov-semigroup", "--lambda", "0.7", "--t", "-1:2:0.25", "--out", str(out))
+    assert code == 0
+    rows = list(csv.reader(out.open()))[1:]
+    samples = report["payload"]["samples"]
+    assert [float(r[-2]) for r in rows] == [s["det"] for s in samples]
+    for s in samples:
+        assert s["det"] == float(np.linalg.det(jsonio.matrix_from_json(s["matrix"])))
+
+
+@pytest.mark.parametrize("argv", [
+    ["markov-semigroup", "--lambda", "1", "--t", "-400:-400:1"],
+    ["ode-solve", "--gen-spec", "{exp400}", "--a0", "{eye}", "--T", "2"],
+    ["ode-solve", "--gen-spec", "{exp400}", "--a0", "{eye}", "--T", "2", "--side", "left"],
+    ["magnus", "--gen-spec", "{exp400}", "--a0", "{eye}", "--t", "2"],
+    ["curve-eval", "--curve", "{numeric400}", "--t", "0.5"],
+], ids=["markov-semigroup", "ode-solve", "ode-solve-left", "magnus", "curve-eval"])
+def test_an_overflowing_input_exits_2_with_an_error_report(tmp_path, capsys, argv):
+    # math.exp(800) overflows: exp(-400 tr Q), and exp(400 t) in the generator at t = 2
+    exp400 = {"terms": [{"fun": {"kind": "exp", "scale": 400, "shift": 0.0},
+                         "matrix": {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}}]}
+    files = {
+        "exp400": write(tmp_path / "exp400.json", exp400),
+        "eye": write(tmp_path / "eye.json", {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]}),
+        "numeric400": write(tmp_path / "num.json", {"variant": "numeric", "A0": {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]},
+                                                    "generator": exp400, "h": 0.01, "horizon": 2.0}),
+    }
+    with np.errstate(all="ignore"):
+        code, report, err = invoke(capsys, *[a.format(**files) for a in argv])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["payload"]["message"] == "math range error"
+    assert "Traceback" not in err
 
 
 def test_magnus_commuting(tmp_path, capsys):

@@ -1,11 +1,10 @@
 """One classical 4th-order Runge-Kutta step for A'(t) = A(t) X(t), and the
-table of generator values that marching and quadrature read.
+tabulation of generator values that marching and quadrature read.
 
-`GeneratorTable` evaluates a generator once per distinct time, a bounded
-chunk of times at a time, with the checks `checked_generator` makes on
-each single value.  Marching a table of steps over a horizon is
-`flows.march`; `flows._simpson_matrix` reads its quadrature nodes from a
-table too.
+`tabulate` evaluates a generator once per distinct time of a block of
+times, with the checks `checked_generator` makes on each single value.
+`flows.march` takes its steps a block at a time, tabulating each block's
+times; `flows._simpson_matrix` sums its quadrature nodes a block at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteGenerator
 
-# Most float64 entries one chunk of tabulated generator values holds (2 MB),
-# so a table adds bounded memory however many steps a march takes.
+# Most float64 entries one block of tabulated generator values holds (2 MB),
+# so marching and quadrature add bounded memory however many steps they take.
 CHUNK_ENTRIES = 1 << 18
 
 
@@ -54,42 +53,17 @@ def _evaluate(fun, n: int, ts: list):
     return [gen(t) for t in ts]
 
 
-class GeneratorTable:
-    """Values of the generator `fun` at the times `times` yields, as a lookup.
+def tabulate(fun, n: int, times, known=None) -> dict:
+    """fun at each distinct time of `times`, keyed by time in first-use order.
 
-    Look the times up in the order `times` yields them; a time may be looked
-    up again while its chunk is current.  A lookup past the current chunk
-    evaluates the next one: up to CHUNK_ENTRIES / n^2 times not yet seen,
-    each evaluated once, and the previous chunk is dropped (a time it shares
-    with the new one is kept, not evaluated again).
+    Each time not in `known` is evaluated once, all of them in one
+    `_evaluate` call; a time in `known` takes its value from there.
     """
-
-    def __init__(self, fun, n: int, times):
-        self._fun, self._n = fun, n
-        self._times = iter(times)
-        self._per_chunk = max(1, CHUNK_ENTRIES // (n * n))
-        self._values = {}
-
-    def __getitem__(self, t: float) -> np.ndarray:
-        try:
-            return self._values[t]
-        except KeyError:
-            self._next_chunk()
-            return self._values[t]
-
-    def _next_chunk(self) -> None:
-        old, kept, fresh = self._values, {}, {}
-        for t in self._times:
-            if t in old:
-                kept[t] = old[t]
-            elif t not in fresh:
-                fresh[t] = None
-                if len(fresh) == self._per_chunk:
-                    break
-        if fresh:
-            ts = list(fresh)
-            kept.update(zip(ts, _evaluate(self._fun, self._n, ts)))
-        self._values = kept
+    known = known or {}
+    table = {t: known.get(t) for t in times}
+    fresh = [t for t, X in table.items() if X is None]
+    table.update(zip(fresh, _evaluate(fun, n, fresh)))
+    return table
 
 
 def rk4_step(A: np.ndarray, t: float, h: float, gen) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import lie
-from ._stepper import checked_generator, rk4_step
+from ._stepper import rk4_step, tabulate
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .flows import IntegratorConfig, march
 from .matcore import (
@@ -144,17 +144,15 @@ class MatrixFunction:
         self.n = n
 
     def __call__(self, t: float) -> np.ndarray:
-        acc = self.terms[0][0].value(t) * self.terms[0][1]
-        for f, M in self.terms[1:]:
-            acc = acc + f.value(t) * M
-        return acc
+        return self.at([t])[0]
 
     def at(self, ts) -> np.ndarray:
         """The values at each time of ts, stacked with shape (len(ts), n, n).
 
-        Bit-identical to calling the function at each time: each
-        coefficient is the same `f.value(t)` float (no vectorised ufunc,
-        whose rounding may differ), and the terms are added in term order.
+        A row does not depend on the other times, so it is bit-identical to
+        calling the function at its time: each coefficient is the same
+        `f.value(t)` float (no vectorised ufunc, whose rounding may differ),
+        and the terms are added in term order.
         """
         (f, M), *rest = self.terms
         acc = _coefficients(f, ts) * M
@@ -429,7 +427,7 @@ class Numeric(Curve):
     construction (`flows.march` in both time directions) and is read-only
     afterwards; evaluation takes one partial step off the nearest stored
     node.  Derivatives are central differences with step 1e-5.
-    Evaluation outside the horizon raises HorizonExceeded.
+    Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
     """
 
     A0: np.ndarray = field(repr=False)
@@ -442,11 +440,7 @@ class Numeric(Curve):
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "horizon", float(self.horizon))
-        IntegratorConfig(self.h, self.horizon)  # validates 0 < h <= horizon
-        spec = self.generator if isinstance(self.generator, MatrixFunction) else None
-        object.__setattr__(self, "generator_spec", spec)
-        # the partial step in `value` evaluates one time at a time
-        object.__setattr__(self, "_gen", checked_generator(self.generator, A0.shape[0]))
+        IntegratorConfig(self.h, self.horizon)  # validates h and the horizon
         fwd_t, fwd_m = march(self.generator, A0, self.h, self.horizon, +1.0)
         bwd_t, bwd_m = march(self.generator, A0, self.h, self.horizon, -1.0)
         object.__setattr__(self, "_ts", np.array(bwd_t[::-1] + fwd_t[1:]))
@@ -457,15 +451,16 @@ class Numeric(Curve):
         return self.A0.shape[0]
 
     def value(self, t):
-        if abs(t) > self.horizon + 1e-12:
+        if not abs(t) <= self.horizon + 1e-12:  # NaN is outside too
             raise HorizonExceeded(f"t={t} outside integrated horizon [-{self.horizon}, {self.horizon}]")
         idx = int(np.searchsorted(self._ts, t, side="right")) - 1
         idx = min(max(idx, 0), len(self._ts) - 1)
-        dt = t - self._ts[idx]
-        A = self._table[idx]
+        t0, A = self._ts[idx], self._table[idx]
+        dt = t - t0
         if dt == 0.0:
             return A.copy()
-        return rk4_step(A, self._ts[idx], dt, self._gen)
+        X = tabulate(self.generator, self.n, [t0, t0 + 0.5 * dt, t0 + dt])
+        return rk4_step(A, t0, dt, X.__getitem__)
 
     def derivative(self, t, fd_step: float = 1e-5):
         if abs(t) + fd_step > self.horizon + 1e-12:

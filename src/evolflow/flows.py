@@ -9,20 +9,24 @@ time-dependent problem A' = A X(t): `march` is the one classical
 curve's trajectory table.  Finally it evaluates the closed-form solution
 A0 exp(integral of X) available when X(t) commutes with its integral.
 
-Both `march` and the Simpson rule of `commuting_magnus` read the generator
-from a `_stepper.GeneratorTable`: each distinct time is evaluated once, in
-chunks of bounded size, and checked as `checked_generator` checks.
+Both `march` and the Simpson rule of `commuting_magnus` evaluate the
+generator a block of bounded size at a time (`_stepper.CHUNK_ENTRIES`
+entries), checked as `checked_generator` checks: `march` tabulates each
+distinct time of a block of steps once, and the Simpson rule sums a block
+of nodes by position.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._stepper import GeneratorTable, checked_generator, rk4_step
+from . import _stepper
+from ._stepper import rk4_step, tabulate
 from .errors import CommutatorTooLarge, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
 from .matcore import as_matrix, expm, frob_norm, memo, worst
@@ -50,9 +54,17 @@ class Flow:
         return self.X.shape[0]
 
 
+# Most steps an IntegratorConfig allows, as cli.MAX_GRID_POINTS bounds a grid,
+# so a tiny step or an infinite horizon cannot march without end.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step one-step method configuration: step h over [0, horizon]."""
+    """Fixed-step one-step method configuration: step h over [0, horizon].
+
+    The horizon must be finite and at most MAX_STEPS steps of h long.
+    """
 
     h: float
     horizon: float
@@ -60,6 +72,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0.0 < self.h <= self.horizon:
             raise ValueError("need 0 < h <= horizon")
+        if not math.isfinite(self.horizon) or self.horizon / self.h > MAX_STEPS:
+            raise ValueError(f"need a finite horizon of at most {MAX_STEPS} steps of h")
 
 
 @dataclass(frozen=True)
@@ -143,20 +157,24 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
 
     Node k sits at direction * min(k h, horizon), so the nodes carry no
     accumulated rounding and the final, possibly short, step lands exactly
-    on the horizon.  The generator is read from a `GeneratorTable` over the
-    times the steps use, so each distinct time is evaluated once; the table
-    reads at most one chunk of steps ahead.  Returns the node times and the
-    matrices there; the first node is (0, a copy of A0).
+    on the horizon.  The steps are taken a block of CHUNK_ENTRIES / (3 n^2)
+    at a time: the generator is tabulated at the block's times, each
+    distinct time once (a time shared with the previous block is not
+    evaluated again), then the block is stepped through.  Returns the node
+    times and the matrices there; the first node is (0, a copy of A0).
     """
-    steps, ahead = itertools.tee(itertools.pairwise(_nodes(h, horizon, direction)))
-    # the times `rk4_step` passes to its generator, in call order
-    times = (s for t, nxt in ahead for s in (t, t + 0.5 * (nxt - t), t + (nxt - t)))
-    gen = GeneratorTable(fun, A0.shape[0], times).__getitem__
-    ts, ms, A = [0.0], [A0.copy()], A0
-    for t, nxt in steps:
-        A = rk4_step(A, t, nxt - t, gen)
-        ts.append(nxt)
-        ms.append(A)
+    n = A0.shape[0]
+    per_block = max(1, _stepper.CHUNK_ENTRIES // (3 * n * n))
+    steps = itertools.pairwise(_nodes(h, horizon, direction))
+    ts, ms, A, X = [0.0], [A0.copy()], A0, {}
+    while block := list(itertools.islice(steps, per_block)):
+        # the times `rk4_step` passes to its generator, in call order
+        X = tabulate(fun, n, [s for t, nxt in block
+                              for s in (t, t + 0.5 * (nxt - t), t + (nxt - t))], X)
+        for t, nxt in block:
+            A = rk4_step(A, t, nxt - t, X.__getitem__)
+            ts.append(nxt)
+            ms.append(A)
     return ts, ms
 
 
@@ -172,18 +190,17 @@ def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
 
 
 def _simpson_matrix(fun, n: int, t: float, nodes: int) -> np.ndarray:
-    # composite Simpson rule with an odd number of equispaced nodes
-    # a list of node objects: the table finds a node again by identity,
-    # even a NaN one (from t = NaN)
-    xs = list(np.linspace(0.0, t, nodes))
+    # composite Simpson rule with an odd number of equispaced nodes, summed
+    # in node order a block of CHUNK_ENTRIES / n^2 nodes at a time
+    xs = np.linspace(0.0, t, nodes)
     h = (t - 0.0) / (nodes - 1)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    gen = GeneratorTable(fun, n, xs).__getitem__
-    acc = w[0] * gen(xs[0])
-    for i in range(1, nodes):
-        acc = acc + w[i] * gen(xs[i])
+    per_block = max(1, _stepper.CHUNK_ENTRIES // (n * n))
+    for start in range(0, nodes, per_block):
+        for i, X in enumerate(_stepper._evaluate(fun, n, list(xs[start:start + per_block])), start):
+            acc = w[i] * X if i == 0 else acc + w[i] * X
     return (h / 3.0) * acc
 
 
@@ -208,7 +225,7 @@ def commuting_magnus(Xfun: Callable, A0, t: float, tol: float = 1e-8) -> np.ndar
         omega = refined
         if done:
             break
-    Xt = checked_generator(Xfun, n)(t)
+    Xt = tabulate(Xfun, n, [t])[t]
     defect = frob_norm(Xt @ omega - omega @ Xt)
     if defect > tol * frob_norm(Xt) * frob_norm(omega):
         raise CommutatorTooLarge(

@@ -640,6 +640,28 @@ def test_an_overflowing_input_exits_2_with_an_error_report(tmp_path, capsys, arg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "inf", "--h", "1"],
+    ["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "1", "--h", "1e-300"],
+    ["curve-eval", "--curve", "{endless}", "--t", "0.5"],
+], ids=["infinite-horizon", "tiny-step", "numeric-infinite-horizon"])
+def test_a_march_past_the_step_bound_exits_2_with_an_error_report(tmp_path, capsys, argv):
+    # each of these used to march without end
+    gen = gen_spec(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    eye = jsonio.matrix_to_json(np.eye(2))
+    files = {
+        "gen": write(tmp_path / "gen.json", gen),
+        "eye": write(tmp_path / "eye.json", eye),
+        "endless": write(tmp_path / "c.json", {"variant": "numeric", "A0": eye, "generator": gen,
+                                               "h": 0.01, "horizon": math.inf}),
+    }
+    code, report, err = invoke(capsys, *[a.format(**files) for a in argv])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["payload"]["message"] == "need a finite horizon of at most 1000000 steps of h"
+    assert "Traceback" not in err
+
+
 def test_magnus_commuting(tmp_path, capsys):
     Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     spec = write(tmp_path / "gen.json", {

@@ -401,6 +401,13 @@ def test_numeric_horizon_errors():
         c.derivative(1.0)  # t + fd step leaves the horizon
 
 
+@pytest.mark.parametrize("generator", [lambda t: np.zeros((2, 2)), flip_flop_gen()[0]])
+def test_numeric_value_at_nan_is_outside_the_horizon(generator):
+    c = Numeric(np.eye(2), generator, h=1e-2, horizon=1.0)
+    with pytest.raises(HorizonExceeded, match=r"^t=nan outside"):
+        c.value(math.nan)
+
+
 def test_sl2_iwasawa_curve_hits_lie_chart():
     c = Sl2Iwasawa(AffineArg("sin"), Poly((0.0, 1.0)), Poly((0.0, 0.0, 1.0)))
     for t in (-1.0, 0.3, 2.0):

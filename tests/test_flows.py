@@ -12,6 +12,7 @@ from evolflow.errors import (
 )
 from evolflow.flows import (
     Flow,
+    MAX_STEPS,
     IntegratorConfig,
     commuting_magnus,
     flow_apply,
@@ -205,6 +206,20 @@ def test_flow_line_derivative_at_origin():
 def test_integrator_config_invariant():
     with pytest.raises(ValueError):
         IntegratorConfig(h=2.0, horizon=1.0)
+
+
+@pytest.mark.parametrize("h, horizon", [
+    (0.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+    (math.inf, math.inf), (1e-300, 1.0), (1e-6, 1.000001),
+])
+def test_integrator_config_bounds_the_march(h, horizon):
+    with pytest.raises(ValueError):
+        IntegratorConfig(h=h, horizon=horizon)
+
+
+def test_integrator_config_allows_max_steps():
+    assert 1.0 / 1e-6 == MAX_STEPS
+    IntegratorConfig(1e-6, 1.0)
 
 
 def test_integrate_zero_generator():

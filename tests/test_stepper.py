@@ -1,11 +1,12 @@
-"""The generator table behind marching and Simpson quadrature.
+"""The blocked generator evaluation behind marching and Simpson quadrature.
 
-`march`, `integrate_right`, the `Numeric` table and `commuting_magnus`
-read the generator from a `_stepper.GeneratorTable`.  The references
-(`oracles.per_step_march` and the Simpson loops below) evaluate it one call
-at a time through `checked_generator`: four calls per RK4 step and one per
-Simpson node.  The table must give the same bytes and raise the same
-errors.
+`march`, `integrate_right` and the `Numeric` table take their RK4 steps a
+block at a time, reading the generator from `_stepper.tabulate` at each
+block's distinct times; `commuting_magnus` sums its Simpson nodes a block
+at a time.  The references (`oracles.per_step_march` and the Simpson loops
+below) evaluate the generator one call at a time through
+`checked_generator`: four calls per RK4 step and one per Simpson node.
+The blocks must give the same bytes and raise the same errors.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from evolflow import _stepper
-from evolflow._stepper import GeneratorTable, checked_generator, rk4_step
+from evolflow._stepper import checked_generator, rk4_step, tabulate
 from evolflow.curves import AffineArg, MatrixFunction, Numeric, Poly
 from evolflow.errors import DimensionMismatch, NonFiniteGenerator
 from evolflow.flows import IntegratorConfig, commuting_magnus, integrate_right, march
@@ -135,10 +136,19 @@ def test_commuting_magnus_is_bit_identical(t):
         assert got.tobytes() == reference_magnus(fun, A0, t).tobytes()
 
 
+def count_blocks(monkeypatch):
+    # the number of times each `_stepper._evaluate` call evaluates, in order
+    sizes = []
+    evaluate = _stepper._evaluate
+    monkeypatch.setattr(_stepper, "_evaluate", lambda f, n, ts: sizes.append(len(ts)) or evaluate(f, n, ts))
+    return sizes
+
+
 def test_small_chunks_change_no_byte_and_no_count(monkeypatch):
-    # three 2x2 values a chunk: boundaries fall inside steps and between
-    # them, where a step's first time was evaluated in the previous chunk
+    # one 2x2 step a block: each block's first time may have been
+    # evaluated in the previous block
     monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 12)
+    sizes = count_blocks(monkeypatch)
     mf = generators(n=2)["matrix_function"]
     calls = []
 
@@ -147,13 +157,27 @@ def test_small_chunks_change_no_byte_and_no_count(monkeypatch):
         return mf(t)
 
     for fun in (mf, counted):
+        sizes.clear()
         ts, ms = march(fun, np.eye(2), H, T, -1.0)
         assert_same_bytes(ms, per_step_march(mf, np.eye(2), H, T, -1.0)[1])
+        assert len(sizes) == len(ts) - 1 > 1
     assert len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("t", [0.9, -1.3])
+def test_small_simpson_blocks_change_no_byte(monkeypatch, t):
+    # five 2x2 nodes a block: 129 nodes and more take many blocks
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 20)
+    sizes = count_blocks(monkeypatch)
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    mf = MatrixFunction([(AffineArg("cos", 1.3), Q), (Poly((0.2, 0.0, 0.5)), Q @ Q)])
+    A0 = np.array([[1.0, 0.3], [0.2, 1.1]])
+    assert commuting_magnus(mf, A0, t).tobytes() == reference_magnus(mf, A0, t).tobytes()
+    assert len(sizes) > 1 and max(sizes) == 5
+
+
 # ---------------------------------------------------------------------------
-# the table's contract
+# the blocks' contract
 
 
 def rk4_times(h, horizon, direction):
@@ -179,9 +203,22 @@ def test_a_plain_callable_is_called_once_per_distinct_time(direction):
 
 def test_a_table_keeps_first_use_order_and_repeats():
     calls = []
-    table = GeneratorTable(lambda t: calls.append(t) or np.full((2, 2), t), 2, [0.5, 0.1, 0.5, 0.3])
+
+    def fun(t):
+        calls.append(t)
+        return np.full((2, 2), t)
+
+    table = tabulate(fun, 2, [0.5, 0.1, 0.5, 0.3])
+    assert list(table) == [0.5, 0.1, 0.3]
     assert [table[t][0, 0] for t in (0.5, 0.1, 0.1, 0.5, 0.3)] == [0.5, 0.1, 0.1, 0.5, 0.3]
     assert calls == [0.5, 0.1, 0.3]
+    # a time already known is taken from there, not evaluated again
+    calls.clear()
+    again = tabulate(fun, 2, [0.3, 0.7, 0.5, 0.7], known=table)
+    assert list(again) == [0.3, 0.7, 0.5]
+    assert again[0.3] is table[0.3] and again[0.5] is table[0.5]
+    assert again[0.7][0, 0] == 0.7
+    assert calls == [0.7]
 
 
 def late_nan(t):

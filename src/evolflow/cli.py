@@ -3,12 +3,16 @@
 Every invocation runs exactly one subcommand, prints a JSON report to
 stdout and a one-line summary to stderr, and exits 0 when all checks
 pass, 1 when a tolerance check fails, 2 on usage or input errors.
+Handlers run with numpy's floating-point warnings off: an overflow or a
+NaN is caught by the explicit finiteness checks, so stderr keeps its one
+line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -416,6 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves a parser unchanged, and each
+    # parse starts from a fresh namespace
+    return build_parser()
+
+
 # flags whose values (grids, times) may start with a minus sign, which
 # argparse would otherwise read as an option
 _DASH_VALUE_FLAGS = ("--grid", "--t", "--T")
@@ -436,11 +447,10 @@ def _fuse_dash_values(argv):
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_dash_values(list(argv)))
+        args = _parser().parse_args(_fuse_dash_values(list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
@@ -452,7 +462,8 @@ def run(argv=None) -> int:
             seed = None
 
     try:
-        status, residuals, payload = _HANDLERS[args.subcommand](args)
+        with np.errstate(all="ignore"):  # finiteness is checked explicitly
+            status, residuals, payload = _HANDLERS[args.subcommand](args)
     except (EvolflowError, OSError, ValueError, KeyError, OverflowError) as exc:
         # plain ValueErrors (json.JSONDecodeError among them) are bad input
         # too, and so is an input whose math.exp overflows

@@ -23,7 +23,7 @@ from .matcore import as_matrix, det_gauge, frob_norm, is_nonsingular, is_real, m
 
 
 def _imag_mass(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M.imag)) if np.iscomplexobj(M) else 0.0
+    return frob_norm(M.imag) if np.iscomplexobj(M) else 0.0
 
 
 def _orth_defect(M) -> float:
@@ -56,7 +56,7 @@ def _affine_defect(M, group) -> float:
     n = group.n
     last = np.zeros(n, dtype=M.dtype)
     last[-1] = 1.0
-    defect = float(np.linalg.norm(M[:, -1] - last))
+    defect = frob_norm(M[:, -1] - last)
     if n > 1 and not is_nonsingular(M[: n - 1, : n - 1]):
         return math.inf
     return defect

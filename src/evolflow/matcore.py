@@ -52,6 +52,7 @@ _PADE13_B = (
 
 # The table of the innermost open `memo()` block, None outside every block.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
+_ABSENT = object()  # a key not in the memo table
 
 
 @contextmanager
@@ -94,14 +95,17 @@ def memoized(fn):
         M = np.asarray(args[0])
         if M.dtype.kind not in "biufc":
             return fn(*args, **kwargs)
-        key = (fn, M.dtype.str, M.shape, M.strides, M.tobytes(), args[1:], tuple(kwargs.items()))
+        # the dtype object, not its `.str`: for numeric dtypes the two are equal
+        # exactly together (byte order included), and the object costs no string
+        key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
+        if kwargs:  # one element longer, so never equal to a key without kwargs
+            key += (tuple(kwargs.items()),)
         try:
-            hit = key in table
+            result = table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
             return fn(*args, **kwargs)
-        if not hit:
-            table[key] = fn(*args, **kwargs)
-        result = table[key]
+        if result is _ABSENT:
+            result = table[key] = fn(*args, **kwargs)
         return result.copy() if isinstance(result, np.ndarray) else result
 
     return wrapper
@@ -123,8 +127,8 @@ def worst(residuals) -> float:
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
     # complex128 for complex data, float64 otherwise; every entry finite
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    if not np.all(np.isfinite(a)):
+    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # `.all()` costs twice as much
         raise NonFiniteInput(f"{name} has non-finite entries")
     return a
 
@@ -160,8 +164,22 @@ def is_real(M, tol: float = 0.0) -> bool:
 
 
 def frob_norm(M) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(M)))
+    """Frobenius norm, by numpy's own formula without `np.linalg.norm`'s dispatch.
+
+    As in `np.linalg.norm(M)`: integers and booleans are cast to float64,
+    the entries are taken in memory order (`ravel("K")`), and the result is
+    sqrt(x . x), or sqrt(re . re + im . im) for complex input, so the two
+    agree bit for bit.
+    """
+    x = np.asarray(M)
+    if x.dtype.kind not in "fcO":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag)
+    else:
+        sq = x.dot(x)
+    return float(np.sqrt(sq))
 
 
 def one_norm(M) -> float:

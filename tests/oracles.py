@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the exponential is
 a scaled truncated Taylor sum, the determinant is a cofactor expansion,
-the algebra product expands bilinearity over all basis pairs.  The RK4
-march is the exception: it reuses `rk4_step`, but evaluates the generator
+the algebra product expands bilinearity over all basis pairs, and matrix
+validation is written with numpy's generic predicates.  The RK4 march is
+the exception: it reuses `rk4_step`, but evaluates the generator
 through `checked_generator` at every one of its four calls a step, with
 no table of values in between.
 """
@@ -11,6 +12,7 @@ no table of values in between.
 import numpy as np
 
 from evolflow._stepper import checked_generator, rk4_step
+from evolflow.errors import DimensionMismatch, NonFiniteInput
 
 
 def taylor_expm(M, terms=60):
@@ -71,3 +73,14 @@ def per_step_march(fun, A0, h, horizon, direction):
         ts.append(t)
         ms.append(A)
     return ts, ms
+
+
+def reference_as_matrix(a, name="matrix"):
+    """`matcore.as_matrix` through `np.iscomplexobj` and `np.all(np.isfinite(...))`."""
+    M = np.asarray(a)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
+    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteInput(f"{name} has non-finite entries")
+    return M

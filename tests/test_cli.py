@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -733,3 +738,92 @@ def test_bad_input_exits_2_with_error_report(tmp_path, capsys, argv):
     assert code == 2
     assert report["status"] == "error"
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_the_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_a_shared_parser_reports_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    m = write(tmp_path / "m.json", {"n": 2, "real": [[0.0, 0.3], [-0.3, 0.0]]})
+    steps = [
+        [], ["not-a-subcommand"], ["expm", m, "--t"], ["--seed", "x", "expm", m],
+        ["--seed", "42", "expm", m], ["expm", m, "--t", "-1.5"], ["expm", m],
+        "EVOLFLOW_SEED=7", ["expm", m], ["--seed", "3", "expm", m], [],
+        ["group-check", m, "--group", "so"], ["curve-check", "--curve", m, "--check", "bogus"],
+        "EVOLFLOW_SEED=junk", ["expm", m], ["--seed", "5", "group-check", m, "--group", "so"],
+    ]
+
+    def transcript():
+        monkeypatch.delenv("EVOLFLOW_SEED", raising=False)
+        seen = []
+        for step in steps:
+            if isinstance(step, str):
+                monkeypatch.setenv(*step.split("="))
+                continue
+            code = run(step)
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        return seen
+
+    shared = transcript()
+    assert [code for code, _, _ in shared] == [2, 2, 2, 2, 0, 0, 0, 0, 0, 2, 1, 2, 0, 1]
+    assert json.loads(shared[4][1])["seed"] == 42 and "seed" not in json.loads(shared[6][1])
+    assert json.loads(shared[7][1])["seed"] == 7 and json.loads(shared[8][1])["seed"] == 3
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per run
+    assert transcript() == shared
+
+
+# ---------------------------------------------------------------------------
+# stderr holds the one summary line
+
+_ROTATION = {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}
+_STDERR_CASES = {
+    # RK4 overflows to inf, then NaN: the march reports the non-finite matrix
+    "ode-solve": (["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "1", "--h", "0.01"],
+                  {"kind": "poly", "coeffs": [0, 0, 0, 1e308]}),
+    # the Simpson integral of exp(400 t) overflows its commutator and its exponential
+    "magnus": (["magnus", "--gen-spec", "{gen}", "--a0", "{eye}", "--t", "1"],
+               {"kind": "exp", "scale": 400, "shift": 0.0}),
+}
+
+
+def _stderr_case(tmp_path, name):
+    argv, fun = _STDERR_CASES[name]
+    files = {
+        "gen": write(tmp_path / "gen.json", {"terms": [{"fun": fun, "matrix": _ROTATION}]}),
+        "eye": write(tmp_path / "eye.json", jsonio.matrix_to_json(np.eye(2))),
+    }
+    return [a.format(**files) for a in argv]
+
+
+def _expected_error_report(name):
+    return {"payload": {"message": "matrix has non-finite entries"}, "residuals": {},
+            "status": "error", "subcommand": name}
+
+
+@pytest.mark.parametrize("name", sorted(_STDERR_CASES))
+def test_numpy_warnings_stay_off_stderr(tmp_path, capsys, name):
+    argv = _stderr_case(tmp_path, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise out of run
+        code, report, err = invoke(capsys, *argv)
+    assert code == 2
+    assert report == _expected_error_report(name)
+    assert err == f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n"
+
+
+@pytest.mark.parametrize("name", sorted(_STDERR_CASES))
+def test_the_cli_process_writes_one_stderr_line(tmp_path, name):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "evolflow.cli", *_stderr_case(tmp_path, name)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == _expected_error_report(name)
+    assert proc.stderr == f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n"

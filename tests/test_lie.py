@@ -100,7 +100,7 @@ def test_real_groups_reject_complex_matrices():
     for g in (Group.o(2), Group.so(2), Group.stochastic(2)):
         rep = in_group(M, g)
         assert not rep.belongs
-        assert rep.residual >= 0.5
+        assert rep.residual == float(np.linalg.norm(M.imag))  # M.real = I is a member
 
 
 def test_stochastic_group_needs_invertibility():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def test_axioms_random_five_state():
     assert rep.identity_defect == 0.0
     d = rep.continuity_defects
     assert all(d[k + 1] <= d[k] * (1.0 + 1e-9) for k in range(len(d) - 1))
+
+
+def test_axioms_continuity_bound_overflows_without_a_warning():
+    # ||Q|| = 4000, so e^{||Q||/2} - 1 and e^{||Q||/4} - 1 overflow to inf: bounds every defect meets
+    rate = flip_flop_rate(2000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = axioms_report(rate, [0.0, 0.001, 0.5])
+    assert rep.passed and rep.continuity_ok
+    eye = np.eye(2)
+    assert rep.continuity_defects == tuple(frob_norm(expm(2.0**-k * rate.Q) - eye) for k in range(1, 21))
 
 
 def test_axioms_share_one_exponential_memo(monkeypatch):

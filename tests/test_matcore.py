@@ -18,7 +18,7 @@ from evolflow.matcore import (
     spectral_radius_estimate,
 )
 from evolflow import matcore
-from oracles import cofactor_det, taylor_expm
+from oracles import cofactor_det, reference_as_matrix, taylor_expm
 
 
 def test_expm_of_zero_is_identity():
@@ -189,6 +189,64 @@ def test_as_matrix_rejects_non_square():
         as_matrix(np.zeros((2, 3)))
 
 
+_RNG = np.random.default_rng(11)
+_REAL = _RNG.normal(size=(6, 6)) * 10.0 ** _RNG.integers(-150, 150, size=(6, 6))
+_CPLX = _REAL + 1j * _RNG.normal(size=(6, 6))
+_SMALL = _RNG.normal(size=(3, 3)) + 1j * _RNG.normal(size=(3, 3))  # fits float32
+_DENSE = _RNG.normal(size=(40, 40)) * np.exp(3.0 * _RNG.normal(size=(40, 40)))
+
+
+@pytest.mark.parametrize("M", [
+    _REAL, _CPLX, _REAL[:4, :4], _CPLX[:4, :4],
+    np.asfortranarray(_REAL), np.asfortranarray(_CPLX),
+    _REAL.T, _CPLX.T, _REAL[::2, 1::2], _CPLX[::-2, ::3], _CPLX.real, _CPLX.imag,
+    _REAL[0], _REAL[:, 2], _CPLX[1, ::-1],
+    # 1600 entries over a few decades: the summation order shows in the last bit
+    np.asfortranarray(_DENSE), _DENSE.T, np.asfortranarray(_DENSE + 1j * _DENSE.T),
+    np.arange(16).reshape(4, 4), np.arange(9, dtype=np.int8).reshape(3, 3).T,
+    np.eye(3, dtype=bool), _SMALL.real.astype(np.float32), _SMALL.astype(np.complex64),
+    [[1, 2], [3, 4]], [[1.5, -2j], [0.0, 1e308]], np.full((2, 2), 1e200),
+    np.zeros((0, 0)), np.array(3.5), np.array([[np.inf, 1.0]]), np.array([[np.nan, 1j]]),
+], ids=lambda M: f"{np.asarray(M).dtype}{np.asarray(M).shape}")
+def test_frob_norm_is_numpys_norm_bit_for_bit(M):
+    with np.errstate(all="ignore"):  # the 1e200 entries overflow both to inf
+        ours, theirs = frob_norm(M), float(np.linalg.norm(M))
+    assert type(ours) is float
+    assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+
+
+def _outcome(fn, a):
+    # (dtype, bytes, shape) of the coerced matrix, or (exception type, message)
+    try:
+        M = fn(a, "A")
+    except Exception as exc:  # the comparison covers whatever is raised
+        return type(exc), str(exc)
+    return M.dtype, M.tobytes(), M.shape
+
+
+_nan_imag = np.eye(2, dtype=complex)
+_nan_imag[1, 0] = complex(0.0, np.nan)
+
+
+@pytest.mark.parametrize("a", [
+    np.arange(4).reshape(2, 2), np.eye(3, dtype=bool), np.eye(2, dtype=np.uint8),
+    np.eye(2, dtype=np.float32), np.eye(2, dtype=np.complex64), np.eye(2) + 0j,
+    np.eye(2, dtype=">f8"), np.asfortranarray(_REAL), _CPLX[::2, ::2],
+    np.array([[1, 2.5], [3, 4]], dtype=object), np.array([[1, 2j], [3, 4]], dtype=object),
+    np.array([[1, None], [3, 4]], dtype=object), np.array([["1", "2"], ["3", "4"]]),
+    [[1, 2], [3, 4]], [[1.0, 2j], [3, 4]], [[True, False], [False, True]],
+    [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [0.0, 1.0]],
+    _nan_imag, np.array([[1.0, complex(0, np.inf)], [0.0, 1.0]]),
+    np.array([[1e308, 1e308], [1e308, 1e308]]), np.full((1, 1), np.inf, dtype=np.float32),
+    np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2)), 3.0, [],
+], ids=lambda a: f"{type(a).__name__}-{np.asarray(a).dtype}{np.asarray(a).shape}")
+def test_as_matrix_accepts_and_rejects_as_the_generic_predicates_do(a):
+    ref = _outcome(reference_as_matrix, a)
+    assert _outcome(as_matrix, a) == ref
+    if not isinstance(ref[0], type):  # an accepted matrix: float64 or complex128
+        assert ref[0] in (np.float64, np.complex128)
+
+
 def test_mat_arithmetic_contracts():
     # products, sums, scaling and transposes are numpy's own operators;
     # check the contracts they must satisfy here
@@ -281,6 +339,37 @@ def test_nested_memo_blocks_share_one_table(solves):
         assert matcore._MEMO.get() is outer
         expm(X_MEMO)
     assert len(solves) == 1
+
+
+def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
+    calls = []
+
+    @memoized
+    def f(M, *rest, **kw):
+        calls.append(1)
+        return float(np.sum(M))
+
+    M = np.arange(4.0).reshape(2, 2)
+    with memo():
+        f(M)
+        f(M.copy())                       # same bytes, strides, dtype: a hit
+        assert len(calls) == 1
+        f(M.astype(">f8"))                # other byte order
+        f(M.view(np.int64))               # same bytes, other dtype
+        f(np.asfortranarray(M))           # same entries and bytes, other strides
+        f(M.reshape(1, 4))                # same bytes, other shape
+        assert len(calls) == 5
+        f(M, 1e-9)
+        f(M, tol=1e-9)                    # a keyword is not a positional argument
+        f(M, 1e-9)
+        f(M, tol=1e-9)
+        assert len(calls) == 7
+        f(M, [1])                         # unhashable: computed every call
+        f(M, [1])
+        f(np.array([[1, 2]], dtype=object))  # not numeric: computed every call
+        f(np.array([[1, 2]], dtype=object))
+        assert len(calls) == 11
+        assert len(matcore._MEMO.get()) == 7
 
 
 def test_memo_stores_no_call_that_raises():

@@ -4,7 +4,8 @@ Matrices throughout the library are plain numpy arrays, square, with finite
 entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
-matrix exponential, the determinant gauge behind every nonsingularity
+matrix exponential (also at many times, one Pade approximant per distinct
+scaled argument), the determinant gauge behind every nonsingularity
 and determinant-sign decision, a guaranteed upper estimate of the
 spectral radius, the per-check memo that lets a grid check compute
 each distinct exponential and membership once, and `worst`, the one
@@ -16,6 +17,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import NamedTuple
@@ -197,27 +199,160 @@ def expm(X) -> np.ndarray:
     well-conditioned inputs.  Inside `memo()` each distinct X is computed once.
     """
     X = as_matrix(X)
-    n = X.shape[0]
-    eye = np.eye(n, dtype=X.dtype)
     nrm = one_norm(X)
     if nrm == 0.0:
-        return eye.copy()
-    squarings = 0
-    if nrm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(nrm / _PADE13_THETA)))
+        return np.eye(X.shape[0], dtype=X.dtype)
+    squarings = _squarings(nrm)
     A = X / (2.0**squarings)
-    b = _PADE13_B
+    return _square(_pade13(A, *_powers(A)), squarings)
+
+
+def _squarings(nrm: float) -> int:
+    # the fewest halvings that bring a 1-norm to at most _PADE13_THETA
+    if nrm > _PADE13_THETA:
+        return int(np.ceil(np.log2(nrm / _PADE13_THETA)))
+    return 0
+
+
+def _powers(A):
     A2 = A @ A
     A4 = A2 @ A2
-    A6 = A4 @ A2
+    return A2, A4, A4 @ A2
+
+
+def _pade13(A, A2, A4, A6) -> np.ndarray:
+    # the approximant r13(A) from A and its powers: one linear solve
+    b = _PADE13_B
+    eye = np.eye(A.shape[0], dtype=A.dtype)
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
+    return np.linalg.solve(V - U, V + U)
+
+
+def _square(E, squarings: int) -> np.ndarray:
     for _ in range(squarings):
         E = E @ E
     return E
+
+
+# A matrix product whose nonzero factors all have magnitudes a, b with
+# a * b >= _EXACT_SCALE_FLOOR has only intermediates of magnitude 2**-1022 or
+# more (each is a multiple of a quantum above a * b * 2**-106), so it rounds
+# exactly as the product of the factors scaled up by powers of two: the
+# scaled product is the product, scaled, bit for bit.
+_EXACT_SCALE_FLOOR = math.ldexp(1.0, -914)
+
+# Sharing powers costs a few elementwise passes and about 30 us of calls;
+# computing them costs three products.  The two break even near n = 80
+# (2-core x86-64 host, one OpenBLAS thread); below it the powers are computed.
+_SHARE_POWERS_MIN_N = 80
+
+
+def _min_nonzero(M) -> float:
+    # smallest nonzero |component|; real and imaginary parts count apart
+    a = np.abs(M.view(np.float64) if M.dtype.kind == "c" else M)
+    return float(np.min(a, initial=np.inf, where=a > 0.0))
+
+
+def _scales_exactly(A, A2, A4, d: int) -> bool:
+    """True when the powers of 2**d A (d >= 1) are A2, A4, A6 scaled, bit for bit.
+
+    The products A @ A, A2 @ A2 and A4 @ A2 must keep _EXACT_SCALE_FLOOR
+    (scaled up, they keep it too), and 2**(6d) must be a float: where A2
+    is zero, no magnitude bounds d.
+    """
+    if 6 * d > 1023:
+        return False
+    a, a2, a4 = _min_nonzero(A), _min_nonzero(A2), _min_nonzero(A4)
+    return min(a * a, a2 * a2, a4 * a2) >= _EXACT_SCALE_FLOOR
+
+
+def expm_times(X, ts):
+    """Yield (t, expm(t * X)) for each distinct t of ts, bit for bit.
+
+    Times are deduplicated as dict keys are (0.0 and -0.0 are one time, the
+    first is kept) and yielded grouped by their scaled argument t*X / 2**s,
+    with s chosen exactly as `expm` chooses it.  Each distinct scaled
+    argument costs one Pade approximant: the times that share it (2t beside
+    t above the scaling threshold, 2**-k for k up to s + 1) take their
+    values from one squaring chain.  Scaled arguments that are power-of-two
+    multiples of one another (one mantissa of t) share A**2, A**4 and A**6,
+    scaled, when n is at least _SHARE_POWERS_MIN_N and `_scales_exactly`
+    guarantees that the scaled powers are the computed ones; otherwise they
+    compute them.  Both kinds of sharing are confirmed with `np.array_equal`,
+    so no result differs from `expm(t * X)` in any bit.  Each yielded matrix
+    is the caller's own.
+
+    Every time is validated before the first yield: a non-finite or
+    overflowing t * X raises `NonFiniteInput` as `expm` does.  The generator
+    holds at most one squaring chain and the powers of one family, and
+    keeps the powers only while another scaled argument of that family is
+    still to come.
+    """
+    X = np.asarray(X)
+    zeros, families = _plan(X, ts)
+    for t, dtype in zeros:
+        yield t, np.eye(X.shape[0], dtype=dtype)
+    for family in families.values():
+        shared = None  # (offset, A, A2, A4, A6) while the family has more to come
+        offsets = sorted(family)
+        for i, offset in enumerate(offsets):
+            members = sorted(family[offset])
+            s, t = members[0]
+            A = as_matrix(t * X) / (2.0**s)
+            powers = None
+            if shared is not None:  # offsets ascend, so A is 2**d >= 2 times the last one
+                last, B, B2, B4, B6 = shared
+                shared = None
+                if _scales_exactly(B, B2, B4, offset - last):
+                    c = math.ldexp(1.0, offset - last)
+                    if np.array_equal(A, c * B):
+                        c2 = c * c
+                        powers = (c2 * B2, c2 * c2 * B4, c2 * c2 * c2 * B6)
+                del B, B2, B4, B6
+            if powers is None:
+                powers = _powers(A)
+            E = _pade13(A, *powers)
+            if i + 1 < len(offsets) and A.shape[0] >= _SHARE_POWERS_MIN_N:
+                shared = (offset, A, *powers)
+            del powers
+            yield from _chain(X, A, E, members)
+
+
+def _plan(X, ts):
+    # validate every distinct time; sort the nonzero ones into families (one
+    # mantissa of t) of groups (one exponent of t minus s), holding one t * X at a time
+    zeros = []
+    families = {}  # mantissa -> {exponent - s -> [(s, t)]}
+    for t in dict.fromkeys(ts):
+        Y = as_matrix(t * X)
+        nrm = one_norm(Y)
+        if nrm == 0.0:
+            zeros.append((t, Y.dtype))
+            continue
+        s = _squarings(nrm)
+        mantissa, exponent = math.frexp(t)
+        families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
+    return zeros, families
+
+
+def _chain(X, A, E, members):
+    # E = r13(A); members (s, t) by ascending s, which differ within a group.
+    # A member whose t*X / 2**s is A takes E squared s times; any other is
+    # computed on its own.
+    done = 0
+    for j, (s, t) in enumerate(members):
+        if j:
+            At = as_matrix(t * X) / (2.0**s)
+            if not np.array_equal(At, A):
+                yield t, _square(_pade13(At, *_powers(At)), s)
+                continue
+            del At
+        E = _square(E, s - done)
+        done = s
+        yield t, E
 
 
 def det(M):

@@ -375,19 +375,51 @@ def test_curve_check_fails_on_a_nan_residual(tmp_path, capsys, check, grid, key)
     assert report["residuals"][key] == "nan"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_markov_semigroup_does_not_pass_a_nan_exponential(monkeypatch, capsys):
-    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-
+def nan_exponential_at(T, Q):
+    """`expm` that returns all NaN at exp(T Q) and the true value elsewhere."""
     def patched(X):
         E = expm(X)
-        return np.full_like(E, np.nan) if np.array_equal(X, 0.5 * Q) else E
+        return np.full_like(E, np.nan) if np.array_equal(X, T * Q) else E
+    return patched
 
-    monkeypatch.setattr("evolflow.markov.expm", patched)
-    code, report, err = invoke(capsys, "markov-semigroup", "--lambda", "1", "--t", "0:1:0.25")
-    # the non-finite matrix cannot be encoded into the report, so it is an error
-    assert code == 2 and report["status"] == "error"
-    assert "NonFiniteInput" in err
+
+def test_markov_semigroup_does_not_pass_a_nan_exponential(monkeypatch, tmp_path, capsys):
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(0.5, Q))
+    out = tmp_path / "semigroup.csv"
+    code, report, err = invoke(capsys, "markov-semigroup", "--lambda", "1", "--t", "0:1:0.25",
+                               "--out", str(out))
+    # a failed check with a NaN residual, not an input error
+    assert code == 1 and report["status"] == "fail"
+    assert report["residuals"] == {"max_row_sum_defect": "nan", "max_negative_entry": "nan"}
+    assert err.count("\n") == 1 and "fail" in err
+    samples = report["payload"]["samples"]
+    assert [s["t"] for s in samples] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert samples[2]["matrix"] == {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}
+    assert samples[2]["det"] == "nan"
+    assert samples[1]["matrix"] == jsonio.matrix_to_json(expm(0.25 * Q))
+    rows = list(csv.reader(out.open()))
+    assert rows[3][:5] == ["0.5", "nan", "nan", "nan", "nan"]
+
+
+@pytest.mark.parametrize("side, binding", [("right", "evolflow.flows.expm"), ("left", "evolflow.cli.expm")])
+def test_flow_orbit_does_not_pass_a_nan_orbit_point(monkeypatch, tmp_path, capsys, side, binding):
+    X = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    gen = write(tmp_path / "x.json", jsonio.matrix_to_json(X))
+    base = write(tmp_path / "a.json", {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]})
+    monkeypatch.setattr(binding, nan_exponential_at(0.5, X))
+    out = tmp_path / "orbit.csv"
+    code, report, err = invoke(
+        capsys, "flow-orbit", "--generator", gen, "--base", base, "--group", "so",
+        "--grid", "-1:1:0.5", "--side", side, "--out", str(out),
+    )
+    assert code == 1 and report["status"] == "fail"
+    assert report["residuals"] == {"max_group_residual": "nan"}
+    assert err.count("\n") == 1
+    rows = list(csv.reader(out.open()))
+    assert [r[0] for r in rows[1:]] == ["-1.0", "-0.5", "0.0", "0.5", "1.0"]
+    assert rows[4][1:] == ["nan"] * 6  # the entries, the group residual and det
+    assert all(float(r[5]) <= 1e-9 for i, r in enumerate(rows[1:]) if i != 3)
 
 
 def test_curve_check_ode_and_perfectness(tmp_path, capsys):

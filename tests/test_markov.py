@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ from evolflow.markov import (
     truncate_reversible,
     validate_rate,
 )
-from evolflow.matcore import expm, frob_norm
+from evolflow.matcore import expm, expm_times, frob_norm
+from oracles import per_call_axioms_report
 
 GRID = [0.0, 0.3, 0.7, 1.1]
 
@@ -143,23 +145,50 @@ def test_axioms_continuity_bound_overflows_without_a_warning():
     assert rep.continuity_defects == tuple(frob_norm(expm(2.0**-k * rate.Q) - eye) for k in range(1, 21))
 
 
-def test_axioms_share_one_exponential_memo(monkeypatch):
-    args = []
+def test_axioms_share_one_exponential_memo(monkeypatch, pade):
+    calls = []
 
-    def counted(X):
-        args.append(X.tobytes())
-        return expm(X)
+    def recorded(X, ts):
+        calls.append((X, list(ts)))
+        return expm_times(X, calls[-1][1])
 
-    monkeypatch.setattr("evolflow.markov.expm", counted)
+    monkeypatch.setattr("evolflow.markov.expm_times", recorded)
     rate = random_rate_matrix(3, 9)
     grid = np.linspace(0.0, 2.0, 21)
     rep = axioms_report(rate, grid)
     assert rep.passed
     sums = {float(s + t) for s in grid for t in grid}
-    assert sums >= {float(t) for t in grid} | {0.0}
-    continuity = 20  # A(2^-k), k = 1..20, taken afresh
-    assert len(args) == len(sums) + continuity  # not another len(grid) + 1
-    assert len(set(args[:-continuity])) == len(sums)
+    assert sums >= {float(t) for t in grid} | {0.0} and len(sums) == 61
+    # one call for the grid, A(0) and the sums, one for A(2^-k), k = 1..20
+    assert len(calls) == 2
+    assert all(X is rate.Q for X, _ in calls)
+    assert set(calls[0][1]) == sums
+    assert calls[1][1] == [2.0**-k for k in range(1, 21)]
+    # one approximant per distinct scaled argument: the 60 nonzero distinct
+    # times of the grid and sums have 42 (2t beside t shares one above the
+    # scaling threshold), the 20 sweep times have 20 (||Q|| is below it)
+    assert len(pade) == 42 + 20
+    pade.clear()
+    assert repr(per_call_axioms_report(rate, grid)) == repr(rep)
+    assert len(pade) == 60 + 20  # one per distinct time
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", [[0.29, 0.61, 0.93, 1.38], [0.0, 0.25, 0.5, 0.5, 1.0, 1.5]])
+def test_axioms_hold_no_more_memory_than_one_exponential_per_time(grid):
+    rate = random_rate_matrix(100, 21)
+    got, peak = traced_peak(axioms_report, rate, grid)
+    want, per_call_peak = traced_peak(per_call_axioms_report, rate, grid)
+    assert repr(got) == repr(want)
+    assert peak <= per_call_peak
 
 
 def nan_exponential_at(T, Q):
@@ -170,10 +199,18 @@ def nan_exponential_at(T, Q):
     return patched
 
 
+def nan_exponentials_at(T, Q):
+    """`expm_times` that yields all NaN for exp(T Q) and the true values elsewhere."""
+    def patched(X, ts):
+        for t, E in expm_times(X, ts):
+            yield t, (np.full_like(E, np.nan) if np.array_equal(t * X, T * Q) else E)
+    return patched
+
+
 @pytest.mark.parametrize("T", [0.3, 1.1])
 def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
     rate = random_rate_matrix(3, 11)
-    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(T, rate.Q))
+    monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(T, rate.Q))
     rep = axioms_report(rate, GRID)
     assert not rep.passed
     assert math.isnan(rep.nonneg_defect)
@@ -184,7 +221,7 @@ def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
 
 def test_axioms_continuity_fails_on_a_nan_defect(monkeypatch):
     rate = flip_flop_rate(1.0)
-    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(2.0**-5, rate.Q))
+    monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(2.0**-5, rate.Q))
     rep = axioms_report(rate, GRID)
     assert math.isnan(rep.continuity_defects[4])
     assert not rep.continuity_ok

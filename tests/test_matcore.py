@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from evolflow.matcore import (
     det,
     det_gauge,
     expm,
+    expm_times,
     frob_norm,
     inv,
     is_nonsingular,
@@ -18,6 +20,7 @@ from evolflow.matcore import (
     spectral_radius_estimate,
 )
 from evolflow import matcore
+from evolflow.markov import random_rate_matrix
 from oracles import cofactor_det, reference_as_matrix, taylor_expm
 
 
@@ -445,3 +448,192 @@ def test_worst_consumes_a_generator_once_and_lazily():
     assert matcore.worst(gen) == 3.0
     assert seen == [0.5, 3.0, 1.0]
     assert list(gen) == []
+
+
+# ---------------------------------------------------------------------------
+# expm_times: expm at many times, one Pade approximant per scaled argument
+
+SWEEP = [2.0**-k for k in range(1, 21)]
+TIMES = [0.0, -0.0, 0.3, 0.3, 0.6, 1.2, 2.4, -0.3, -0.6, 7.0, 14.0, 28.0, 1e-5, 3e-5, *SWEEP]
+
+
+def assert_expm_times_is_expm(X, ts):
+    """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
+
+    Checked as it runs at X's size and with the powers shared at every size.
+    """
+    with np.errstate(all="ignore"):  # an exponential that overflows does so alike
+        want = {}
+        for t in ts:
+            want.setdefault(t, expm(t * X))
+        got = list(expm_times(X, ts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcore, "_SHARE_POWERS_MIN_N", 1)
+            shared = list(expm_times(X, ts))
+    for results in (got, shared):
+        assert len(results) == len(want)
+        assert {repr(t) for t, _ in results} == {repr(t) for t in want}  # the first of 0.0 and -0.0
+        for t, E in results:
+            assert E.dtype == want[t].dtype and E.shape == want[t].shape
+            assert E.tobytes() == want[t].tobytes(), t
+        assert len({id(E) for _, E in results}) == len(results)  # each matrix the caller's own
+    return got
+
+
+def chapman_times(ts):
+    return [*ts, 0.0, *(s + t for s in ts for t in ts)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 50])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+def test_expm_times_is_expm_bit_for_bit(n, kind, scale):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, n))
+    if kind == "complex":
+        X = X + 1j * rng.normal(size=(n, n))
+    assert_expm_times_is_expm(scale * X, TIMES)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 300])
+def test_expm_times_is_expm_on_rate_matrices(n):
+    # the sizes and times of the dense axioms checks: four irregular times
+    # and their sums, then the continuity sweep
+    Q = random_rate_matrix(n, n).Q
+    ts = [float(t) for t in np.random.default_rng(n).uniform(0.0, 1.6, 4)]
+    assert_expm_times_is_expm(Q, chapman_times(ts))
+    assert_expm_times_is_expm(Q, SWEEP)
+
+
+def test_expm_times_is_expm_on_a_complex_300():
+    rng = np.random.default_rng(300)
+    X = (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))) / 10.0
+    assert_expm_times_is_expm(X, [0.5, 1.0, 2.0, 1.0, 2.0**-3, 0.7])
+
+
+def test_expm_times_of_no_time_yields_nothing():
+    assert list(expm_times(np.eye(2), [])) == []
+
+
+def test_expm_times_of_zero_is_a_fresh_identity():
+    got = assert_expm_times_is_expm(np.zeros((3, 3)), [1.0, 0.0, 1.0, 2.0])
+    assert all(np.array_equal(E, np.eye(3)) for _, E in got)
+    got = assert_expm_times_is_expm(np.ones((2, 2)), [-0.0, 0.0])
+    assert repr(got[0][0]) == "-0.0"
+
+
+def test_expm_times_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def power_of_two_times(draw):
+        # a few base times, each at several power-of-two multiples, some repeated
+        bases = draw(st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=3))
+        times = [b * 2.0**k * sign for b in bases
+                 for k in draw(st.lists(st.integers(-30, 8), min_size=1, max_size=8))
+                 for sign in draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]))]
+        return draw(st.permutations(times + draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2))))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 6),
+        complex_=st.booleans(),
+        scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        ts=power_of_two_times(),
+    )
+    def prop(n, complex_, scale, seed, ts):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, n)) * 10.0**scale
+        if complex_:
+            X = X + 1j * rng.normal(size=(n, n)) * 10.0**scale
+        assert_expm_times_is_expm(X, ts + ts[:2])
+
+    prop()
+
+
+def test_expm_times_computes_the_powers_near_underflow(monkeypatch):
+    # X t has entries near 1e-155, so (X t)^2 is subnormal at small t: the
+    # powers of 2^k X t are not 4^k (X t)^2 there, and they are computed
+    X = np.zeros((4, 4))
+    X[0, 1], X[1, 2], X[2, 3] = 1.2345678901234e-155, 3.3333333333e-157, 5.0 / 2**10
+    ts = [2.0**k for k in range(11)]
+    A2, A4, _ = matcore._powers(X)
+    assert not matcore._scales_exactly(X, A2, A4, 1)
+    assert_expm_times_is_expm(X, ts)
+    # sharing regardless would change results
+    monkeypatch.setattr(matcore, "_SHARE_POWERS_MIN_N", 1)
+    monkeypatch.setattr(matcore, "_scales_exactly", lambda *args: True)
+    got = dict(expm_times(X, ts))
+    assert any(got[t].tobytes() != expm(t * X).tobytes() for t in ts)
+
+
+def test_expm_times_shares_powers_only_over_a_representable_factor():
+    # X^2 = 0 bounds nothing, but 2^(6 * 290) is no float: the powers are computed
+    X = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert_expm_times_is_expm(X, [2.0**-1074, 2.0**-300, 2.0**-10, 1.0, 4.0])
+
+
+def test_expm_times_shares_no_powers_with_an_entry_that_underflowed():
+    # t X loses its one-ulp entry to underflow at t <= 1/4 but not at t = 1:
+    # the scaled arguments are no longer multiples of one another
+    X = np.array([[1.0, 5e-324], [0.0, 2.0]])
+    assert np.array_equal(0.25 * X, np.diag([0.25, 0.5]))
+    assert_expm_times_is_expm(X, [2.0**-k for k in range(8)])
+
+
+def test_expm_times_splits_a_group_whose_scaled_arguments_differ(pade):
+    # 0.3 X / 4 and 0.6 X / 8 differ in the subnormal entry's last bit, so
+    # the two times take one approximant each, though 0.6 is twice 0.3
+    X = np.array([[40.0, 3.78159362874e-313], [0.0, -40.0]])
+    assert not np.array_equal(as_matrix(0.3 * X) / 4.0, as_matrix(0.6 * X) / 8.0)
+    assert_expm_times_is_expm(X, [0.3, 0.6])
+    assert len(set(pade)) == 2
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300])
+@pytest.mark.parametrize("X", [np.array([[0.0, 1e10], [2.0, 0.0]]), np.ones((2, 3))])
+def test_expm_times_raises_as_expm_does(t, X):
+    with np.errstate(all="ignore"):
+        with pytest.raises(Exception) as want:
+            expm(t * X)
+        with pytest.raises(want.type) as got:
+            list(expm_times(X, [0.5, t, 1.0]))
+    assert str(got.value) == str(want.value)
+    assert want.type in (NonFiniteInput, DimensionMismatch)
+
+
+def test_expm_times_validates_every_time_before_the_first_result():
+    times = expm_times(np.eye(2), [0.5, math.nan])
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteInput, match="non-finite entries"):
+        next(times)
+
+
+def test_expm_times_takes_one_pade_approximant_per_distinct_scaled_argument(pade):
+    Q = random_rate_matrix(5, 4).Q
+    ts = chapman_times([0.25, 0.5, 0.6, 1.5]) + SWEEP
+    got = dict(expm_times(Q, ts))
+    scaled = pade.copy()
+    pade.clear()
+    for t in got:
+        assert got[t].tobytes() == expm(t * Q).tobytes()
+    assert len(pade) == len(got) - 1 == 31  # expm: one per nonzero time
+    assert len(scaled) == len(set(scaled)) == 26  # expm_times: one per scaled argument
+    assert set(scaled) == set(pade)
+
+
+def test_expm_times_holds_one_chain_and_one_family_of_powers():
+    Q = random_rate_matrix(100, 3).Q
+    ts = [*SWEEP, 0.3, 0.6, 1.2, 2.4, 0.7, 1.4, 0.0]
+    tracemalloc.start()
+    try:
+        expm(2.4 * Q)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in expm_times(Q, ts):
+            pass
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed <= one + 2 * Q.nbytes

@@ -131,17 +131,6 @@ def _entry_values(M):
     return [float(x) for x in flat]
 
 
-def _sample_json(M) -> dict:
-    # `jsonio.matrix_to_json`'s layout; a non-finite entry, which that
-    # encoder rejects, stays in and reads "nan" or "inf" in the report
-    if np.isfinite(M).all():
-        return jsonio.matrix_to_json(M)
-    out = {"n": int(M.shape[0]), "real": M.real.tolist()}
-    if np.iscomplexobj(M) and np.any(M.imag != 0.0):
-        out["imag"] = M.imag.tolist()
-    return out
-
-
 def _sample_dets(mats) -> list:
     # one stacked det when the matrices share a dtype; a real matrix beside
     # complex ones (a numeric curve's real A0 among complex nodes) goes row
@@ -253,7 +242,7 @@ def _cmd_markov_semigroup(args):
     samples, exps = [], []
     for s, d in zip(sems, dets):
         e = math.exp(s.t * tr)
-        samples.append({"t": s.t, "matrix": _sample_json(s.matrix),
+        samples.append({"t": s.t, "matrix": jsonio.matrix_layout(s.matrix),
                         "non_markov_range": s.non_markov_range, "det": d, "exp_trace": e})
         exps.append(e)
     worst_row = worst(s.row_sum_defect for s in sems)

@@ -27,7 +27,12 @@ from .matcore import as_matrix, as_vector
 
 
 def matrix_to_json(M) -> dict:
-    M = as_matrix(M)
+    return matrix_layout(as_matrix(M))
+
+
+def matrix_layout(M) -> dict:
+    # the matrix format of a square float64 or complex128 array, unvalidated:
+    # a non-finite entry stays in (a report's sample reads "nan" or "inf")
     out = {"n": int(M.shape[0]), "real": M.real.tolist()}
     if np.iscomplexobj(M) and np.any(M.imag != 0.0):
         out["imag"] = M.imag.tolist()

@@ -59,7 +59,7 @@ print("\nrandom exp line: sign constant =", prof.sign_constant,
 
 A0[2] = A0[0]  # force rank deficiency
 flat = perfectness_profile(ExpLine(A0, gen), grid)
-print("singular start : max |det| =", f"{max(s.abs_det for s in flat.samples):.2e}",
+print("singular start : max scaled |det| =", f"{max(s.scaled_abs_det for s in flat.samples):.2e}",
       "all perfect =", flat.all_perfect)
 
 # The affine line I + tA is only a curve of perfect algebras while

@@ -196,12 +196,12 @@ def _cmd_curve_check(args):
         return ("pass" if rep.passed else "fail"), {"ode": rep.max_residual}, {"tol": args.tol}
     prof = curves.perfectness_profile(c, grid)
     payload = {
-        "samples": [{"t": s.t, "abs_det": s.abs_det, "sign": s.sign} for s in prof.samples],
+        "samples": [s._asdict() for s in prof.samples],  # t, scaled_abs_det, sign
         "sign_constant": prof.sign_constant,
         "all_perfect": prof.all_perfect,
     }
-    min_det = min(s.abs_det for s in prof.samples)
-    return ("pass" if prof.passed else "fail"), {"min_abs_det": min_det}, payload
+    min_det = min(s.scaled_abs_det for s in prof.samples)
+    return ("pass" if prof.passed else "fail"), {"min_scaled_abs_det": min_det}, payload
 
 
 def _cmd_group_check(args):

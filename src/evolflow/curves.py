@@ -21,10 +21,10 @@ import numpy as np
 from . import lie
 from ._stepper import rk4_step, tabulate
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
+from .evoalg import EvolutionAlgebra, is_perfect
 from .flows import IntegratorConfig, march
 from .matcore import (
     as_matrix,
-    det_gauge,
     expm,
     frob_norm,
     inv,
@@ -419,6 +419,10 @@ class FlipFlop(Curve):
         return np.array([[-g, g], [g, -g]])
 
 
+# Step of the central differences behind `Numeric.derivative`.
+_FD_STEP = 1e-5
+
+
 @dataclass(frozen=True, eq=False)
 class Numeric(Curve):
     """Curve defined by A' = A X(t), A(0) = A0, on the horizon [-T, T].
@@ -426,7 +430,7 @@ class Numeric(Curve):
     A dense trajectory table with nodes at +-k*h is integrated once at
     construction (`flows.march` in both time directions) and is read-only
     afterwards; evaluation takes one partial step off the nearest stored
-    node.  Derivatives are central differences with step 1e-5.
+    node.  Derivatives are central differences with step _FD_STEP (1e-5).
     Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
     """
 
@@ -462,10 +466,10 @@ class Numeric(Curve):
         X = tabulate(self.generator, self.n, [t0, t0 + 0.5 * dt, t0 + dt])
         return rk4_step(A, t0, dt, X.__getitem__)
 
-    def derivative(self, t, fd_step: float = 1e-5):
-        if abs(t) + fd_step > self.horizon + 1e-12:
+    def derivative(self, t):
+        if abs(t) + _FD_STEP > self.horizon + 1e-12:
             raise HorizonExceeded(f"central difference at t={t} leaves the horizon")
-        return (self.value(t + fd_step) - self.value(t - fd_step)) / (2.0 * fd_step)
+        return (self.value(t + _FD_STEP) - self.value(t - _FD_STEP)) / (2.0 * _FD_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ def check_ode(curve: Curve, X, grid, tol: float = 1e-9) -> OdeReport:
 
 class PerfectnessSample(NamedTuple):
     t: float
-    abs_det: float
+    scaled_abs_det: float
     sign: int | None  # sign of det for real values; None for complex
 
 
@@ -525,26 +529,20 @@ class PerfectnessProfile(NamedTuple):
 
 
 def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
-    """Per-sample determinant magnitude and sign along the curve.
+    """`evoalg.is_perfect` of each slice along the grid.
 
-    A sample is perfect when the singularity gauge `matcore.det_gauge`
-    accepts it, and its sign is the gauge's.  For real curves the report
-    also says whether the determinant sign is constant (it must be along
-    any real curve of nonsingular matrices).
+    Each sample carries the slice's scaled |det| and sign as the
+    singularity gauge reports them.  For real curves the report also says
+    whether the determinant sign is constant (it must be along any real
+    curve of nonsingular matrices).
     """
-    samples = []
-    perfect_flags = []
+    samples, all_perfect = [], True
     for t in grid:
-        A = curve.value(t)
-        gauge = det_gauge(A)
-        perfect_flags.append(gauge.nonsingular)
-        samples.append(PerfectnessSample(float(t), float(abs(np.linalg.det(A))), gauge.sign))
-    all_perfect = all(perfect_flags)
-    signs = [s.sign for s in samples]
-    if any(s is None for s in signs):
-        sign_constant = None
-    else:
-        sign_constant = len(set(signs)) == 1 and signs[0] != 0
+        rep = is_perfect(EvolutionAlgebra(curve.value(t)))
+        all_perfect = all_perfect and rep.perfect
+        samples.append(PerfectnessSample(float(t), rep.scaled_abs_det, rep.sign))
+    signs = {s.sign for s in samples}
+    sign_constant = None if None in signs else len(signs) == 1 and 0 not in signs
     passed = all_perfect and sign_constant is not False
     return PerfectnessProfile(tuple(samples), all_perfect, sign_constant, passed)
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import as_matrix, as_vector, is_nonsingular, is_real
+from .matcore import as_matrix, as_vector, det_gauge, is_real
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class EvolutionAlgebra:
 
 class PerfectnessReport(NamedTuple):
     perfect: bool
-    abs_det: float
+    scaled_abs_det: float  # |det A| of the entry-normalized A, as the gauge takes it
+    sign: int | None       # sign of det A: 0 when not perfect; None when complex
 
 
 def evo_mul(alg: EvolutionAlgebra, x, y) -> np.ndarray:
@@ -69,10 +70,11 @@ def evolution_operator(alg: EvolutionAlgebra) -> np.ndarray:
 def is_perfect(alg: EvolutionAlgebra) -> PerfectnessReport:
     """Whether the algebra equals its own square, i.e. det A != 0.
 
-    Structure matrices that `matcore.is_nonsingular` rejects are
-    classified not perfect.
+    The library's one perfectness decision: verdict, magnitude and sign
+    all come from the one LU of `matcore.det_gauge`, so structure matrices
+    its singularity gauge rejects are classified not perfect.
     """
-    return PerfectnessReport(is_nonsingular(alg.A), float(abs(np.linalg.det(alg.A))))
+    return PerfectnessReport(*det_gauge(alg.A))
 
 
 def is_markov_algebra(alg: EvolutionAlgebra, tol: float = 1e-9) -> bool:

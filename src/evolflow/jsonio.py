@@ -11,7 +11,10 @@ Matrix function (time-dependent generator):
 Curve:    tagged union on "variant", one row per variant in `CURVE_VARIANTS`.
 
 Decoding any of these raises ValueError on a key its format (or its kind
-or variant) does not define.
+or variant) does not define, and on a wrongly typed value: every number
+must be a JSON number (not a string or a boolean; an int stands for a
+float), "n" and "i" must be integral, "coeffs", "terms", coordinates and
+matrix rows must be lists, and every format above must be an object.
 """
 
 from __future__ import annotations
@@ -39,17 +42,63 @@ def matrix_layout(M) -> dict:
     return out
 
 
+# The typed check every decoder shares: a value of any other type raises
+# ValueError naming the field.
+
+
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} JSON must be an object, not {type(x).__name__}")
+    return x
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, not {type(x).__name__}")
+    return x
+
+
+def _is_number(x) -> bool:
+    # a JSON number: bool is an int subclass, and neither it nor a string counts
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, what: str) -> float:
+    if not _is_number(x):
+        raise ValueError(f"{what} must be a JSON number, not {type(x).__name__}")
+    return float(x)
+
+
+def _integer(x, what: str) -> int:
+    if not _number(x, what).is_integer():
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _numbers(x, what: str) -> list:
+    # a list of JSON numbers, as given
+    if not all(map(_is_number, _list(x, what))):
+        raise ValueError(f"{what} must hold JSON numbers only")
+    return x
+
+
+def _rows(x, what: str) -> np.ndarray:
+    # a list of lists of JSON numbers, as a float64 array
+    return np.asarray([_numbers(row, f"each row of {what}") for row in _list(x, what)],
+                      dtype=np.float64)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        n = int(obj["n"])
-        real = np.asarray(obj["real"], dtype=np.float64)
+        n = _integer(obj["n"], "matrix n")
+        real = _rows(obj["real"], "matrix real part")
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"bad matrix JSON: {exc}") from exc
     _reject_unknown_keys(obj, ("n", "real", "imag"), "matrix")
     if real.shape != (n, n):
         raise DimensionMismatch(f"matrix JSON says n={n} but real part has shape {real.shape}")
     if "imag" in obj and obj["imag"] is not None:
-        imag = np.asarray(obj["imag"], dtype=np.float64)
+        imag = _rows(obj["imag"], "matrix imag part")
         if imag.shape != (n, n):
             raise DimensionMismatch(f"matrix JSON imag part has shape {imag.shape}, expected {(n, n)}")
         if np.any(imag != 0.0):
@@ -66,10 +115,11 @@ def element_to_json(x) -> dict:
 
 
 def element_from_json(obj: dict) -> np.ndarray:
-    real = np.asarray(obj["coords_real"], dtype=np.float64)
+    real = np.asarray(_numbers(_object(obj, "element")["coords_real"], "coords_real"),
+                      dtype=np.float64)
     _reject_unknown_keys(obj, ("coords_real", "coords_imag"), "element")
     if "coords_imag" in obj and obj["coords_imag"] is not None:
-        imag = np.asarray(obj["coords_imag"], dtype=np.float64)
+        imag = np.asarray(_numbers(obj["coords_imag"], "coords_imag"), dtype=np.float64)
         if imag.shape != real.shape:
             raise DimensionMismatch("coords_imag length differs from coords_real")
         if np.any(imag != 0.0):
@@ -103,13 +153,14 @@ def _reject_unknown_keys(obj: dict, known, what: str) -> None:
 
 
 def scalar_function_from_json(obj: dict):
-    kind = obj["kind"]
+    kind = _object(obj, "scalar function")["kind"]
     if kind == "poly":
         _reject_unknown_keys(obj, ("kind", "coeffs"), "poly scalar function")
-        return curves.Poly(tuple(float(c) for c in obj["coeffs"]))
+        return curves.Poly(tuple(_numbers(obj["coeffs"], "poly coeffs")))
     if kind in curves.AFFINE_ARG_KINDS:
         _reject_unknown_keys(obj, ("kind", "scale", "shift"), f"{kind} scalar function")
-        return curves.AffineArg(kind, float(obj.get("scale", 1.0)), float(obj.get("shift", 0.0)))
+        return curves.AffineArg(kind, _number(obj.get("scale", 1.0), f"{kind} scale"),
+                                _number(obj.get("shift", 0.0), f"{kind} shift"))
     raise ValueError(f"unknown scalar function kind {kind!r}")
 
 
@@ -123,10 +174,11 @@ def matrix_function_to_json(mf: "curves.MatrixFunction") -> dict:
 
 
 def matrix_function_from_json(obj: dict) -> "curves.MatrixFunction":
-    _reject_unknown_keys(obj, ("terms",), "matrix function")
+    _reject_unknown_keys(_object(obj, "matrix function"), ("terms",), "matrix function")
     terms = []
-    for term in obj["terms"]:
-        _reject_unknown_keys(term, ("fun", "matrix"), "matrix function term")
+    for term in _list(obj["terms"], "matrix function terms"):
+        _reject_unknown_keys(_object(term, "matrix function term"), ("fun", "matrix"),
+                             "matrix function term")
         terms.append((scalar_function_from_json(term["fun"]), matrix_from_json(term["matrix"])))
     return curves.MatrixFunction(terms)
 
@@ -161,16 +213,18 @@ CURVE_VARIANTS = {
     "exp_line": (curves.ExpLine, {"A0": _MAT, "X": _MAT}),
     "tangent_induced": (curves.TangentInduced, {"B": _MAT, "V": _MAT}),
     "so2": (curves.So2, {}),
-    "lorentz11": (curves.Lorentz11, {"i": _Field(int, int, 1)}),
+    "lorentz11": (curves.Lorentz11, {"i": _Field(int, lambda x: _integer(x, "lorentz11 i"), 1)}),
     "heisenberg": (curves.Heisenberg, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
     "heisenberg_exp": (curves.HeisenbergExp, {"a": _FUN, "b": _FUN, "c": _FUN}),
     "sl2_iwasawa": (curves.Sl2Iwasawa, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
-    "flip_flop": (curves.FlipFlop, {"lambda": _Field(float, float, attr="lam")}),
+    "flip_flop": (curves.FlipFlop, {
+        "lambda": _Field(float, lambda x: _number(x, "flip_flop lambda"), attr="lam"),
+    }),
     "numeric": (curves.Numeric, {
         "A0": _MAT,
         "generator": _Field(_generator_to_json, matrix_function_from_json),
-        "h": _Field(float, float, 1e-3),
-        "horizon": _Field(float, float, 2.0),
+        "h": _Field(float, lambda x: _number(x, "numeric h"), 1e-3),
+        "horizon": _Field(float, lambda x: _number(x, "numeric horizon"), 2.0),
     }),
 }
 _VARIANT_OF = {cls: variant for variant, (cls, _) in CURVE_VARIANTS.items()}
@@ -188,7 +242,7 @@ def curve_to_json(c) -> dict:
 
 
 def curve_from_json(obj: dict):
-    variant = obj.get("variant")
+    variant = _object(obj, "curve").get("variant")
     if not isinstance(variant, str) or variant not in CURVE_VARIANTS:
         raise ValueError(f"unknown curve variant {variant!r}")
     cls, codecs = CURVE_VARIANTS[variant]

@@ -30,6 +30,10 @@ from .errors import DimensionMismatch, NonFiniteInput, SingularMatrix
 # entry-normalized copy (largest |entry| scaled to 1) falls at or below this.
 SINGULAR_TOL = 1e-12
 
+# Squarings behind `spectral_radius_estimate`: it bounds rho(M) by the
+# 256th root of ||M**256||.
+_SPECTRAL_SQUARINGS = 8
+
 # Order-13 diagonal Pade approximant of exp.  _PADE13_THETA is the largest
 # 1-norm for which the approximant alone stays at double-precision accuracy;
 # larger inputs are halved k times first and the result squared k times.
@@ -367,32 +371,35 @@ def det(M):
 
 
 class DetGauge(NamedTuple):
-    nonsingular: bool  # entry-normalized |det| above the tolerance
-    sign: int | None   # real: +-1 when nonsingular, else 0; None when complex
+    nonsingular: bool      # scaled_abs_det above SINGULAR_TOL
+    scaled_abs_det: float  # |det(M / max|m_ij|)|, 0.0 for the zero matrix
+    sign: int | None       # real: +-1 when nonsingular, else 0; None when complex
 
 
-def det_gauge(M, tol: float = SINGULAR_TOL) -> DetGauge:
+def det_gauge(M) -> DetGauge:
     """Decide invertibility and the determinant sign from one LU.
 
     The determinant is taken of the entry-normalized copy (largest |entry|
-    scaled to 1), so neither verdict is spoiled by an unscaled determinant
-    that underflows or overflows.  Near-singular matrices (scaled |det| <=
-    tol) are classified singular.  This is the library's one singularity
-    gauge and its one source of determinant signs: membership, component
-    signs, perfectness and inversion all decide through it.
+    scaled to 1), so neither verdict, nor the magnitude `scaled_abs_det`,
+    is spoiled by an unscaled determinant that underflows or overflows.
+    Near-singular matrices (scaled |det| <= SINGULAR_TOL) are singular.
+    This is the library's one singularity gauge and its one source of
+    determinant signs: membership, component signs, perfectness and
+    inversion all decide through it.
     """
     M = as_matrix(M)
     scale = np.max(np.abs(M))  # |det| of M / scale is scale-invariant
     d = np.linalg.det(M / scale) if scale != 0.0 else 0.0
-    nonsingular = float(abs(d)) > tol
+    scaled_abs_det = float(abs(d))
+    nonsingular = scaled_abs_det > SINGULAR_TOL
     if not is_real(M, 0.0):
-        return DetGauge(nonsingular, None)
-    return DetGauge(nonsingular, int(np.sign(d.real)) if nonsingular else 0)
+        return DetGauge(nonsingular, scaled_abs_det, None)
+    return DetGauge(nonsingular, scaled_abs_det, int(np.sign(d.real)) if nonsingular else 0)
 
 
-def is_nonsingular(M, tol: float = SINGULAR_TOL) -> bool:
+def is_nonsingular(M) -> bool:
     """Invertibility by the singularity gauge of `det_gauge`."""
-    return det_gauge(M, tol).nonsingular
+    return det_gauge(M).nonsingular
 
 
 def inv(M) -> np.ndarray:
@@ -407,13 +414,13 @@ def inv(M) -> np.ndarray:
     return np.linalg.solve(M, np.eye(M.shape[0], dtype=M.dtype))
 
 
-def spectral_radius_estimate(M, squarings: int = 8) -> float:
+def spectral_radius_estimate(M) -> float:
     """Upper estimate of the spectral radius via repeated squaring.
 
-    Returns ||M**(2**k)||**(1/2**k) in the 1-norm after k squarings
-    (default 8, i.e. the 256th power, renormalized in log space to avoid
-    overflow).  The value always lies between rho(M) and ||M||, so 1 over
-    it is a safe nonsingularity radius for I + t*M.
+    Returns ||M**(2**k)||**(1/2**k) in the 1-norm after k =
+    _SPECTRAL_SQUARINGS squarings (the 256th power, renormalized in log
+    space to avoid overflow).  The value always lies between rho(M) and
+    ||M||, so 1 over it is a safe nonsingularity radius for I + t*M.
     """
     M = as_matrix(M)
     nu = one_norm(M)
@@ -421,7 +428,7 @@ def spectral_radius_estimate(M, squarings: int = 8) -> float:
         return 0.0
     B = M / nu
     log_scale = float(np.log(nu))  # log ||M**(2**k)||, maintained per squaring
-    for k in range(1, squarings + 1):
+    for k in range(1, _SPECTRAL_SQUARINGS + 1):
         B = B @ B
         c = one_norm(B)
         if c == 0.0:
@@ -429,4 +436,4 @@ def spectral_radius_estimate(M, squarings: int = 8) -> float:
         B = B / c
         log_scale = 2.0 * log_scale + float(np.log(c))
         # invariant: M**(2**k) = exp(log_scale) * B with ||B|| = 1
-    return float(np.exp(log_scale / 2.0**squarings))
+    return float(np.exp(log_scale / 2.0**_SPECTRAL_SQUARINGS))

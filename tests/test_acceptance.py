@@ -223,11 +223,12 @@ def test_criterion_11_determinant_sign_constancy():
         A0[-1] = A0[0]  # exactly rank-deficient
         X = 0.5 * rng.normal(size=(n, n))
         prof = perfectness_profile(ExpLine(A0, X), grid)
-        worst_singular = max(worst_singular, max(s.abs_det for s in prof.samples))
-        ok = ok and not prof.all_perfect
+        worst_singular = max(worst_singular, max(s.scaled_abs_det for s in prof.samples))
+        # every slice, not just one, is gauge-singular
+        ok = ok and not prof.all_perfect and all(s.sign == 0 for s in prof.samples)
     ok = ok and worst_singular <= 1e-10
     report(11, "determinant sign constant along exp lines", ok,
-           f"singular max |det| {worst_singular:.2e}")
+           f"singular max scaled |det| {worst_singular:.2e}")
 
 
 def test_criterion_12_o11_component_separation():

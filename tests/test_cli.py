@@ -232,6 +232,54 @@ def test_curve_eval_rejects_an_unknown_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _generator_doc(fun):
+    return {"terms": [{"fun": fun, "matrix": {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}}]}
+
+
+# (subcommand, file flag, wrongly typed document, the field the message names)
+WRONGLY_TYPED = {
+    "coeffs_int": ("magnus", "--gen-spec", _generator_doc({"kind": "poly", "coeffs": 5}), "coeffs"),
+    "terms_int": ("magnus", "--gen-spec", {"terms": 5}, "terms"),
+    "curve_list": ("curve-eval", "--curve", [{"variant": "so2"}], "curve"),
+    "coeffs_str": ("magnus", "--gen-spec", _generator_doc({"kind": "poly", "coeffs": "12"}), "coeffs"),
+    "n_fraction": ("expm", None, {"n": 2.7, "real": [[1.0, 0.0], [0.0, 1.0]]}, "n"),
+    "lorentz_i_fraction": ("curve-eval", "--curve", {"variant": "lorentz11", "i": 2.9}, "i"),
+    "lambda_str": ("curve-eval", "--curve", {"variant": "flip_flop", "lambda": "2"}, "lambda"),
+    "scale_bool": ("magnus", "--gen-spec", _generator_doc({"kind": "sin", "scale": True}), "scale"),
+    "entry_str": ("expm", None, {"n": 1, "real": [["5"]]}, "real"),
+    "entry_bool": ("expm", None, {"n": 1, "real": [[True]]}, "real"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONGLY_TYPED))
+def test_cli_rejects_a_wrongly_typed_field(tmp_path, capsys, case):
+    subcommand, flag, doc, field = WRONGLY_TYPED[case]
+    path = write(tmp_path / "doc.json", doc)
+    argv = [subcommand, path] if flag is None else [subcommand, flag, path]
+    if subcommand == "magnus":
+        argv += ["--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(np.eye(2))), "--t", "1"]
+    elif subcommand == "curve-eval":
+        argv += ["--t", "0:1:0.5"]
+    code, report, err = invoke(capsys, *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert field in report["payload"]["message"]
+    assert len(err.splitlines()) == 1
+
+
+def test_typed_json_decoding_keeps_valid_documents():
+    # ints stand for floats, an integral float is an integer, and "imag" may be null
+    assert jsonio.matrix_from_json({"n": 2.0, "real": [[1, 0], [0, 1]], "imag": None}).dtype == float
+    assert jsonio.scalar_function_from_json({"kind": "cos", "scale": 2, "shift": -1}) == AffineArg(
+        "cos", 2.0, -1.0)
+    assert jsonio.curve_from_json({"variant": "lorentz11", "i": 3.0}).i == 3
+    assert jsonio.curve_from_json({"variant": "flip_flop", "lambda": 2}).lam == 2.0
+    with pytest.raises(ValueError, match="coords_real"):
+        jsonio.element_from_json({"coords_real": [1.0, "2"]})
+    with pytest.raises(ValueError, match="matrix function term"):
+        jsonio.matrix_function_from_json({"terms": [[1.0]]})
+
+
 def test_bare_callable_numeric_curve_is_not_serializable():
     c = Numeric(np.eye(2), lambda t: np.zeros((2, 2)), h=0.1, horizon=1.0)
     with pytest.raises(ValueError):

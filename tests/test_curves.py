@@ -329,7 +329,7 @@ def test_perfectness_profile_signs():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     degenerate = perfectness_profile(ExpLine(singular, X[:2, :2]), grid)
     assert not degenerate.all_perfect and not degenerate.passed
-    assert all(s.abs_det <= 1e-10 for s in degenerate.samples)
+    assert all(s.scaled_abs_det <= 1e-10 and s.sign == 0 for s in degenerate.samples)
 
 
 @pytest.mark.parametrize("M, sign", [

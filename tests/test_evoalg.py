@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from evolflow.curves import FlipFlop
+from evolflow.curves import Constant, ExpLine, FlipFlop, perfectness_profile
 from evolflow.errors import DimensionMismatch
 from evolflow.evoalg import (
     EvolutionAlgebra,
@@ -12,6 +13,8 @@ from evolflow.evoalg import (
     is_markov_algebra,
     is_perfect,
 )
+from evolflow.markov import random_rate_matrix
+from evolflow.matcore import det_gauge
 from oracles import brute_evo_mul
 
 
@@ -101,12 +104,67 @@ def test_evolution_operator_consistent_with_product():
 def test_perfectness():
     assert is_perfect(EvolutionAlgebra(np.eye(3))).perfect
     rank_one = is_perfect(EvolutionAlgebra(np.array([[1.0, 1.0], [1.0, 1.0]])))
-    assert not rank_one.perfect
-    assert rank_one.abs_det <= 1e-15
+    assert rank_one == (False, 0.0, 0)
     for alpha in (-2.0, 0.0, 5.0):
         rep = is_perfect(EvolutionAlgebra(np.array([[0.0, 1.0], [1.0, alpha]])))
-        assert rep.perfect
-        assert rep.abs_det == pytest.approx(1.0, abs=1e-14)
+        assert rep.perfect and rep.sign == -1
+        # det = -1 of the matrix, scaled by its largest entry max(1, |alpha|)
+        assert rep.scaled_abs_det == pytest.approx(1.0 / max(1.0, abs(alpha)) ** 2, rel=1e-14)
+
+
+def _gauge_specimens():
+    rng = np.random.default_rng(36)
+    dup = rng.normal(size=(4, 4))
+    dup[3] = dup[1]  # exactly rank-deficient
+    return [
+        rng.normal(size=(3, 3)),
+        rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+        dup,
+        0.01 * np.eye(200),
+        1e-110 * np.eye(3),
+        -1e-110 * np.eye(3),
+        1e150 * np.diag([1.0, 1.0, -1.0]),
+    ]
+
+
+@pytest.mark.parametrize("M", _gauge_specimens(), ids=[
+    "real", "complex", "duplicated_row", "0.01_I200", "1e-110_I", "-1e-110_I", "1e150_diag"])
+def test_is_perfect_profile_and_gauge_agree(M):
+    gauge = det_gauge(M)
+    rep = is_perfect(EvolutionAlgebra(M))
+    assert rep == (gauge.nonsingular, gauge.scaled_abs_det, gauge.sign)
+    (sample,) = perfectness_profile(Constant(M), [0.5]).samples
+    assert sample == (0.5, rep.scaled_abs_det, rep.sign)
+
+
+def test_perfectness_takes_one_lu_per_slice(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counted(a):
+        calls.append(1)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    rng = np.random.default_rng(37)
+    X = 0.5 * rng.normal(size=(3, 3))
+    is_perfect(EvolutionAlgebra(rng.normal(size=(3, 3))))
+    assert len(calls) == 1
+    grid = np.linspace(-1.0, 1.0, 9)
+    calls.clear()
+    perfectness_profile(ExpLine(rng.normal(size=(3, 3)), X), grid)
+    assert len(calls) == len(grid)
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_is_perfect_on_large_rate_matrices_warns_nothing(n):
+    # the unscaled det of these overflows at n >= 200; the gauge's does not
+    Q = random_rate_matrix(n, rng=n).Q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = is_perfect(EvolutionAlgebra(Q))
+    assert not rep.perfect and rep.sign == 0  # rows sum to zero
+    assert rep.scaled_abs_det <= 1e-12
 
 
 def test_markov_recognition():

@@ -33,6 +33,11 @@ def matrix_functions(draw):
     return MatrixFunction([(f, rng.normal(size=(n, n))) for f in terms])
 
 
+# The drawn coefficients reach e^21 over the horizon, so some trajectories
+# overflow (inf, then NaN from inf - inf); march and the per-step loop must
+# still agree bit for bit.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
     mf=matrix_functions(),

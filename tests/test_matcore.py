@@ -115,14 +115,17 @@ def test_det_against_cofactor_oracle():
 
 
 def test_det_gauge_encoding():
-    assert det_gauge(np.diag([2.0, 3.0])) == (True, 1)
-    assert det_gauge(np.diag([-2.0, 3.0])) == (True, -1)
-    assert det_gauge(np.ones((2, 2))) == (False, 0)
-    assert det_gauge(np.zeros((3, 3))) == (False, 0)
-    assert det_gauge(np.eye(2) * (1.0 + 1j)) == (True, None)
-    assert det_gauge(np.ones((2, 2)) * 1j) == (False, None)
+    # (nonsingular, |det(M / max|m_ij|)|, sign); 1.0 and 0.0 are exact,
+    # the other magnitudes hold to rounding
+    third = pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert det_gauge(np.diag([2.0, 3.0])) == (True, third, 1)
+    assert det_gauge(np.diag([-2.0, 3.0])) == (True, third, -1)
+    assert det_gauge(np.ones((2, 2))) == (False, 0.0, 0)
+    assert det_gauge(np.zeros((3, 3))) == (False, 0.0, 0)
+    assert det_gauge(np.eye(2) * (1.0 + 1j)) == (True, pytest.approx(1.0, rel=1e-15), None)
+    assert det_gauge(np.ones((2, 2)) * 1j) == (False, 0.0, None)
     # complex dtype with no imaginary mass is real
-    assert det_gauge(np.eye(2).astype(complex)) == (True, 1)
+    assert det_gauge(np.eye(2).astype(complex)) == (True, 1.0, 1)
 
 
 @pytest.mark.parametrize("M, sign", [
@@ -133,7 +136,7 @@ def test_det_gauge_encoding():
     (1e150 * np.diag([1.0, 1.0, -1.0]), -1),
 ])
 def test_det_gauge_sign_survives_an_unscaled_determinant_out_of_range(M, sign):
-    assert det_gauge(M) == (True, sign)
+    assert det_gauge(M) == (True, 1.0, sign)
     assert is_nonsingular(M)
 
 

@@ -35,7 +35,8 @@ MAX_GRID_POINTS = 10**6
 def parse_grid(spec: str) -> list:
     """Parse "a:b:step" (inclusive, step > 0) or a JSON list/number.
 
-    Every value must be finite and the grid at most MAX_GRID_POINTS long.
+    Every value must be finite, a list entry a JSON number (not a string
+    or a boolean), and the grid at most MAX_GRID_POINTS long.
     """
     s = spec.strip()
     try:
@@ -45,10 +46,10 @@ def parse_grid(spec: str) -> list:
     if isinstance(val, (int, float)) and not isinstance(val, bool):
         val = [val]
     if isinstance(val, list):
-        try:
-            out = [float(x) for x in val]
-        except (TypeError, ValueError) as exc:
-            raise BadGrid(f"grid list has non-numeric entries: {spec!r}") from exc
+        # JSON numbers only, as in the file formats: no strings or booleans
+        if not all(map(jsonio._is_number, val)):
+            raise BadGrid(f"grid list has non-numeric entries: {spec!r}")
+        out = [float(x) for x in val]
         if not 0 < len(out) <= MAX_GRID_POINTS or not all(map(math.isfinite, out)):
             raise BadGrid(f"a grid list needs 1 to {MAX_GRID_POINTS} finite entries")
         return out
@@ -270,8 +271,8 @@ def _cmd_markov_validate(args):
 def _cmd_markov_balance(args):
     rate = markov.validate_rate(jsonio.load_matrix(args.rate))
     with open(args.pi, "r", encoding="utf-8") as fh:
-        pi = markov.StationaryDistribution(json.load(fh))
-    rep = markov.detailed_balance(rate, pi, args.tol)
+        probs = jsonio._numbers(json.load(fh), "stationary distribution")
+    rep = markov.detailed_balance(rate, markov.StationaryDistribution(probs), args.tol)
     return ("pass" if rep.passed else "fail"), {"balance": rep.defect}, {"tol": args.tol}
 
 

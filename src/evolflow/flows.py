@@ -6,7 +6,9 @@ each one a structure-matrix curve staying in the base point's connected
 component.  The module also owns fixed-step integration of the
 time-dependent problem A' = A X(t): `march` is the one classical
 4th-order marching loop, used by `integrate_right` and by the Numeric
-curve's trajectory table.  Finally it evaluates the closed-form solution
+curve's trajectory table.  It is a fold over per-step propagators,
+A_{k+1} = A_k @ P_k, with each block's P_k from one stacked
+`_stepper.rk4_step` call.  Finally it evaluates the closed-form solution
 A0 exp(integral of X) available when X(t) commutes with its integral.
 
 Both `march` and the Simpson rule of `commuting_magnus` evaluate the
@@ -160,21 +162,43 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     on the horizon.  The steps are taken a block of CHUNK_ENTRIES / (3 n^2)
     at a time: the generator is tabulated at the block's times, each
     distinct time once (a time shared with the previous block is not
-    evaluated again), then the block is stepped through.  Returns the node
-    times and the matrices there; the first node is (0, a copy of A0).
+    evaluated again).  One stacked `rk4_step` call from the identity gives
+    the block's propagators P_k, and the block is folded in one product a
+    node, A_{k+1} = A_k @ P_k, the product `rk4_step` ends with.  A run of
+    steps whose generator values differ in dtype from the previous step's
+    is stacked on its own, so no value is upcast by its neighbours'.
+
+    The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
+    adds only zeros to a finite P_k.  A column of P_k that overflows turns
+    to NaN in I @ P_k, so the same node entries are non-finite, NaN where
+    the per-step loop may hold an infinity.  Returns the node times and the
+    matrices there; the first node is (0, a copy of A0).
     """
     n = A0.shape[0]
     per_block = max(1, _stepper.CHUNK_ENTRIES // (3 * n * n))
     steps = itertools.pairwise(_nodes(h, horizon, direction))
     ts, ms, A, X = [0.0], [A0.copy()], A0, {}
+    I = np.eye(n)
     while block := list(itertools.islice(steps, per_block)):
-        # the times `rk4_step` passes to its generator, in call order
-        X = tabulate(fun, n, [s for t, nxt in block
-                              for s in (t, t + 0.5 * (nxt - t), t + (nxt - t))], X)
-        for t, nxt in block:
-            A = rk4_step(A, t, nxt - t, X.__getitem__)
-            ts.append(nxt)
-            ms.append(A)
+        t, nxt = np.array(block).T[:, :, None, None]  # (k, 1, 1) each: every step's ends
+        dt = nxt - t
+        # the times `rk4_step` passes to its generator, in call order, one row a step
+        times = np.concatenate((t, t + 0.5 * dt, t + dt), axis=1)
+        X = tabulate(fun, n, times.ravel().tolist(), X)
+        kinds = [None] * len(block)  # one run while every value has one dtype
+        if len({V.dtype for V in X.values()}) > 1:
+            kinds = [(X[a].dtype, X[b].dtype, X[c].dtype)
+                     for a, b, c in times.reshape(-1, 3).tolist()]
+        stop = 0
+        for _, run in itertools.groupby(kinds):
+            start, stop = stop, stop + sum(1 for _ in run)
+            # gen stacks the tabulated values at the (k, 1, 1) times it is asked for
+            P = rk4_step(I, t[start:stop], dt[start:stop],
+                         lambda s: np.array([X[x] for x in s.ravel().tolist()]))
+            for Pk in P:
+                A = A @ Pk
+                ms.append(A)
+        ts.extend(nxt.ravel().tolist())
     return ts, ms
 
 

@@ -6,7 +6,10 @@ the algebra product expands bilinearity over all basis pairs, and matrix
 validation is written with numpy's generic predicates.  The RK4 march is
 the exception: it reuses `rk4_step`, but evaluates the generator
 through `checked_generator` at every one of its four calls a step, with
-no table of values in between.  `per_call_axioms_report` is the other
+no table of values in between.  `a_form_rk4_step` is the step as it was
+before it took the propagator form, A + h/6 (k1 + 2 k2 + 2 k3 + k4) with
+k1 = A X(t), k2 = (A + h/2 k1) X(t + h/2) and so on: the same method,
+rounded differently, kept as the reference for that rounding change.  `per_call_axioms_report` is the other
 exception: `markov.axioms_report` as it was when it took one `expm` per
 distinct time, kept verbatim as the reference for its results and its
 peak memory.
@@ -64,7 +67,16 @@ def brute_evo_mul(A, x, y):
     return out
 
 
-def per_step_march(fun, A0, h, horizon, direction):
+def a_form_rk4_step(A, t, h, gen):
+    """One classical Runge-Kutta step of size h from (t, A), in the A form."""
+    k1 = A @ gen(t)
+    k2 = (A + 0.5 * h * k1) @ gen(t + 0.5 * h)
+    k3 = (A + 0.5 * h * k2) @ gen(t + 0.5 * h)
+    k4 = (A + h * k3) @ gen(t + h)
+    return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def per_step_march(fun, A0, h, horizon, direction, step=rk4_step):
     """RK4 nodes (ts, ms) calling the checked generator four times a step."""
     gen = checked_generator(fun, A0.shape[0])
     ts, ms = [0.0], [A0.copy()]
@@ -73,7 +85,7 @@ def per_step_march(fun, A0, h, horizon, direction):
     while direction * t < horizon - 1e-12:
         k += 1
         nxt = direction * min(k * h, horizon)
-        A = rk4_step(A, t, nxt - t, gen)
+        A = step(A, t, nxt - t, gen)
         t = nxt
         ts.append(t)
         ms.append(A)

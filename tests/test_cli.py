@@ -83,6 +83,22 @@ def test_parse_grid_rejects(bad):
         parse_grid(bad)
 
 
+@pytest.mark.parametrize("bad", ['["0.5", true]', '["0.5"]', "[true]", "[0, false]", "[[0.5]]", "[null]"])
+def test_a_grid_list_takes_json_numbers_only(tmp_path, capsys, bad):
+    with pytest.raises(BadGrid):
+        parse_grid(bad)
+    curve = write(tmp_path / "c.json", {"variant": "so2"})
+    code, report, err = invoke(capsys, "curve-eval", "--curve", curve, "--t", bad)
+    assert code == 2
+    assert report["status"] == "error"
+    assert err.splitlines() == [f"evolflow curve-eval: BadGrid: {report['payload']['message']}"]
+
+
+def test_a_grid_list_keeps_integers_and_floats():
+    assert parse_grid("[0, 1, -2, 0.5, 1e3]") == [0.0, 1.0, -2.0, 0.5, 1000.0]
+    assert parse_grid("3") == [3.0]
+
+
 def test_parse_grid_range_points_are_exact():
     assert parse_grid("0:4:0.25") == [0.25 * k for k in range(17)]
     assert parse_grid("-2:2:0.1") == [min(-2.0 + k * 0.1, 2.0) for k in range(41)]
@@ -511,6 +527,17 @@ def test_markov_balance(tmp_path, capsys):
     code, report, _ = invoke(capsys, "markov-balance", "--rate", rate, "--pi", pi)
     assert code == 0
     assert report["residuals"]["balance"] == 0.0
+
+
+@pytest.mark.parametrize("bad", [{"a": 1}, ["0.5", "0.5"], [0.5, True], "0.5", 0.5, [[0.5, 0.5]]])
+def test_markov_balance_takes_a_list_of_json_numbers(tmp_path, capsys, bad):
+    rate = write(tmp_path / "q.json", {"n": 2, "real": [[-1.0, 1.0], [1.0, -1.0]]})
+    pi = write(tmp_path / "pi.json", bad)
+    code, report, err = invoke(capsys, "markov-balance", "--rate", rate, "--pi", pi)
+    assert code == 2
+    assert report["status"] == "error"
+    assert "stationary distribution" in report["payload"]["message"]
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_flow_orbit_csv(tmp_path, capsys):

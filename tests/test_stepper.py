@@ -2,11 +2,15 @@
 
 `march`, `integrate_right` and the `Numeric` table take their RK4 steps a
 block at a time, reading the generator from `_stepper.tabulate` at each
-block's distinct times; `commuting_magnus` sums its Simpson nodes a block
-at a time.  The references (`oracles.per_step_march` and the Simpson loops
+block's distinct times and taking the block's propagators from one stacked
+`rk4_step` call; `commuting_magnus` sums its Simpson nodes a block at a
+time.  The references (`oracles.per_step_march` and the Simpson loops
 below) evaluate the generator one call at a time through
 `checked_generator`: four calls per RK4 step and one per Simpson node.
-The blocks must give the same bytes and raise the same errors.
+The blocks must give the same bytes and raise the same errors.  The step's
+propagator form A @ P rounds differently from the A form it replaced
+(`oracles.a_form_rk4_step`); the two must agree to rounding, and RK4 must
+converge at order 4.
 """
 
 import math
@@ -21,7 +25,7 @@ from evolflow.curves import AffineArg, MatrixFunction, Numeric, Poly
 from evolflow.errors import DimensionMismatch, NonFiniteGenerator
 from evolflow.flows import IntegratorConfig, commuting_magnus, integrate_right, march
 from evolflow.matcore import expm, frob_norm
-from oracles import per_step_march
+from oracles import a_form_rk4_step, per_step_march
 
 H, T = 0.03, 1.37  # h does not divide the horizon: the last step is short
 
@@ -134,6 +138,93 @@ def test_commuting_magnus_is_bit_identical(t):
     for fun in (two_terms, lambda s: two_terms(s), MatrixFunction([(AffineArg("sin", 3.0), Q)])):
         got = commuting_magnus(fun, A0, t)
         assert got.tobytes() == reference_magnus(fun, A0, t).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("complex_terms", [False, True])
+def test_one_stacked_step_equals_its_per_slice_calls(n, complex_terms):
+    mf = generators(n=n, seed=n, complex_terms=complex_terms)["matrix_function"]
+    rng = np.random.default_rng(n)
+    t = rng.uniform(-2.0, 2.0, size=(40, 1, 1))
+    h = rng.uniform(-0.1, 0.1, size=(40, 1, 1))
+    for A in (np.eye(n), np.eye(n) + 0.1 * rng.normal(size=(n, n))):
+        P = rk4_step(A, t, h, lambda s: mf.at(s.ravel().tolist()))
+        assert P.shape == (40, n, n)
+        for k in range(40):
+            assert P[k].tobytes() == rk4_step(A, float(t[k, 0, 0]), float(h[k, 0, 0]), mf).tobytes()
+
+
+def real_then_complex(t):
+    X = np.array([[0.1, 1.0], [-1.0, 0.2]])
+    return X if t < 0.5 else X + 0.3j * np.eye(2)
+
+
+def complex_then_real(t):
+    return real_then_complex(1.0 - t)
+
+
+def int_then_float(t):
+    X = np.array([[0, 1], [-1, 0]])
+    return X if t < 0.5 else X + 0.1
+
+
+def float32_then_float64(t):
+    X = np.array([[0.1, 1.0], [-1.0, 0.2]])
+    return X.astype(np.float32) if t < 0.5 else X
+
+
+@pytest.mark.parametrize("fun", [real_then_complex, complex_then_real, int_then_float,
+                                 float32_then_float64])
+def test_a_block_of_mixed_dtypes_steps_as_the_per_step_loop(fun):
+    # one block holds every step: a step stacked with its neighbours' values
+    # would take their dtype (a real step upcast to complex)
+    ts, ms = march(fun, np.eye(2), 1e-2, 1.0, 1.0)
+    want_ts, want_ms = per_step_march(fun, np.eye(2), 1e-2, 1.0, 1.0)
+    assert ts == want_ts and len(ms) == 101
+    assert [M.dtype for M in ms] == [W.dtype for W in want_ms]
+    assert [M.tobytes() for M in ms] == [W.tobytes() for W in want_ms]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("M", [[[0.0, 1.0], [-1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]], [[2.0, 0.0], [0.0, -1.0]]])
+@pytest.mark.parametrize("scale", [1e60, 1e100, 1e200])
+def test_an_overflowing_propagator_leaves_the_same_entries_non_finite(M, scale):
+    # P is taken from the identity, and I @ P turns an infinite column of P
+    # into NaN: the finite entries stay bit for bit, the others non-finite
+    fun = lambda t: scale * (1.0 + t) * np.array(M)  # noqa: E731
+    A0 = np.eye(2) + 0.1
+    _, ms = march(fun, A0, 0.1, 0.5, 1.0)
+    _, want = per_step_march(fun, A0, 0.1, 0.5, 1.0)
+    assert not np.isfinite(want[-1]).all()
+    for got, W in zip(ms, want):
+        finite = np.isfinite(W)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert got[finite].tobytes() == W[finite].tobytes()
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+@pytest.mark.parametrize("complex_terms", [False, True])
+def test_the_propagator_form_rounds_within_1e13_of_the_a_form(n, complex_terms, direction):
+    # the one declared numerical change: A @ P instead of A + h/6 (k1 + ...)
+    mf = generators(n=n, complex_terms=complex_terms)["matrix_function"]
+    A0 = np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / n
+    _, ms = march(mf, A0, 1e-3, 2.0, direction)
+    _, want = per_step_march(mf, A0, 1e-3, 2.0, direction, step=a_form_rk4_step)
+    assert len(ms) == len(want) == 2001
+    assert max(frob_norm(M - W) / frob_norm(W) for M, W in zip(ms, want)) <= 1e-13
+
+
+def test_rk4_converges_at_order_four():
+    # X(t) = cos(3t) B1 + t B2 in so(3); halving h divides the error by 2^4
+    rng = np.random.default_rng(0)
+    M1, M2 = rng.normal(size=(2, 3, 3))
+    mf = MatrixFunction([(AffineArg("cos", 3.0), M1 - M1.T), (Poly((0.0, 1.0)), M2 - M2.T)])
+    final = lambda h: march(mf, np.eye(3), h, 2.0, 1.0)[1][-1]  # noqa: E731
+    reference = final(0.1 / 64)
+    errors = [frob_norm(final(h) - reference) for h in (0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(math.log2(coarse / fine) - 4.0) < 0.1
 
 
 def count_blocks(monkeypatch):
@@ -257,7 +348,7 @@ def test_a_table_chunk_stays_within_its_entry_budget(monkeypatch):
     sizes = []
     evaluate = _stepper._evaluate
     monkeypatch.setattr(_stepper, "_evaluate", lambda f, n, ts: sizes.append(len(ts)) or evaluate(f, n, ts))
-    # n = 60: 72 times a chunk, 401 distinct times in 200 steps
+    # n = 60: 6 steps and at most 13 distinct times a chunk, 401 in 200 steps
     march(generators(n=60)["matrix_function"], np.eye(60), 1e-2, 2.0, 1.0)
     assert len(sizes) > 1 and max(sizes) * 60 * 60 <= _stepper.CHUNK_ENTRIES
     assert sum(sizes) == len(set(rk4_times(1e-2, 2.0, 1.0)))

@@ -1,19 +1,26 @@
 """One classical 4th-order Runge-Kutta step for A'(t) = A(t) X(t), and the
-tabulation of generator values that marching and quadrature read.
+array table of generator values that marching reads.
 
 The equation is linear in A, so `rk4_step` computes the step's propagator
 P(t, h), the step taken from the identity, and returns A @ P.  Given
 (k, 1, 1) arrays of times and steps and a generator that gives (k, n, n)
 stacks, one call computes k propagators.  `tabulate` evaluates a generator
 once per distinct time of a block of times, with the checks
-`checked_generator` makes on each single value.  `flows.march` takes its
-steps a block at a time: it tabulates each block's times, takes the
-block's propagators from one stacked `rk4_step` call and folds them in,
-one product a node.  `flows._simpson_matrix` sums its quadrature nodes a
-block at a time.
+`checked_generator` makes on each single value, into a `Table`: the
+distinct times sorted, and their values stacked (k, n, n).  Called on a
+(k, 1, 1) array of times, the table gives their values in one gather,
+`values[searchsorted(times, s)]`, and a time it does not hold raises
+rather than take a neighbour's value.  `flows.march` takes its steps a
+block at a time: it tabulates each block's times, takes the block's
+propagators from one stacked `rk4_step` call, whose four generator calls
+are four gathers, and folds them in, one product a node.
+`flows._simpson_matrix` weights a block of quadrature nodes at once and
+adds them in node order.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +50,15 @@ def checked_generator(fun, n: int):
     return gen
 
 
-def _evaluate(fun, n: int, ts: list):
+def _evaluate(fun, n: int, ts):
     """fun at each time of ts; the first bad time raises as `checked_generator` does.
 
     A callable with an `at(ts)` method gives the values stacked, (len(ts),
     n, n), checked once for shape and once for finiteness.  Anything else,
     and a stack that fails a check or raises, is evaluated one time at a
     time in order, so the first failure in time order is the one raised.
+    Values evaluated one time at a time come back as one stack when they
+    share a dtype, else as the list of them.
     """
     if hasattr(fun, "at"):
         try:
@@ -59,20 +68,77 @@ def _evaluate(fun, n: int, ts: list):
         if stack is not None and stack.shape[1:] == (n, n) and np.isfinite(stack).all():
             return stack
     gen = checked_generator(fun, n)
-    return [gen(t) for t in ts]
+    return _stacked([gen(t) for t in ts], n)
 
 
-def tabulate(fun, n: int, times, known=None) -> dict:
-    """fun at each distinct time of `times`, keyed by time in first-use order.
+def _stacked(values: list, n: int):
+    # one (k, n, n) array when the values share a dtype, else the list itself
+    if len({V.dtype for V in values}) > 1:
+        return values
+    return np.array(values) if values else np.empty((0, n, n))
 
-    Each time not in `known` is evaluated once, all of them in one
-    `_evaluate` call; a time in `known` takes its value from there.
+
+class Table(NamedTuple):
+    """A generator's values at distinct times, read by exact time.
+
+    `times` holds the times sorted, `values` the value at each: one
+    (k, n, n) array, or a list of k arrays when their dtypes differ, so no
+    value is upcast by another's.  Called on a time it gives that time's
+    value; on a (k, 1, 1) array of times, the stack of their values, one
+    gather.  A time not in the table raises KeyError.
     """
-    known = known or {}
-    table = {t: known.get(t) for t in times}
-    fresh = [t for t, X in table.items() if X is None]
-    table.update(zip(fresh, _evaluate(fun, n, fresh)))
-    return table
+
+    times: np.ndarray
+    values: np.ndarray | list
+
+    def find(self, s) -> np.ndarray:
+        """The position of each time of s in `times`, -1 where it is not there."""
+        idx = self.times.searchsorted(s)
+        return np.where(self.times.take(idx, mode="clip") == s, idx, -1)
+
+    def rows(self, idx):
+        """The values at positions idx (an index array), stacked unless their dtypes differ."""
+        if isinstance(self.values, np.ndarray):
+            return self.values[idx]
+        return _stacked([self.values[i] for i in idx.tolist()], self.values[0].shape[0])
+
+    def __call__(self, s):
+        idx = self.times.searchsorted(s)
+        hit = self.times.take(idx, mode="clip") == s
+        if idx.ndim == 0 and hit:
+            return self.values[idx]
+        if idx.ndim and hit.all():
+            return self.rows(idx.reshape(-1))
+        raise KeyError(f"no tabulated generator value at t={np.ravel(s)[~np.ravel(hit)][0]}")
+
+
+def tabulate(fun, n: int, times, known: Table | None = None) -> Table:
+    """fun at each distinct time of `times` (any shape), as a Table.
+
+    The times not in `known` are evaluated once each, in first-use order,
+    in one `_evaluate` call; a time in `known` takes its value from there.
+    """
+    distinct, first = np.unique(times, return_index=True)
+    fresh = first.argsort()  # positions in `distinct`, in first-use order
+    parts = []
+    if known is not None:
+        old = known.find(distinct)
+        fresh = fresh[old[fresh] < 0]
+        kept = np.flatnonzero(old >= 0)
+        if kept.size:
+            parts.append((kept, known.rows(old[kept])))
+    parts.append((fresh, _evaluate(fun, n, distinct[fresh].tolist())))
+    if all(isinstance(V, np.ndarray) for _, V in parts) and len({V.dtype for _, V in parts}) == 1:
+        values = np.empty((len(distinct), n, n), parts[0][1].dtype)
+        for idx, V in parts:
+            values[idx] = V
+    else:
+        values = [None] * len(distinct)
+        for idx, V in parts:
+            for i, X in zip(idx.tolist(), V):
+                values[i] = X
+        values = _stacked(values, n)
+    return Table(distinct, values)
 
 
 def rk4_step(A: np.ndarray, t, h, gen) -> np.ndarray:

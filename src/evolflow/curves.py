@@ -150,20 +150,36 @@ class MatrixFunction:
         """The values at each time of ts, stacked with shape (len(ts), n, n).
 
         A row does not depend on the other times, so it is bit-identical to
-        calling the function at its time: each coefficient is the same
-        `f.value(t)` float (no vectorised ufunc, whose rounding may differ),
-        and the terms are added in term order.
+        calling the function at its time: each coefficient is the float
+        `f.value(t)` gives, and the terms are added in term order.  A
+        catalog coefficient is computed for all of ts at once: its
+        constants are read once, its float arithmetic (the affine argument,
+        Horner's rule) runs on the whole array in the order `value` runs
+        it, and sin/cos/exp/cosh/sinh stay one scalar `math` call per
+        time, since numpy's vectorised ones may round differently and
+        `math.exp` raises OverflowError where numpy would give inf.
         """
-        (f, M), *rest = self.terms
-        acc = _coefficients(f, ts) * M
-        for f, M in rest:
-            acc = acc + _coefficients(f, ts) * M
+        ts = np.asarray(ts, dtype=float)
+        with np.errstate(all="ignore"):  # float arithmetic overflows silently, as in Python
+            (c, M), *rest = [(_coefficients(f, ts), M) for f, M in self.terms]
+        acc = c * M
+        for c, M in rest:
+            acc = acc + c * M
         return acc
 
 
-def _coefficients(f: ScalarFunction, ts) -> np.ndarray:
-    # f at each time of ts, shaped to scale a stack of matrices
-    return np.array([f.value(t) for t in ts], dtype=float).reshape(-1, 1, 1)
+def _coefficients(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:
+    # f.value at each time of ts, bit for bit, shaped to scale a stack of matrices
+    if type(f) is AffineArg:
+        u = (f.scale * ts + f.shift).tolist()
+        c = np.fromiter(map(_VALUE[f.kind], u), float, len(u))
+    elif type(f) is Poly:
+        c = np.zeros(len(ts))
+        for coeff in reversed(f.coeffs):
+            c = c * ts + coeff
+    else:
+        c = np.array([f.value(t) for t in ts.tolist()], dtype=float)
+    return c.reshape(-1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +445,11 @@ class Numeric(Curve):
 
     A dense trajectory table with nodes at +-k*h is integrated once at
     construction (`flows.march` in both time directions) and is read-only
-    afterwards; evaluation takes one partial step off the nearest stored
-    node.  Derivatives are central differences with step _FD_STEP (1e-5).
-    Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
+    afterwards; evaluation takes one partial RK4 step off the stored node
+    at or below t, reading the generator from a `_stepper.tabulate` table
+    of the step's three times.  Derivatives are central differences with
+    step _FD_STEP (1e-5).  Evaluation outside the horizon, or at NaN,
+    raises HorizonExceeded.
     """
 
     A0: np.ndarray = field(repr=False)
@@ -459,12 +477,12 @@ class Numeric(Curve):
             raise HorizonExceeded(f"t={t} outside integrated horizon [-{self.horizon}, {self.horizon}]")
         idx = int(np.searchsorted(self._ts, t, side="right")) - 1
         idx = min(max(idx, 0), len(self._ts) - 1)
-        t0, A = self._ts[idx], self._table[idx]
+        t0, A = float(self._ts[idx]), self._table[idx]
         dt = t - t0
         if dt == 0.0:
             return A.copy()
         X = tabulate(self.generator, self.n, [t0, t0 + 0.5 * dt, t0 + dt])
-        return rk4_step(A, t0, dt, X.__getitem__)
+        return rk4_step(A, t0, dt, X)
 
     def derivative(self, t):
         if abs(t) + _FD_STEP > self.horizon + 1e-12:

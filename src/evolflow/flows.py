@@ -14,8 +14,9 @@ A0 exp(integral of X) available when X(t) commutes with its integral.
 Both `march` and the Simpson rule of `commuting_magnus` evaluate the
 generator a block of bounded size at a time (`_stepper.CHUNK_ENTRIES`
 entries), checked as `checked_generator` checks: `march` tabulates each
-distinct time of a block of steps once, and the Simpson rule sums a block
-of nodes by position.
+distinct time of a block of steps once into an array table and reads it
+with one gather per RK4 stage, and the Simpson rule weights a block of
+nodes at once and adds them to its sum in node order.
 """
 
 from __future__ import annotations
@@ -144,14 +145,21 @@ def flow_line(flow: Flow, A, grid, tol: float = 1e-9) -> FlowLine:
     return FlowLine(A, tuple(samples))
 
 
-def _nodes(h: float, horizon: float, direction: float):
-    # node k at direction * min(k h, horizon), yielded one at a time
-    t, k = 0.0, 0
-    yield t
-    while direction * t < horizon - 1e-12:
-        k += 1
-        t = direction * min(k * h, horizon)
-        yield t
+def _nodes(h: float, horizon: float, direction: float, per_block: int):
+    # node k at direction * min(k h, horizon), up to the first node within
+    # min(1e-12, 1e-9 h) of the horizon (a margin that scales with a tiny h),
+    # yielded a block of per_block steps at a time: an array holding the
+    # previous block's last node and the block's new ones
+    margin = min(1e-12, 1e-9 * h)
+    last, k = 0.0, 0
+    while direction * last < horizon - margin:
+        m = np.minimum(np.arange(k + 1, k + 1 + per_block) * h, horizon)
+        short = m < horizon - margin
+        if not short.all():
+            m = m[:np.argmin(short) + 1]
+        block = np.concatenate(([last], direction * m))
+        yield block
+        last, k = block[-1], k + len(m)
 
 
 def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
@@ -160,13 +168,16 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     Node k sits at direction * min(k h, horizon), so the nodes carry no
     accumulated rounding and the final, possibly short, step lands exactly
     on the horizon.  The steps are taken a block of CHUNK_ENTRIES / (3 n^2)
-    at a time: the generator is tabulated at the block's times, each
-    distinct time once (a time shared with the previous block is not
-    evaluated again).  One stacked `rk4_step` call from the identity gives
-    the block's propagators P_k, and the block is folded in one product a
-    node, A_{k+1} = A_k @ P_k, the product `rk4_step` ends with.  A run of
-    steps whose generator values differ in dtype from the previous step's
-    is stacked on its own, so no value is upcast by its neighbours'.
+    at a time, the block's node times computed as one array when the march
+    reaches it.  The generator is tabulated at the block's times into an
+    array table (`_stepper.tabulate`), each distinct time once (a time
+    shared with the previous block is not evaluated again).  One stacked
+    `rk4_step` call from the identity gives the block's propagators P_k,
+    each of its four generator calls one gather from the table, and the
+    block is folded in one product a node, A_{k+1} = A_k @ P_k, the
+    product `rk4_step` ends with, written into the block's output.  A run
+    of steps whose generator values differ in dtype from the previous
+    step's is stacked on its own, so no value is upcast by its neighbours'.
 
     The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
     adds only zeros to a finite P_k.  A column of P_k that overflows turns
@@ -176,29 +187,28 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     """
     n = A0.shape[0]
     per_block = max(1, _stepper.CHUNK_ENTRIES // (3 * n * n))
-    steps = itertools.pairwise(_nodes(h, horizon, direction))
-    ts, ms, A, X = [0.0], [A0.copy()], A0, {}
+    ts, ms, A, X = [0.0], [A0.copy()], A0, None
     I = np.eye(n)
-    while block := list(itertools.islice(steps, per_block)):
-        t, nxt = np.array(block).T[:, :, None, None]  # (k, 1, 1) each: every step's ends
+    for nodes in _nodes(h, horizon, direction, per_block):
+        t, nxt = nodes[:-1, None, None], nodes[1:, None, None]  # (k, 1, 1) each: every step's ends
         dt = nxt - t
         # the times `rk4_step` passes to its generator, in call order, one row a step
         times = np.concatenate((t, t + 0.5 * dt, t + dt), axis=1)
-        X = tabulate(fun, n, times.ravel().tolist(), X)
-        kinds = [None] * len(block)  # one run while every value has one dtype
-        if len({V.dtype for V in X.values()}) > 1:
-            kinds = [(X[a].dtype, X[b].dtype, X[c].dtype)
-                     for a, b, c in times.reshape(-1, 3).tolist()]
+        X = tabulate(fun, n, times, X)
+        runs = [len(t)]  # one run while every value has one dtype
+        if isinstance(X.values, list):
+            kinds = [X.values[i].dtype for i in X.find(times.ravel()).tolist()]
+            runs = [len(list(run)) for _, run in
+                    itertools.groupby(zip(kinds[::3], kinds[1::3], kinds[2::3]))]
         stop = 0
-        for _, run in itertools.groupby(kinds):
-            start, stop = stop, stop + sum(1 for _ in run)
-            # gen stacks the tabulated values at the (k, 1, 1) times it is asked for
-            P = rk4_step(I, t[start:stop], dt[start:stop],
-                         lambda s: np.array([X[x] for x in s.ravel().tolist()]))
-            for Pk in P:
-                A = A @ Pk
-                ms.append(A)
-        ts.extend(nxt.ravel().tolist())
+        for size in runs:
+            start, stop = stop, stop + size
+            P = rk4_step(I, t[start:stop], dt[start:stop], X)
+            out = np.empty(P.shape, np.result_type(A, P))
+            for Pk, Ak in zip(P, out):
+                A = np.matmul(A, Pk, Ak)  # out=Ak, passed by position: the keyword costs 10%
+            ms.extend(out)
+        ts.extend(nodes[1:].tolist())
     return ts, ms
 
 
@@ -214,17 +224,24 @@ def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
 
 
 def _simpson_matrix(fun, n: int, t: float, nodes: int) -> np.ndarray:
-    # composite Simpson rule with an odd number of equispaced nodes, summed
-    # in node order a block of CHUNK_ENTRIES / n^2 nodes at a time
+    # composite Simpson rule with an odd number of equispaced nodes, a block
+    # of CHUNK_ENTRIES / n^2 nodes at a time: the block is weighted at once,
+    # then its rows are added to the running sum in node order, in place (a
+    # cumulative sum; numpy's sum along an axis may add pairwise)
     xs = np.linspace(0.0, t, nodes)
     h = (t - 0.0) / (nodes - 1)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     per_block = max(1, _stepper.CHUNK_ENTRIES // (n * n))
+    acc = None
     for start in range(0, nodes, per_block):
-        for i, X in enumerate(_stepper._evaluate(fun, n, list(xs[start:start + per_block])), start):
-            acc = w[i] * X if i == 0 else acc + w[i] * X
+        block = slice(start, start + per_block)
+        wX = w[block, None, None] * _stepper._evaluate(fun, n, xs[block])
+        if acc is not None:
+            wX = wX.astype(np.result_type(wX, acc), copy=False)
+            wX[0] += acc
+        acc = np.add.accumulate(wX, axis=0, out=wX)[-1]
     return (h / 3.0) * acc
 
 
@@ -249,7 +266,7 @@ def commuting_magnus(Xfun: Callable, A0, t: float, tol: float = 1e-8) -> np.ndar
         omega = refined
         if done:
             break
-    Xt = tabulate(Xfun, n, [t])[t]
+    Xt = _stepper._evaluate(Xfun, n, [t])[0]
     defect = frob_norm(Xt @ omega - omega @ Xt)
     if defect > tol * frob_norm(Xt) * frob_norm(omega):
         raise CommutatorTooLarge(

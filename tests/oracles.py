@@ -6,13 +6,15 @@ the algebra product expands bilinearity over all basis pairs, and matrix
 validation is written with numpy's generic predicates.  The RK4 march is
 the exception: it reuses `rk4_step`, but evaluates the generator
 through `checked_generator` at every one of its four calls a step, with
-no table of values in between.  `a_form_rk4_step` is the step as it was
-before it took the propagator form, A + h/6 (k1 + 2 k2 + 2 k3 + k4) with
-k1 = A X(t), k2 = (A + h/2 k1) X(t + h/2) and so on: the same method,
-rounded differently, kept as the reference for that rounding change.  `per_call_axioms_report` is the other
-exception: `markov.axioms_report` as it was when it took one `expm` per
-distinct time, kept verbatim as the reference for its results and its
-peak memory.
+no table of values in between.  `reference_magnus` likewise sums its
+Simpson nodes one checked call at a time, in node order.
+`a_form_rk4_step` is the step as it was before it took the propagator
+form, A + h/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = A X(t),
+k2 = (A + h/2 k1) X(t + h/2) and so on: the same method, rounded
+differently, kept as the reference for that rounding change.
+`per_call_axioms_report` is the other exception: `markov.axioms_report`
+as it was when it took one `expm` per distinct time, kept verbatim as the
+reference for its results and its peak memory.
 """
 
 import numpy as np
@@ -77,12 +79,16 @@ def a_form_rk4_step(A, t, h, gen):
 
 
 def per_step_march(fun, A0, h, horizon, direction, step=rk4_step):
-    """RK4 nodes (ts, ms) calling the checked generator four times a step."""
+    """RK4 nodes (ts, ms) calling the checked generator four times a step.
+
+    Node k sits at direction * min(k h, horizon); the march stops at the
+    first node within min(1e-12, 1e-9 h) of the horizon.
+    """
     gen = checked_generator(fun, A0.shape[0])
     ts, ms = [0.0], [A0.copy()]
     t, A = 0.0, A0
     k = 0
-    while direction * t < horizon - 1e-12:
+    while direction * t < horizon - min(1e-12, 1e-9 * h):
         k += 1
         nxt = direction * min(k * h, horizon)
         A = step(A, t, nxt - t, gen)
@@ -90,6 +96,34 @@ def per_step_march(fun, A0, h, horizon, direction, step=rk4_step):
         ts.append(t)
         ms.append(A)
     return ts, ms
+
+
+def reference_simpson(gen, t, nodes):
+    """Composite Simpson rule of gen over [0, t], one node at a time in node order."""
+    xs = np.linspace(0.0, t, nodes)
+    h = (t - 0.0) / (nodes - 1)
+    w = np.ones(nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    acc = w[0] * gen(xs[0])
+    for i in range(1, nodes):
+        acc = acc + w[i] * gen(xs[i])
+    return (h / 3.0) * acc
+
+
+def reference_magnus(fun, A0, t):
+    """`flows.commuting_magnus` without its commutator check, one checked call a node."""
+    gen = checked_generator(fun, A0.shape[0])
+    nodes = 129
+    omega = reference_simpson(gen, t, nodes)
+    while nodes < 8193:
+        nodes = 2 * nodes - 1
+        refined = reference_simpson(gen, t, nodes)
+        done = frob_norm(refined - omega) <= 1e-11
+        omega = refined
+        if done:
+            break
+    return A0 @ expm(omega)
 
 
 def reference_as_matrix(a, name="matrix"):

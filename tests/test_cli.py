@@ -774,6 +774,24 @@ def test_a_march_past_the_step_bound_exits_2_with_an_error_report(tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("T, steps", [("1e-13", 1), ("5e-13", 5)])
+def test_a_horizon_below_1e12_takes_its_steps(tmp_path, capsys, T, steps):
+    # the march used to stop 1e-12 short of the horizon, so a horizon
+    # below 1e-12 took no step and reported A0 as the final matrix
+    spec = gen_spec(1e11 * np.array([[0.3, 1.0], [-1.0, 0.2]]))
+    A0 = np.array([[1.0, 0.5], [0.25, 2.0]])
+    code, report, _ = invoke(
+        capsys, "ode-solve", "--gen-spec", write(tmp_path / "gen.json", spec),
+        "--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(A0)), "--T", T, "--h", "1e-13",
+    )
+    assert code == 0
+    assert report["payload"]["n_steps"] == steps
+    ts, ms = per_step_march(jsonio.matrix_function_from_json(spec), A0, 1e-13, float(T), 1.0)
+    assert len(ts) == steps + 1 and ts[-1] == float(T)
+    assert report["payload"]["final"] == jsonio.matrix_to_json(ms[-1])
+    assert report["payload"]["final"] != jsonio.matrix_to_json(A0)
+
+
 def test_magnus_commuting(tmp_path, capsys):
     Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     spec = write(tmp_path / "gen.json", {

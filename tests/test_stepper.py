@@ -4,8 +4,8 @@
 block at a time, reading the generator from `_stepper.tabulate` at each
 block's distinct times and taking the block's propagators from one stacked
 `rk4_step` call; `commuting_magnus` sums its Simpson nodes a block at a
-time.  The references (`oracles.per_step_march` and the Simpson loops
-below) evaluate the generator one call at a time through
+time.  The references (`oracles.per_step_march` and
+`oracles.reference_magnus`) evaluate the generator one call at a time through
 `checked_generator`: four calls per RK4 step and one per Simpson node.
 The blocks must give the same bytes and raise the same errors.  The step's
 propagator form A @ P rounds differently from the A form it replaced
@@ -24,36 +24,10 @@ from evolflow._stepper import checked_generator, rk4_step, tabulate
 from evolflow.curves import AffineArg, MatrixFunction, Numeric, Poly
 from evolflow.errors import DimensionMismatch, NonFiniteGenerator
 from evolflow.flows import IntegratorConfig, commuting_magnus, integrate_right, march
-from evolflow.matcore import expm, frob_norm
-from oracles import a_form_rk4_step, per_step_march
+from evolflow.matcore import frob_norm
+from oracles import a_form_rk4_step, per_step_march, reference_magnus
 
 H, T = 0.03, 1.37  # h does not divide the horizon: the last step is short
-
-
-def reference_simpson(gen, t, nodes):
-    xs = np.linspace(0.0, t, nodes)
-    h = (t - 0.0) / (nodes - 1)
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    acc = w[0] * gen(xs[0])
-    for i in range(1, nodes):
-        acc = acc + w[i] * gen(xs[i])
-    return (h / 3.0) * acc
-
-
-def reference_magnus(fun, A0, t):
-    gen = checked_generator(fun, A0.shape[0])
-    nodes = 129
-    omega = reference_simpson(gen, t, nodes)
-    while nodes < 8193:
-        nodes = 2 * nodes - 1
-        refined = reference_simpson(gen, t, nodes)
-        done = frob_norm(refined - omega) <= 1e-11
-        omega = refined
-        if done:
-            break
-    return A0 @ expm(omega)
 
 
 def assert_same_bytes(got, want):
@@ -128,6 +102,27 @@ def test_numeric_table_is_bit_identical_to_the_per_step_loops(fun):
     bwd_t, bwd_m = per_step_march(fun, A0, H, T, -1.0)
     assert np.array_equal(c._ts, np.array(bwd_t[::-1] + fwd_t[1:]))
     assert_same_bytes(c._table, bwd_m[::-1] + fwd_m[1:])
+
+
+@pytest.mark.parametrize("complex_terms", [False, True])
+@pytest.mark.parametrize("kind", ["matrix_function", "lambda"])
+def test_numeric_value_between_nodes_is_one_checked_step_off_its_node(kind, complex_terms):
+    # off a node, value(t) is one rk4_step from the stored node at or below
+    # t, with the generator called through checked_generator
+    fun = generators(complex_terms=complex_terms)[kind]
+    A0 = np.eye(3) + 0.05
+    c = Numeric(A0, fun, h=H, horizon=T)
+    fwd_t, fwd_m = per_step_march(fun, A0, H, T, 1.0)
+    bwd_t, bwd_m = per_step_march(fun, A0, H, T, -1.0)
+    node_ts, node_ms = bwd_t[::-1] + fwd_t[1:], bwd_m[::-1] + fwd_m[1:]
+    gen = checked_generator(fun, 3)
+    for t in (-1.3699, -0.7777, -0.0101, 0.0004, 0.5123, 1.3699):
+        assert t not in node_ts
+        k = max(i for i, s in enumerate(node_ts) if s <= t)
+        want = rk4_step(node_ms[k], node_ts[k], t - node_ts[k], gen)
+        got = c.value(t)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [0.9, -1.3])
@@ -300,16 +295,23 @@ def test_a_table_keeps_first_use_order_and_repeats():
         return np.full((2, 2), t)
 
     table = tabulate(fun, 2, [0.5, 0.1, 0.5, 0.3])
-    assert list(table) == [0.5, 0.1, 0.3]
-    assert [table[t][0, 0] for t in (0.5, 0.1, 0.1, 0.5, 0.3)] == [0.5, 0.1, 0.1, 0.5, 0.3]
+    assert table.times.tolist() == [0.1, 0.3, 0.5]
+    assert [table(t)[0, 0] for t in (0.5, 0.1, 0.1, 0.5, 0.3)] == [0.5, 0.1, 0.1, 0.5, 0.3]
     assert calls == [0.5, 0.1, 0.3]
     # a time already known is taken from there, not evaluated again
     calls.clear()
     again = tabulate(fun, 2, [0.3, 0.7, 0.5, 0.7], known=table)
-    assert list(again) == [0.3, 0.7, 0.5]
-    assert again[0.3] is table[0.3] and again[0.5] is table[0.5]
-    assert again[0.7][0, 0] == 0.7
+    assert again.times.tolist() == [0.3, 0.5, 0.7]
+    assert again(0.3).tobytes() == table(0.3).tobytes()
+    assert again(0.5).tobytes() == table(0.5).tobytes()
+    assert again(0.7)[0, 0] == 0.7
     assert calls == [0.7]
+    # one gather reads a stack of times; a time not in the table raises
+    stack = again(np.array([0.7, 0.3, 0.7]).reshape(3, 1, 1))
+    assert stack[:, 0, 0].tolist() == [0.7, 0.3, 0.7]
+    for missing in (0.4, 0.8, np.nextafter(0.7, 1.0)):
+        with pytest.raises(KeyError):
+            again(missing)
 
 
 def late_nan(t):

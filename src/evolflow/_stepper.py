@@ -13,9 +13,9 @@ distinct times sorted, and their values stacked (k, n, n).  Called on a
 rather than take a neighbour's value.  `flows.march` takes its steps a
 block at a time: it tabulates each block's times, takes the block's
 propagators from one stacked `rk4_step` call, whose four generator calls
-are four gathers, and folds them in, one product a node.
-`flows._simpson_matrix` weights a block of quadrature nodes at once and
-adds them in node order.
+are four gathers, and folds them in with one `ndarray.dot` (one gemm) a
+node.  `flows._simpson_matrix` weights a block of quadrature nodes at
+once and adds them in node order.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteGenerator
 
 # Most float64 entries one block of tabulated generator values holds (512 KB),
-# so marching and quadrature add bounded memory however many steps they take.
-# A stacked RK4 step holds about five block-sized arrays at once.  At 2 MB
-# they left the cache: marching at n = 60 took 165 us a step instead of 132
-# (2-core Xeon, one BLAS thread).
+# so marching and quadrature (and the CLI's CSV, written in batches of as many
+# entries) add bounded memory however many steps they take.  A stacked RK4
+# step holds about five block-sized arrays at once.  At 2 MB they left the
+# cache: marching at n = 60 took 165 us a step, not 132 (2-core Xeon, 1 thread).
 CHUNK_ENTRIES = 1 << 16
 
 

@@ -11,7 +11,6 @@ line.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curves, flows, jsonio, lie, markov
+from . import _stepper, curves, flows, jsonio, lie, markov
 from .errors import BadGrid, CommutatorTooLarge, EvolflowError, RateMatrixError
 from .matcore import expm, worst
 
@@ -121,37 +120,34 @@ def _jsonable(obj):
     return obj
 
 
-def _entry_headers(n):
-    return [f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-
-
-def _entry_values(M):
-    flat = np.asarray(M).reshape(-1)
-    if np.iscomplexobj(flat):
-        return [repr(complex(z)) for z in flat]
-    return [float(x) for x in flat]
-
-
 def _sample_dets(mats) -> list:
-    # one stacked det when the matrices share a dtype; a real matrix beside
-    # complex ones (a numeric curve's real A0 among complex nodes) goes row
-    # by row, as a real det is not the real part of a complex one bit for bit
-    if len({M.dtype for M in mats}) > 1:
-        return [float(np.linalg.det(M).real) for M in mats]
-    return np.linalg.det(np.stack(mats)).real.tolist()
+    # one stacked det for a `_stepper._stacked` stack, else row by row (a real
+    # A0 among complex nodes): a real det is not a complex one's real part
+    if isinstance(mats, np.ndarray):
+        return np.linalg.det(mats).real.tolist()
+    return [float(np.linalg.det(M).real) for M in mats]
 
 
 def _write_samples_csv(path, times, mats, columns: dict):
-    """One row per sample: t, the entries of its matrix, then each column's value."""
-    stack = np.stack(mats)
-    if np.iscomplexobj(stack):
-        entries = [_entry_values(M) for M in mats]
-    else:
-        entries = stack.reshape(len(mats), -1).tolist()
+    """One row per sample: t, the entries of its matrix, then each column's value.
+
+    `mats` is as `_stepper._stacked` gives it.  A row joins its fields' str,
+    as `csv.writer` writes a float (its repr) or a complex, with \\r\\n ends;
+    the rows go out one write a batch of CHUNK_ENTRIES matrix entries.
+    """
+    n = mats[0].shape[0]
+    step = max(1, _stepper.CHUNK_ENTRIES // (n * n))
+    header = ["t", *(f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)), *columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", *_entry_headers(stack.shape[1]), *columns])
-        w.writerows([t, *e, *vals] for t, e, *vals in zip(times, entries, *columns.values()))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(times), step):
+            part = slice(start, start + step)
+            if isinstance(mats, np.ndarray):
+                entries = mats[part].reshape(-1, n * n).tolist()
+            else:
+                entries = [M.reshape(-1).tolist() for M in mats[part]]
+            rows = zip(times[part], entries, *(v[part] for v in columns.values()))
+            fh.write("".join([",".join(map(str, (t, *e, *vals))) + "\r\n" for t, e, *vals in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,8 @@ def _cmd_curve_eval(args):
         values.append(A)
     payload = {"samples": samples}
     if args.out:
-        _write_samples_csv(args.out, grid, values, {"det": _sample_dets(values)})
+        mats = _stepper._stacked(values, c.n)
+        _write_samples_csv(args.out, grid, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
     return "pass", {}, payload
 
@@ -238,7 +235,7 @@ def _cmd_markov_semigroup(args):
         grid = parse_grid(args.t)
     tr = float(np.trace(rate.Q))
     sems = [markov.semigroup_at(rate, t) for t in grid]
-    mats = [s.matrix for s in sems]
+    mats = _stepper._stacked([s.matrix for s in sems], rate.n)
     dets = _sample_dets(mats)
     samples, exps = [], []
     for s, d in zip(sems, dets):
@@ -296,6 +293,7 @@ def _cmd_flow_orbit(args):
     payload = {"n_samples": len(samples)}
     if args.out:
         times, mats = zip(*samples)
+        mats = _stepper._stacked(mats, X.shape[0])
         columns = {"group_residual": residuals, "det": _sample_dets(mats)}
         _write_samples_csv(args.out, times, mats, columns)
         payload["csv"] = args.out
@@ -317,6 +315,7 @@ def _cmd_ode_solve(args):
     payload = {"final": jsonio.matrix_to_json(samples[-1][1]), "n_steps": len(samples) - 1}
     if args.out:
         times, mats = zip(*samples)
+        mats = _stepper._stacked(mats, A0.shape[0])
         _write_samples_csv(args.out, times, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
     return "pass", {}, payload

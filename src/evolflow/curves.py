@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import lie
-from ._stepper import rk4_step, tabulate
+from ._stepper import _evaluate, rk4_step
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .evoalg import EvolutionAlgebra, is_perfect
 from .flows import IntegratorConfig, march
@@ -446,10 +446,9 @@ class Numeric(Curve):
     A dense trajectory table with nodes at +-k*h is integrated once at
     construction (`flows.march` in both time directions) and is read-only
     afterwards; evaluation takes one partial RK4 step off the stored node
-    at or below t, reading the generator from a `_stepper.tabulate` table
-    of the step's three times.  Derivatives are central differences with
-    step _FD_STEP (1e-5).  Evaluation outside the horizon, or at NaN,
-    raises HorizonExceeded.
+    at or below t, its three generator values from one checked `_evaluate`
+    call.  Derivatives are central differences with step _FD_STEP (1e-5).
+    Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
     """
 
     A0: np.ndarray = field(repr=False)
@@ -481,8 +480,9 @@ class Numeric(Curve):
         dt = t - t0
         if dt == 0.0:
             return A.copy()
-        X = tabulate(self.generator, self.n, [t0, t0 + 0.5 * dt, t0 + dt])
-        return rk4_step(A, t0, dt, X)
+        ts = [t0, t0 + 0.5 * dt, t0 + dt]  # the times rk4_step asks for
+        X = dict(zip(ts, _evaluate(self.generator, self.n, ts)))
+        return rk4_step(A, t0, dt, X.__getitem__)
 
     def derivative(self, t):
         if abs(t) + _FD_STEP > self.horizon + 1e-12:

@@ -174,16 +174,17 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     shared with the previous block is not evaluated again).  One stacked
     `rk4_step` call from the identity gives the block's propagators P_k,
     each of its four generator calls one gather from the table, and the
-    block is folded in one product a node, A_{k+1} = A_k @ P_k, the
-    product `rk4_step` ends with, written into the block's output.  A run
-    of steps whose generator values differ in dtype from the previous
+    block is folded in one BLAS call a node, A_{k+1} = A_k.dot(P_k) written
+    into the block's output: the gemm of the `@` that `rk4_step` ends with,
+    without `np.matmul`'s ufunc dispatch (which doubled a 2000-node fold at
+    n = 2-4).  A run of steps whose values differ in dtype from the previous
     step's is stacked on its own, so no value is upcast by its neighbours'.
 
     The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
     adds only zeros to a finite P_k.  A column of P_k that overflows turns
     to NaN in I @ P_k, so the same node entries are non-finite, NaN where
-    the per-step loop may hold an infinity.  Returns the node times and the
-    matrices there; the first node is (0, a copy of A0).
+    the per-step loop may hold an infinity.  Returns the node times and
+    matrices; the first node is (0, a copy of A0).
     """
     n = A0.shape[0]
     per_block = max(1, _stepper.CHUNK_ENTRIES // (3 * n * n))
@@ -206,7 +207,7 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
             P = rk4_step(I, t[start:stop], dt[start:stop], X)
             out = np.empty(P.shape, np.result_type(A, P))
             for Pk, Ak in zip(P, out):
-                A = np.matmul(A, Pk, Ak)  # out=Ak, passed by position: the keyword costs 10%
+                A = A.dot(Pk, Ak)
             ms.extend(out)
         ts.extend(nodes[1:].tolist())
     return ts, ms

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evolflow import cli, jsonio
+from evolflow import _stepper, cli, jsonio
 from evolflow.cli import parse_grid, run
 from evolflow.curves import (
     AffineArg,
@@ -695,6 +695,75 @@ def test_curve_eval_csv_keeps_a_real_row_among_complex_ones(tmp_path, capsys):
     want = per_row_csv(header, [(t, c.value(t)) for t in grid])
     assert f"\r\n0.0,{float(A0[0, 0])!r}," in want
     assert out.read_bytes() == want.encode()
+
+
+# floats that csv.writer writes in every notation float repr has
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-5, 1e16, 1e22, -0.1]
+
+
+@pytest.mark.parametrize("chunk", [_stepper.CHUNK_ENTRIES, 20], ids=["one-batch", "batches-of-2-rows"])
+@pytest.mark.parametrize("kind", ["real", "complex", "real_among_complex"])
+def test_the_sample_csv_has_the_bytes_of_csv_writer(tmp_path, monkeypatch, kind, chunk):
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(13)
+    parts = lambda: rng.permutation(SPECIAL).reshape(3, 3)  # noqa: E731
+    mats = [parts() for _ in SPECIAL]
+    if kind != "real":
+        for i, R in enumerate(mats):
+            Z = np.empty((3, 3), complex)
+            Z.real, Z.imag = R, parts()
+            Z[0, 0], Z[0, 1], Z[0, 2] = complex(math.nan, -0.0), complex(-0.0, math.nan), complex(-0.0, -0.0)
+            mats[i] = Z
+    if kind == "real_among_complex":
+        mats[4] = mats[4].real.copy()
+    extra = {name: rng.permutation(SPECIAL).tolist() for name in ("row_sum_defect", "exp_t_trace", "group_residual")}
+    header = ["t", *(f"a_{i}_{j}" for i in (1, 2, 3) for j in (1, 2, 3)), *extra, "det"]
+    out = tmp_path / "s.csv"
+    with np.errstate(all="ignore"):
+        stack = _stepper._stacked(mats, 3)
+        assert isinstance(stack, list) == (kind == "real_among_complex")
+        cli._write_samples_csv(out, SPECIAL, stack, {**extra, "det": cli._sample_dets(stack)})
+        want = per_row_csv(header, list(zip(SPECIAL, mats)), *extra.values())
+    assert out.read_bytes() == want.encode()
+
+
+def csv_argv(tmp_path, case):
+    rng = np.random.default_rng(21)
+    eye = write(tmp_path / "eye.json", jsonio.matrix_to_json(np.eye(2)))
+    rot = write(tmp_path / "rot.json", {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]})
+    spec = write(tmp_path / "gen.json", three_term_spec(rng, 2))
+    numeric = {"variant": "numeric", "A0": jsonio.matrix_to_json(rng.normal(size=(2, 2))),
+               "generator": gen_spec(1j * rng.normal(size=(2, 2))), "h": 0.1, "horizon": 1.0}
+    return {
+        "ode-solve": ["ode-solve", "--gen-spec", spec, "--a0", eye, "--T", "1", "--h", "0.1"],
+        "ode-solve-left": ["ode-solve", "--gen-spec", spec, "--a0", eye, "--T", "1", "--h", "0.1", "--side", "left"],
+        "curve-eval": ["curve-eval", "--curve", write(tmp_path / "so2.json", {"variant": "so2"}), "--t", "-1:1:0.5"],
+        "curve-eval-complex": ["curve-eval", "--curve", write(tmp_path / "num.json", numeric), "--t", "[-0.45, 0, 0.3]"],
+        "flow-orbit": ["flow-orbit", "--generator", rot, "--base", eye, "--group", "so", "--grid", "-1:1:0.5"],
+        "flow-orbit-left": ["flow-orbit", "--generator", rot, "--base", eye, "--group", "so", "--grid", "[1, -0.0, 0.5]",
+                            "--side", "left"],
+        "markov-semigroup": ["markov-semigroup", "--lambda", "0.7", "--t", "-1:1:0.5"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["ode-solve", "ode-solve-left", "curve-eval", "curve-eval-complex",
+                                  "flow-orbit", "flow-orbit-left", "markov-semigroup"])
+def test_handlers_hand_the_csv_writer_python_floats_only(tmp_path, capsys, monkeypatch, case):
+    # every time and column value is a Python float, so its field is the
+    # float's repr, as csv.writer writes it, whatever numpy type computed it
+    seen = []
+    write_csv = cli._write_samples_csv
+    monkeypatch.setattr(cli, "_write_samples_csv", lambda *a: seen.append(a) or write_csv(*a))
+    out = tmp_path / "rows.csv"
+    assert invoke(capsys, *csv_argv(tmp_path, case), "--out", str(out))[0] == 0
+    [(_, times, _, columns)] = seen
+    assert all(type(name) is str for name in columns)
+    for column in (times, *columns.values()):
+        assert all(type(v) is float for v in column)
+    rows = list(csv.reader(out.open()))
+    assert len(rows) == len(times) + 1
+    for row in rows[1:]:
+        assert all(complex(field) is not None for field in row)  # every field a float or complex repr
 
 
 @pytest.mark.parametrize("command", ["ode-solve", "curve-eval"])

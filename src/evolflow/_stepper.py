@@ -118,7 +118,7 @@ def tabulate(fun, n: int, times, known: Table | None = None) -> Table:
     The times not in `known` are evaluated once each, in first-use order,
     in one `_evaluate` call; a time in `known` takes its value from there.
     """
-    distinct, first = np.unique(times, return_index=True)
+    distinct, first = _distinct(np.ravel(times))
     fresh = first.argsort()  # positions in `distinct`, in first-use order
     parts = []
     if known is not None:
@@ -139,6 +139,23 @@ def tabulate(fun, n: int, times, known: Table | None = None) -> Table:
                 values[i] = X
         values = _stacked(values, n)
     return Table(distinct, values)
+
+
+def _distinct(times):
+    """`np.unique(times, return_index=True)`, without a sort for a monotone block.
+
+    A march's block of times runs one way, with equal neighbours; there the
+    runs of equal times are the distinct times, and each run's first entry
+    is the one `np.unique` keeps (its sort is stable).  A descending block
+    reads them through its reverse; any other block goes to `np.unique`.
+    """
+    step = np.diff(times)
+    if times.size and ((step >= 0.0).all() or (step <= 0.0).all()):
+        first = np.flatnonzero(np.concatenate(([True], step != 0.0)))
+        if times[0] > times[-1]:
+            first = first[::-1]
+        return times[first], first
+    return np.unique(times, return_index=True)
 
 
 def rk4_step(A: np.ndarray, t, h, gen) -> np.ndarray:

@@ -312,13 +312,16 @@ def _cmd_ode_solve(args):
         transposed = curves.MatrixFunction([(f, M.T) for f, M in mf.terms])
         line = flows.integrate_right(transposed, A0.T, cfg)
         samples = tuple((t, M.T) for t, M in line.samples)
-    payload = {"final": jsonio.matrix_to_json(samples[-1][1]), "n_steps": len(samples) - 1}
+    # a march that overflows ends non-finite (a non-finite entry never
+    # leaves a linear march): the check fails, and the report keeps it
+    final = samples[-1][1]
+    payload = {"final": jsonio.matrix_layout(final), "n_steps": len(samples) - 1}
     if args.out:
         times, mats = zip(*samples)
         mats = _stepper._stacked(mats, A0.shape[0])
         _write_samples_csv(args.out, times, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
-    return "pass", {}, payload
+    return ("pass" if np.isfinite(final).all() else "fail"), {}, payload
 
 
 def _cmd_magnus(args):

@@ -12,6 +12,7 @@ their derivatives are exact rather than numerical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
@@ -29,6 +30,7 @@ from .matcore import (
     frob_norm,
     inv,
     memo,
+    preload_expm,
     spectral_radius_estimate,
     worst,
 )
@@ -505,12 +507,16 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     """Verify A(0) = I and A(s+t) = A(s) A(t) over all grid pairs.
 
     The check runs in one `matcore.memo()` block, so a curve built on
-    `expm` computes each distinct exponential once.
+    `expm` computes each distinct exponential once.  For an `ExpLine` (and
+    so a `TangentInduced`) the block is preloaded with exp(t X) for t in
+    {0} and the grid and its pairwise sums, all from one `expm_times` call.
     """
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
     with memo():
+        if isinstance(curve, ExpLine):
+            preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         values = {t: curve.value(t) for t in grid}
         hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])

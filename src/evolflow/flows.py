@@ -32,7 +32,7 @@ from . import _stepper
 from ._stepper import rk4_step, tabulate
 from .errors import CommutatorTooLarge, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
-from .matcore import as_matrix, expm, frob_norm, memo, worst
+from .matcore import as_matrix, expm, frob_norm, memo, preload_expm, worst
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,14 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     """Check Phi(0, A) = A and Phi(s, Phi(t, A)) = Phi(s+t, A) on the grid.
 
     The check runs in one `matcore.memo()` block, so each distinct
-    exponential and base-point membership is computed once.
+    exponential and base-point membership is computed once; the block
+    is preloaded with exp(t X) for t in {0} and the grid and its pairwise
+    sums, all from one `expm_times` call.
     """
     ts = [float(t) for t in grid]
     idents, comps = [], []  # one worst residual per base
     with memo():
+        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s in ts for t in ts)))
         for A in bases:
             idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
             comps.append(worst(

@@ -5,11 +5,17 @@ entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
 matrix exponential (also at many times, one Pade approximant per distinct
-scaled argument), the determinant gauge behind every nonsingularity
-and determinant-sign decision, a guaranteed upper estimate of the
-spectral radius, the per-check memo that lets a grid check compute
-each distinct exponential and membership once, and `worst`, the one
-reduction of a grid check's residuals.
+scaled argument, taken a stacked block at a time at small n), the
+determinant gauge behind every nonsingularity and determinant-sign
+decision, a guaranteed upper estimate of the spectral radius, the
+per-check memo that lets a grid check compute each distinct exponential
+and membership once (and take its exponentials from one `expm_times`
+call, preloaded), and `worst`, the one reduction of a grid check's
+residuals.
+
+The Pade helpers `_powers`, `_pade13` and `_square` take one matrix or a
+(k, n, n) stack; each slice of a stacked result equals the unstacked
+call's result bit for bit (one gemm and one LAPACK solve per slice).
 
 All functions are pure and never mutate their arguments.
 """
@@ -24,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._stepper import CHUNK_ENTRIES
 from .errors import DimensionMismatch, NonFiniteInput, SingularMatrix
 
 # A matrix counts as numerically singular when the determinant of its
@@ -69,7 +76,8 @@ def memo():
     is dropped when the outermost block exits, also on an exception; no
     result outlives the block.  Each entry holds the argument's bytes and
     the result: two matrices per distinct exponential, one per distinct
-    membership.
+    membership.  `preload_expm` fills it with exponentials taken from one
+    `expm_times` call, ahead of the `expm` calls that read them.
     """
     if _MEMO.get() is not None:
         yield
@@ -79,6 +87,49 @@ def memo():
         yield
     finally:
         _MEMO.reset(token)
+
+
+def preload_expm(X, ts) -> None:
+    """Store expm(t * X) for every t of ts in the open `memo()` table.
+
+    The values come from one `expm_times(X, ts)` call, so they are the
+    bytes `expm` computes, with the distinct approximants taken a block at
+    a time.  Each goes in under the key a call `expm(t * X)` builds, keyed
+    on this module's kernel, so that call is a hit whichever module's
+    binding of `expm` it goes through; a key already in the table keeps its
+    value.  Outside a block nothing is stored.  It never raises: when any
+    time fails, because `expm_times` rejects it or because a floating-point
+    event occurs that numpy's error settings would report, nothing is
+    stored, and each `expm` call computes, warns and raises as without it.
+    """
+    table = _MEMO.get()
+    if table is None:
+        return
+    X = np.asarray(X)
+    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    try:
+        with np.errstate(**strict):
+            # -0.0 is a time of its own to the memo: its t * X has other bytes
+            entries = [(_memo_key(_expm_kernel, (u * X,), {}), E)
+                       for t, E in expm_times(X, ts) for u in ((t, -t) if t == 0 else (t,))]
+    except Exception:  # the calls themselves raise or warn as they would have
+        return
+    for key, E in entries:
+        if key is not None:  # None: a dtype `memoized` does not look up
+            table.setdefault(key, E)
+
+
+def _memo_key(fn, args, kwargs):
+    # the table key of fn(*args, **kwargs), None when the call is not looked up:
+    # the dtype object, not its `.str`, since for numeric dtypes the two are
+    # equal exactly together (byte order included) and the object costs no string
+    M = np.asarray(args[0])
+    if M.dtype.kind not in "biufc":
+        return None
+    key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
+    if kwargs:  # one element longer, so never equal to a key without kwargs
+        key += (tuple(kwargs.items()),)
+    return key
 
 
 def memoized(fn):
@@ -98,14 +149,9 @@ def memoized(fn):
         table = _MEMO.get()
         if table is None or not args:
             return fn(*args, **kwargs)
-        M = np.asarray(args[0])
-        if M.dtype.kind not in "biufc":
+        key = _memo_key(fn, args, kwargs)
+        if key is None:
             return fn(*args, **kwargs)
-        # the dtype object, not its `.str`: for numeric dtypes the two are equal
-        # exactly together (byte order included), and the object costs no string
-        key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
-        if kwargs:  # one element longer, so never equal to a key without kwargs
-            key += (tuple(kwargs.items()),)
         try:
             result = table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
@@ -211,6 +257,11 @@ def expm(X) -> np.ndarray:
     return _square(_pade13(A, *_powers(A)), squarings)
 
 
+# the kernel that `memoized` wraps into `expm`: the function in the memo keys
+# of its calls, through whatever module binding they reach it
+_expm_kernel = expm.__wrapped__
+
+
 def _squarings(nrm: float) -> int:
     # the fewest halvings that bring a 1-norm to at most _PADE13_THETA
     if nrm > _PADE13_THETA:
@@ -219,15 +270,21 @@ def _squarings(nrm: float) -> int:
 
 
 def _powers(A):
+    # A**2, A**4 and A**6 of a matrix or of each slice of a stack
     A2 = A @ A
     A4 = A2 @ A2
     return A2, A4, A4 @ A2
 
 
 def _pade13(A, A2, A4, A6) -> np.ndarray:
-    # the approximant r13(A) from A and its powers: one linear solve
+    """The approximant r13(A) from A and its powers: one linear solve.
+
+    A may be a (k, n, n) stack of scaled arguments with their stacked
+    powers: one call then takes k approximants, each slice the one its own
+    call gives, bit for bit, for any mix of squaring counts among them.
+    """
     b = _PADE13_B
-    eye = np.eye(A.shape[0], dtype=A.dtype)
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
@@ -236,6 +293,7 @@ def _pade13(A, A2, A4, A6) -> np.ndarray:
 
 
 def _square(E, squarings: int) -> np.ndarray:
+    # E squared `squarings` times, slice by slice for a stack
     for _ in range(squarings):
         E = E @ E
     return E
@@ -282,48 +340,96 @@ def expm_times(X, ts):
     with s chosen exactly as `expm` chooses it.  Each distinct scaled
     argument costs one Pade approximant: the times that share it (2t beside
     t above the scaling threshold, 2**-k for k up to s + 1) take their
-    values from one squaring chain.  Scaled arguments that are power-of-two
-    multiples of one another (one mantissa of t) share A**2, A**4 and A**6,
-    scaled, when n is at least _SHARE_POWERS_MIN_N and `_scales_exactly`
-    guarantees that the scaled powers are the computed ones; otherwise they
-    compute them.  Both kinds of sharing are confirmed with `np.array_equal`,
-    so no result differs from `expm(t * X)` in any bit.  Each yielded matrix
-    is the caller's own.
+    values from one squaring chain.  Below n = _STACK_BELOW_N the
+    approximants are taken a block at a time, one stacked `_powers` and
+    `_pade13` call for up to CHUNK_ENTRIES / n**2 scaled arguments; each
+    slice of a stacked call is the unstacked call's result, bit for bit.
+    From there on they are taken one at a time, and scaled arguments that
+    are power-of-two multiples of one another (one mantissa of t) share
+    A**2, A**4 and A**6, scaled, when n is at least _SHARE_POWERS_MIN_N and
+    `_scales_exactly` guarantees that the scaled powers are the computed
+    ones; otherwise they compute them.  Both kinds of sharing are confirmed
+    with `np.array_equal`, so no result differs from `expm(t * X)` in any
+    bit.  Each yielded matrix is the caller's own.
 
     Every time is validated before the first yield: a non-finite or
     overflowing t * X raises `NonFiniteInput` as `expm` does.  The generator
-    holds at most one squaring chain and the powers of one family, and
-    keeps the powers only while another scaled argument of that family is
-    still to come.
+    holds at most one squaring chain and either one block of approximants
+    or the powers of one family, and keeps the powers only while another
+    scaled argument of that family is still to come.
     """
     X = np.asarray(X)
     zeros, families = _plan(X, ts)
     for t, dtype in zeros:
         yield t, np.eye(X.shape[0], dtype=dtype)
-    for family in families.values():
-        shared = None  # (offset, A, A2, A4, A6) while the family has more to come
-        offsets = sorted(family)
-        for i, offset in enumerate(offsets):
-            members = sorted(family[offset])
-            s, t = members[0]
-            A = as_matrix(t * X) / (2.0**s)
-            powers = None
-            if shared is not None:  # offsets ascend, so A is 2**d >= 2 times the last one
-                last, B, B2, B4, B6 = shared
-                shared = None
-                if _scales_exactly(B, B2, B4, offset - last):
-                    c = math.ldexp(1.0, offset - last)
-                    if np.array_equal(A, c * B):
-                        c2 = c * c
-                        powers = (c2 * B2, c2 * c2 * B4, c2 * c2 * c2 * B6)
-                del B, B2, B4, B6
+    # (mantissa, offset, members) in the order their approximants are taken
+    groups = [(mantissa, offset, sorted(family[offset]))
+              for mantissa, family in families.items() for offset in sorted(family)]
+    for A, E, members in _approximants(X, groups):
+        yield from _chain(X, A, E, members)
+        del A, E  # not held while the next approximant is taken
+
+
+# Stacking a block of approximants into one call saves numpy's per-call
+# overhead, about 30 us an approximant at n = 2-5, where it costs most of
+# the approximant.  With the products it stops paying: stacked blocks of
+# CHUNK_ENTRIES entries took 1/6.5 of the one-at-a-time time at n = 8,
+# 1/2.4 at n = 16, 1/1.2 at n = 31 and 1/0.97 at n = 40 (2-core x86-64
+# host, one OpenBLAS thread), so from n = 32 on they are taken one at a time.
+_STACK_BELOW_N = 32
+
+
+def _block_rows(n: int) -> int:
+    # scaled arguments whose approximants one stacked call takes; sharing
+    # powers takes them one at a time
+    if n >= _STACK_BELOW_N or n >= _SHARE_POWERS_MIN_N:
+        return 1
+    return CHUNK_ENTRIES // (n * n)
+
+
+def _approximants(X, groups):
+    # (A, r13(A), members) for each group, in order, with A = t*X / 2**s of
+    # its first member: a block of `_block_rows` at a time, or one at a
+    # time, with powers shared along a family
+    n = X.shape[0]
+    rows = _block_rows(n)
+    shared = None  # (offset, A, A2, A4, A6) while its family has more to come
+    for start in range(0, len(groups), rows):
+        block = groups[start:start + rows]
+        scaled = [as_matrix(t * X) / (2.0**s) for _, _, [(s, t), *_] in block]
+        if rows > 1 and len({A.dtype for A in scaled}) == 1:  # else none is upcast
+            S = np.stack(scaled)
+            approximants = [E.copy() for E in _pade13(S, *_powers(S))]
+            del S
+            for A, E, (_, _, members) in zip(scaled, approximants, block):
+                yield A, E, members
+            continue
+        for i, ((mantissa, offset, members), A) in enumerate(zip(block, scaled), start):
+            powers = _shared_powers(shared, offset, A)
+            shared = None
             if powers is None:
                 powers = _powers(A)
             E = _pade13(A, *powers)
-            if i + 1 < len(offsets) and A.shape[0] >= _SHARE_POWERS_MIN_N:
+            if n >= _SHARE_POWERS_MIN_N and i + 1 < len(groups) and groups[i + 1][0] == mantissa:
                 shared = (offset, A, *powers)
             del powers
-            yield from _chain(X, A, E, members)
+            yield A, E, members
+
+
+def _shared_powers(shared, offset, A):
+    # A**2, A**4 and A**6 as the family's last scaled argument's powers
+    # scaled, when A is that argument times 2**d (offsets ascend within a
+    # family, so d >= 1) and the scaling is exact; else None
+    if shared is None:
+        return None
+    last, B, B2, B4, B6 = shared
+    if not _scales_exactly(B, B2, B4, offset - last):
+        return None
+    c = math.ldexp(1.0, offset - last)
+    if not np.array_equal(A, c * B):
+        return None
+    c2 = c * c
+    return c2 * B2, c2 * c2 * B4, c2 * c2 * c2 * B6
 
 
 def _plan(X, ts):

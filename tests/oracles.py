@@ -14,14 +14,16 @@ k2 = (A + h/2 k1) X(t + h/2) and so on: the same method, rounded
 differently, kept as the reference for that rounding change.
 `per_call_axioms_report` is the other exception: `markov.axioms_report`
 as it was when it took one `expm` per distinct time, kept verbatim as the
-reference for its results and its peak memory.
+reference for its results and its peak memory.  So is
+`per_call_kolmogorov_residuals`, `markov.kolmogorov_residuals` as it was
+with one `expm` call per grid point.
 """
 
 import numpy as np
 
 from evolflow._stepper import checked_generator, rk4_step
 from evolflow.errors import DimensionMismatch, NonFiniteInput
-from evolflow.markov import NONNEG_TOL, AxiomsReport
+from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
 from evolflow.matcore import expm, frob_norm, worst
 
 
@@ -183,3 +185,15 @@ def per_call_axioms_report(rate, grid, tol=1e-9):
     return AxiomsReport(
         passed, nonneg, row_sum, identity, chapman, continuity_ok, tuple(defects), tol
     )
+
+
+def per_call_kolmogorov_residuals(rate, grid):
+    """Residuals of the Backward and Forward equations along the grid."""
+    Q = rate.Q
+    pairs = []  # (backward, forward) per grid point
+    for t in grid:
+        A = expm(float(t) * Q)
+        D = Q @ A
+        pairs.append((frob_norm(D - Q @ A), frob_norm(D - A @ Q)))
+    initial = frob_norm(Q @ expm(0.0 * Q) - Q)
+    return KolmogorovResiduals(worst(b for b, _ in pairs), worst(f for _, f in pairs), initial)

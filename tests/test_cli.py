@@ -677,6 +677,31 @@ def test_ode_solve_left_csv_is_the_transposed_march_byte_for_byte(tmp_path, caps
     assert report["payload"]["final"] == jsonio.matrix_to_json(samples[-1][1])
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_ode_solve_that_overflows_fails_its_check_and_writes_its_csv(tmp_path, capsys, side):
+    # X(t) = 300 I grows like e^{300 t}: the march passes 1e308 near t = 2.4
+    # and ends non-finite; the inputs are valid, so it is a failed check (exit
+    # 1) with the final matrix as markov-semigroup writes a sample, not an input error
+    spec = {"terms": [{"fun": {"kind": "poly", "coeffs": [300.0]}, "matrix": jsonio.matrix_to_json(np.eye(2))}]}
+    out = tmp_path / "F.csv"
+    code, report, err = invoke(
+        capsys, "ode-solve", "--gen-spec", write(tmp_path / "gen.json", spec),
+        "--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(np.eye(2))),
+        "--T", "3", "--h", "0.01", "--side", side, "--out", str(out),
+    )
+    assert (code, report["status"], err) == (1, "fail", "evolflow ode-solve: fail\n")
+    mf = jsonio.matrix_function_from_json(spec)
+    with np.errstate(all="ignore"):
+        ts, ms = per_step_march(mf, np.eye(2), 0.01, 3.0, 1.0)
+        samples = list(zip(ts, ms))
+        assert not np.isfinite(ms[-1]).any()
+        header = ["t", "a_1_1", "a_1_2", "a_2_1", "a_2_2", "det"]
+        assert out.read_bytes() == per_row_csv(header, samples).encode()
+    final = {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}  # as `_jsonable` writes a NaN
+    assert report["payload"] == {"final": final, "n_steps": 300, "csv": str(out)}
+    assert cli._jsonable(jsonio.matrix_layout(ms[-1])) == final
+
+
 def test_curve_eval_csv_keeps_a_real_row_among_complex_ones(tmp_path, capsys):
     # a numeric curve with a real A0 and a complex generator: the node at
     # t = 0 is real, every other sample complex; a real det is not the real
@@ -977,7 +1002,7 @@ def test_a_shared_parser_reports_as_a_fresh_one(tmp_path, capsys, monkeypatch):
 
 _ROTATION = {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}
 _STDERR_CASES = {
-    # RK4 overflows to inf, then NaN: the march reports the non-finite matrix
+    # RK4 overflows to inf, then NaN: the march's check fails on the non-finite final matrix
     "ode-solve": (["ode-solve", "--gen-spec", "{gen}", "--a0", "{eye}", "--T", "1", "--h", "0.01"],
                   {"kind": "poly", "coeffs": [0, 0, 0, 1e308]}),
     # the Simpson integral of exp(400 t) overflows its commutator and its exponential
@@ -995,9 +1020,17 @@ def _stderr_case(tmp_path, name):
     return [a.format(**files) for a in argv]
 
 
-def _expected_error_report(name):
-    return {"payload": {"message": "matrix has non-finite entries"}, "residuals": {},
-            "status": "error", "subcommand": name}
+def _expected_outcome(name):
+    # (exit code, report, stderr): ode-solve's march fails its check with a
+    # NaN final matrix (every entry: inf * 0 reaches each one), magnus
+    # rejects its non-finite result as an input error
+    if name == "ode-solve":
+        final = {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}
+        return (1, {"payload": {"final": final, "n_steps": 100}, "residuals": {},
+                    "status": "fail", "subcommand": name}, f"evolflow {name}: fail\n")
+    return (2, {"payload": {"message": "matrix has non-finite entries"}, "residuals": {},
+                "status": "error", "subcommand": name},
+            f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n")
 
 
 @pytest.mark.parametrize("name", sorted(_STDERR_CASES))
@@ -1006,9 +1039,7 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, capsys, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would raise out of run
         code, report, err = invoke(capsys, *argv)
-    assert code == 2
-    assert report == _expected_error_report(name)
-    assert err == f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n"
+    assert (code, report, err) == _expected_outcome(name)
 
 
 @pytest.mark.parametrize("name", sorted(_STDERR_CASES))
@@ -1018,6 +1049,4 @@ def test_the_cli_process_writes_one_stderr_line(tmp_path, name):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "evolflow.cli", *_stderr_case(tmp_path, name)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert json.loads(proc.stdout) == _expected_error_report(name)
-    assert proc.stderr == f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n"
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == _expected_outcome(name)

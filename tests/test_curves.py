@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evolflow import curves, lie
+from evolflow import curves, lie, matcore
 from evolflow.curves import (
     AffineArg,
     AffineLine,
@@ -25,7 +25,7 @@ from evolflow.curves import (
     nonsingularity_interval,
     perfectness_profile,
 )
-from evolflow.errors import DimensionMismatch, HorizonExceeded, SingularMatrix, WrongVariant
+from evolflow.errors import DimensionMismatch, HorizonExceeded, NonFiniteInput, SingularMatrix, WrongVariant
 from evolflow.matcore import expm, frob_norm
 from oracles import taylor_expm
 
@@ -241,22 +241,17 @@ def test_subgroup_report_equals_a_plain_loop(curve):
     assert tuple(check_one_parameter_subgroup(curve, grid)) == _plain_subgroup_report(curve, grid)
 
 
-def test_subgroup_check_solves_once_per_distinct_argument(monkeypatch):
-    # the call structure stays G^2 + G + 1 expm calls; the memo leaves one
-    # Padé solve per distinct nonzero argument t X
-    expm_args, solves = [], []
-    solve = np.linalg.solve
+def test_subgroup_check_solves_once_per_distinct_argument(monkeypatch, pade):
+    # the call structure stays G^2 + G + 1 expm calls; one Padé approximant
+    # row is computed per distinct nonzero argument t X (||t X|| <= 4 needs
+    # no scaling), whether stacked or not
+    expm_args = []
 
     def counted_expm(X):
         expm_args.append(np.array(X))
         return expm(X)
 
-    def counted_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
     monkeypatch.setattr("evolflow.curves.expm", counted_expm)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     grid = np.linspace(-2.0, 2.0, 41)
     rep = check_one_parameter_subgroup(ExpLine(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])), grid)
     assert rep.passed
@@ -264,7 +259,50 @@ def test_subgroup_check_solves_once_per_distinct_argument(monkeypatch):
     assert len(expm_args) == G * G + G + 1
     distinct = {X.tobytes() for X in expm_args if np.any(X != 0.0)}
     assert len(distinct) < G * G / 5
-    assert len(solves) == len(distinct)
+    assert len(pade) == len(distinct)
+    assert set(pade) == distinct
+
+
+@pytest.mark.parametrize("curve", [
+    ExpLine(np.eye(3), 3.0 * np.random.default_rng(48).normal(size=(3, 3))),
+    ExpLine(np.eye(2), np.array([[0.2 + 0.3j, -0.5j], [0.4, -0.1 + 0.2j]])),
+    TangentInduced(np.array([[1.0, 0.2], [-0.1, 0.9]]), np.array([[0.3, 1.0], [-0.4, 0.2]])),
+], ids=["real", "complex", "tangent"])
+def test_subgroup_check_computes_no_approximant_after_the_preload(monkeypatch, pade, curve):
+    # every pinned expm call is a memo hit on a preloaded value, also through
+    # a binding of `curves.expm` that wraps the memoized expm
+    rows_after_preload, calls = [], []
+
+    def preload(X, ts):
+        matcore.preload_expm(X, ts)
+        rows_after_preload.append(len(pade))
+
+    def wrapped(X):
+        calls.append(1)
+        return expm(X)
+
+    monkeypatch.setattr("evolflow.curves.preload_expm", preload)
+    monkeypatch.setattr("evolflow.curves.expm", wrapped)
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [0.5, -0.0]
+    rep = check_one_parameter_subgroup(curve, grid)
+    G = len(grid)
+    assert len(calls) == G * G + G + 1
+    assert len(rows_after_preload) == 1 and len(pade) == rows_after_preload[0] > 0
+    monkeypatch.undo()
+    assert tuple(rep) == _plain_subgroup_report(curve, grid)
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
+def test_subgroup_check_raises_as_a_plain_loop_on_an_overflowing_time(quiet):
+    curve = ExpLine(np.eye(2), np.array([[0.0, 1e10], [2.0, 0.0]]))
+    grid = [0.5, 1e300, 1.0]
+    with np.errstate(all="ignore") if quiet else np.errstate():
+        with pytest.raises(Exception) as want:
+            _plain_subgroup_report(curve, grid)
+        with pytest.raises(want.type) as got:
+            check_one_parameter_subgroup(curve, grid)
+    assert str(got.value) == str(want.value)
+    assert want.type is (NonFiniteInput if quiet else RuntimeWarning)
 
 
 # exp(2X) overflows to [[inf, 0], [nan, 0]]: a NaN residual must fail, not vanish

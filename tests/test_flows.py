@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from evolflow.curves import ExpLine
+from evolflow import matcore
 from evolflow.errors import (
     CommutatorTooLarge,
     NonFiniteGenerator,
+    NonFiniteInput,
     NotInAlgebra,
     NotInGroup,
 )
@@ -124,20 +126,59 @@ def test_flow_axioms_take_a_one_shot_iterable_of_bases():
     assert flow_axioms(flow, iter(bases), grid) == flow_axioms(flow, bases, grid)
 
 
-def test_flow_axioms_solves_once_per_distinct_exponential(monkeypatch):
-    solves = []
-    solve = np.linalg.solve
-
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
+def test_flow_axioms_solves_once_per_distinct_exponential(pade):
+    # one Padé approximant row per distinct nonzero t X (||t X|| <= 4 needs
+    # no scaling), whether stacked or not
     grid = np.linspace(-2.0, 2.0, 41)
     assert flow_axioms(Flow(SO2_GEN, Group.so(2)), [np.eye(2)], grid).passed
     ts = {0.0} | {float(t) for t in grid} | {float(s + t) for s in grid for t in grid}
     distinct = {(t * SO2_GEN).tobytes() for t in ts if t != 0.0}
-    assert len(solves) == len(distinct)
+    assert len(pade) == len(distinct)
+    assert set(pade) == distinct
+
+
+def test_flow_axioms_compute_no_approximant_after_the_preload(monkeypatch, pade):
+    # every pinned expm call of the check is a memo hit on a preloaded value
+    rows_after_preload = []
+
+    def preload(X, ts):
+        matcore.preload_expm(X, ts)
+        rows_after_preload.append(len(pade))
+
+    monkeypatch.setattr("evolflow.flows.preload_expm", preload)
+    rng = np.random.default_rng(74)
+    grid = [float(t) for t in np.linspace(-1.5, 1.5, 7)] + [0.25, -0.0]
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cases = [
+        (Flow(so3_generator(rng, 3.0), Group.so(3)), [expm(so3_generator(rng)) for _ in range(2)]),
+        (Flow(0.3 * (H - H.conj().T), Group.u(2)), [_unitary(rng, 2)]),
+        (Flow(random_rate_matrix(5, 7).Q, Group.stochastic(5)), [np.eye(5)]),
+    ]
+    for flow, bases in cases:
+        rows_after_preload.clear()
+        pade.clear()
+        assert tuple(flow_axioms(flow, bases, grid)) == _plain_flow_axioms(flow, bases, grid)
+        assert len(rows_after_preload) == 1 and rows_after_preload[0] > 0
+        pade.clear()
+        flow_axioms(flow, bases, grid)
+        assert len(pade) == rows_after_preload[-1]
+
+
+@pytest.mark.parametrize("in_group", [True, False], ids=["member", "non-member"])
+@pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
+def test_flow_axioms_raise_as_a_plain_loop_on_an_overflowing_time(in_group, quiet):
+    # 1e300 t X overflows: the preload stores nothing, and the check raises
+    # what its calls raise (NotInGroup for the base first, when it is outside)
+    flow = Flow(1e10 * SO2_GEN, Group.so(2))
+    bases = [np.eye(2) if in_group else 2.0 * np.eye(2)]
+    grid = [1e-10, 1e300, 2e-10]
+    with np.errstate(all="ignore") if quiet else np.errstate():
+        with pytest.raises(Exception) as want:
+            _plain_flow_axioms(flow, bases, grid)
+        with pytest.raises(want.type) as got:
+            flow_axioms(flow, bases, grid)
+    assert str(got.value) == str(want.value)
+    assert want.type is {(True, False): RuntimeWarning, (True, True): NonFiniteInput}.get((in_group, quiet), NotInGroup)
 
 
 def test_broken_flow_fails_composition():

@@ -22,7 +22,7 @@ from evolflow.markov import (
     validate_rate,
 )
 from evolflow.matcore import expm, expm_times, frob_norm
-from oracles import per_call_axioms_report
+from oracles import per_call_axioms_report, per_call_kolmogorov_residuals
 
 GRID = [0.0, 0.3, 0.7, 1.1]
 
@@ -255,7 +255,7 @@ def test_kolmogorov_residuals_random():
 
 def test_kolmogorov_residuals_keep_a_nan_exponential(monkeypatch):
     rate = random_rate_matrix(3, 12)
-    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(0.7, rate.Q))
+    monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(0.7, rate.Q))
     res = kolmogorov_residuals(rate, GRID)
     assert math.isnan(res.backward)
     assert math.isnan(res.forward)
@@ -276,13 +276,46 @@ def test_kolmogorov_and_det_trace_take_one_exponential_per_grid_point(monkeypatc
         calls.append(1)
         return expm(X)
 
+    def recorded(X, ts):
+        calls.append(list(ts))
+        return expm_times(X, calls[-1])
+
     monkeypatch.setattr("evolflow.markov.expm", counted)
+    monkeypatch.setattr("evolflow.markov.expm_times", recorded)
     rate = random_rate_matrix(3, 14)
     kolmogorov_residuals(rate, iter(GRID))
-    assert len(calls) == len(GRID) + 1  # and exp(0 Q) for the initial residual
+    # one expm_times call for the grid and exp(0 Q) of the initial residual
+    assert calls == [[*GRID, 0.0]]
     calls.clear()
     det_trace_identity(rate, iter(GRID))
     assert len(calls) == len(GRID)
+
+
+KOLMOGOROV_GRIDS = [
+    [float(t) for t in np.linspace(-2.0, 2.0, 41)],
+    [0.0, 0.3, -0.0, 0.3, 1.1, 2.2, 4.4, 0.15],  # 0.0 and -0.0, a repeat, 2t beside t
+    [-0.0, 2.0**-30, 7.5, -3.25],
+    [0.7],
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 40, 80])
+@pytest.mark.parametrize("grid", KOLMOGOROV_GRIDS, ids=["linspace", "zeros", "wide", "one"])
+def test_kolmogorov_residuals_equal_a_per_call_loop(n, grid):
+    # ||Q|| from about 1 to 40 n: no squaring up to many, so the stacked
+    # approximants (n < 32) and the one-at-a-time ones both run; the larger
+    # rates at t >= 0 only, where exp(tQ) stays stochastic
+    for seed, scale, ts in ((n, 1.0, grid), (n + 100, 40.0, [t for t in grid if t >= 0.0])):
+        rate = validate_rate(scale * random_rate_matrix(n, seed).Q)
+        assert repr(kolmogorov_residuals(rate, ts)) == repr(per_call_kolmogorov_residuals(rate, ts))
+
+
+def test_kolmogorov_residuals_equal_a_per_call_loop_on_a_nan_exponential(monkeypatch):
+    rate = random_rate_matrix(3, 12)
+    monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(0.7, rate.Q))
+    monkeypatch.setattr("oracles.expm", nan_exponential_at(0.7, rate.Q))
+    grid = [0.0, 0.7, 1.1]
+    assert repr(kolmogorov_residuals(rate, grid)) == repr(per_call_kolmogorov_residuals(rate, grid))
 
 
 def test_det_trace_identity_flip_flop():

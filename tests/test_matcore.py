@@ -463,7 +463,9 @@ TIMES = [0.0, -0.0, 0.3, 0.3, 0.6, 1.2, 2.4, -0.3, -0.6, 7.0, 14.0, 28.0, 1e-5, 
 def assert_expm_times_is_expm(X, ts):
     """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
 
-    Checked as it runs at X's size and with the powers shared at every size.
+    Checked as it runs at X's size, with the powers shared at every size,
+    and with stacked blocks of at most three approximants below
+    _STACK_BELOW_N.
     """
     with np.errstate(all="ignore"):  # an exponential that overflows does so alike
         want = {}
@@ -473,7 +475,10 @@ def assert_expm_times_is_expm(X, ts):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matcore, "_SHARE_POWERS_MIN_N", 1)
             shared = list(expm_times(X, ts))
-    for results in (got, shared):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcore, "CHUNK_ENTRIES", 3 * np.asarray(X).size)
+            threes = list(expm_times(X, ts))
+    for results in (got, shared, threes):
         assert len(results) == len(want)
         assert {repr(t) for t, _ in results} == {repr(t) for t in want}  # the first of 0.0 and -0.0
         for t, E in results:
@@ -640,3 +645,213 @@ def test_expm_times_holds_one_chain_and_one_family_of_powers():
     finally:
         tracemalloc.stop()
     assert streamed <= one + 2 * Q.nbytes
+
+
+# ---------------------------------------------------------------------------
+# stacked Pade blocks
+
+
+def pade_stack(rng, n, complex_, squarings):
+    """Scaled arguments t X / 2**s as `expm` forms them, one per squaring count.
+
+    Each X is scaled to a 1-norm that needs exactly that many squarings; a
+    zero slice and a slice whose powers overflow come last.
+    """
+    slices, Xs = [], []
+    for s in squarings:
+        X = rng.normal(size=(n, n))
+        if complex_:
+            X = X + 1j * rng.normal(size=(n, n))
+        X *= matcore._PADE13_THETA * 2.0**s * rng.uniform(0.55, 1.0) / one_norm(X)
+        assert matcore._squarings(one_norm(X)) == s
+        Xs.append(X)
+        slices.append(X / 2.0**s)
+    big = np.full((n, n), 1e200, dtype=complex if complex_ else float)
+    return np.stack([*slices, np.zeros_like(big), big]), Xs
+
+
+def assert_stacked_helpers_are_per_slice(S, Xs, squarings):
+    with np.errstate(all="ignore"):  # the last slice overflows alike in both forms
+        P = matcore._powers(S)
+        E = matcore._pade13(S, *P)
+        for i, A in enumerate(S):
+            per = matcore._powers(A)
+            for stacked, alone in zip(P, per):
+                assert stacked[i].tobytes() == alone.tobytes()
+            assert E[i].tobytes() == matcore._pade13(A, *per).tobytes()
+        for s in set(squarings):
+            squared = matcore._square(E, s)
+            for i in range(len(S)):
+                assert squared[i].tobytes() == matcore._square(E[i], s).tobytes()
+        # the approximants of one stack, each squared its own number of times, are expm's
+        for X, s, Ei in zip(Xs, squarings, E):
+            assert matcore._square(Ei, s).tobytes() == expm(X).tobytes()
+    assert not np.isfinite(E[-1]).any()  # the overflowing slice, in a stack of finite ones
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_pade_helpers_equal_each_slice_bit_for_bit(n, complex_):
+    rng = np.random.default_rng([n, complex_])
+    squarings = [0, 3, 0, 1, 7, 2, 0]
+    S, Xs = pade_stack(rng, n, complex_, squarings)
+    assert_stacked_helpers_are_per_slice(S, Xs, squarings)
+
+
+def test_stacked_pade_helpers_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 10),
+        complex_=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        squarings=st.lists(st.integers(0, 12), min_size=1, max_size=12),
+    )
+    def prop(n, complex_, seed, squarings):
+        S, Xs = pade_stack(np.random.default_rng(seed), n, complex_, squarings)
+        assert_stacked_helpers_are_per_slice(S, Xs, squarings)
+
+    prop()
+
+
+def test_block_rows_fill_chunk_entries_below_the_stacking_limit():
+    assert matcore._block_rows(1) == matcore.CHUNK_ENTRIES
+    assert matcore._block_rows(5) == matcore.CHUNK_ENTRIES // 25
+    assert matcore._block_rows(matcore._STACK_BELOW_N - 1) > 1
+    assert matcore._block_rows(matcore._STACK_BELOW_N) == 1
+    assert matcore._block_rows(matcore._SHARE_POWERS_MIN_N) == 1
+    assert matcore._STACK_BELOW_N <= matcore._SHARE_POWERS_MIN_N
+
+
+@pytest.mark.parametrize("n", [3, matcore._STACK_BELOW_N])
+def test_expm_times_takes_a_block_of_approximants_in_one_call(monkeypatch, n):
+    shapes = []
+    approximant = matcore._pade13
+
+    def recorded(A, *powers):
+        shapes.append(A.shape)
+        return approximant(A, *powers)
+
+    monkeypatch.setattr(matcore, "_pade13", recorded)
+    X = np.random.default_rng(n).normal(size=(n, n))
+    X /= one_norm(X)
+    ts = [0.1 * k for k in range(1, 41)]  # ||t X|| <= 4 needs no squaring: 40 scaled arguments
+    got = dict(expm_times(X, ts))
+    assert len(got) == 40
+    if n < matcore._STACK_BELOW_N:
+        assert shapes == [(40, n, n)]
+    else:
+        assert shapes == [(n, n)] * 40
+    shapes.clear()
+    monkeypatch.setattr(matcore, "CHUNK_ENTRIES", 16 * n * n)
+    assert all(E.tobytes() == got[t].tobytes() for t, E in expm_times(X, ts))
+    if n < matcore._STACK_BELOW_N:
+        assert shapes == [(16, n, n), (16, n, n), (8, n, n)]
+
+
+def test_expm_times_computes_a_mixed_dtype_block_row_by_row():
+    # a complex numpy time among real ones makes one complex scaled argument:
+    # stacked with the real ones it would upcast them, so none is stacked
+    X = np.array([[0.2, -1.0], [0.5, 0.1]])
+    ts = [0.5, np.complex128(1.5), 2.5]
+    with pytest.warns(np.exceptions.ComplexWarning):
+        got = dict(expm_times(X, ts))
+    for t in ts:
+        assert got[t].tobytes() == expm(t * X).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# preload_expm
+
+
+def memo_entries():
+    return len(matcore._MEMO.get())
+
+
+def test_preload_stores_expm_under_the_key_of_each_call(pade):
+    X = np.array([[0.3, -1.2], [0.7, 0.1]])
+    ts = [0.0, -0.0, 0.25, 0.5, 0.25, 3.0, -7.5, 1e-9]
+    want = {repr(t): expm(t * X) for t in ts}
+    pade.clear()
+    with memo():
+        matcore.preload_expm(X, ts)
+        rows = len(pade)
+        # one row per distinct nonzero scaled argument; 0.0 and -0.0 both stored
+        assert rows == 5 and memo_entries() == 7
+        for t in ts:
+            assert expm(t * X).tobytes() == want[repr(t)].tobytes()
+        assert len(pade) == rows
+
+
+def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
+    # a wrapper bound over `matcore.expm` (as a tracer binds one) reaches the
+    # memoized expm, and the preloaded entry is a hit through it
+    memoized_expm = matcore.expm
+    calls = []
+
+    def wrapper(M):
+        calls.append(1)
+        return memoized_expm(M)
+
+    monkeypatch.setattr(matcore, "expm", wrapper)
+    X = np.array([[0.0, 2.0], [-1.0, 0.5]])
+    with memo():
+        matcore.preload_expm(X, [0.5, 1.5])
+        rows = len(pade)
+        wrapper(0.5 * X), wrapper(1.5 * X)
+        assert len(calls) == 2 and len(pade) == rows == 2
+
+
+def test_preload_keeps_an_entry_already_in_the_table():
+    X = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with memo():
+        expm(0.5 * X)
+        table = matcore._MEMO.get()
+        (key, first), = table.items()
+        matcore.preload_expm(X, [0.5, 1.0])
+        assert table[key] is first and len(table) == 2
+
+
+def test_preload_outside_a_memo_stores_nothing(monkeypatch):
+    def unreachable(X, ts):
+        raise AssertionError("no exponential is computed outside a memo")
+
+    monkeypatch.setattr(matcore, "expm_times", unreachable)
+    assert matcore.preload_expm(np.eye(2), [1.0]) is None
+    assert matcore._MEMO.get() is None
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
+@pytest.mark.parametrize("X, ts", [
+    (np.array([[0.0, 1e10], [2.0, 0.0]]), [0.5, 1e300, 1.0]),  # t X overflows
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, math.nan]),
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), [math.inf]),
+    (np.ones((2, 3)), [0.5]),
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, "a"]),
+    (np.array([["a", "b"], ["c", "d"]]), [0.5]),
+], ids=["overflow", "nan", "inf", "non-square", "string-time", "string-matrix"])
+def test_preload_never_raises_and_stores_nothing_when_a_time_fails(X, ts, quiet):
+    with np.errstate(all="ignore") if quiet else np.errstate():
+        with memo():
+            assert matcore.preload_expm(X, ts) is None
+            assert memo_entries() == 0
+
+
+def test_preload_stores_nothing_when_an_exponential_would_warn():
+    # exp(2X) overflows in its squarings: under the settings that report an
+    # overflow the per-call path reports it, so nothing is preloaded; with
+    # overflows ignored the values are stored
+    X = np.diag([500.0, -500.0])
+    with np.errstate(all="ignore"):
+        want = expm(2.0 * X)
+    assert np.isinf(want[0, 0])
+    with memo():
+        with np.errstate(over="warn"):
+            matcore.preload_expm(X, [1.0, 2.0])
+        assert memo_entries() == 0
+        with np.errstate(all="ignore"):
+            matcore.preload_expm(X, [1.0, 2.0])
+            assert memo_entries() == 2
+            assert expm(2.0 * X).tobytes() == want.tobytes()

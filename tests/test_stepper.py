@@ -314,6 +314,33 @@ def test_a_table_keeps_first_use_order_and_repeats():
             again(missing)
 
 
+def march_block(direction, steps=2000, h=1e-3, t0=0.0):
+    # the (steps, 3) times of a block of RK4 steps, as `flows.march` lays them out
+    t = t0 + direction * np.arange(steps + 1) * h
+    return np.stack([t[:-1], t[:-1] + 0.5 * (t[1:] - t[:-1]), t[1:]], axis=1)
+
+
+@pytest.mark.parametrize("times", [
+    march_block(1.0),
+    march_block(-1.0),
+    march_block(-1.0, 7, 0.25, 3.0),
+    np.array([[0.0, -0.0, -0.5], [-0.5, -0.75, -1.0]]),  # 0.0 then -0.0: one time, 0.0 kept
+    np.array([-0.0, 0.0, 0.0, 1.0]),  # -0.0 kept
+    np.full((4, 3), 2.5),
+    np.array([[1.5]]),
+    np.array([0.3, 0.1, 0.2, 0.1]),  # not monotone: np.unique itself
+    np.array([0.3, math.nan, 0.1]),
+    np.empty(0),
+], ids=["forward", "backward", "backward-short", "zeros-down", "zeros-up", "constant", "one",
+        "unordered", "nan", "empty"])
+def test_distinct_times_are_those_of_np_unique(times):
+    want_times, want_first = np.unique(times, return_index=True)
+    got_times, got_first = _stepper._distinct(np.ravel(times))
+    assert got_times.dtype == want_times.dtype and got_times.tobytes() == want_times.tobytes()
+    assert got_first.tolist() == want_first.tolist()
+    assert np.argsort(got_first).tolist() == np.argsort(want_first).tolist()  # first-use order
+
+
 def late_nan(t):
     return np.array([[0.0, 1.0], [math.nan if t > 0.8 else 0.0, 0.0]])
 

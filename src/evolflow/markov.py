@@ -147,13 +147,31 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
         raise ValueError("axiom grid must lie in [0, infinity)")
     Q = rate.Q
     eye = np.eye(rate.n)
-    # exp(tQ) for the grid, A(0) and the Chapman-Kolmogorov sums, each distinct t once
-    A = dict(expm_times(Q, itertools.chain(ts, [0.0], (s + t for s in ts for t in ts))))
+    pairs = {}  # s + t -> the grid pairs (s, t) with that sum
+    for s in ts:
+        for t in ts:
+            pairs.setdefault(s + t, []).append((s, t))
+    grid = set(ts)
+    # exp(tQ) for the grid, A(0) and the Chapman-Kolmogorov sums from one
+    # call, each distinct t once.  A sum's exponential is held only until the
+    # whole grid's are here, so the report does not hold every sum's at once;
+    # `worst` gives the same value for the residuals in any order.
+    A, sums, residuals = {}, [], []
+    for u, E in expm_times(Q, itertools.chain(ts, [0.0], pairs)):
+        if u == 0.0:
+            identity = frob_norm(E - eye)
+        if u in grid:
+            A[u] = E
+        if u in pairs:
+            sums.append((u, E))
+        if len(A) == len(grid):
+            for v, S in sums:
+                residuals.extend(frob_norm(S - A[s] @ A[t]) for s, t in pairs[v])
+            sums.clear()
     nonneg = worst(-float(A[t].min()) for t in ts)
     row_sum = worst(float(np.max(np.abs(A[t].sum(axis=1) - 1.0))) for t in ts)
-    identity = frob_norm(A[0.0] - eye)
-    chapman = worst(frob_norm(A[s + t] - A[s] @ A[t]) for s in ts for t in ts)
-    del A  # the sweep below holds one exponential at a time
+    chapman = worst(residuals)
+    del A  # not held through the sweep below, which keeps only norms
 
     tks = [2.0**-k for k in range(1, 21)]
     by_t = {t: frob_norm(E - eye) for t, E in expm_times(Q, tks)}
@@ -192,7 +210,8 @@ def kolmogorov_residuals(rate: RateMatrix, grid) -> KolmogorovResiduals:
     construction; the Forward residual measures how far exp(tQ) drifts
     from commuting with Q in floating point.  The exponentials, at each
     distinct grid time and at t = 0, come from one `expm_times` call, one
-    at a time.
+    at a time; from n = `matcore._PARALLEL_MIN_N` on, under a one-thread
+    BLAS, that call computes two at a time on two threads.
     """
     Q = rate.Q
     ts = [float(t) for t in grid]

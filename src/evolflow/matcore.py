@@ -5,7 +5,8 @@ entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
 matrix exponential (also at many times, one Pade approximant per distinct
-scaled argument, taken a stacked block at a time at small n), the
+scaled argument, taken a stacked block at a time at small n and, at large
+n under a one-thread BLAS, two at a time on two threads), the
 determinant gauge behind every nonsingularity and determinant-sign
 decision, a guaranteed upper estimate of the spectral radius, the
 per-check memo that lets a grid check compute each distinct exponential
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import NamedTuple
@@ -177,9 +179,14 @@ def worst(residuals) -> float:
     return float(acc)
 
 
+def _as_float(a: np.ndarray) -> np.ndarray:
+    # complex128 for complex data, float64 otherwise
+    return a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+
+
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    # complex128 for complex data, float64 otherwise; every entry finite
-    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
+    # `_as_float` with every entry finite
+    a = _as_float(a)
     if np.count_nonzero(np.isfinite(a)) != a.size:  # `.all()` costs twice as much
         raise NonFiniteInput(f"{name} has non-finite entries")
     return a
@@ -249,7 +256,8 @@ def expm(X) -> np.ndarray:
     well-conditioned inputs.  Inside `memo()` each distinct X is computed once.
     """
     X = as_matrix(X)
-    nrm = one_norm(X)
+    with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
+        nrm = _scaling_norm(X)
     if nrm == 0.0:
         return np.eye(X.shape[0], dtype=X.dtype)
     squarings = _squarings(nrm)
@@ -260,6 +268,15 @@ def expm(X) -> np.ndarray:
 # the kernel that `memoized` wraps into `expm`: the function in the memo keys
 # of its calls, through whatever module binding they reach it
 _expm_kernel = expm.__wrapped__
+
+
+def _scaling_norm(M) -> float:
+    # the 1-norm that sets the squarings of a finite matrix, which can still
+    # overflow: that raises (callers keep numpy's overflow warning off)
+    nrm = one_norm(M)
+    if nrm == math.inf:
+        raise NonFiniteInput("matrix 1-norm overflows")
+    return nrm
 
 
 def _squarings(nrm: float) -> int:
@@ -289,7 +306,11 @@ def _pade13(A, A2, A4, A6) -> np.ndarray:
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    return np.linalg.solve(V - U, V + U)
+    del eye
+    P = V - U
+    V += U  # V + U in V's place: one matrix fewer held through the solve
+    del U
+    return np.linalg.solve(P, V)
 
 
 def _square(E, squarings: int) -> np.ndarray:
@@ -337,26 +358,36 @@ def expm_times(X, ts):
 
     Times are deduplicated as dict keys are (0.0 and -0.0 are one time, the
     first is kept) and yielded grouped by their scaled argument t*X / 2**s,
-    with s chosen exactly as `expm` chooses it.  Each distinct scaled
-    argument costs one Pade approximant: the times that share it (2t beside
-    t above the scaling threshold, 2**-k for k up to s + 1) take their
-    values from one squaring chain.  Below n = _STACK_BELOW_N the
-    approximants are taken a block at a time, one stacked `_powers` and
-    `_pade13` call for up to CHUNK_ENTRIES / n**2 scaled arguments; each
-    slice of a stacked call is the unstacked call's result, bit for bit.
-    From there on they are taken one at a time, and scaled arguments that
-    are power-of-two multiples of one another (one mantissa of t) share
-    A**2, A**4 and A**6, scaled, when n is at least _SHARE_POWERS_MIN_N and
-    `_scales_exactly` guarantees that the scaled powers are the computed
-    ones; otherwise they compute them.  Both kinds of sharing are confirmed
-    with `np.array_equal`, so no result differs from `expm(t * X)` in any
-    bit.  Each yielded matrix is the caller's own.
+    with s chosen exactly as `expm` chooses it.  A group is one distinct
+    scaled argument with its squaring chain: it costs one Pade approximant,
+    and the times that share it (2t beside t above the scaling threshold,
+    2**-k for k up to s + 1) take their values from the chain.  Below
+    n = _STACK_BELOW_N the approximants are taken a block at a time, one
+    stacked `_powers` and `_pade13` call for up to CHUNK_ENTRIES / n**2
+    scaled arguments; each slice of a stacked call is the unstacked call's
+    result, bit for bit.  From there on they are taken one at a time, and
+    scaled arguments that are power-of-two multiples of one another (one
+    mantissa of t) share A**2, A**4 and A**6, scaled, when n is at least
+    _SHARE_POWERS_MIN_N and `_scales_exactly` guarantees that the scaled
+    powers are the computed ones; otherwise they compute them.  Both kinds
+    of sharing are confirmed with `np.array_equal`, so no result differs
+    from `expm(t * X)` in any bit.  Each yielded matrix is the caller's own.
 
-    Every time is validated before the first yield: a non-finite or
-    overflowing t * X raises `NonFiniteInput` as `expm` does.  The generator
-    holds at most one squaring chain and either one block of approximants
-    or the powers of one family, and keeps the powers only while another
-    scaled argument of that family is still to come.
+    From n = _PARALLEL_MIN_N on, a call with more than one group takes the
+    groups two at a time when `_helper_engages` (one BLAS thread, a second
+    usable CPU): the earlier group on the calling thread, the later on one
+    helper thread, started for the call and joined when the generator
+    finishes or is closed.  The helper runs under the caller's numpy error
+    settings, and what it raises is raised here.  The values and their
+    order are unchanged.
+
+    Every time is validated before the first yield: a non-finite t * X, or
+    one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
+    as `expm` does, without numpy's overflow warning.  One group at a time,
+    the generator holds at most one squaring chain and either one block of
+    approximants or the powers of one family, and keeps the powers only
+    while another scaled argument of that family is still to come; two at
+    a time, it also holds the later group's values and powers.
     """
     X = np.asarray(X)
     zeros, families = _plan(X, ts)
@@ -365,6 +396,13 @@ def expm_times(X, ts):
     # (mantissa, offset, members) in the order their approximants are taken
     groups = [(mantissa, offset, sorted(family[offset]))
               for mantissa, family in families.items() for offset in sorted(family)]
+    if len(groups) > 1 and X.shape[0] >= _PARALLEL_MIN_N and _helper_engages():
+        # imported here: 4 ms and 0.6 MB that calls below the threshold never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="evolflow-expm_times") as helper:
+            yield from _pairs(X, groups, helper)
+        return
     for A, E, members in _approximants(X, groups):
         yield from _chain(X, A, E, members)
         del A, E  # not held while the next approximant is taken
@@ -378,6 +416,48 @@ def expm_times(X, ts):
 # host, one OpenBLAS thread), so from n = 32 on they are taken one at a time.
 _STACK_BELOW_N = 32
 
+# Two groups at a time pay once a group's products outweigh starting and
+# joining a thread and the two threads' contention for memory.  With the
+# helper forced on at every n, `axioms_report` on random rate matrices (four
+# times in (0, 1.6], their sums and the 2**-k sweep; mean over 3 matrices of
+# the best of 3-5 runs, two passes; 2-core x86-64 host, one OpenBLAS
+# thread) went, one at a time -> two at a time, in ms:
+#   n = 100: 25-32 -> 38-39      n = 150: 61-86 -> 59-106
+#   n = 175: 120-133 -> 92-93    n = 200: 139-176 -> 104-129
+#   n = 250: 264-268 -> 200-211  n = 300: 450-521 -> 339-347
+# The crossover lies between 150 and 175; the threshold keeps a margin above it.
+_PARALLEL_MIN_N = 200
+
+# The variables OpenBLAS reads its thread count from, in its order: the
+# first set to a positive integer decides.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _helper_engages() -> bool:
+    """True when `expm_times` may hand every other group to a helper thread.
+
+    That is when the BLAS runs one thread, as its environment variables
+    set it, and the process may use at least two CPUs.  With more BLAS
+    threads (OpenBLAS starts one per CPU when none is set) each product
+    already uses the cores, and a helper only oversubscribes them: at two
+    BLAS threads on two cores, `axioms_report` at n = 200 and 300 took 1.2
+    to 1.6 times as long with the helper forced on.
+    """
+    for name in _BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            break
+    else:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return threads == 1 and cpus >= 2
+
 
 def _block_rows(n: int) -> int:
     # scaled arguments whose approximants one stacked call takes; sharing
@@ -385,6 +465,18 @@ def _block_rows(n: int) -> int:
     if n >= _STACK_BELOW_N or n >= _SHARE_POWERS_MIN_N:
         return 1
     return CHUNK_ENTRIES // (n * n)
+
+
+def _scaled(X, s, t):
+    # t*X / 2**s for a time `_plan` validated: coerced as `as_matrix`
+    # coerces it, to the same bits, without validating it again
+    return _as_float(t * X) / (2.0**s)
+
+
+def _follows(groups, i, n) -> bool:
+    # whether group i's powers may serve the next group: n shares powers,
+    # and the next group is of the same family
+    return n >= _SHARE_POWERS_MIN_N and i + 1 < len(groups) and groups[i + 1][0] == groups[i][0]
 
 
 def _approximants(X, groups):
@@ -396,7 +488,7 @@ def _approximants(X, groups):
     shared = None  # (offset, A, A2, A4, A6) while its family has more to come
     for start in range(0, len(groups), rows):
         block = groups[start:start + rows]
-        scaled = [as_matrix(t * X) / (2.0**s) for _, _, [(s, t), *_] in block]
+        scaled = [_scaled(X, *members[0]) for _, _, members in block]
         if rows > 1 and len({A.dtype for A in scaled}) == 1:  # else none is upcast
             S = np.stack(scaled)
             approximants = [E.copy() for E in _pade13(S, *_powers(S))]
@@ -404,16 +496,64 @@ def _approximants(X, groups):
             for A, E, (_, _, members) in zip(scaled, approximants, block):
                 yield A, E, members
             continue
-        for i, ((mantissa, offset, members), A) in enumerate(zip(block, scaled), start):
+        for i, ((_, offset, members), A) in enumerate(zip(block, scaled), start):
             powers = _shared_powers(shared, offset, A)
             shared = None
             if powers is None:
                 powers = _powers(A)
             E = _pade13(A, *powers)
-            if n >= _SHARE_POWERS_MIN_N and i + 1 < len(groups) and groups[i + 1][0] == mantissa:
+            if _follows(groups, i, n):
                 shared = (offset, A, *powers)
             del powers
             yield A, E, members
+
+
+def _pairs(X, groups, helper):
+    # the values of the groups two at a time, in group order: the earlier
+    # group of a pair on this thread, the later on `helper`.  Powers are
+    # shared as `_approximants` shares them, except that the later group
+    # shares only powers its partner was given: powers the partner computes
+    # are not there yet when the helper starts.
+    n = X.shape[0]
+    shared = None  # (offset, A, A2, A4, A6) while its family has more to come
+    for i in range(0, len(groups), 2):
+        _, offset, members = groups[i]
+        A = _scaled(X, *members[0])
+        powers = _shared_powers(shared, offset, A)
+        shared = (offset, A, *powers) if powers is not None and _follows(groups, i, n) else None
+        later = None
+        if i + 1 < len(groups):
+            _, later_offset, later_members = groups[i + 1]
+            B = _scaled(X, *later_members[0])
+            # a new thread starts from numpy's default error settings (numpy 2
+            # keeps them in a context variable, numpy 1 per thread): the helper
+            # takes this thread's, so an overflow warns or raises as it would here
+            errors = {**np.geterr(), "call": np.geterrcall()}
+            later = helper.submit(_values, X, B, _shared_powers(shared, later_offset, B),
+                                  later_members, errors)
+        shared = None
+        if powers is None:
+            powers = _powers(A)
+        E = _pade13(A, *powers)
+        del powers
+        yield from _chain(X, A, E, members)
+        del A, E
+        if later is not None:
+            values, powers = later.result()
+            if _follows(groups, i + 1, n):
+                shared = (later_offset, B, *powers)
+            del B, powers
+            yield from values
+            del values
+
+
+def _values(X, A, powers, members, errors):
+    # one group's values in order, and A's powers (those given, or computed),
+    # under the numpy error settings `errors`
+    with np.errstate(**errors):
+        if powers is None:
+            powers = _powers(A)
+        return list(_chain(X, A, _pade13(A, *powers), members)), powers
 
 
 def _shared_powers(shared, offset, A):
@@ -437,15 +577,16 @@ def _plan(X, ts):
     # mantissa of t) of groups (one exponent of t minus s), holding one t * X at a time
     zeros = []
     families = {}  # mantissa -> {exponent - s -> [(s, t)]}
-    for t in dict.fromkeys(ts):
-        Y = as_matrix(t * X)
-        nrm = one_norm(Y)
-        if nrm == 0.0:
-            zeros.append((t, Y.dtype))
-            continue
-        s = _squarings(nrm)
-        mantissa, exponent = math.frexp(t)
-        families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
+    with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
+        for t in dict.fromkeys(ts):
+            Y = as_matrix(t * X)
+            nrm = _scaling_norm(Y)
+            if nrm == 0.0:
+                zeros.append((t, Y.dtype))
+                continue
+            s = _squarings(nrm)
+            mantissa, exponent = math.frexp(t)
+            families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
     return zeros, families
 
 
@@ -456,7 +597,7 @@ def _chain(X, A, E, members):
     done = 0
     for j, (s, t) in enumerate(members):
         if j:
-            At = as_matrix(t * X) / (2.0**s)
+            At = _scaled(X, s, t)
             if not np.array_equal(At, A):
                 yield t, _square(_pade13(At, *_powers(At)), s)
                 continue

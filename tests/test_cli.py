@@ -403,6 +403,14 @@ def test_expm_computes(tmp_path, capsys):
     assert np.allclose(E, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
 
+def test_expm_of_a_matrix_whose_1_norm_overflows_is_an_input_error(tmp_path, capsys):
+    m = write(tmp_path / "big.json", {"n": 2, "real": [[1e308, 1e308], [1e308, 1e308]]})
+    code, report, err = invoke(capsys, "expm", m, "--t", "1")
+    assert code == 2
+    assert report["payload"]["message"] == "matrix 1-norm overflows"
+    assert err == "evolflow expm: NonFiniteInput: matrix 1-norm overflows\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert run([]) == 2
     assert run(["not-a-subcommand"]) == 2

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from evolflow import matcore
 from evolflow.curves import ExpLine, FlipFlop, check_one_parameter_subgroup
 from evolflow.errors import NegativeOffDiagonal, RowSumNonzero, SubsetTooSmall
 from evolflow.lie import Algebra, Group, in_algebra, in_group
@@ -191,6 +193,25 @@ def test_axioms_hold_no_more_memory_than_one_exponential_per_time(grid):
     assert peak <= per_call_peak
 
 
+def test_axioms_hold_each_sums_exponential_only_until_the_grid_is_complete(monkeypatch):
+    # 15 distinct times: the four grid values stay to the end, and besides
+    # them at most the last value yielded and the last sum taken
+    alive = []
+
+    def tracked(X, ts):
+        refs = []
+        for t, E in expm_times(X, ts):
+            refs.append(weakref.ref(E))
+            yield t, E
+        alive.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr("evolflow.markov.expm_times", tracked)
+    rate = random_rate_matrix(6, 5)
+    grid = [0.29, 0.61, 0.93, 1.38]
+    assert repr(axioms_report(rate, grid)) == repr(per_call_axioms_report(rate, grid))
+    assert alive[0] <= len(grid) + 2
+
+
 def nan_exponential_at(T, Q):
     """`expm` that returns all NaN at exp(T Q) and the true value elsewhere."""
     def patched(X):
@@ -315,6 +336,16 @@ def test_kolmogorov_residuals_equal_a_per_call_loop_on_a_nan_exponential(monkeyp
     monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(0.7, rate.Q))
     monkeypatch.setattr("oracles.expm", nan_exponential_at(0.7, rate.Q))
     grid = [0.0, 0.7, 1.1]
+    assert repr(kolmogorov_residuals(rate, grid)) == repr(per_call_kolmogorov_residuals(rate, grid))
+
+
+@pytest.mark.parametrize("engages", [False, True], ids=["one-at-a-time", "two-at-a-time"])
+def test_axioms_and_kolmogorov_at_the_helper_threshold_equal_per_call_loops(monkeypatch, engages):
+    # from _PARALLEL_MIN_N on, with the helper thread forced on or off
+    monkeypatch.setattr(matcore, "_helper_engages", lambda: engages)
+    rate = random_rate_matrix(matcore._PARALLEL_MIN_N, 31)
+    grid = [0.0, 0.29, 0.61, 0.61, 1.22, 1.38]
+    assert repr(axioms_report(rate, grid)) == repr(per_call_axioms_report(rate, grid))
     assert repr(kolmogorov_residuals(rate, grid)) == repr(per_call_kolmogorov_residuals(rate, grid))
 
 

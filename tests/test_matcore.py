@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -463,29 +464,37 @@ TIMES = [0.0, -0.0, 0.3, 0.3, 0.6, 1.2, 2.4, -0.3, -0.6, 7.0, 14.0, 28.0, 1e-5, 
 def assert_expm_times_is_expm(X, ts):
     """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
 
-    Checked as it runs at X's size, with the powers shared at every size,
-    and with stacked blocks of at most three approximants below
-    _STACK_BELOW_N.
+    Checked one group at a time and two at a time (the helper thread forced
+    on at every size), each as it runs at X's size and with the powers
+    shared at every size, and one at a time with stacked blocks of at most
+    three approximants below _STACK_BELOW_N.
     """
+    off, on = (lambda: False), (lambda: True)
+    settings = [
+        {"_helper_engages": off},
+        {"_helper_engages": off, "_SHARE_POWERS_MIN_N": 1},
+        {"_helper_engages": off, "CHUNK_ENTRIES": 3 * np.asarray(X).size},
+        {"_helper_engages": on, "_PARALLEL_MIN_N": 1},
+        {"_helper_engages": on, "_PARALLEL_MIN_N": 1, "_SHARE_POWERS_MIN_N": 1},
+    ]
     with np.errstate(all="ignore"):  # an exponential that overflows does so alike
         want = {}
         for t in ts:
             want.setdefault(t, expm(t * X))
-        got = list(expm_times(X, ts))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matcore, "_SHARE_POWERS_MIN_N", 1)
-            shared = list(expm_times(X, ts))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matcore, "CHUNK_ENTRIES", 3 * np.asarray(X).size)
-            threes = list(expm_times(X, ts))
-    for results in (got, shared, threes):
+        runs = []
+        for patches in settings:
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in patches.items():
+                    mp.setattr(matcore, name, value)
+                runs.append(list(expm_times(X, ts)))
+    for results in runs:
         assert len(results) == len(want)
         assert {repr(t) for t, _ in results} == {repr(t) for t in want}  # the first of 0.0 and -0.0
         for t, E in results:
             assert E.dtype == want[t].dtype and E.shape == want[t].shape
             assert E.tobytes() == want[t].tobytes(), t
         assert len({id(E) for _, E in results}) == len(results)  # each matrix the caller's own
-    return got
+    return runs[0]
 
 
 def chapman_times(ts):
@@ -618,6 +627,23 @@ def test_expm_times_validates_every_time_before_the_first_result():
         next(times)
 
 
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_an_overflow_raises_nonfiniteinput_without_a_warning(errors):
+    # pytest turns a RuntimeWarning into an error, so none is emitted first;
+    # 0.5 X has a 1-norm of 1e308, and X one that overflows
+    X = np.full((2, 2), 1e308)
+    with np.errstate(over=errors):
+        with pytest.raises(NonFiniteInput, match="1-norm overflows"):
+            expm(X)
+        times = expm_times(X, [0.5, 1.0])
+        with pytest.raises(NonFiniteInput, match="1-norm overflows"):
+            next(times)
+        # expm_times forms t * X itself, and rejects one that overflows
+        times = expm_times(np.array([[0.0, 1e10], [2.0, 0.0]]), [0.5, 1e300])
+        with pytest.raises(NonFiniteInput, match="non-finite entries"):
+            next(times)
+
+
 def test_expm_times_takes_one_pade_approximant_per_distinct_scaled_argument(pade):
     Q = random_rate_matrix(5, 4).Q
     ts = chapman_times([0.25, 0.5, 0.6, 1.5]) + SWEEP
@@ -645,6 +671,163 @@ def test_expm_times_holds_one_chain_and_one_family_of_powers():
     finally:
         tracemalloc.stop()
     assert streamed <= one + 2 * Q.nbytes
+
+
+# ---------------------------------------------------------------------------
+# two groups at a time: the later group of each pair on a helper thread
+
+
+@pytest.fixture
+def helper_groups(monkeypatch):
+    """The helper forced on; (ran on another thread, had powers, times) per helper group."""
+    monkeypatch.setattr(matcore, "_helper_engages", lambda: True)
+    caller = threading.get_ident()
+    groups = []
+    values = matcore._values
+
+    def recorded(X, A, powers, members, errors):
+        elsewhere = threading.get_ident() != caller
+        groups.append((elsewhere, powers is not None, [t for _, t in members]))
+        return values(X, A, powers, members, errors)
+
+    monkeypatch.setattr(matcore, "_values", recorded)
+    return groups
+
+
+@pytest.mark.parametrize("n", [matcore._PARALLEL_MIN_N - 1, matcore._PARALLEL_MIN_N, 300])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_two_at_a_time_is_expm_from_the_threshold_on(helper_groups, monkeypatch, n, kind):
+    rng = np.random.default_rng([n, kind == "complex"])
+    if kind == "real":
+        X = random_rate_matrix(n, rng).Q
+    else:
+        X = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 10.0
+    ts = [0.0, 0.3, -0.0, 0.6, 0.3, 1.1, 2.2, 2.0**-3, 2.0**-9]
+    want = {t: expm(t * X) for t in ts}
+    got = list(expm_times(X, ts))
+    for t, E in got:
+        assert E.tobytes() == want[t].tobytes(), t
+    with monkeypatch.context() as mp:
+        mp.setattr(matcore, "_helper_engages", lambda: False)
+        assert [repr(t) for t, _ in got] == [repr(t) for t, _ in expm_times(X, ts)]
+    assert len(got) == 7
+    _, families = matcore._plan(X, ts)
+    groups = sum(len(family) for family in families.values())
+    if n < matcore._PARALLEL_MIN_N:
+        assert helper_groups == []
+    else:  # every other group on the helper
+        assert len(helper_groups) == groups // 2 >= 2
+        assert all(other for other, _, _ in helper_groups)
+
+
+def test_one_group_takes_no_helper(helper_groups):
+    X = random_rate_matrix(matcore._PARALLEL_MIN_N, 4).Q
+    before = threading.active_count()
+    for t, E in expm_times(X, [0.0, 0.7, 0.0]):
+        assert threading.active_count() == before
+        assert E.tobytes() == expm(t * X).tobytes()
+    assert helper_groups == []
+
+
+def test_two_at_a_time_shares_powers_a_pair_was_given(helper_groups, monkeypatch):
+    # the sweep is one family of groups: the first pair computes its powers
+    # on both threads, and each later pair is given scaled ones
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    Q = random_rate_matrix(matcore._SHARE_POWERS_MIN_N, 3).Q
+    assert_expm_times_is_expm(Q, SWEEP)
+    helper_groups.clear()
+    dict(expm_times(Q, SWEEP))
+    given = [had for _, had, _ in helper_groups]
+    assert len(given) > 2 and given[0] is False and all(given[1:])
+
+
+def test_the_helper_computes_a_chain_member_whose_scaled_argument_differs(
+        helper_groups, monkeypatch, pade):
+    # as in test_expm_times_splits_a_group_whose_scaled_arguments_differ, with
+    # a group of another family first, so that the split group is the helper's
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    X = np.array([[40.0, 3.78159362874e-313], [0.0, -40.0]])
+    got = dict(expm_times(X, [0.1, 0.3, 0.6]))
+    assert helper_groups == [(True, False, [0.3, 0.6])]
+    assert len(set(pade)) == 3
+    for t, E in got.items():
+        assert E.tobytes() == expm(t * X).tobytes()
+
+
+def test_the_helper_overflows_under_the_callers_error_settings(helper_groups, monkeypatch):
+    # exp(2 X) overflows in its squarings, on the helper: it raises under
+    # "raise" and gives infinite entries without a warning under "ignore"
+    # (a plain thread's default would warn, which pytest turns into an error)
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    X = np.diag([500.0, -500.0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        list(expm_times(X, [0.3, 2.0]))
+    assert helper_groups == [(True, False, [2.0])]
+    with np.errstate(all="ignore"):
+        got = dict(expm_times(X, [0.3, 2.0]))
+        want = expm(2.0 * X)
+    assert np.isinf(got[2.0][0, 0]) and got[2.0].tobytes() == want.tobytes()
+
+
+def test_preload_stores_nothing_when_the_helpers_exponential_would_warn(helper_groups):
+    n = matcore._PARALLEL_MIN_N
+    X = np.zeros((n, n))
+    X[0, 0], X[1, 1] = 500.0, -500.0
+    with memo():
+        matcore.preload_expm(X, [0.3, 2.0])
+        assert memo_entries() == 0
+        with np.errstate(all="ignore"):
+            matcore.preload_expm(X, [0.3, 2.0])
+            assert memo_entries() == 2
+    assert [times for _, _, times in helper_groups] == [[2.0], [2.0]]
+
+
+def test_two_at_a_time_joins_its_helper_when_the_generator_stops(helper_groups, monkeypatch):
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    X = random_rate_matrix(8, 5).Q
+    ts = [0.3, 0.7, 1.1, 1.9, 2.3]  # five groups: pairs and one on its own
+    before = threading.active_count()
+    times = expm_times(X, ts)
+    next(times)
+    assert threading.active_count() == before + 1
+    times.close()
+    assert threading.active_count() == before
+
+    def consume():
+        for t, _ in expm_times(X, ts):
+            raise KeyError(t)
+
+    with pytest.raises(KeyError):
+        consume()
+    assert threading.active_count() == before
+    assert len(dict(expm_times(X, ts))) == 5
+    assert threading.active_count() == before
+    # a pair started at each first yield, two in the full run
+    assert [times for _, _, times in helper_groups] == [[0.7], [0.7], [0.7], [1.9]]
+
+
+def test_helper_engages_at_one_blas_thread_on_two_cpus(monkeypatch):
+    for name in matcore._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(matcore.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert not matcore._helper_engages()  # unset: OpenBLAS takes a thread per CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert matcore._helper_engages()
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+    assert not matcore._helper_engages()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read first
+    assert matcore._helper_engages()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count: the next decides
+    assert not matcore._helper_engages()
+    monkeypatch.setenv("GOTO_NUM_THREADS", "junk")
+    assert matcore._helper_engages()
+    monkeypatch.setattr(matcore.os, "sched_getaffinity", lambda pid: {3})
+    assert not matcore._helper_engages()  # one usable CPU
+    monkeypatch.delattr(matcore.os, "sched_getaffinity")
+    for cpus, engages in ((None, False), (1, False), (2, True)):
+        monkeypatch.setattr(matcore.os, "cpu_count", lambda: cpus)
+        assert matcore._helper_engages() is engages
+
 
 
 # ---------------------------------------------------------------------------
@@ -826,12 +1009,13 @@ def test_preload_outside_a_memo_stores_nothing(monkeypatch):
 @pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
 @pytest.mark.parametrize("X, ts", [
     (np.array([[0.0, 1e10], [2.0, 0.0]]), [0.5, 1e300, 1.0]),  # t X overflows
+    (np.full((2, 2), 1e308), [0.5, 1.0]),  # the 1-norm of t X overflows
     (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, math.nan]),
     (np.array([[0.0, 1.0], [2.0, 0.0]]), [math.inf]),
     (np.ones((2, 3)), [0.5]),
     (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, "a"]),
     (np.array([["a", "b"], ["c", "d"]]), [0.5]),
-], ids=["overflow", "nan", "inf", "non-square", "string-time", "string-matrix"])
+], ids=["overflow", "norm-overflow", "nan", "inf", "non-square", "string-time", "string-matrix"])
 def test_preload_never_raises_and_stores_nothing_when_a_time_fails(X, ts, quiet):
     with np.errstate(all="ignore") if quiet else np.errstate():
         with memo():

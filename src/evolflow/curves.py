@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import lie
+from . import _stepper, lie
 from ._stepper import _evaluate, rk4_step
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .evoalg import EvolutionAlgebra, is_perfect
@@ -28,8 +28,10 @@ from .matcore import (
     as_matrix,
     expm,
     frob_norm,
+    frob_norms,
     inv,
     memo,
+    nonempty,
     preload_expm,
     spectral_radius_estimate,
     worst,
@@ -131,11 +133,9 @@ class MatrixFunction:
     """
 
     def __init__(self, terms: Sequence[tuple]):
-        if not terms:
-            raise ValueError("matrix function needs at least one term")
         parsed = []
         n = None
-        for f, M in terms:
+        for f, M in nonempty(terms, "matrix function needs at least one term"):
             M = as_matrix(M, name="matrix function term")
             if n is None:
                 n = M.shape[0]
@@ -264,7 +264,8 @@ class ExpLine(Curve):
         return self.A0.shape[0]
 
     def value(self, t):
-        return self.A0 @ expm(t * self.X)
+        E = expm(t * self.X)  # `ndarray.dot` where it rounds as `@`, as in `flows.flow_apply`
+        return self.A0.dot(E) if self.A0.flags.forc else self.A0 @ E
 
     def derivative(self, t):
         return self.A0 @ expm(t * self.X) @ self.X
@@ -510,17 +511,26 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     `expm` computes each distinct exponential once.  For an `ExpLine` (and
     so a `TangentInduced`) the block is preloaded with exp(t X) for t in
     {0} and the grid and its pairwise sums, all from one `expm_times` call.
+    The values A(s + t) go `_stepper.CHUNK_ENTRIES` entries at a time into
+    one stacked stage S - V[s] @ V[t], V the grid values, bit for bit the
+    per-pair residuals; values of mixed dtypes or layouts go pair by pair.
     """
-    grid = [float(t) for t in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
+    grid = [float(t) for t in nonempty(grid)]
     with memo():
         if isinstance(curve, ExpLine):
             preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
-        values = {t: curve.value(t) for t in grid}
-        hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])
-                    for s in grid for t in grid)
+        V = list(map({t: curve.value(t) for t in grid}.get, grid))  # equal times (+-0.0 too) share one
+        if len({(v.dtype, v.shape, v.flags.c_contiguous) for v in V}) == 1 and V[0].flags.c_contiguous:
+            V = np.array(V)  # C, as its rows: a product's bits follow its operands' layout
+        G, sums, hom = len(grid), (s + t for s in grid for t in grid), 0.0
+        for start in range(0, G * G, per_chunk := max(1, _stepper.CHUNK_ENTRIES // V[0].size)):
+            S = [curve.value(u) for u in itertools.islice(sums, per_chunk)]
+            s, t = np.divmod(np.arange(start, start + len(S)), G)
+            stacked = isinstance(V, np.ndarray) and {v.dtype for v in S} == {V.dtype}
+            res = (frob_norms(np.array(S) - V[s] @ V[t]).tolist() if stacked else
+                   [frob_norm(A - V[i] @ V[j]) for A, i, j in zip(S, s.tolist(), t.tolist())])
+            hom = worst([hom, *res])  # the worst of all residuals so far, NaN once one is
     return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)
 
 
@@ -535,7 +545,7 @@ def check_ode(curve: Curve, X, grid, tol: float = 1e-9) -> OdeReport:
     X = as_matrix(X, name="X")
     if X.shape[0] != curve.n:
         raise DimensionMismatch(f"generator is {X.shape[0]}x{X.shape[0]}, curve has n={curve.n}")
-    res = worst(frob_norm(curve.derivative(t) - curve.value(t) @ X) for t in grid)
+    res = worst(frob_norm(curve.derivative(t) - curve.value(t) @ X) for t in nonempty(grid))
     return OdeReport(res <= tol, res, tol)
 
 
@@ -561,7 +571,7 @@ def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
     curve of nonsingular matrices).
     """
     samples, all_perfect = [], True
-    for t in grid:
+    for t in nonempty(grid):
         rep = is_perfect(EvolutionAlgebra(curve.value(t)))
         all_perfect = all_perfect and rep.perfect
         samples.append(PerfectnessSample(float(t), rep.scaled_abs_det, rep.sign))

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import _stepper
 from ._stepper import rk4_step, tabulate
-from .errors import CommutatorTooLarge, NotInAlgebra, NotInGroup
+from .errors import CommutatorTooLarge, DimensionMismatch, NonFiniteInput, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
-from .matcore import as_matrix, expm, frob_norm, memo, preload_expm, worst
+from .matcore import _as_float, as_matrix, expm, frob_norm, memo, nonempty, preload_expm, worst
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,26 @@ class FlowLine:
 
 
 def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
-    """A as a validated base point: raises NotInGroup outside the declared group."""
-    A = as_matrix(A, name="base point")
-    rep = in_group(A, flow.group, tol)
+    """A as a validated base point: raises NotInGroup outside the declared group.
+
+    The membership probe validates A (in `matcore.memo()` a hit means these
+    bytes passed before), so A is then only coerced as `as_matrix` does.
+    """
+    try:
+        rep = in_group(A, flow.group, tol)
+    except (DimensionMismatch, NonFiniteInput):
+        as_matrix(A, name="base point")  # a non-square or non-finite A: named for the base point
+        raise  # a size the group does not fix
     if not rep.belongs:
         raise NotInGroup(f"base point fails {flow.group.kind} membership (residual {rep.residual:.3e})")
-    return A
+    return _as_float(np.asarray(A))
 
 
 def flow_apply(flow: Flow, t: float, A, tol: float = 1e-9) -> np.ndarray:
     """Phi(t, A) = A exp(t X) for a base point A of the declared group."""
-    return base_point(flow, A, tol) @ expm(t * flow.X)
+    A, E = base_point(flow, A, tol), expm(t * flow.X)
+    # `@`'s gemm without its ufunc dispatch; the two may round apart unless A is C or F
+    return A.dot(E) if A.flags.forc else A @ E
 
 
 class FlowAxiomsReport(NamedTuple):
@@ -122,7 +131,8 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     is preloaded with exp(t X) for t in {0} and the grid and its pairwise
     sums, all from one `expm_times` call.
     """
-    ts = [float(t) for t in grid]
+    ts = [float(t) for t in nonempty(grid)]
+    bases = nonempty(bases, "no base points")
     idents, comps = [], []  # one worst residual per base
     with memo():
         preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s in ts for t in ts)))

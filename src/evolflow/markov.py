@@ -19,7 +19,7 @@ from .errors import (
     RowSumNonzero,
     SubsetTooSmall,
 )
-from .matcore import as_matrix, expm, expm_times, frob_norm, is_real, worst
+from .matcore import as_matrix, expm, expm_times, frob_norm, is_real, nonempty, worst
 
 # expm rounding can leave entries this far below zero without disqualifying
 # a matrix from being considered Markov.
@@ -142,7 +142,7 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
     t = 2^-k for k = 1..20 against the rigorous bound e^||tQ|| - 1 and for
     monotone decrease.
     """
-    ts = [float(t) for t in grid]
+    ts = [float(t) for t in nonempty(grid)]
     if any(t < 0.0 for t in ts):
         raise ValueError("axiom grid must lie in [0, infinity)")
     Q = rate.Q
@@ -214,7 +214,7 @@ def kolmogorov_residuals(rate: RateMatrix, grid) -> KolmogorovResiduals:
     BLAS, that call computes two at a time on two threads.
     """
     Q = rate.Q
-    ts = [float(t) for t in grid]
+    ts = [float(t) for t in nonempty(grid)]
     pairs = {}  # (backward, forward) per distinct time
     for t, A in expm_times(Q, [*ts, 0.0]):
         D = Q @ A
@@ -235,7 +235,7 @@ def det_trace_identity(rate: RateMatrix, grid) -> float:
         rhs = float(np.exp(t * tr))
         return abs(lhs - rhs) / rhs
 
-    return worst(defect(t) for t in grid)
+    return worst(defect(t) for t in nonempty(grid))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ decision, a guaranteed upper estimate of the spectral radius, the
 per-check memo that lets a grid check compute each distinct exponential
 and membership once (and take its exponentials from one `expm_times`
 call, preloaded), and `worst`, the one reduction of a grid check's
-residuals.
+residuals (`frob_norms` norms a stack of them; `nonempty` refuses none).
 
 The Pade helpers `_powers`, `_pade13` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
@@ -179,6 +179,13 @@ def worst(residuals) -> float:
     return float(acc)
 
 
+def nonempty(points, message: str = "grid must be nonempty") -> list:
+    """The points as a list; ValueError for none, where a check would pass vacuously."""
+    if not (points := list(points)):
+        raise ValueError(message)
+    return points
+
+
 def _as_float(a: np.ndarray) -> np.ndarray:
     # complex128 for complex data, float64 otherwise
     return a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
@@ -239,6 +246,19 @@ def frob_norm(M) -> float:
     else:
         sq = x.dot(x)
     return float(np.sqrt(sq))
+
+
+def frob_norms(M) -> np.ndarray:
+    """`frob_norm` of each slice of a float or complex (k, n, n) stack, bit for bit: each
+    x . x is a (1, n^2) @ (n^2, 1) matmul on `frob_norm`'s dot kernel, over the entries in
+    memory order, complex ones as strided real and imaginary views, as `frob_norm` takes them."""
+    x = np.asarray(M)
+    k, size = len(x), math.prod(x.shape[1:])
+    if not x.flags.c_contiguous:  # a slice's memory order need not be C order
+        x = np.array([s.ravel(order="K") for s in x])
+    x = x.reshape(k, 1, size)
+    sq = sum(p @ p.swapaxes(1, 2) for p in ((x.real, x.imag) if x.dtype.kind == "c" else (x,)))
+    return np.sqrt(sq.reshape(k))
 
 
 def one_norm(M) -> float:

@@ -16,15 +16,20 @@ differently, kept as the reference for that rounding change.
 as it was when it took one `expm` per distinct time, kept verbatim as the
 reference for its results and its peak memory.  So is
 `per_call_kolmogorov_residuals`, `markov.kolmogorov_residuals` as it was
-with one `expm` call per grid point.
+with one `expm` call per grid point.  `per_pair_subgroup_report` is
+`curves.check_one_parameter_subgroup` as it was with one residual a grid
+pair, the reference for the stacked stage's results and peak memory.
 """
+
+import itertools
 
 import numpy as np
 
 from evolflow._stepper import checked_generator, rk4_step
 from evolflow.errors import DimensionMismatch, NonFiniteInput
+from evolflow.curves import ExpLine, SubgroupReport
 from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
-from evolflow.matcore import expm, frob_norm, worst
+from evolflow.matcore import expm, frob_norm, memo, preload_expm, worst
 
 
 def taylor_expm(M, terms=60):
@@ -197,3 +202,18 @@ def per_call_kolmogorov_residuals(rate, grid):
         pairs.append((frob_norm(D - Q @ A), frob_norm(D - A @ Q)))
     initial = frob_norm(Q @ expm(0.0 * Q) - Q)
     return KolmogorovResiduals(worst(b for b, _ in pairs), worst(f for _, f in pairs), initial)
+
+
+def per_pair_subgroup_report(curve, grid, tol=1e-9):
+    """Verify A(0) = I and A(s+t) = A(s) A(t) over all grid pairs, one pair at a time."""
+    grid = [float(t) for t in grid]
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    with memo():
+        if isinstance(curve, ExpLine):
+            preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
+        id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
+        values = {t: curve.value(t) for t in grid}
+        hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])
+                    for s in grid for t in grid)
+    return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)

@@ -609,6 +609,26 @@ def test_flow_orbit_rejects_bad_input_on_both_sides(tmp_path, capsys, side, bad,
     assert error in err
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("base, message", [
+    ({"n": 3, "real": np.eye(3).tolist()}, "DimensionMismatch: matrix is 3x3, group fixes n=2"),
+    ({"n": 2, "real": [[2.0, 0.0], [0.0, 2.0]]},
+     "NotInGroup: base point fails so membership (residual 4.243e+00)"),
+    ('{"n": 2, "real": [[NaN, 0.0], [0.0, 1.0]]}', "NonFiniteInput: matrix has non-finite entries"),
+    ({"n": 2, "real": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+     "DimensionMismatch: matrix JSON says n=2 but real part has shape (2, 3)"),
+], ids=["wrong-n", "non-member", "nan", "non-square"])
+def test_flow_orbit_base_errors_on_both_sides(tmp_path, capsys, side, base, message):
+    gen = write(tmp_path / "x.json", {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]})
+    path = tmp_path / "a.json"
+    path.write_text(base if isinstance(base, str) else json.dumps(base))
+    code, report, err = invoke(
+        capsys, "flow-orbit", "--generator", gen, "--base", str(path), "--group", "so", "--side", side,
+    )
+    assert code == 2 and report["status"] == "error"
+    assert err == f"evolflow flow-orbit: {message}\n"
+
+
 def gen_spec(Q):
     return {"terms": [{"fun": {"kind": "poly", "coeffs": [1.0]}, "matrix": jsonio.matrix_to_json(Q)}]}
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evolflow import curves, lie, matcore
+from evolflow import _stepper, curves, lie, matcore
 from evolflow.curves import (
     AffineArg,
     AffineLine,
@@ -27,7 +28,7 @@ from evolflow.curves import (
 )
 from evolflow.errors import DimensionMismatch, HorizonExceeded, NonFiniteInput, SingularMatrix, WrongVariant
 from evolflow.matcore import expm, frob_norm
-from oracles import taylor_expm
+from oracles import per_pair_subgroup_report, taylor_expm
 
 GRID = [-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0]
 
@@ -338,6 +339,116 @@ def test_subgroup_check_fails_for_affine_line():
     assert rep.homomorphism_residual == pytest.approx(frob_norm(np.eye(2)), rel=1e-12)
 
 
+class _Recorded(curves.Curve):
+    # a curve whose values `fn(t)` gives, recording the times it is asked for
+    def __init__(self, fn, n):
+        self.fn, self._n, self.times = fn, n, []
+
+    @property
+    def n(self):
+        return self._n
+
+    def value(self, t):
+        self.times.append(t)
+        return self.fn(t)
+
+
+def _rotation_or(other, at):
+    # So2's value, or other(value) at the times of `at`
+    return lambda t: other(So2().value(t)) if t in at else So2().value(t)
+
+
+_X24 = np.random.default_rng(49).normal(size=(24, 24)) / 24.0
+# sums of these points repeat and hit 1.0 and 2.5; the grid has 0.0 and -0.0
+_SUBGROUP_GRID = [0.5, -0.0, 1.25, 0.0, 0.5, -1.0, 1.0, 2.0]
+_SUBGROUP_CURVES = {
+    "exp": lambda: ExpLine(np.eye(3), 0.5 * np.random.default_rng(47).normal(size=(3, 3))),
+    "exp-complex": lambda: ExpLine(np.eye(2), np.array([[0.2 + 0.3j, -0.5j], [0.4, -0.1 + 0.2j]])),
+    "exp-24": lambda: ExpLine(np.eye(24), _X24),
+    "tangent": lambda: TangentInduced(np.array([[1.0, 0.2], [-0.1, 0.9]]), np.array([[0.3, 1.0], [-0.4, 0.2]])),
+    "affine": lambda: AffineLine(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+    "so2": So2,
+    "numeric": lambda: Numeric(np.eye(2), lambda t: math.cos(t) * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                               h=0.01, horizon=4.0),
+    # a value of another dtype: the chunk that holds it goes pair by pair
+    "complex-sum": lambda: _Recorded(_rotation_or(lambda A: A + 0j, {2.5}), 2),
+    # a grid value of another dtype: every pair goes pair by pair
+    "complex-grid-value": lambda: _Recorded(_rotation_or(lambda A: A + 0j, {1.25}), 2),
+    # values in column order, for which a C-ordered stack's products round apart
+    "fortran-24": lambda: _Recorded(lambda t: np.asfortranarray(expm(t * _X24)), 24),
+    "nan-sum": lambda: _Recorded(_rotation_or(lambda A: A * np.nan, {1.0}), 2),
+    # equal grid times share the value computed last: here -0.0 takes A(0.0)
+    "signed-zero": lambda: _Recorded(lambda t: So2().value(t) + 1e-3 * (str(t) == "-0.0"), 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["one-chunk", "pair-chunks", "seven-pair-chunks"])
+@pytest.mark.parametrize("name", sorted(_SUBGROUP_CURVES))
+def test_stacked_subgroup_stage_equals_the_per_pair_reference(monkeypatch, name, chunk):
+    make = _SUBGROUP_CURVES[name]
+    want, got = make(), make()
+    ref = per_pair_subgroup_report(want, _SUBGROUP_GRID)
+    if chunk is not None:  # chunks of 1 and 7 pairs, which cut across the grid's rows
+        monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * got.n ** 2)
+    rep = check_one_parameter_subgroup(got, _SUBGROUP_GRID)
+    assert repr(rep) == repr(ref)
+    # the tangent curve starts at B != I; the numeric curve's generator varies in time
+    assert rep.passed is (name in ("exp", "exp-complex", "exp-24", "so2", "complex-sum",
+                                   "complex-grid-value", "fortran-24"))
+    if isinstance(got, _Recorded):  # the same value calls in the same order
+        assert got.times == want.times
+    if name == "nan-sum":
+        assert math.isnan(rep.homomorphism_residual)
+
+
+def test_subgroup_stage_stacks_only_values_of_one_dtype_and_layout(monkeypatch):
+    stacks = []
+
+    def counted(M):
+        stacks.append(M.shape[0])
+        return matcore.frob_norms(M)
+
+    monkeypatch.setattr(curves, "frob_norms", counted)
+    G = len(_SUBGROUP_GRID)
+    check_one_parameter_subgroup(So2(), _SUBGROUP_GRID)
+    assert stacks == [G * G]  # one chunk
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 7 * 4)
+    stacks.clear()
+    check_one_parameter_subgroup(So2(), _SUBGROUP_GRID)
+    assert stacks == [7] * (G * G // 7) + [G * G % 7]
+    stacks.clear()
+    check_one_parameter_subgroup(_SUBGROUP_CURVES["complex-sum"](), _SUBGROUP_GRID)
+    # 0.5 + 2.0 and 1.25 + 1.25 give 2.5 in row 0 and 2: those chunks go pair by pair
+    sums = [s + t for s in _SUBGROUP_GRID for t in _SUBGROUP_GRID]
+    mixed = {i // 7 for i, u in enumerate(sums) if u == 2.5}
+    assert len(stacks) == -(-G * G // 7) - len(mixed) and len(mixed) >= 2
+    for name in ("complex-grid-value", "fortran-24"):
+        stacks.clear()
+        check_one_parameter_subgroup(_SUBGROUP_CURVES[name](), _SUBGROUP_GRID)
+        assert stacks == []
+
+
+def test_subgroup_stage_holds_a_chunk_at_a_time():
+    # unchunked, the 1681 pairs of 64 x 64 values would take 55 MB a stack; the
+    # check holds the grid values' stack and a few chunk buffers beyond what a
+    # pair-by-pair fold of the same memo and preload holds
+    curve = ExpLine(np.eye(64), np.random.default_rng(50).normal(size=(64, 64)) / 64.0)
+    grid = np.linspace(-2.0, 2.0, 41)
+    peaks = []
+    for check in (per_pair_subgroup_report, check_one_parameter_subgroup):
+        tracemalloc.start()
+        try:
+            rep = check(curve, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+    chunk_bytes = _stepper.CHUNK_ENTRIES * 8
+    assert peaks[1] <= peaks[0] + 6 * chunk_bytes
+    assert peaks[1] - peaks[0] < len(grid) ** 2 * 64 * 64 * 8 / 10
+
+
 def test_ode_check():
     rng = np.random.default_rng(47)
     X = rng.normal(size=(2, 2))
@@ -353,6 +464,18 @@ def test_ode_check():
 def test_ode_check_rejects_generator_of_another_size():
     with pytest.raises(DimensionMismatch):
         check_ode(So2(), np.eye(3), GRID)
+
+
+@pytest.mark.parametrize("check", [
+    lambda grid: check_ode(So2(), np.array([[0.0, 1.0], [-1.0, 0.0]]), grid),
+    lambda grid: perfectness_profile(So2(), grid),
+    lambda grid: check_one_parameter_subgroup(So2(), grid),
+], ids=["ode", "perfectness", "subgroup"])
+@pytest.mark.parametrize("grid", [[], iter(())], ids=["list", "iterator"])
+def test_curve_checks_refuse_an_empty_grid(check, grid):
+    # over no points the ODE check passed and the profile called its signs not constant
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        check(grid)
 
 
 def test_perfectness_profile_signs():

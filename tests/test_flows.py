@@ -7,6 +7,7 @@ from evolflow.curves import ExpLine
 from evolflow import matcore
 from evolflow.errors import (
     CommutatorTooLarge,
+    DimensionMismatch,
     NonFiniteGenerator,
     NonFiniteInput,
     NotInAlgebra,
@@ -16,6 +17,7 @@ from evolflow.flows import (
     Flow,
     MAX_STEPS,
     IntegratorConfig,
+    base_point,
     commuting_magnus,
     flow_apply,
     flow_axioms,
@@ -107,6 +109,88 @@ def test_flow_axioms_report_equals_a_plain_loop():
     ]
     for flow, bases in cases:
         assert tuple(flow_axioms(flow, bases, grid)) == _plain_flow_axioms(flow, bases, grid)
+
+
+def _outcome(fn):
+    # the result's dtype, shape, strides and bytes, or the error's type and message
+    try:
+        M = fn()
+    except Exception as exc:  # the comparison covers whatever is raised
+        return type(exc), str(exc)
+    return M.dtype, M.shape, M.strides, M.tobytes()
+
+
+_ROT2 = Flow(SO2_GEN, Group.so(2))
+_BAD_BASES = {
+    "non-square": (np.ones((2, 3)), DimensionMismatch, "base point must be square, got shape (2, 3)"),
+    "vector": (np.ones(2), DimensionMismatch, "base point must be square, got shape (2,)"),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), NonFiniteInput, "base point has non-finite entries"),
+    "inf": (np.array([[1.0, 0.0], [0.0, -np.inf]]), NonFiniteInput, "base point has non-finite entries"),
+    "wrong-n": (np.eye(3), DimensionMismatch, "matrix is 3x3, group fixes n=2"),
+    "non-member": (2.0 * np.eye(2), NotInGroup,
+                   f"base point fails so membership (residual {in_group(2.0 * np.eye(2), Group.so(2)).residual:.3e})"),
+}
+_BASE_USES = {
+    "base_point": lambda A: base_point(_ROT2, A),
+    "flow_apply": lambda A: flow_apply(_ROT2, 0.5, A),
+    "flow_line": lambda A: flow_line(_ROT2, A, [0.5]),
+    "flow_axioms": lambda A: flow_axioms(_ROT2, [A], [0.5]),
+}
+
+
+@pytest.mark.parametrize("use", sorted(_BASE_USES))
+@pytest.mark.parametrize("bad", sorted(_BAD_BASES))
+def test_base_point_errors_name_the_base_point_in_and_out_of_a_memo(bad, use):
+    # the membership probe validates a base point first; its errors are still the base point's
+    A, kind, message = _BAD_BASES[bad]
+    with pytest.raises(kind) as got:
+        _BASE_USES[use](A)
+    assert str(got.value) == message
+    with matcore.memo():
+        flow_apply(_ROT2, 0.5, np.eye(2))  # a table with entries in it
+        for _ in range(2):  # a failed probe stores nothing, so the second fails alike
+            with pytest.raises(kind) as got:
+                _BASE_USES[use](A)
+            assert str(got.value) == message
+
+
+@pytest.mark.parametrize("A", [
+    np.eye(2, dtype=int), [[1.0, 0.0], [0.0, 1.0]], np.asfortranarray(expm(0.3 * SO2_GEN)),
+    expm(0.3 * SO2_GEN).T, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32),
+    np.eye(2) + 0j, np.zeros((4, 4))[::2, ::2] + np.eye(2), np.full((2, 2), -0.0) + np.eye(2),
+], ids=["int", "list", "fortran", "transposed", "float32", "complex", "strided", "signed-zeros"])
+def test_base_point_coerces_as_as_matrix_does(A):
+    want = _outcome(lambda: matcore.as_matrix(A, name="base point"))
+    f = Flow(SO2_GEN, Group.gl(2))
+    assert _outcome(lambda: base_point(f, A)) == want
+    with matcore.memo():
+        for _ in range(2):  # a miss, then a hit on the probe
+            assert _outcome(lambda: base_point(f, A)) == want
+
+
+def test_flow_apply_is_the_product_at_operator_for_every_layout():
+    # ndarray.dot rounds as @ on C- and F-contiguous operands; a transposed
+    # sub-block (neither) takes @, which rounds differently from n = 20 or so
+    rng = np.random.default_rng(73)
+    for n, X in ((n, c * rng.normal(size=(n, n)) / n) for n in (20, 33) for c in (1.0, 1.0 + 0.5j)):
+        f = Flow(X, Group.gl(n))
+        big = np.eye(2 * n) + 0.1 * rng.normal(size=(2 * n, 2 * n))
+        for A in (big[:n, :n], np.ascontiguousarray(big[:n, :n]), np.asfortranarray(big[:n, :n]),
+                  big[:n, :n].T, big[::2, ::2], big[::-2, ::2]):
+            want = matcore.as_matrix(A) @ expm(0.7 * X)
+            assert flow_apply(f, 0.7, A).tobytes() == want.tobytes()
+            assert ExpLine(A, X).value(0.7).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bases, grid, message", [
+    ([np.eye(2)], [], "grid must be nonempty"),
+    ([], [0.5], "no base points"),
+    (iter(()), iter([0.5]), "no base points"),
+    ([], [], "grid must be nonempty"),
+])
+def test_flow_axioms_refuse_to_pass_vacuously(bases, grid, message):
+    with pytest.raises(ValueError, match=message):
+        flow_axioms(_ROT2, bases, grid)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

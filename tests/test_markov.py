@@ -254,6 +254,14 @@ def test_axioms_reject_negative_grid():
         axioms_report(flip_flop_rate(1.0), [-0.5, 1.0])
 
 
+@pytest.mark.parametrize("check", [axioms_report, kolmogorov_residuals, det_trace_identity])
+@pytest.mark.parametrize("grid", [[], iter(())], ids=["list", "iterator"])
+def test_grid_checks_refuse_an_empty_grid(check, grid):
+    # over no points each law held vacuously: a pass, or a residual of 0.0
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        check(flip_flop_rate(1.0), grid)
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov equations and determinant identity
 

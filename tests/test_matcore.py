@@ -222,6 +222,72 @@ def test_frob_norm_is_numpys_norm_bit_for_bit(M):
     assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
 
 
+def _same_norms(stack):
+    # frob_norms of a stack against frob_norm of each slice, compared as bits
+    got = matcore.frob_norms(stack)
+    want = np.array([frob_norm(S) for S in stack])
+    assert got.shape == (len(stack),) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_frob_norms_is_frob_norm_of_each_slice_bit_for_bit(complex_):
+    # n = 1-100, entries over a few decades, so the summation order shows in the last bit
+    rng = np.random.default_rng(12)
+    for n in range(1, 101):
+        stack = rng.normal(size=(3, n, n)) * np.exp(3.0 * rng.normal(size=(3, n, n)))
+        if complex_:
+            stack = stack + 1j * rng.normal(size=(3, n, n))
+        _same_norms(stack)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_frob_norms_on_non_finite_and_zero_slices(complex_):
+    stack = np.random.default_rng(13).normal(size=(6, 4, 4)) + (1j if complex_ else 0.0)
+    stack[1, 2, 3] = np.nan
+    stack[2, 0, 0] = np.inf
+    stack[3] = 0.0
+    stack[4] = -0.0
+    stack[5, 1, 1] = -np.inf
+    with np.errstate(all="ignore"):
+        got = matcore.frob_norms(stack)
+    assert math.isnan(got[1]) and got[2] == got[5] == math.inf
+    assert got[3] == got[4] == 0.0 and math.copysign(1.0, got[4]) == 1.0
+    with np.errstate(all="ignore"):
+        _same_norms(stack)
+
+
+@pytest.mark.parametrize("view", [
+    lambda S: S.transpose(0, 2, 1),  # slices in column order: frob_norm sums in memory order
+    lambda S: S[:, ::2, 1::2],
+    lambda S: S[::-1],
+    lambda S: S[:, ::-1, :],
+    lambda S: np.asfortranarray(S),
+    lambda S: S[1:3],
+    lambda S: np.moveaxis(np.ascontiguousarray(np.moveaxis(S, 0, 2)), 2, 0),  # interleaved slices
+], ids=["transposed", "strided", "reversed", "flipped-rows", "fortran", "sub-stack", "interleaved"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_frob_norms_on_non_contiguous_stacks(view, complex_):
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 8, 30):
+        base = rng.normal(size=(4, 2 * n, 2 * n)) * np.exp(3.0 * rng.normal(size=(4, 2 * n, 2 * n)))
+        if complex_:
+            base = base + 1j * rng.normal(size=base.shape)
+        _same_norms(view(base))
+
+
+def test_frob_norms_of_an_empty_stack():
+    assert matcore.frob_norms(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_nonempty_lists_the_points_and_refuses_none():
+    assert matcore.nonempty(iter([0.5, 1])) == [0.5, 1]
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        matcore.nonempty([])
+    with pytest.raises(ValueError, match="no base points"):
+        matcore.nonempty(iter(()), "no base points")
+
+
 def _outcome(fn, a):
     # (dtype, bytes, shape) of the coerced matrix, or (exception type, message)
     try:

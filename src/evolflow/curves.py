@@ -28,12 +28,13 @@ from .matcore import (
     as_matrix,
     expm,
     frob_norm,
-    frob_norms,
+    frob_residuals,
     inv,
     memo,
     nonempty,
     preload_expm,
     spectral_radius_estimate,
+    stacked,
     worst,
 )
 
@@ -513,7 +514,7 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     {0} and the grid and its pairwise sums, all from one `expm_times` call.
     The values A(s + t) go `_stepper.CHUNK_ENTRIES` entries at a time into
     one stacked stage S - V[s] @ V[t], V the grid values, bit for bit the
-    per-pair residuals; values of mixed dtypes or layouts go pair by pair.
+    per-pair residuals (`matcore.frob_residuals`); others go pair by pair.
     """
     grid = [float(t) for t in nonempty(grid)]
     with memo():
@@ -521,16 +522,13 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
             preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         V = list(map({t: curve.value(t) for t in grid}.get, grid))  # equal times (+-0.0 too) share one
-        if len({(v.dtype, v.shape, v.flags.c_contiguous) for v in V}) == 1 and V[0].flags.c_contiguous:
-            V = np.array(V)  # C, as its rows: a product's bits follow its operands' layout
+        V = stacked(V)  # C, as its rows: a product's bits follow its operands' layout
         G, sums, hom = len(grid), (s + t for s in grid for t in grid), 0.0
         for start in range(0, G * G, per_chunk := max(1, _stepper.CHUNK_ENTRIES // V[0].size)):
             S = [curve.value(u) for u in itertools.islice(sums, per_chunk)]
             s, t = np.divmod(np.arange(start, start + len(S)), G)
-            stacked = isinstance(V, np.ndarray) and {v.dtype for v in S} == {V.dtype}
-            res = (frob_norms(np.array(S) - V[s] @ V[t]).tolist() if stacked else
-                   [frob_norm(A - V[i] @ V[j]) for A, i, j in zip(S, s.tolist(), t.tolist())])
-            hom = worst([hom, *res])  # the worst of all residuals so far, NaN once one is
+            P = V[s] @ V[t] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
+            hom = worst([hom, *frob_residuals(S, P)])  # the worst residual so far, NaN once one is
     return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)
 
 

@@ -32,7 +32,8 @@ from . import _stepper
 from ._stepper import rk4_step, tabulate
 from .errors import CommutatorTooLarge, DimensionMismatch, NonFiniteInput, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
-from .matcore import _as_float, as_matrix, expm, frob_norm, memo, nonempty, preload_expm, worst
+from .matcore import (_FLOAT_DTYPES, _as_float, as_matrix, expm, frob_norm, frob_residuals, memo,
+                      nonempty, preload_expm, worst)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
         raise  # a size the group does not fix
     if not rep.belongs:
         raise NotInGroup(f"base point fails {flow.group.kind} membership (residual {rep.residual:.3e})")
-    return _as_float(np.asarray(A))
+    return A if type(A) is np.ndarray and A.dtype in _FLOAT_DTYPES else _as_float(np.asarray(A))
 
 
 def flow_apply(flow: Flow, t: float, A, tol: float = 1e-9) -> np.ndarray:
@@ -129,19 +130,23 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     The check runs in one `matcore.memo()` block, so each distinct
     exponential and base-point membership is computed once; the block
     is preloaded with exp(t X) for t in {0} and the grid and its pairwise
-    sums, all from one `expm_times` call.
+    sums, all from one `expm_times` call.  Each application is a `flow_apply` call, as
+    (A E_t) E_s; `matcore.frob_residuals` takes CHUNK_ENTRIES / n^2 residuals at a time.
     """
     ts = [float(t) for t in nonempty(grid)]
     bases = nonempty(bases, "no base points")
+    pairs = [(s, t) for s in ts for t in ts]
     idents, comps = [], []  # one worst residual per base
     with memo():
-        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s in ts for t in ts)))
+        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s, t in pairs)))
         for A in bases:
             idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
-            comps.append(worst(
-                frob_norm(flow_apply(flow, s, flow_apply(flow, t, A, tol), tol)
-                          - flow_apply(flow, s + t, A, tol))
-                for s in ts for t in ts))
+            comps.append(0.0)
+            for start in range(0, len(pairs), chunk := max(1, _stepper.CHUNK_ENTRIES // flow.n**2)):
+                left, right = zip(*[(flow_apply(flow, s, flow_apply(flow, t, A, tol), tol),
+                                     flow_apply(flow, s + t, A, tol))
+                                    for s, t in pairs[start:start + chunk]])
+                comps[-1] = worst([comps[-1], *frob_residuals(left, right)])  # NaN once one residual is
     ident, comp = worst(idents), worst(comps)
     return FlowAxiomsReport(ident <= tol and comp <= tol, ident, comp, tol)
 
@@ -220,7 +225,8 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
             P = rk4_step(I, t[start:stop], dt[start:stop], X)
             out = np.empty(P.shape, np.result_type(A, P))
             for Pk, Ak in zip(P, out):
-                A = A.dot(Pk, Ak)
+                # a strided A0 folds with `@`, whose bits `dot` need not give it
+                A = A.dot(Pk, Ak) if A is not A0 or A0.flags.forc else np.matmul(A0, Pk, out=Ak)
             ms.extend(out)
         ts.extend(nodes[1:].tolist())
     return ts, ms

@@ -139,6 +139,13 @@ class Group:
 
     def __post_init__(self):
         _validate(self, _GROUPS, "group")
+        object.__setattr__(self, "_hash", hash((self.kind, self.n, self.s)))  # the dataclass hash
+
+    def __hash__(self):  # taken once: every memoized membership hashes its group
+        return self._hash
+
+    def __reduce__(self):  # a copy or an unpickled group hashes afresh in its process
+        return type(self), (self.kind, self.n, self.s)
 
     @classmethod
     def gl(cls, n):

@@ -19,7 +19,8 @@ from .errors import (
     RowSumNonzero,
     SubsetTooSmall,
 )
-from .matcore import as_matrix, expm, expm_times, frob_norm, is_real, nonempty, worst
+from .matcore import (_block_rows, as_matrix, expm, expm_times, frob_norm, frob_residuals, is_real,
+                      nonempty, stacked, worst)
 
 # expm rounding can leave entries this far below zero without disqualifying
 # a matrix from being considered Markov.
@@ -165,8 +166,11 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
         if u in pairs:
             sums.append((u, E))
         if len(A) == len(grid):
-            for v, S in sums:
-                residuals.extend(frob_norm(S - A[s] @ A[t]) for s, t in pairs[v])
+            held = ((S, A[s], A[t]) for v, S in sums for s, t in pairs[v])
+            while chunk := list(itertools.islice(held, _block_rows(rate.n))):  # stacked below n = 32
+                S, L, R = map(stacked, zip(*chunk))
+                P = L @ R if type(L) is type(R) is np.ndarray else [a @ b for a, b in zip(L, R)]
+                residuals.extend(frob_residuals(S, P))
             sums.clear()
     nonneg = worst(-float(A[t].min()) for t in ts)
     row_sum = worst(float(np.max(np.abs(A[t].sum(axis=1) - 1.0))) for t in ts)

@@ -4,15 +4,15 @@ Matrices throughout the library are plain numpy arrays, square, with finite
 entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
-matrix exponential (also at many times, one Pade approximant per distinct
-scaled argument, taken a stacked block at a time at small n and, at large
-n under a one-thread BLAS, two at a time on two threads), the
-determinant gauge behind every nonsingularity and determinant-sign
-decision, a guaranteed upper estimate of the spectral radius, the
-per-check memo that lets a grid check compute each distinct exponential
-and membership once (and take its exponentials from one `expm_times`
-call, preloaded), and `worst`, the one reduction of a grid check's
-residuals (`frob_norms` norms a stack of them; `nonempty` refuses none).
+matrix exponential (also at many times, planned a stacked block of t * X at
+a time, one Pade approximant per distinct scaled argument, taken a stacked
+block at a time at small n and, at large n under a one-thread BLAS, two at
+a time on two threads), the determinant gauge behind every nonsingularity
+and determinant-sign decision, a guaranteed upper estimate of the spectral
+radius, the per-check memo that lets a grid check compute each distinct
+exponential and membership once (preloaded from one `expm_times` run), and
+`worst`, the one reduction of a grid check's residuals (`frob_residuals`
+takes a chunk of them from one stacked stage; `nonempty` refuses none).
 
 The Pade helpers `_powers`, `_pade13` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
@@ -68,6 +68,7 @@ _PADE13_B = (
 # The table of the innermost open `memo()` block, None outside every block.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
 _ABSENT = object()  # a key not in the memo table
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))  # the dtypes `_as_float` keeps
 
 
 @contextmanager
@@ -94,26 +95,27 @@ def memo():
 def preload_expm(X, ts) -> None:
     """Store expm(t * X) for every t of ts in the open `memo()` table.
 
-    The values come from one `expm_times(X, ts)` call, so they are the
-    bytes `expm` computes, with the distinct approximants taken a block at
-    a time.  Each goes in under the key a call `expm(t * X)` builds, keyed
+    The values are those `expm_times(X, ts)` yields, the bytes `expm`
+    computes.  Each goes in under the key a call `expm(t * X)` builds, keyed
     on this module's kernel, so that call is a hit whichever module's
-    binding of `expm` it goes through; a key already in the table keeps its
-    value.  Outside a block nothing is stored.  It never raises: when any
-    time fails, because `expm_times` rejects it or because a floating-point
-    event occurs that numpy's error settings would report, nothing is
-    stored, and each `expm` call computes, warns and raises as without it.
+    binding of `expm` it goes through; the keys are built from the t * X
+    `expm_times` validates (-0.0 beside 0.0 forms its own), and a key
+    already in the table keeps its value.  Outside a block nothing is
+    stored.  It never raises: when any time fails, because `expm_times`
+    rejects it or because a floating-point event occurs that numpy's error
+    settings would report, nothing is stored, and each `expm` call
+    computes, warns and raises as without it.
     """
     table = _MEMO.get()
     if table is None:
         return
     X = np.asarray(X)
     strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    keys = {}  # t -> the key of expm(t * X), filled by `_plan`
     try:
         with np.errstate(**strict):
-            # -0.0 is a time of its own to the memo: its t * X has other bytes
-            entries = [(_memo_key(_expm_kernel, (u * X,), {}), E)
-                       for t, E in expm_times(X, ts) for u in ((t, -t) if t == 0 else (t,))]
+            entries = [(key, E) for t, E in _exponentials(X, *_plan(X, ts, keys)) for key in
+                       ((keys[t], _memo_key(_expm_kernel, (-t * X,), {})) if t == 0 else (keys[t],))]
     except Exception:  # the calls themselves raise or warn as they would have
         return
     for key, E in entries:
@@ -125,13 +127,12 @@ def _memo_key(fn, args, kwargs):
     # the table key of fn(*args, **kwargs), None when the call is not looked up:
     # the dtype object, not its `.str`, since for numeric dtypes the two are
     # equal exactly together (byte order included) and the object costs no string
-    M = np.asarray(args[0])
+    M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
     if M.dtype.kind not in "biufc":
         return None
-    key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
     if kwargs:  # one element longer, so never equal to a key without kwargs
-        key += (tuple(kwargs.items()),)
-    return key
+        return (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:], tuple(kwargs.items()))
+    return (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
 
 
 def memoized(fn):
@@ -259,6 +260,24 @@ def frob_norms(M) -> np.ndarray:
     x = x.reshape(k, 1, size)
     sq = sum(p @ p.swapaxes(1, 2) for p in ((x.real, x.imag) if x.dtype.kind == "c" else (x,)))
     return np.sqrt(sq.reshape(k))
+
+
+def stacked(matrices):
+    """Several C-contiguous matrices of one dtype and shape as one stack (a C-contiguous one as it is),
+    others as a list: only then has each slice of a stacked product or difference their own bits."""
+    if type(matrices) is np.ndarray and matrices.flags.c_contiguous:
+        return matrices
+    alike = len({(M.dtype, M.shape, M.flags.c_contiguous) for M in matrices}) == 1 < len(matrices)
+    return np.array(matrices) if alike and matrices[0].flags.c_contiguous else list(matrices)
+
+
+def frob_residuals(left, right) -> list:
+    """`frob_norm(l - r)` of each pair of two chunks of matrices, bit for bit: a stacked difference
+    normed by `frob_norms` when both chunks stack (`stacked`) alike, else pair by pair."""
+    L, R = stacked(left), stacked(right)
+    if type(L) is type(R) is np.ndarray and L.dtype == R.dtype and L.shape == R.shape:
+        return frob_norms(L - R).tolist()
+    return [frob_norm(a - b) for a, b in zip(left, right)]
 
 
 def one_norm(M) -> float:
@@ -403,14 +422,20 @@ def expm_times(X, ts):
 
     Every time is validated before the first yield: a non-finite t * X, or
     one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
-    as `expm` does, without numpy's overflow warning.  One group at a time,
-    the generator holds at most one squaring chain and either one block of
-    approximants or the powers of one family, and keeps the powers only
-    while another scaled argument of that family is still to come; two at
-    a time, it also holds the later group's values and powers.
+    as `expm` does, without numpy's overflow warning; below n = 32 a stacked
+    block of Python-float times at a time, for a C-contiguous float64 or
+    complex128 X.  One group at a time, the generator holds at most one
+    squaring chain and either one block of approximants or the powers of one
+    family, and keeps the powers only while another scaled argument of that
+    family is still to come; two at a time, it also holds the later group's
+    values and powers.
     """
     X = np.asarray(X)
-    zeros, families = _plan(X, ts)
+    yield from _exponentials(X, *_plan(X, ts))
+
+
+def _exponentials(X, zeros, families):
+    # the values of a `_plan`, in `expm_times`' order
     for t, dtype in zeros:
         yield t, np.eye(X.shape[0], dtype=dtype)
     # (mantissa, offset, members) in the order their approximants are taken
@@ -592,22 +617,42 @@ def _shared_powers(shared, offset, A):
     return c2 * B2, c2 * c2 * B4, c2 * c2 * c2 * B6
 
 
-def _plan(X, ts):
-    # validate every distinct time; sort the nonzero ones into families (one
-    # mantissa of t) of groups (one exponent of t minus s), holding one t * X at a time
-    zeros = []
-    families = {}  # mantissa -> {exponent - s -> [(s, t)]}
-    with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
-        for t in dict.fromkeys(ts):
-            Y = as_matrix(t * X)
-            nrm = _scaling_norm(Y)
-            if nrm == 0.0:
-                zeros.append((t, Y.dtype))
+def _plan(X, ts, keys=None):
+    # validate every distinct time; sort the nonzero ones into families (one mantissa of t) of
+    # groups (one exponent of t minus s); with `keys`, put expm(t * X)'s `_memo_key` in keys[t].
+    # Blocks of times stack while numpy ignores underflow, which a stacked t * X does not report
+    zeros, families, times = [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - s -> [(s, t)]}
+    rows = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
+            and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
+    for start in range(0, len(times), rows):
+        for t, Y, s in _planned(X, times[start:start + rows], rows > 1):
+            if keys is not None:
+                keys[t] = _memo_key(_expm_kernel, (Y,), {})
+            if s is None:
+                zeros.append((t, _as_float(Y).dtype))
                 continue
-            s = _squarings(nrm)
             mantissa, exponent = math.frexp(t)
             families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
     return zeros, families
+
+
+def _planned(X, block, stacks):
+    # (t, t * X, squarings) of each time, None squarings for a zero t * X: from one stacked t * X (a
+    # slice is t * X, bit for bit) when `stacks`, the times are Python floats and the 1-norms finite;
+    # else one t * X a time, so the first failing time raises as `expm` does
+    if stacks and all(type(t) is float for t in block):
+        with np.errstate(all="ignore"):
+            P = np.array(block)[:, None, None] * X
+            nrm = np.abs(P).sum(axis=1).max(axis=1)  # `one_norm` of each slice
+            s = np.ceil(np.log2(np.maximum(nrm, _PADE13_THETA) / _PADE13_THETA)).astype(int).tolist()
+        if np.isfinite(nrm).all():  # then so is every entry
+            yield from zip(block, P, [k if z else None for k, z in zip(s, nrm.tolist())])
+            return
+    for t in block:
+        with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
+            Y = t * X
+            nrm = _scaling_norm(as_matrix(Y))
+        yield t, Y, _squarings(nrm) if nrm else None
 
 
 def _chain(X, A, E, members):

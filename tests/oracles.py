@@ -19,17 +19,24 @@ reference for its results and its peak memory.  So is
 with one `expm` call per grid point.  `per_pair_subgroup_report` is
 `curves.check_one_parameter_subgroup` as it was with one residual a grid
 pair, the reference for the stacked stage's results and peak memory.
+`per_pair_flow_axioms` is `flows.flow_axioms` as it was with one residual
+a grid pair, and `per_time_plan` is `matcore._plan` as it was with one
+t * X a time: the references for the stacked residual stage and the
+stacked plan.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from evolflow._stepper import checked_generator, rk4_step
 from evolflow.errors import DimensionMismatch, NonFiniteInput
 from evolflow.curves import ExpLine, SubgroupReport
+from evolflow.flows import FlowAxiomsReport, flow_apply
 from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
-from evolflow.matcore import expm, frob_norm, memo, preload_expm, worst
+from evolflow.matcore import (_scaling_norm, _squarings, as_matrix, expm, frob_norm, memo, nonempty,
+                              preload_expm, worst)
 
 
 def taylor_expm(M, terms=60):
@@ -217,3 +224,44 @@ def per_pair_subgroup_report(curve, grid, tol=1e-9):
         hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])
                     for s in grid for t in grid)
     return SubgroupReport(id_res <= tol and hom <= tol, id_res, hom, tol)
+
+
+def per_pair_flow_axioms(flow, bases, grid, tol=1e-9):
+    """Check Phi(0, A) = A and Phi(s, Phi(t, A)) = Phi(s+t, A) on the grid.
+
+    The check runs in one `matcore.memo()` block, so each distinct
+    exponential and base-point membership is computed once; the block
+    is preloaded with exp(t X) for t in {0} and the grid and its pairwise
+    sums, all from one `expm_times` call.
+    """
+    ts = [float(t) for t in nonempty(grid)]
+    bases = nonempty(bases, "no base points")
+    idents, comps = [], []  # one worst residual per base
+    with memo():
+        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s in ts for t in ts)))
+        for A in bases:
+            idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
+            comps.append(worst(
+                frob_norm(flow_apply(flow, s, flow_apply(flow, t, A, tol), tol)
+                          - flow_apply(flow, s + t, A, tol))
+                for s in ts for t in ts))
+    ident, comp = worst(idents), worst(comps)
+    return FlowAxiomsReport(ident <= tol and comp <= tol, ident, comp, tol)
+
+
+def per_time_plan(X, ts):
+    # validate every distinct time; sort the nonzero ones into families (one
+    # mantissa of t) of groups (one exponent of t minus s), holding one t * X at a time
+    zeros = []
+    families = {}  # mantissa -> {exponent - s -> [(s, t)]}
+    with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
+        for t in dict.fromkeys(ts):
+            Y = as_matrix(t * X)
+            nrm = _scaling_norm(Y)
+            if nrm == 0.0:
+                zeros.append((t, Y.dtype))
+                continue
+            s = _squarings(nrm)
+            mantissa, exponent = math.frexp(t)
+            families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
+    return zeros, families

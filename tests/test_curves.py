@@ -372,7 +372,7 @@ _SUBGROUP_CURVES = {
                                h=0.01, horizon=4.0),
     # a value of another dtype: the chunk that holds it goes pair by pair
     "complex-sum": lambda: _Recorded(_rotation_or(lambda A: A + 0j, {2.5}), 2),
-    # a grid value of another dtype: every pair goes pair by pair
+    # a grid value of another dtype: the grid values are multiplied pair by pair
     "complex-grid-value": lambda: _Recorded(_rotation_or(lambda A: A + 0j, {1.25}), 2),
     # values in column order, for which a C-ordered stack's products round apart
     "fortran-24": lambda: _Recorded(lambda t: np.asfortranarray(expm(t * _X24)), 24),
@@ -404,29 +404,37 @@ def test_stacked_subgroup_stage_equals_the_per_pair_reference(monkeypatch, name,
 
 def test_subgroup_stage_stacks_only_values_of_one_dtype_and_layout(monkeypatch):
     stacks = []
+    norms = matcore.frob_norms
 
     def counted(M):
         stacks.append(M.shape[0])
-        return matcore.frob_norms(M)
+        return norms(M)
 
-    monkeypatch.setattr(curves, "frob_norms", counted)
+    monkeypatch.setattr(matcore, "frob_norms", counted)  # the stage `frob_residuals` takes
     G = len(_SUBGROUP_GRID)
     check_one_parameter_subgroup(So2(), _SUBGROUP_GRID)
     assert stacks == [G * G]  # one chunk
     monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 7 * 4)
     stacks.clear()
     check_one_parameter_subgroup(So2(), _SUBGROUP_GRID)
-    assert stacks == [7] * (G * G // 7) + [G * G % 7]
+    assert G * G % 7 == 1 and stacks == [7] * (G * G // 7)  # the last pair alone has nothing to stack
     stacks.clear()
     check_one_parameter_subgroup(_SUBGROUP_CURVES["complex-sum"](), _SUBGROUP_GRID)
     # 0.5 + 2.0 and 1.25 + 1.25 give 2.5 in row 0 and 2: those chunks go pair by pair
     sums = [s + t for s in _SUBGROUP_GRID for t in _SUBGROUP_GRID]
     mixed = {i // 7 for i, u in enumerate(sums) if u == 2.5}
-    assert len(stacks) == -(-G * G // 7) - len(mixed) and len(mixed) >= 2
-    for name in ("complex-grid-value", "fortran-24"):
-        stacks.clear()
-        check_one_parameter_subgroup(_SUBGROUP_CURVES[name](), _SUBGROUP_GRID)
-        assert stacks == []
+    assert len(stacks) == G * G // 7 - len(mixed) and len(mixed) >= 2 and G * G // 7 not in mixed
+    stacks.clear()
+    check_one_parameter_subgroup(_SUBGROUP_CURVES["complex-grid-value"](), _SUBGROUP_GRID)
+    # the grid is multiplied pair by pair; a chunk of several pairs that all
+    # avoid the complex value at 1.25 (index 2) has real products and sums, and stacks
+    pairs = [divmod(i, G) for i in range(G * G)]
+    real = [len(chunk) for chunk in (pairs[k:k + 7] for k in range(0, G * G, 7))
+            if len(chunk) > 1 and all(2 not in pair for pair in chunk)]
+    assert stacks == real == [7]
+    stacks.clear()
+    check_one_parameter_subgroup(_SUBGROUP_CURVES["fortran-24"](), _SUBGROUP_GRID)
+    assert stacks == []  # values in column order never stack
 
 
 def test_subgroup_stage_holds_a_chunk_at_a_time():

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evolflow.curves import ExpLine
-from evolflow import matcore
+from evolflow import _stepper, matcore
 from evolflow.errors import (
     CommutatorTooLarge,
     DimensionMismatch,
@@ -23,10 +24,12 @@ from evolflow.flows import (
     flow_axioms,
     flow_line,
     integrate_right,
+    march,
 )
 from evolflow.lie import Group, in_group
 from evolflow.markov import flip_flop_rate, random_rate_matrix
 from evolflow.matcore import expm, frob_norm
+from oracles import per_pair_flow_axioms, per_step_march
 
 SO2_GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -180,6 +183,72 @@ def test_flow_apply_is_the_product_at_operator_for_every_layout():
             want = matcore.as_matrix(A) @ expm(0.7 * X)
             assert flow_apply(f, 0.7, A).tobytes() == want.tobytes()
             assert ExpLine(A, X).value(0.7).tobytes() == want.tobytes()
+
+
+def _sl2(rng):
+    M = rng.normal(size=(2, 2))
+    M[0] *= np.sign(np.linalg.det(M))
+    return M / math.sqrt(np.linalg.det(M))
+
+
+def _flow_cases():
+    # the benchmark's so/rate/sl2/heis3 mix, with several bases a flow (C,
+    # transposed and F-ordered ones among them), a complex base, and one
+    # base whose residual is NaN: 1e308 exp(tI) is finite at t <= 1/2, and
+    # exp(I / 2) (1e308 exp(I / 2)) and 1e308 exp(I) overflow alike to inf
+    rng = np.random.default_rng(75)
+    sl = 0.5 * rng.normal(size=(2, 2))
+    grid = [float(t) for t in np.linspace(-1.5, 1.5, 7)] + [0.25, -0.0]
+    return {
+        "so": (Flow(so3_generator(rng), Group.so(3)), [expm(so3_generator(rng)), expm(so3_generator(rng)).T], grid),
+        "rate": (Flow(0.25 * random_rate_matrix(4, 8).Q, Group.stochastic(4)),
+                 [np.eye(4), expm(random_rate_matrix(4, 9).Q)], grid),
+        "sl2": (Flow(sl - np.trace(sl) / 2.0 * np.eye(2), Group.sl(2)),
+                [_sl2(rng), np.asfortranarray(_sl2(rng))], grid),
+        "heis3": (Flow(np.triu(rng.normal(size=(3, 3)), 1), Group.heisenberg3()),
+                  [np.eye(3) + np.triu(rng.normal(size=(3, 3)), 1)], grid),
+        "gl-complex-base": (Flow(0.3 * rng.normal(size=(3, 3)), Group.gl(3)),
+                            [np.eye(3) + 0.2 * rng.normal(size=(3, 3)),
+                             expm(0.2 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))))], grid),
+        "nan": (Flow(np.eye(2), Group.gl(2)), [np.eye(2), 1e308 * np.eye(2)], [-0.5, 0.25, 0.5]),
+    }
+
+
+_FLOW_CASES = _flow_cases()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["one-chunk", "pair-chunks", "seven-pair-chunks"])
+@pytest.mark.parametrize("case", sorted(_FLOW_CASES))
+def test_flow_axioms_equal_the_per_pair_reference(monkeypatch, case, chunk):
+    flow, bases, grid = _FLOW_CASES[case]
+    want = per_pair_flow_axioms(flow, bases, grid)
+    if chunk is not None:  # chunks of 1 and 7 pairs, which cut across the grid's rows
+        monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * flow.n**2)
+    got = flow_axioms(flow, bases, grid)
+    assert repr(got) == repr(want)
+    assert got.passed is (case != "nan") and math.isnan(got.composition_residual) is (case == "nan")
+
+
+def test_flow_axioms_hold_a_chunk_of_pairs_at_a_time():
+    # unchunked, the 1681 pairs of 24 x 24 applications would hold 15 MB of
+    # them; the check holds a few chunk buffers beyond what the per-pair
+    # fold of the same memo and preload holds
+    S = np.random.default_rng(76).normal(size=(24, 24)) / 24.0
+    flow = Flow(S - S.T, Group.so(24))
+    grid = np.linspace(-2.0, 2.0, 41)
+    peaks = []
+    for check in (per_pair_flow_axioms, flow_axioms):
+        tracemalloc.start()
+        try:
+            rep = check(flow, [expm(0.3 * flow.X)], grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+    chunk_bytes = _stepper.CHUNK_ENTRIES * 8
+    assert peaks[1] <= peaks[0] + 6 * chunk_bytes
+    assert peaks[1] - peaks[0] < len(grid) ** 2 * 2 * 24 * 24 * 8 / 4
 
 
 @pytest.mark.parametrize("bases, grid, message", [
@@ -345,6 +414,22 @@ def test_integrator_config_bounds_the_march(h, horizon):
 def test_integrator_config_allows_max_steps():
     assert 1.0 / 1e-6 == MAX_STEPS
     IntegratorConfig(1e-6, 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 13, 20, 33])
+def test_march_folds_a_strided_first_node_as_the_per_step_loop(n):
+    # a transposed or strided sub-block A0 is neither C- nor F-contiguous:
+    # ndarray.dot copies it and, from n = 20 or so, rounds apart from the
+    # A0 @ P of a per-step loop
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n + 3, n + 3))
+    B1, B2 = rng.normal(size=(2, n, n)) / n
+    fun = lambda t: np.cos(3.0 * t) * B1 + t * B2  # noqa: E731
+    for A0 in (M[:n, :n].T, M[::-1, ::-1][:n, :n], M[:n, :n], np.asfortranarray(M[:n, :n])):
+        ts, ms = march(fun, A0, 0.1, 1.0, 1.0)
+        want_ts, want_ms = per_step_march(fun, A0, 0.1, 1.0, 1.0)
+        assert ts == want_ts
+        assert np.stack(ms).tobytes() == np.stack(want_ms).tobytes()
 
 
 def test_integrate_zero_generator():

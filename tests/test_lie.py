@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -381,3 +384,15 @@ def test_embed_lands_in_affine_pattern():
 def test_embed_rejects_non_stochastic():
     with pytest.raises(NotStochastic):
         stochastic_affine_embed(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_group_hash_is_the_dataclass_hash_taken_once():
+    # the hash a frozen dataclass of these fields gives; a copy, a replaced and
+    # an unpickled group hash as an equal new one, the last with no hash of its own
+    Plain = dataclasses.make_dataclass("Plain", ["kind", "n", "s"], frozen=True)
+    for g in (Group.so(3), Group.gen_doubly_stochastic(4, 2.5), Group.heisenberg3()):
+        assert hash(g) == hash(Plain(g.kind, g.n, g.s)) == hash((g.kind, g.n, g.s))
+        for other in (copy.copy(g), copy.deepcopy(g), dataclasses.replace(g), pickle.loads(pickle.dumps(g))):
+            assert other == g and hash(other) == hash(g) and {g: 1}[other] == 1
+        assert b"_hash" not in pickle.dumps(g)
+    assert Group.so(3) != Group.o(3) and len({Group.so(3), Group.so(3), Group.so(4)}) == 2

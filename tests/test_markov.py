@@ -212,6 +212,32 @@ def test_axioms_hold_each_sums_exponential_only_until_the_grid_is_complete(monke
     assert alive[0] <= len(grid) + 2
 
 
+_CK_CASES = {
+    "n=2": (2, GRID),
+    "n=4-grid-21": (4, [float(t) for t in np.linspace(0.0, 2.0, 21)]),
+    "n=5-repeats": (5, [0.0, 0.25, 0.5, 0.5, 1.0, 1.5, -0.0]),
+    "n=31": (31, [0.1, 0.7, 0.7, 1.3]),
+    "n=32": (32, [0.1, 0.7, 0.7, 1.3]),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["one-chunk", "pair-chunks", "seven-pair-chunks"])
+@pytest.mark.parametrize("case", sorted(_CK_CASES))
+def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk):
+    n, grid = _CK_CASES[case]
+    rate = random_rate_matrix(n, n + 40)
+    want = per_call_axioms_report(rate, grid)
+    stages = []
+    norms = matcore.frob_norms
+    monkeypatch.setattr(matcore, "frob_norms", lambda M: stages.append(len(M)) or norms(M))
+    if chunk is not None:  # chunks of 1 and 7 pairs
+        monkeypatch.setattr(matcore, "CHUNK_ENTRIES", chunk * n * n)
+    assert repr(axioms_report(rate, grid)) == repr(want)
+    # stacked stages below n = 32, of at most a chunk of pairs each; pair by pair from there
+    rows = matcore._block_rows(n)
+    assert (stages != []) is (rows > 1) and all(1 < k <= rows for k in stages)
+
+
 def nan_exponential_at(T, Q):
     """`expm` that returns all NaN at exp(T Q) and the true value elsewhere."""
     def patched(X):
@@ -232,12 +258,14 @@ def nan_exponentials_at(T, Q):
 def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
     rate = random_rate_matrix(3, 11)
     monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(T, rate.Q))
-    rep = axioms_report(rate, GRID)
-    assert not rep.passed
-    assert math.isnan(rep.nonneg_defect)
-    assert math.isnan(rep.row_sum_defect)
-    assert math.isnan(rep.chapman_defect)
-    assert rep.identity_defect == 0.0 and rep.continuity_ok
+    for chunk in (matcore.CHUNK_ENTRIES, 7 * 9, 9):  # Chapman-Kolmogorov pairs in one, 7 and 1 a stage
+        monkeypatch.setattr(matcore, "CHUNK_ENTRIES", chunk)
+        rep = axioms_report(rate, GRID)
+        assert not rep.passed
+        assert math.isnan(rep.nonneg_defect)
+        assert math.isnan(rep.row_sum_defect)
+        assert math.isnan(rep.chapman_defect)
+        assert rep.identity_defect == 0.0 and rep.continuity_ok
 
 
 def test_axioms_continuity_fails_on_a_nan_defect(monkeypatch):

@@ -22,7 +22,7 @@ from evolflow.matcore import (
 )
 from evolflow import matcore
 from evolflow.markov import random_rate_matrix
-from oracles import cofactor_det, reference_as_matrix, taylor_expm
+from oracles import cofactor_det, per_time_plan, reference_as_matrix, taylor_expm
 
 
 def test_expm_of_zero_is_identity():
@@ -278,6 +278,64 @@ def test_frob_norms_on_non_contiguous_stacks(view, complex_):
 
 def test_frob_norms_of_an_empty_stack():
     assert matcore.frob_norms(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def _pair_chunks(rng, n, k):
+    # two chunks of k matrices each, entries over a few decades
+    return [[rng.normal(size=(n, n)) * np.exp(3.0 * rng.normal(size=(n, n))) for _ in range(k)]
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("case", [
+    "real", "complex", "one-pair", "mixed-dtype", "fortran", "transposed", "mixed-shape", "stacked-right",
+    "non-finite",
+])
+def test_frob_residuals_are_frob_norm_of_each_difference_bit_for_bit(case):
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 5, 31, 40):
+        left, right = _pair_chunks(rng, n, 1 if case == "one-pair" else 6)
+        if case == "complex":
+            left = [L + 1j * R for L, R in zip(left, right)]
+            right = [R + 1j * L for L, R in zip(left, right)]
+        elif case == "mixed-dtype":
+            right[2] = right[2] + 0.5j
+        elif case in ("fortran", "transposed"):
+            lay = np.asfortranarray if case == "fortran" else np.transpose
+            left, right = [lay(L) for L in left], [lay(R) for R in right]
+        elif case == "mixed-shape":
+            left[3], right[3] = np.eye(n + 1), np.ones((n + 1, n + 1))
+        elif case == "stacked-right":
+            right = np.array(right)
+        elif case == "non-finite":
+            left[1][0, 0], left[2][-1, -1], right[2][-1, -1] = np.nan, np.inf, np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = matcore.frob_residuals(left, right)
+            want = [frob_norm(L - R) for L, R in zip(left, right)]
+        assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_frob_residuals_stack_only_chunks_that_stack_alike(monkeypatch):
+    stacks = []
+    norms = matcore.frob_norms
+    monkeypatch.setattr(matcore, "frob_norms", lambda M: stacks.append(M.shape) or norms(M))
+    left, right = _pair_chunks(np.random.default_rng(16), 3, 4)
+    matcore.frob_residuals(left, right)
+    matcore.frob_residuals(left[:1], right[:1])  # one pair has nothing to stack
+    matcore.frob_residuals(left, [R + 0j for R in right])  # stacked, the real chunk would upcast
+    matcore.frob_residuals(left, [np.asfortranarray(R) for R in right])
+    matcore.frob_residuals(left, np.array(right)[:, ::-1])  # a stack, but not C-contiguous
+    assert stacks == [(4, 3, 3)]
+
+
+def test_stacked_takes_a_c_stack_as_it_is_and_lists_the_rest():
+    M = np.zeros((3, 2, 2))
+    assert matcore.stacked(M) is M
+    assert type(matcore.stacked(list(M))) is np.ndarray
+    for others in ([M[0]], list(M[:, ::-1]), list(M.transpose(0, 2, 1)), [M[0], M[1] + 0j],
+                   [M[0], np.zeros((3, 3))], M[:, :, ::-1], []):
+        got = matcore.stacked(others)
+        assert type(got) is list and len(got) == len(others)
+        assert all(a is b for a, b in zip(got, others)) or isinstance(others, np.ndarray)
 
 
 def test_nonempty_lists_the_points_and_refuses_none():
@@ -1105,3 +1163,100 @@ def test_preload_stores_nothing_when_an_exponential_would_warn():
             matcore.preload_expm(X, [1.0, 2.0])
             assert memo_entries() == 2
             assert expm(2.0 * X).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stacked plan
+
+
+def _theta_edges(X):
+    # times at and on either side of ||t X||_1 = theta 2**k, where the squarings step
+    edges = []
+    for k in range(-3, 12):
+        t = matcore._PADE13_THETA * 2.0**k / one_norm(X)
+        edges += [float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, math.inf))]
+    return edges + [-t for t in edges]
+
+
+_PLAN_X = np.random.default_rng(17).normal(size=(4, 4))
+_PLAN_Z = _PLAN_X + 1j * _PLAN_X.T
+_PLAN_CASES = {  # X, times, and whether their blocks are stacked
+    "signed-zeros-and-duplicates": (_PLAN_X, [0.0, -0.0, 0.5, 0.5, -0.0, 1.5, 0.0, -2.0, 1.5], True),
+    "sweep": (_PLAN_X, [sign * 2.0**-k for k in range(60) for sign in (1.0, -1.0)], True),
+    "theta-edges": (_PLAN_X, _theta_edges(_PLAN_X), True),
+    "complex": (_PLAN_Z, TIMES + _theta_edges(_PLAN_Z), True),
+    "zero-matrix": (np.zeros((3, 3)), TIMES, True),
+    "n=31": (np.random.default_rng(18).normal(size=(31, 31)), TIMES + _theta_edges(_PLAN_X), True),
+    "n=32": (np.random.default_rng(19).normal(size=(32, 32)), TIMES, False),
+    "fortran": (np.asfortranarray(_PLAN_X), TIMES + _theta_edges(_PLAN_X), False),
+    "numpy-times": (_PLAN_X, [np.float64(t) for t in TIMES], False),
+    "float32": (_PLAN_X.astype(np.float32), TIMES, False),
+    "int": (np.arange(16).reshape(4, 4) - 8, TIMES, False),
+}
+
+
+@pytest.fixture
+def norms(monkeypatch):
+    """The 1-norms `_scaling_norm` takes, one a time validated one t * X at a time."""
+    taken = []
+    scaling_norm = matcore._scaling_norm
+    monkeypatch.setattr(matcore, "_scaling_norm", lambda M: taken.append(1) or scaling_norm(M))
+    return taken
+
+
+@pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+def test_stacked_plan_equals_the_per_time_plan(norms, case):
+    X, ts, stacks = _PLAN_CASES[case]
+    want = per_time_plan(X, ts)
+    keys = {}
+    got = matcore._plan(X, ts, keys)
+    # the zero times with their dtypes, the families with their squarings, in order
+    assert repr(got) == repr(want)
+    assert len(norms) == (0 if stacks else len(dict.fromkeys(ts)))
+    for t in dict.fromkeys(ts):
+        assert keys[t] == matcore._memo_key(matcore._expm_kernel, (t * X,), {})
+
+
+@pytest.mark.parametrize("ts, message", [
+    ([0.5, 1.0, math.nan, 0.25], "matrix 1-norm overflows"),
+    ([0.5, math.nan, 1.0, 0.25], "matrix has non-finite entries"),
+    ([0.25, 3.0, 1.0], "matrix has non-finite entries"),
+], ids=["norm-then-nan", "nan-then-norm", "entry-then-norm"])
+def test_a_failing_block_raises_as_the_per_time_plan_for_its_first_failing_time(ts, message):
+    # 1e308 t X: at t = 1 the entries are finite but the 1-norm overflows, at t = 3 an entry does
+    X = np.full((2, 2), 1e308)
+    with pytest.raises(NonFiniteInput) as want:
+        per_time_plan(X, ts)
+    with pytest.raises(NonFiniteInput) as got:
+        matcore._plan(X, ts)
+    assert str(got.value) == str(want.value) == message
+
+
+def test_a_block_stacks_only_while_numpy_ignores_underflow(norms):
+    # 1e-300 X underflows in its last entry: under "warn" each t * X reports it
+    X = np.array([[1.0, 2.0], [3.0, 1e-20]])
+    ts = [0.5, 1e-300, 2.0]
+    with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
+        got = matcore._plan(X, ts)
+    assert len(norms) == 3
+    with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
+        assert repr(got) == repr(per_time_plan(X, ts))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, order):
+    rng = np.random.default_rng(20)
+    X = np.asarray(rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if complex_ else 0.0),
+                   order=order)
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)]
+    ts = [0.0, -0.0, *grid, *(s + t for s in grid for t in grid)]
+    with memo():
+        matcore.preload_expm(X, ts)
+        table = dict(matcore._MEMO.get())
+    # a C-ordered X is planned from stacked products, an F-ordered one time by time
+    assert len(norms) == (0 if order == "C" else len(dict.fromkeys(ts)))
+    want = {matcore._memo_key(matcore._expm_kernel, (t * X,), {}): t for t in ts}
+    assert set(table) == set(want) and len(want) == len({repr(t) for t in ts})
+    for key, E in table.items():
+        assert E.tobytes() == expm(want[key] * X).tobytes()

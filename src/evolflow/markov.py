@@ -156,8 +156,10 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
     # exp(tQ) for the grid, A(0) and the Chapman-Kolmogorov sums from one
     # call, each distinct t once.  A sum's exponential is held only until the
     # whole grid's are here, so the report does not hold every sum's at once;
-    # `worst` gives the same value for the residuals in any order.
-    A, sums, residuals = {}, [], []
+    # `worst` gives the same value for the residuals in any order.  Below
+    # n = 32 the residuals go a stacked chunk of `rows` pairs at a time, with
+    # the grid values stacked once (V) and each chunk's factors gathered by row
+    A, V, sums, residuals, rows = {}, None, [], [], _block_rows(rate.n)
     for u, E in expm_times(Q, itertools.chain(ts, [0.0], pairs)):
         if u == 0.0:
             identity = frob_norm(E - eye)
@@ -166,16 +168,21 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
         if u in pairs:
             sums.append((u, E))
         if len(A) == len(grid):
-            held = ((S, A[s], A[t]) for v, S in sums for s, t in pairs[v])
-            while chunk := list(itertools.islice(held, _block_rows(rate.n))):  # stacked below n = 32
-                S, L, R = map(stacked, zip(*chunk))
-                P = L @ R if type(L) is type(R) is np.ndarray else [a @ b for a, b in zip(L, R)]
-                residuals.extend(frob_residuals(S, P))
+            if V is None:
+                V = stacked(list(A.values())) if rows > 1 else list(A.values())
+                if type(V) is np.ndarray:  # the grid values as V's rows, C-contiguous as they were
+                    A = dict(zip(A, V))
+                row = {t: i for i, t in enumerate(A)}
+            held = ((S, row[s], row[t]) for v, S in sums for s, t in pairs[v])
+            while chunk := list(itertools.islice(held, rows)):
+                S, s, t = zip(*chunk)
+                P = V[list(s)] @ V[list(t)] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
+                residuals.extend(frob_residuals(stacked(S), P))
             sums.clear()
     nonneg = worst(-float(A[t].min()) for t in ts)
     row_sum = worst(float(np.max(np.abs(A[t].sum(axis=1) - 1.0))) for t in ts)
     chapman = worst(residuals)
-    del A  # not held through the sweep below, which keeps only norms
+    del A, V  # not held through the sweep below, which keeps only norms
 
     tks = [2.0**-k for k in range(1, 21)]
     by_t = {t: frob_norm(E - eye) for t, E in expm_times(Q, tks)}
@@ -213,9 +220,10 @@ def kolmogorov_residuals(rate: RateMatrix, grid) -> KolmogorovResiduals:
     The analytic derivative Q exp(tQ) satisfies the Backward form by
     construction; the Forward residual measures how far exp(tQ) drifts
     from commuting with Q in floating point.  The exponentials, at each
-    distinct grid time and at t = 0, come from one `expm_times` call, one
-    at a time; from n = `matcore._PARALLEL_MIN_N` on, under a one-thread
-    BLAS, that call computes two at a time on two threads.
+    distinct grid time and at t = 0, come from one `expm_times` call, which
+    takes its blocks of groups one at a time, or, from n =
+    `matcore._PARALLEL_MIN_N` on under a one-thread BLAS, two at a time on
+    two threads.
     """
     Q = rate.Q
     ts = [float(t) for t in nonempty(grid)]

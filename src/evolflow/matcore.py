@@ -5,9 +5,10 @@ entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
 matrix exponential (also at many times, planned a stacked block of t * X at
-a time, one Pade approximant per distinct scaled argument, taken a stacked
-block at a time at small n and, at large n under a one-thread BLAS, two at
-a time on two threads), the determinant gauge behind every nonsingularity
+a time, one Pade approximant per distinct scaled argument, taken by one
+executor a block of groups at a time: stacked at small n, one group a block
+from n = 32, and at large n under a one-thread BLAS every other block on a
+second thread), the determinant gauge behind every nonsingularity
 and determinant-sign decision, a guaranteed upper estimate of the spectral
 radius, the per-check memo that lets a grid check compute each distinct
 exponential and membership once (preloaded from one `expm_times` run), and
@@ -359,39 +360,6 @@ def _square(E, squarings: int) -> np.ndarray:
     return E
 
 
-# A matrix product whose nonzero factors all have magnitudes a, b with
-# a * b >= _EXACT_SCALE_FLOOR has only intermediates of magnitude 2**-1022 or
-# more (each is a multiple of a quantum above a * b * 2**-106), so it rounds
-# exactly as the product of the factors scaled up by powers of two: the
-# scaled product is the product, scaled, bit for bit.
-_EXACT_SCALE_FLOOR = math.ldexp(1.0, -914)
-
-# Sharing powers costs a few elementwise passes and about 30 us of calls;
-# computing them costs three products.  The two break even near n = 80
-# (2-core x86-64 host, one OpenBLAS thread); below it the powers are computed.
-# On the dense_large benchmark sharing adds 6% to checks_per_s.
-_SHARE_POWERS_MIN_N = 80
-
-
-def _min_nonzero(M) -> float:
-    # smallest nonzero |component|; real and imaginary parts count apart
-    a = np.abs(M.view(np.float64) if M.dtype.kind == "c" else M)
-    return float(np.min(a, initial=np.inf, where=a > 0.0))
-
-
-def _scales_exactly(A, A2, A4, d: int) -> bool:
-    """True when the powers of 2**d A (d >= 1) are A2, A4, A6 scaled, bit for bit.
-
-    The products A @ A, A2 @ A2 and A4 @ A2 must keep _EXACT_SCALE_FLOOR
-    (scaled up, they keep it too), and 2**(6d) must be a float: where A2
-    is zero, no magnitude bounds d.
-    """
-    if 6 * d > 1023:
-        return False
-    a, a2, a4 = _min_nonzero(A), _min_nonzero(A2), _min_nonzero(A4)
-    return min(a * a, a2 * a2, a4 * a2) >= _EXACT_SCALE_FLOOR
-
-
 def expm_times(X, ts):
     """Yield (t, expm(t * X)) for each distinct t of ts, bit for bit.
 
@@ -400,35 +368,28 @@ def expm_times(X, ts):
     with s chosen exactly as `expm` chooses it.  A group is one distinct
     scaled argument with its squaring chain: it costs one Pade approximant,
     and the times that share it (2t beside t above the scaling threshold,
-    2**-k for k up to s + 1) take their values from the chain.  Below
-    n = _STACK_BELOW_N the approximants are taken a block at a time, one
-    stacked `_powers` and `_pade13` call for up to CHUNK_ENTRIES / n**2
-    scaled arguments; each slice of a stacked call is the unstacked call's
-    result, bit for bit.  From there on they are taken one at a time, and
-    scaled arguments that are power-of-two multiples of one another (one
-    mantissa of t) share A**2, A**4 and A**6, scaled, when n is at least
-    _SHARE_POWERS_MIN_N and `_scales_exactly` guarantees that the scaled
-    powers are the computed ones; otherwise they compute them.  Both kinds
-    of sharing are confirmed with `np.array_equal`, so no result differs
-    from `expm(t * X)` in any bit.  Each yielded matrix is the caller's own.
+    2**-k for k up to s + 1) take their values from the chain, each confirmed
+    with `np.array_equal`, so no result differs from `expm(t * X)` in any
+    bit.  Each yielded matrix is the caller's own.
 
-    From n = _PARALLEL_MIN_N on, a call with more than one group takes the
-    groups two at a time when `_helper_engages` (one BLAS thread, a second
-    usable CPU): the earlier group on the calling thread, the later on one
-    helper thread, started for the call and joined when the generator
-    finishes or is closed.  The helper runs under the caller's numpy error
-    settings, and what it raises is raised here.  The values and their
-    order are unchanged.
+    The groups are taken a block of `_block_rows(n)` at a time (`_block`):
+    below n = _STACK_BELOW_N one stacked `_powers` and `_pade13` call takes
+    the approximants of up to CHUNK_ENTRIES / n**2 groups, each slice the
+    unstacked call's result bit for bit; from there on a block is one group.
+    From n = _PARALLEL_MIN_N on, a call with more than one block takes every
+    other block on one helper thread when `_helper_engages` (one BLAS
+    thread, a second usable CPU).  The helper is started for the call and
+    joined when the generator finishes or is closed; it runs under the
+    caller's numpy error settings, and what it raises is raised here.  The
+    values and their order are the same either way.
 
     Every time is validated before the first yield: a non-finite t * X, or
     one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
     as `expm` does, without numpy's overflow warning; below n = 32 a stacked
     block of Python-float times at a time, for a C-contiguous float64 or
-    complex128 X.  One group at a time, the generator holds at most one
-    squaring chain and either one block of approximants or the powers of one
-    family, and keeps the powers only while another scaled argument of that
-    family is still to come; two at a time, it also holds the later group's
-    values and powers.
+    complex128 X.  The generator holds one block of approximants and one
+    squaring chain; two at a time, it also holds the later block's values
+    and the helper's approximants in progress.
     """
     X = np.asarray(X)
     yield from _exponentials(X, *_plan(X, ts))
@@ -438,19 +399,34 @@ def _exponentials(X, zeros, families):
     # the values of a `_plan`, in `expm_times`' order
     for t, dtype in zeros:
         yield t, np.eye(X.shape[0], dtype=dtype)
-    # (mantissa, offset, members) in the order their approximants are taken
-    groups = [(mantissa, offset, sorted(family[offset]))
-              for mantissa, family in families.items() for offset in sorted(family)]
-    if len(groups) > 1 and X.shape[0] >= _PARALLEL_MIN_N and _helper_engages():
-        # imported here: 4 ms and 0.6 MB that calls below the threshold never need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1, thread_name_prefix="evolflow-expm_times") as helper:
-            yield from _pairs(X, groups, helper)
+    # each group's members (s, t), in the order their approximants are taken
+    groups = [sorted(family[offset]) for family in families.values() for offset in sorted(family)]
+    rows = _block_rows(X.shape[0])
+    blocks = [groups[start:start + rows] for start in range(0, len(groups), rows)]
+    if len(blocks) < 2 or X.shape[0] < _PARALLEL_MIN_N or not _helper_engages():
+        for block in blocks:
+            yield from _block(X, block)
         return
-    for A, E, members in _approximants(X, groups):
-        yield from _chain(X, A, E, members)
-        del A, E  # not held while the next approximant is taken
+    # imported here: 4 ms and 0.6 MB that calls below the threshold never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="evolflow-expm_times") as helper:
+        for i in range(0, len(blocks), 2):
+            # a new thread starts from numpy's default error settings (numpy 2
+            # keeps them in a context variable, numpy 1 per thread): the helper
+            # takes this thread's, so an overflow warns or raises as it would here
+            errors = {**np.geterr(), "call": np.geterrcall()}
+            later = helper.submit(_listed, _block(X, blocks[i + 1]), errors) if i + 1 < len(blocks) else None
+            yield from _block(X, blocks[i])
+            if later is not None:
+                yield from later.result()
+                del later  # its values are not held while the next pair is taken
+
+
+def _listed(values, errors):
+    # a block's values as a list, taken under the numpy error settings `errors`
+    with np.errstate(**errors):
+        return list(values)
 
 
 # Stacking a block of approximants into one call saves numpy's per-call
@@ -461,7 +437,7 @@ def _exponentials(X, zeros, families):
 # host, one OpenBLAS thread), so from n = 32 on they are taken one at a time.
 _STACK_BELOW_N = 32
 
-# Two groups at a time pay once a group's products outweigh starting and
+# Two blocks at a time pay once a group's products outweigh starting and
 # joining a thread and the two threads' contention for memory.  With the
 # helper forced on at every n, `axioms_report` on random rate matrices (four
 # times in (0, 1.6], their sums and the 2**-k sweep; mean over 3 matrices of
@@ -479,7 +455,7 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 
 
 def _helper_engages() -> bool:
-    """True when `expm_times` may hand every other group to a helper thread.
+    """True when `expm_times` may hand every other block to a helper thread.
 
     That is when the BLAS runs one thread, as its environment variables
     set it, and the process may use at least two CPUs.  With more BLAS
@@ -505,9 +481,8 @@ def _helper_engages() -> bool:
 
 
 def _block_rows(n: int) -> int:
-    # scaled arguments whose approximants one stacked call takes; sharing
-    # powers takes them one at a time
-    if n >= _STACK_BELOW_N or n >= _SHARE_POWERS_MIN_N:
+    # the groups of one `expm_times` block, whose approximants one stacked call takes
+    if n >= _STACK_BELOW_N:
         return 1
     return CHUNK_ENTRIES // (n * n)
 
@@ -518,103 +493,22 @@ def _scaled(X, s, t):
     return _as_float(t * X) / (2.0**s)
 
 
-def _follows(groups, i, n) -> bool:
-    # whether group i's powers may serve the next group: n shares powers,
-    # and the next group is of the same family
-    return n >= _SHARE_POWERS_MIN_N and i + 1 < len(groups) and groups[i + 1][0] == groups[i][0]
-
-
-def _approximants(X, groups):
-    # (A, r13(A), members) for each group, in order, with A = t*X / 2**s of
-    # its first member: a block of `_block_rows` at a time, or one at a
-    # time, with powers shared along a family
-    n = X.shape[0]
-    rows = _block_rows(n)
-    shared = None  # (offset, A, A2, A4, A6) while its family has more to come
-    for start in range(0, len(groups), rows):
-        block = groups[start:start + rows]
-        scaled = [_scaled(X, *members[0]) for _, _, members in block]
-        if rows > 1 and len({A.dtype for A in scaled}) == 1:  # else none is upcast
-            S = np.stack(scaled)
-            approximants = [E.copy() for E in _pade13(S, *_powers(S))]
-            del S
-            for A, E, (_, _, members) in zip(scaled, approximants, block):
-                yield A, E, members
-            continue
-        for i, ((_, offset, members), A) in enumerate(zip(block, scaled), start):
-            powers = _shared_powers(shared, offset, A)
-            shared = None
-            if powers is None:
-                powers = _powers(A)
-            E = _pade13(A, *powers)
-            if _follows(groups, i, n):
-                shared = (offset, A, *powers)
-            del powers
-            yield A, E, members
-
-
-def _pairs(X, groups, helper):
-    # the values of the groups two at a time, in group order: the earlier
-    # group of a pair on this thread, the later on `helper`.  Powers are
-    # shared as `_approximants` shares them, except that the later group
-    # shares only powers its partner was given: powers the partner computes
-    # are not there yet when the helper starts.
-    n = X.shape[0]
-    shared = None  # (offset, A, A2, A4, A6) while its family has more to come
-    for i in range(0, len(groups), 2):
-        _, offset, members = groups[i]
-        A = _scaled(X, *members[0])
-        powers = _shared_powers(shared, offset, A)
-        shared = (offset, A, *powers) if powers is not None and _follows(groups, i, n) else None
-        later = None
-        if i + 1 < len(groups):
-            _, later_offset, later_members = groups[i + 1]
-            B = _scaled(X, *later_members[0])
-            # a new thread starts from numpy's default error settings (numpy 2
-            # keeps them in a context variable, numpy 1 per thread): the helper
-            # takes this thread's, so an overflow warns or raises as it would here
-            errors = {**np.geterr(), "call": np.geterrcall()}
-            later = helper.submit(_values, X, B, _shared_powers(shared, later_offset, B),
-                                  later_members, errors)
-        shared = None
-        if powers is None:
-            powers = _powers(A)
-        E = _pade13(A, *powers)
-        del powers
-        yield from _chain(X, A, E, members)
-        del A, E
-        if later is not None:
-            values, powers = later.result()
-            if _follows(groups, i + 1, n):
-                shared = (later_offset, B, *powers)
-            del B, powers
-            yield from values
-            del values
-
-
-def _values(X, A, powers, members, errors):
-    # one group's values in order, and A's powers (those given, or computed),
-    # under the numpy error settings `errors`
-    with np.errstate(**errors):
-        if powers is None:
-            powers = _powers(A)
-        return list(_chain(X, A, _pade13(A, *powers), members)), powers
-
-
-def _shared_powers(shared, offset, A):
-    # A**2, A**4 and A**6 as the family's last scaled argument's powers
-    # scaled, when A is that argument times 2**d (offsets ascend within a
-    # family, so d >= 1) and the scaling is exact; else None
-    if shared is None:
-        return None
-    last, B, B2, B4, B6 = shared
-    if not _scales_exactly(B, B2, B4, offset - last):
-        return None
-    c = math.ldexp(1.0, offset - last)
-    if not np.array_equal(A, c * B):
-        return None
-    c2 = c * c
-    return c2 * B2, c2 * c2 * B4, c2 * c2 * c2 * B6
+def _block(X, block):
+    # the values of a block of groups, in order.  The approximants of several groups of Python-float
+    # times and a float64 or complex128 X come from one stacked call, their scaled arguments from one
+    # stacked t * X (each slice has that product's bits) over 2**s; others are taken one at a time
+    firsts = [members[0] for members in block]
+    if len(block) > 1 and X.dtype in _FLOAT_DTYPES and all(type(t) is float for _, t in firsts):
+        s, t = map(np.array, zip(*firsts))
+        S = t[:, None, None] * X / np.ldexp(1.0, s)[:, None, None]
+        approximants = [E.copy() for E in _pade13(S, *_powers(S))]  # each the caller's own
+        for A, E, members in zip(S, approximants, block):
+            yield from _chain(X, A, E, members)
+        return
+    for (s, t), members in zip(firsts, block):
+        A = _scaled(X, s, t)
+        yield from _chain(X, A, _pade13(A, *_powers(A)), members)
+        del A  # not held while the next approximant is taken
 
 
 def _plan(X, ts, keys=None):

@@ -588,18 +588,15 @@ TIMES = [0.0, -0.0, 0.3, 0.3, 0.6, 1.2, 2.4, -0.3, -0.6, 7.0, 14.0, 28.0, 1e-5, 
 def assert_expm_times_is_expm(X, ts):
     """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
 
-    Checked one group at a time and two at a time (the helper thread forced
-    on at every size), each as it runs at X's size and with the powers
-    shared at every size, and one at a time with stacked blocks of at most
+    Checked one block at a time and two at a time (the helper thread forced
+    on at every size), and one at a time with stacked blocks of at most
     three approximants below _STACK_BELOW_N.
     """
     off, on = (lambda: False), (lambda: True)
     settings = [
         {"_helper_engages": off},
-        {"_helper_engages": off, "_SHARE_POWERS_MIN_N": 1},
         {"_helper_engages": off, "CHUNK_ENTRIES": 3 * np.asarray(X).size},
         {"_helper_engages": on, "_PARALLEL_MIN_N": 1},
-        {"_helper_engages": on, "_PARALLEL_MIN_N": 1, "_SHARE_POWERS_MIN_N": 1},
     ]
     with np.errstate(all="ignore"):  # an exponential that overflows does so alike
         want = {}
@@ -618,6 +615,7 @@ def assert_expm_times_is_expm(X, ts):
             assert E.dtype == want[t].dtype and E.shape == want[t].shape
             assert E.tobytes() == want[t].tobytes(), t
         assert len({id(E) for _, E in results}) == len(results)  # each matrix the caller's own
+        assert all(E.base is None for _, E in results)  # and not a view into a stack
     return runs[0]
 
 
@@ -694,31 +692,23 @@ def test_expm_times_property():
     prop()
 
 
-def test_expm_times_computes_the_powers_near_underflow(monkeypatch):
+def test_expm_times_computes_the_powers_near_underflow():
     # X t has entries near 1e-155, so (X t)^2 is subnormal at small t: the
-    # powers of 2^k X t are not 4^k (X t)^2 there, and they are computed
+    # powers of 2^k X t are not 4^k (X t)^2 there
     X = np.zeros((4, 4))
     X[0, 1], X[1, 2], X[2, 3] = 1.2345678901234e-155, 3.3333333333e-157, 5.0 / 2**10
-    ts = [2.0**k for k in range(11)]
-    A2, A4, _ = matcore._powers(X)
-    assert not matcore._scales_exactly(X, A2, A4, 1)
-    assert_expm_times_is_expm(X, ts)
-    # sharing regardless would change results
-    monkeypatch.setattr(matcore, "_SHARE_POWERS_MIN_N", 1)
-    monkeypatch.setattr(matcore, "_scales_exactly", lambda *args: True)
-    got = dict(expm_times(X, ts))
-    assert any(got[t].tobytes() != expm(t * X).tobytes() for t in ts)
+    assert_expm_times_is_expm(X, [2.0**k for k in range(11)])
 
 
 def test_expm_times_shares_powers_only_over_a_representable_factor():
-    # X^2 = 0 bounds nothing, but 2^(6 * 290) is no float: the powers are computed
+    # power-of-two multiples of a nilpotent X, at times from 2^-1074 to 4
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert_expm_times_is_expm(X, [2.0**-1074, 2.0**-300, 2.0**-10, 1.0, 4.0])
 
 
 def test_expm_times_shares_no_powers_with_an_entry_that_underflowed():
     # t X loses its one-ulp entry to underflow at t <= 1/4 but not at t = 1:
-    # the scaled arguments are no longer multiples of one another
+    # the scaled arguments are no longer power-of-two multiples of one another
     X = np.array([[1.0, 5e-324], [0.0, 2.0]])
     assert np.array_equal(0.25 * X, np.diag([0.25, 0.5]))
     assert_expm_times_is_expm(X, [2.0**-k for k in range(8)])
@@ -803,18 +793,19 @@ def test_expm_times_holds_one_chain_and_one_family_of_powers():
 
 @pytest.fixture
 def helper_groups(monkeypatch):
-    """The helper forced on; (ran on another thread, had powers, times) per helper group."""
+    """The helper forced on, blocks of one group; the times of each group computed on another thread."""
     monkeypatch.setattr(matcore, "_helper_engages", lambda: True)
+    monkeypatch.setattr(matcore, "_block_rows", lambda n: 1)
     caller = threading.get_ident()
     groups = []
-    values = matcore._values
+    block = matcore._block
 
-    def recorded(X, A, powers, members, errors):
-        elsewhere = threading.get_ident() != caller
-        groups.append((elsewhere, powers is not None, [t for _, t in members]))
-        return values(X, A, powers, members, errors)
+    def recorded(X, groups_of_block):
+        if threading.get_ident() != caller:  # read as the block is taken, on the thread taking it
+            groups.extend([t for _, t in members] for members in groups_of_block)
+        yield from block(X, groups_of_block)
 
-    monkeypatch.setattr(matcore, "_values", recorded)
+    monkeypatch.setattr(matcore, "_block", recorded)
     return groups
 
 
@@ -841,7 +832,6 @@ def test_two_at_a_time_is_expm_from_the_threshold_on(helper_groups, monkeypatch,
         assert helper_groups == []
     else:  # every other group on the helper
         assert len(helper_groups) == groups // 2 >= 2
-        assert all(other for other, _, _ in helper_groups)
 
 
 def test_one_group_takes_no_helper(helper_groups):
@@ -854,15 +844,11 @@ def test_one_group_takes_no_helper(helper_groups):
 
 
 def test_two_at_a_time_shares_powers_a_pair_was_given(helper_groups, monkeypatch):
-    # the sweep is one family of groups: the first pair computes its powers
-    # on both threads, and each later pair is given scaled ones
+    # the sweep is one family of groups, whose scaled arguments are
+    # power-of-two multiples of one another, taken two at a time
     monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
-    Q = random_rate_matrix(matcore._SHARE_POWERS_MIN_N, 3).Q
+    Q = random_rate_matrix(80, 3).Q
     assert_expm_times_is_expm(Q, SWEEP)
-    helper_groups.clear()
-    dict(expm_times(Q, SWEEP))
-    given = [had for _, had, _ in helper_groups]
-    assert len(given) > 2 and given[0] is False and all(given[1:])
 
 
 def test_the_helper_computes_a_chain_member_whose_scaled_argument_differs(
@@ -872,7 +858,7 @@ def test_the_helper_computes_a_chain_member_whose_scaled_argument_differs(
     monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
     X = np.array([[40.0, 3.78159362874e-313], [0.0, -40.0]])
     got = dict(expm_times(X, [0.1, 0.3, 0.6]))
-    assert helper_groups == [(True, False, [0.3, 0.6])]
+    assert helper_groups == [[0.3, 0.6]]
     assert len(set(pade)) == 3
     for t, E in got.items():
         assert E.tobytes() == expm(t * X).tobytes()
@@ -886,7 +872,7 @@ def test_the_helper_overflows_under_the_callers_error_settings(helper_groups, mo
     X = np.diag([500.0, -500.0])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         list(expm_times(X, [0.3, 2.0]))
-    assert helper_groups == [(True, False, [2.0])]
+    assert helper_groups == [[2.0]]
     with np.errstate(all="ignore"):
         got = dict(expm_times(X, [0.3, 2.0]))
         want = expm(2.0 * X)
@@ -903,7 +889,7 @@ def test_preload_stores_nothing_when_the_helpers_exponential_would_warn(helper_g
         with np.errstate(all="ignore"):
             matcore.preload_expm(X, [0.3, 2.0])
             assert memo_entries() == 2
-    assert [times for _, _, times in helper_groups] == [[2.0], [2.0]]
+    assert helper_groups == [[2.0], [2.0]]
 
 
 def test_two_at_a_time_joins_its_helper_when_the_generator_stops(helper_groups, monkeypatch):
@@ -927,7 +913,32 @@ def test_two_at_a_time_joins_its_helper_when_the_generator_stops(helper_groups, 
     assert len(dict(expm_times(X, ts))) == 5
     assert threading.active_count() == before
     # a pair started at each first yield, two in the full run
-    assert [times for _, _, times in helper_groups] == [[0.7], [0.7], [0.7], [1.9]]
+    assert helper_groups == [[0.7], [0.7], [0.7], [1.9]]
+
+
+def test_two_at_a_time_holds_two_exponentials_and_two_blocks_of_values(monkeypatch):
+    # the helper's approximant can be in progress while the caller's is, so
+    # the bound is two exponentials' peaks and the values of two blocks (at
+    # n = 64 a block is one group: its chain's members)
+    monkeypatch.setattr(matcore, "_helper_engages", lambda: True)
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    Q = random_rate_matrix(64, 3).Q
+    ts = [*SWEEP, *chapman_times([0.3, 0.6, 0.7, 1.4])]
+    _, families = matcore._plan(Q, ts)
+    values = max(len(members) for family in families.values() for members in family.values())
+    assert len(families) > 1 and values > 1
+    dict(expm_times(Q, ts))  # the thread pool's import is not the generator's memory
+    tracemalloc.start()
+    try:
+        expm(2.4 * Q)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in expm_times(Q, ts):
+            pass
+        streamed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed <= 2 * one + 2 * values * Q.nbytes
 
 
 def test_helper_engages_at_one_blas_thread_on_two_cpus(monkeypatch):
@@ -1028,8 +1039,6 @@ def test_block_rows_fill_chunk_entries_below_the_stacking_limit():
     assert matcore._block_rows(5) == matcore.CHUNK_ENTRIES // 25
     assert matcore._block_rows(matcore._STACK_BELOW_N - 1) > 1
     assert matcore._block_rows(matcore._STACK_BELOW_N) == 1
-    assert matcore._block_rows(matcore._SHARE_POWERS_MIN_N) == 1
-    assert matcore._STACK_BELOW_N <= matcore._SHARE_POWERS_MIN_N
 
 
 @pytest.mark.parametrize("n", [3, matcore._STACK_BELOW_N])

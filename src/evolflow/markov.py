@@ -158,7 +158,8 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
     # whole grid's are here, so the report does not hold every sum's at once;
     # `worst` gives the same value for the residuals in any order.  Below
     # n = 32 the residuals go a stacked chunk of `rows` pairs at a time, with
-    # the grid values stacked once (V) and each chunk's factors gathered by row
+    # the grid values stacked once (V), each stage's sums stacked once (W),
+    # and each chunk's sums and factors gathered by row
     A, V, sums, residuals, rows = {}, None, [], [], _block_rows(rate.n)
     for u, E in expm_times(Q, itertools.chain(ts, [0.0], pairs)):
         if u == 0.0:
@@ -173,12 +174,16 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
                 if type(V) is np.ndarray:  # the grid values as V's rows, C-contiguous as they were
                     A = dict(zip(A, V))
                 row = {t: i for i, t in enumerate(A)}
-            held = ((S, row[s], row[t]) for v, S in sums for s, t in pairs[v])
-            while chunk := list(itertools.islice(held, rows)):
-                S, s, t = zip(*chunk)
-                P = V[list(s)] @ V[list(t)] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
-                residuals.extend(frob_residuals(stacked(S), P))
+            # the stage's distinct sums stacked once (W), each pair's gathered by row as its factors
+            W = stacked([S for _, S in sums]) if rows > 1 else [S for _, S in sums]
+            held = ((k, row[s], row[t]) for k, v in enumerate([v for v, _ in sums]) for s, t in pairs[v])
             sums.clear()
+            while chunk := list(itertools.islice(held, rows)):
+                k, s, t = zip(*chunk)
+                S = W[list(k)] if type(W) is np.ndarray else [W[i] for i in k]
+                P = V[list(s)] @ V[list(t)] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
+                residuals.extend(frob_residuals(S, P))
+            del W
     nonneg = worst(-float(A[t].min()) for t in ts)
     row_sum = worst(float(np.max(np.abs(A[t].sum(axis=1) - 1.0))) for t in ts)
     chapman = worst(residuals)

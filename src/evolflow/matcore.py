@@ -4,18 +4,21 @@ Matrices throughout the library are plain numpy arrays, square, with finite
 entries, dtype float64 for real data and complex128 otherwise.  Ordinary
 arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
 this module adds the pieces everything else is built on: validation, the
-matrix exponential (also at many times, planned a stacked block of t * X at
-a time, one Pade approximant per distinct scaled argument, taken by one
-executor a block of groups at a time: stacked at small n, one group a block
-from n = 32, and at large n under a one-thread BLAS every other block on a
-second thread), the determinant gauge behind every nonsingularity
-and determinant-sign decision, a guaranteed upper estimate of the spectral
-radius, the per-check memo that lets a grid check compute each distinct
-exponential and membership once (preloaded from one `expm_times` run), and
-`worst`, the one reduction of a grid check's residuals (`frob_residuals`
-takes a chunk of them from one stacked stage; `nonempty` refuses none).
+matrix exponential (its Pade degree and halvings chosen from the norms of
+the powers it forms, after Al-Mohy & Higham; also at many times, planned a
+stacked block of t * X at a time, the times of one scaled argument sharing
+its powers and, with one degree and halving count, one Pade approximant,
+taken by one executor a block of groups at a time: stacked at small n, one
+group a block from n = 32, and at large n under a one-thread BLAS every
+other block on a second thread), the determinant gauge behind every
+nonsingularity and determinant-sign decision, a guaranteed upper estimate
+of the spectral radius, the per-check memo that lets a grid check compute
+each distinct exponential and membership once (preloaded from one
+`expm_times` run), and `worst`, the one reduction of a grid check's
+residuals (`frob_residuals` takes a chunk of them from one stacked stage;
+`nonempty` refuses none).
 
-The Pade helpers `_powers`, `_pade13` and `_square` take one matrix or a
+The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
 call's result bit for bit (one gemm and one LAPACK solve per slice).
 
@@ -44,27 +47,40 @@ SINGULAR_TOL = 1e-12
 # 256th root of ||M**256||.
 _SPECTRAL_SQUARINGS = 8
 
-# Order-13 diagonal Pade approximant of exp.  _PADE13_THETA is the largest
-# 1-norm for which the approximant alone stays at double-precision accuracy;
-# larger inputs are halved k times first and the result squared k times.
-_PADE13_THETA = 5.371920351148152
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-
+# The diagonal Pade approximants r_m of exp that `expm` chooses among, by
+# their coefficients b_0..b_m (Higham, SIAM J. Matrix Anal. Appl. 26, 2005),
+# and theta_m: r_m(A) has backward error at most u = 2**-53 while ||A||_1, or
+# Al-Mohy & Higham's eta from the 1-norms of powers of A, is at most theta_m
+# (SIAM J. Matrix Anal. Appl. 31, 2009, Table 3.1).
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
+# h of the even powers A**2, ..., A**(2h) that r_m takes
+_EVEN_POWERS = {3: 1, 5: 2, 7: 3, 9: 4, 13: 3}
+# (coefficient, index into [A**2, ..., A**(2h)]) of each term c A**(2j), j >= 1, of r_m's parts
+# v (b_2, b_4, ...) and u (b_3, b_5, ...): those up to A**(2h), and those past it, which degree
+# 13 takes inside A**(2h) @ (...)
+_PADE_TERMS = {
+    m: [([(c, j) for j, c in enumerate(b[2 + odd::2][:_EVEN_POWERS[m]])],
+         [(c, j) for j, c in enumerate(b[2 + odd::2][_EVEN_POWERS[m]:])]) for odd in (0, 1)]
+    for m, b in _PADE_B.items()
+}
+# theta_13**k, the bounds on ||A**k||_1 of the halvings, as `_halvings` limits
+_THETA13_LIMITS = {k: math.frexp(_THETA[13] ** k) for k in (1, 4, 6, 8, 10)}
+# u / |c_27|, c_27 the leading coefficient of r_13's backward error series:
+# ell(A, 13) adds halvings while ||(|A|)**27||_1 |c_27| / ||A||_1 exceeds u;
+# its 26th root bounds the ||A||_1 with ell = 0, as a `_halvings` limit
+_ELL_UC = 2.0**-53 * 113250775606021113483283660800000000.0
+_ELL_ROOT = math.frexp(_ELL_UC ** (1.0 / 26.0))
 
 # The table of the innermost open `memo()` block, None outside every block.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
@@ -288,12 +304,17 @@ def one_norm(M) -> float:
 
 @memoized
 def expm(X) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade(13,13) core.
+    """Matrix exponential by scaling and squaring, its Pade degree chosen.
 
-    The input 1-norm decides the number k of halvings so that
-    ||X / 2**k|| <= _PADE13_THETA; the approximant is then squared k times.
-    Relative accuracy against the truncated-series oracle is ~1e-15 on
-    well-conditioned inputs.  Inside `memo()` each distinct X is computed once.
+    The degree m and the halvings s follow Al-Mohy & Higham (SIAM J. Matrix
+    Anal. Appl. 31, 2009; `_degree`): degree 13, with s from the norms of
+    X**2, X**4 and X**6 and their ell correction for a non-normal X, unless
+    ||X||_1 is at most theta_m of a lower degree m (from n = 32 on).  No
+    product is formed beyond those the degree takes: 2, 3, 4, 5 for m = 3 to
+    9, 6 for m = 13, plus s squarings.  Relative accuracy against a 50-digit
+    oracle is ~1e-15 on well-conditioned inputs, also on [[1, b], [0, -1]]
+    for large b, which halving by ||X||_1 alone loses digits to.  Inside
+    `memo()` each distinct X is computed once.
     """
     X = as_matrix(X)
     with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
@@ -301,13 +322,19 @@ def expm(X) -> np.ndarray:
     if nrm == 0.0:
         return np.eye(X.shape[0], dtype=X.dtype)
     squarings = _squarings(nrm)
-    A = X / (2.0**squarings)
-    return _square(_pade13(A, *_powers(A)), squarings)
+    return _exponential(X / (2.0**squarings), nrm, squarings)
 
 
 # the kernel that `memoized` wraps into `expm`: the function in the memo keys
 # of its calls, through whatever module binding they reach it
 _expm_kernel = expm.__wrapped__
+
+
+def _exponential(A, nrm, squarings):
+    # exp(Y) from A = Y / 2**squarings, ||Y||_1 = nrm
+    powers = _Powers(A)
+    m, s = _degree(powers, 0, nrm, squarings)
+    return _square(_approximant(powers.arguments(m, release=True), m, squarings - s), s)
 
 
 def _scaling_norm(M) -> float:
@@ -319,38 +346,176 @@ def _scaling_norm(M) -> float:
     return nrm
 
 
+# `_halvings` of a zero quantity: any number of halvings will do
+_ANY = -(1 << 40)
+
+
+def _halvings(q, k, e, limit) -> int:
+    # the fewest halvings s (_ANY for q = 0) of a matrix Y with A = Y / 2**e and a quantity q of
+    # A that scales as ||A||**k, after which q * 2**(k*(e - s)) is at most limit = (mantissa,
+    # exponent): decided on the mantissas and exponents, exactly
+    if not q:
+        return _ANY
+    mantissa, exponent = math.frexp(q)
+    return (exponent + k * e - limit[1] + (mantissa > limit[0]) + k - 1) // k
+
+
 def _squarings(nrm: float) -> int:
-    # the fewest halvings that bring a 1-norm to at most _PADE13_THETA
-    if nrm > _PADE13_THETA:
-        return int(np.ceil(np.log2(nrm / _PADE13_THETA)))
-    return 0
+    # the fewest halvings that bring a 1-norm to at most theta_13
+    return 0 if nrm <= _THETA[13] else _halvings(nrm, 1, 0, _THETA13_LIMITS[1])
 
 
-def _powers(A):
-    # A**2, A**4 and A**6 of a matrix or of each slice of a stack
-    A2 = A @ A
-    A4 = A2 @ A2
-    return A2, A4, A4 @ A2
+# the reductions of `one_norm`, without the method wrappers
+_SUM, _MAX = np.add.reduce, np.maximum.reduce
 
 
-def _pade13(A, A2, A4, A6) -> np.ndarray:
-    """The approximant r13(A) from A and its powers: one linear solve.
+class _Powers:
+    """A matrix A, or a (k, n, n) stack of them, and its even powers, each formed when first asked
+    for.
 
-    A may be a (k, n, n) stack of scaled arguments with their stacked
-    powers: one call then takes k approximants, each slice the one its own
-    call gives, bit for bit, for any mix of squaring counts among them.
+    A is Y / 2**squarings (`_squarings`), so that ||A||_1 <= theta_13 and no
+    power of A overflows.  W holds A, A**2, A**4, ... as formed, each for
+    all slices in one product; each slice, its powers' 1-norms and the norm
+    of |A|**27 are what the one-matrix call gives, bit for bit.
     """
-    b = _PADE13_B
+
+    __slots__ = ("A", "W", "_norms", "_abs_norms")
+
+    def __init__(self, A):
+        self.A, self.W, self._norms, self._abs_norms = A, [A], None, None
+
+    def even(self, h):
+        """[A**2, ..., A**(2h)], for h up to 4, each formed with the ones before it."""
+        W = self.W
+        for k in range(len(W), h + 1):  # A**(2k) = A A, A**2 A**2, A**2 A**4, A**4 A**4
+            W.append(W[k // 2] @ W[k - k // 2] if k > 1 else W[0] @ W[0])
+        return W[1:h + 1]
+
+    def norms(self, i):
+        """(||A**2||_1, ||A**4||_1, ||A**6||_1) of slice i (0 for one matrix), each power's for all
+        slices from one reduction."""
+        if self._norms is None:
+            norms = [_MAX(_SUM(np.abs(P), axis=-2), axis=-1) for P in self.even(3)]  # `one_norm`s
+            self._norms = np.array(norms).T.reshape(-1, 3).tolist()
+        return self._norms[i]
+
+    def arguments(self, m, release=False):
+        """[A, A**2, ..., A**(2h)], as r_m takes them; with `release` no longer held here, so that
+        `_approximant` can drop each as it scales it."""
+        h = _EVEN_POWERS[m]
+        self.even(h)
+        W = self.W[:h + 1]
+        if release:
+            self.A = self.W = None
+        return W
+
+    def abs_norm(self, i):
+        """||(|A|)**27||_1 of slice i, all slices' from the same 27 vector products 1^T |A|**k."""
+        if self._abs_norms is None:
+            B = np.abs(self.A)
+            v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
+            for _ in range(27):
+                v = v @ B
+            self._abs_norms = _MAX(v, axis=-1).reshape(-1).tolist()
+        return self._abs_norms[i]
+
+
+def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
+    """(m, s) for Y with ||Y||_1 = nrm, whose Y / 2**squarings is slice i of `powers`.
+
+    From n = _STACK_BELOW_N on the smallest of degrees 3 to 9 with nrm <=
+    theta_m, where Al-Mohy & Higham's d_j = ||Y**j||_1**(1/j) <= nrm and
+    ell(Y, m) = 0 follow; below it always degree 13, as a product there
+    costs less than the call that takes it and a stacked block stays one
+    degree.  Degree 13 halves their eta_5 = min(max(d_6, d_8), max(d_8,
+    d_10)) to at most theta_13, d_8 <= min(d_4, (||Y**6|| ||Y**2||)**(1/8))
+    and d_10 <= (||Y**4|| ||Y**6||)**(1/10) from the powers it forms anyway,
+    then adds ell(Y / 2**s, 13), the fewest extra halvings that bring
+    ||(|A|)**27||_1 |c_27| / ||A||_1 to at most u for A = Y / 2**s: none at
+    no cost when ||A||_1**26 |c_27| <= u, else from the exact norm
+    (`_Powers.abs_norm`).  Their d_j tests of the degrees below 13 are left
+    out: with their ell they cost more than the products they save (a 2 x 2
+    upper triangular matrix of 1-norm 4.2 took 155 us with them against
+    54 us under the 1-norm rule; 2-core x86-64 host, one OpenBLAS thread).
+    Every comparison is exact (`_halvings`), so the choice depends on slice
+    i and nrm alone.
+    """
+    if powers.A.shape[-1] >= _STACK_BELOW_N:
+        for m in (3, 5, 7, 9):
+            if nrm <= _THETA[m]:
+                return m, 0
+    if nrm <= _THETA[13]:  # then eta_5 <= nrm and ell(Y, 13) = 0
+        return 13, 0
+    (p2, p4, p6), limits = powers.norms(i), _THETA13_LIMITS
+    d8 = min(_halvings(p4, 4, squarings, limits[4]), _halvings(p6 * p2, 8, squarings, limits[8]))
+    eta3 = max(_halvings(p6, 6, squarings, limits[6]), d8)
+    eta4 = max(d8, _halvings(p4 * p6, 10, squarings, limits[10]))
+    s = max(min(eta3, eta4), 0)
+    if _halvings(nrm, 1, 0, _ELL_ROOT) <= s:  # ||Y / 2**s||_1 is at most the 26th root of u / |c_27|
+        return 13, s
+    mantissa, exponent = math.frexp(nrm)
+    mantissa, shift = math.frexp(_ELL_UC * mantissa)  # u / |c_27| ||Y||_1
+    return 13, max(s, _halvings(powers.abs_norm(i), 26, squarings, (mantissa, shift + exponent - squarings)))
+
+
+def _approximant(W, m, a, rows=None) -> np.ndarray:
+    # r_m(2**a A) from W = `_Powers.arguments(m)` of one matrix, or of the slices `rows` of a (k,
+    # n, n) stack (None for every slice in order) with an array a, one each.  The scaled argument
+    # and its powers are A's times exact powers of two (none for a = 0), each put in W's place
+    if rows is not None:
+        W = [P[rows] for P in W]
+    if a.any() if isinstance(a, np.ndarray) else a:
+        if isinstance(a, np.ndarray):  # numpy's ldexp takes int64 exponents 15 times slower
+            a = a.astype(np.int32)[:, None, None]
+        for j, power in enumerate((1, 2, 4, 6, 8)[:len(W)]):
+            W[j] = _scale(W[j], power * a)
+    return _pade(W[0], W[1:], m)
+
+
+def _scale(M, k):
+    # M * 2**k (k an integer, or an integer array that broadcasts) as a new C-contiguous float64
+    # or complex128 array, exactly for every entry that stays in the normal range
+    if M.dtype.kind != "c":
+        return np.ldexp(M, k, order="C")
+    out = np.array(M, order="C")
+    V = out.view(np.float64)  # the real and imaginary parts, each scaled alike
+    np.ldexp(V, k, out=V)
+    return out
+
+
+def _pade(A, powers, m) -> np.ndarray:
+    """The diagonal Pade approximant r_m(A) of exp: one linear solve.
+
+    `powers` are A**2, ..., A**(2h), as the degree takes them
+    (`_EVEN_POWERS`).  With U = A u(A**2) and V = v(A**2) from the odd and
+    even coefficients, r_m = (V - U)^-1 (V + U); degree 13 takes A**8 to
+    A**12 as A**6 @ (b13 A**6 + b11 A**4 + b9 A**2).  A may be a (k, n, n)
+    stack with its powers' stacks: each slice is then what its own call
+    gives, bit for bit.
+    """
     eye = np.eye(A.shape[-1], dtype=A.dtype)
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    U = A @ _part(powers, m, 1, eye)
+    V = _part(powers, m, 0, eye)
     del eye
     P = V - U
     V += U  # V + U in V's place: one matrix fewer held through the solve
     del U
     return np.linalg.solve(P, V)
+
+
+def _part(powers, m, odd, eye):
+    # v(A**2) (odd 0) or u(A**2) (odd 1) of r_m from `_PADE_TERMS`, the identity's term last
+    low, high = _PADE_TERMS[m][odd]
+    acc = low[0][0] * powers[low[0][1]]
+    for c, j in low[1:]:
+        acc += c * powers[j]
+    if high:
+        inner = high[0][0] * powers[high[0][1]]
+        for c, j in high[1:]:
+            inner += c * powers[j]
+        acc += powers[-1] @ inner
+    acc += _PADE_B[m][odd] * eye
+    return acc
 
 
 def _square(E, squarings: int) -> np.ndarray:
@@ -364,32 +529,35 @@ def expm_times(X, ts):
     """Yield (t, expm(t * X)) for each distinct t of ts, bit for bit.
 
     Times are deduplicated as dict keys are (0.0 and -0.0 are one time, the
-    first is kept) and yielded grouped by their scaled argument t*X / 2**s,
-    with s chosen exactly as `expm` chooses it.  A group is one distinct
-    scaled argument with its squaring chain: it costs one Pade approximant,
-    and the times that share it (2t beside t above the scaling threshold,
-    2**-k for k up to s + 1) take their values from the chain, each confirmed
-    with `np.array_equal`, so no result differs from `expm(t * X)` in any
-    bit.  Each yielded matrix is the caller's own.
+    first is kept) and grouped by their scaled argument t*X / 2**k, with k
+    the halvings of ||t X||_1 to theta_13 (`_squarings`), exactly as `expm`
+    forms it.  The times that share a scaled argument (2t beside t above
+    theta_13, 2**-k for k up to k + 1), each confirmed with
+    `np.array_equal`, share its powers; each takes its own degree and
+    halvings by `expm`'s rule (`_degree`), and those with one degree and
+    one power of two 2**a of their approximant's argument share one Pade
+    approximant, read off one squaring chain, so no result differs from
+    `expm(t * X)` in any bit.  Each yielded matrix is the caller's own.
 
     The groups are taken a block of `_block_rows(n)` at a time (`_block`):
-    below n = _STACK_BELOW_N one stacked `_powers` and `_pade13` call takes
-    the approximants of up to CHUNK_ENTRIES / n**2 groups, each slice the
-    unstacked call's result bit for bit; from there on a block is one group.
-    From n = _PARALLEL_MIN_N on, a call with more than one block takes every
-    other block on one helper thread when `_helper_engages` (one BLAS
-    thread, a second usable CPU).  The helper is started for the call and
-    joined when the generator finishes or is closed; it runs under the
-    caller's numpy error settings, and what it raises is raised here.  The
-    values and their order are the same either way.
+    below n = _STACK_BELOW_N the scaled arguments, each power and the
+    approximants of up to CHUNK_ENTRIES / n**2 groups come from one stacked
+    call each, each slice the unstacked call's result bit for bit; from
+    there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
+    more than one block takes every other block on one helper thread when
+    `_helper_engages` (one BLAS thread, a second usable CPU).  The helper is
+    started for the call and joined when the generator finishes or is
+    closed; it runs under the caller's numpy error settings, and what it
+    raises is raised here.  The values and their order are the same either
+    way.
 
     Every time is validated before the first yield: a non-finite t * X, or
     one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
     as `expm` does, without numpy's overflow warning; below n = 32 a stacked
     block of Python-float times at a time, for a C-contiguous float64 or
-    complex128 X.  The generator holds one block of approximants and one
-    squaring chain; two at a time, it also holds the later block's values
-    and the helper's approximants in progress.
+    complex128 X.  The generator holds one block's powers and approximants
+    and one squaring chain; two at a time, it also holds the later block's
+    values and the helper's work in progress.
     """
     X = np.asarray(X)
     yield from _exponentials(X, *_plan(X, ts))
@@ -481,86 +649,113 @@ def _helper_engages() -> bool:
 
 
 def _block_rows(n: int) -> int:
-    # the groups of one `expm_times` block, whose approximants one stacked call takes
+    # the groups of one `expm_times` block, whose scaled arguments, powers and approximants stack
     if n >= _STACK_BELOW_N:
         return 1
     return CHUNK_ENTRIES // (n * n)
 
 
-def _scaled(X, s, t):
-    # t*X / 2**s for a time `_plan` validated: coerced as `as_matrix`
+def _scaled(X, squarings, t):
+    # t*X / 2**squarings for a time `_plan` validated: coerced as `as_matrix`
     # coerces it, to the same bits, without validating it again
-    return _as_float(t * X) / (2.0**s)
+    return _as_float(t * X) / (2.0**squarings)
 
 
 def _block(X, block):
-    # the values of a block of groups, in order.  The approximants of several groups of Python-float
-    # times and a float64 or complex128 X come from one stacked call, their scaled arguments from one
-    # stacked t * X (each slice has that product's bits) over 2**s; others are taken one at a time
+    # the values of a block of groups, in order.  The scaled arguments of several groups of
+    # Python-float times and a float64 or complex128 X, their powers and approximants come from
+    # one stacked call each, the arguments from one stacked t * X (each slice has that product's
+    # bits) over 2**k; others are taken one at a time
     firsts = [members[0] for members in block]
-    if len(block) > 1 and X.dtype in _FLOAT_DTYPES and all(type(t) is float for _, t in firsts):
-        s, t = map(np.array, zip(*firsts))
-        S = t[:, None, None] * X / np.ldexp(1.0, s)[:, None, None]
-        approximants = [E.copy() for E in _pade13(S, *_powers(S))]  # each the caller's own
-        for A, E, members in zip(S, approximants, block):
-            yield from _chain(X, A, E, members)
+    if len(block) > 1 and X.dtype in _FLOAT_DTYPES and all(type(t) is float for _, t, _ in firsts):
+        k, t, _ = map(np.array, zip(*firsts))
+        powers = _Powers(t[:, None, None] * X / np.ldexp(1.0, k)[:, None, None])
+        keys, chains, strays = [], [], []
+        for g, members in enumerate(block):
+            for key, chain in _chains(X, powers, g, members).items():
+                if key is None:
+                    strays += chain
+                else:
+                    keys.append((g, *key))
+                    chains.append(chain)
+        rows, _, a = map(np.array, zip(*keys))  # every degree 13 below _STACK_BELOW_N
+        approximants = _approximant(powers.arguments(13, release=True), 13, a,
+                                    None if len(rows) == len(block) else rows)
+        for E, chain in zip(approximants, chains):
+            yield from _chain(E.copy(), chain)  # each the caller's own
+        yield from strays
         return
-    for (s, t), members in zip(firsts, block):
-        A = _scaled(X, s, t)
-        yield from _chain(X, A, _pade13(A, *_powers(A)), members)
-        del A  # not held while the next approximant is taken
+    for members in block:
+        powers = _Powers(_scaled(X, *members[0][:2]))
+        chains = _chains(X, powers, 0, members)
+        yield from chains.pop(None, [])
+        for j, ((m, a), chain) in enumerate(chains.items(), 1):  # the last releases the powers
+            yield from _chain(_approximant(powers.arguments(m, release=j == len(chains)), m, a), chain)
+
+
+def _chains(X, powers, g, members):
+    # the members (k, t, ||t X||_1) of a group, whose first member's scaled argument A is slice g of
+    # `powers` (g = 0 for one matrix), by the (m, a) of their approximant r_m(2**a A): each member's
+    # (m, s) from `_degree`, a = k - s.  A member whose t*X / 2**k is not A is computed on its own,
+    # its (t, value) under the key None
+    A = powers.A[g] if powers.A.ndim == 3 else powers.A
+    chains = {}
+    for j, (k, t, nrm) in enumerate(members):
+        if j:
+            At = _scaled(X, k, t)
+            if not np.array_equal(At, A):
+                chains.setdefault(None, []).append((t, _exponential(At, nrm, k)))
+                continue
+            del At
+        m, s = _degree(powers, g, nrm, k)
+        chains.setdefault((m, k - s), []).append((s, t))
+    return chains
 
 
 def _plan(X, ts, keys=None):
     # validate every distinct time; sort the nonzero ones into families (one mantissa of t) of
-    # groups (one exponent of t minus s); with `keys`, put expm(t * X)'s `_memo_key` in keys[t].
-    # Blocks of times stack while numpy ignores underflow, which a stacked t * X does not report
-    zeros, families, times = [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - s -> [(s, t)]}
+    # groups (one exponent of t minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1); with
+    # `keys`, put expm(t * X)'s `_memo_key` in keys[t].  Blocks of times stack while numpy ignores
+    # underflow, which a stacked t * X does not report
+    zeros, families, times = [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
     rows = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
             and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
     for start in range(0, len(times), rows):
-        for t, Y, s in _planned(X, times[start:start + rows], rows > 1):
+        for t, Y, nrm in _planned(X, times[start:start + rows], rows > 1):
             if keys is not None:
                 keys[t] = _memo_key(_expm_kernel, (Y,), {})
-            if s is None:
+            if not nrm:
                 zeros.append((t, _as_float(Y).dtype))
                 continue
+            k = _squarings(nrm)
             mantissa, exponent = math.frexp(t)
-            families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
+            families.setdefault(mantissa, {}).setdefault(exponent - k, []).append((k, t, nrm))
     return zeros, families
 
 
 def _planned(X, block, stacks):
-    # (t, t * X, squarings) of each time, None squarings for a zero t * X: from one stacked t * X (a
-    # slice is t * X, bit for bit) when `stacks`, the times are Python floats and the 1-norms finite;
-    # else one t * X a time, so the first failing time raises as `expm` does
+    # (t, t * X, ||t X||_1) of each time: from one stacked t * X (a slice is t * X, bit for bit) when
+    # `stacks`, the times are Python floats and the 1-norms finite; else one t * X a time, so the
+    # first failing time raises as `expm` does
     if stacks and all(type(t) is float for t in block):
         with np.errstate(all="ignore"):
             P = np.array(block)[:, None, None] * X
             nrm = np.abs(P).sum(axis=1).max(axis=1)  # `one_norm` of each slice
-            s = np.ceil(np.log2(np.maximum(nrm, _PADE13_THETA) / _PADE13_THETA)).astype(int).tolist()
         if np.isfinite(nrm).all():  # then so is every entry
-            yield from zip(block, P, [k if z else None for k, z in zip(s, nrm.tolist())])
+            yield from zip(block, P, nrm.tolist())
             return
     for t in block:
         with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
             Y = t * X
             nrm = _scaling_norm(as_matrix(Y))
-        yield t, Y, _squarings(nrm) if nrm else None
+        yield t, Y, nrm
 
 
-def _chain(X, A, E, members):
-    # E = r13(A); members (s, t) by ascending s, which differ within a group.
-    # A member whose t*X / 2**s is A takes E squared s times; any other is
-    # computed on its own.
+def _chain(E, members):
+    # E = r_m of a group's scaled argument, its members (s, t) with distinct s: E squared s
+    # times for each
     done = 0
-    for j, (s, t) in enumerate(members):
-        if j:
-            At = _scaled(X, s, t)
-            if not np.array_equal(At, A):
-                yield t, _square(_pade13(At, *_powers(At)), s)
-                continue
-            del At
+    for s, t in sorted(members):
         E = _square(E, s - done)
         done = s
         yield t, E

@@ -250,10 +250,11 @@ def per_pair_flow_axioms(flow, bases, grid, tol=1e-9):
 
 
 def per_time_plan(X, ts):
-    # validate every distinct time; sort the nonzero ones into families (one
-    # mantissa of t) of groups (one exponent of t minus s), holding one t * X at a time
+    # validate every distinct time; sort the nonzero ones into families (one mantissa of t) of
+    # groups (one exponent of t minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1), holding
+    # one t * X at a time
     zeros = []
-    families = {}  # mantissa -> {exponent - s -> [(s, t)]}
+    families = {}  # mantissa -> {exponent - k -> [(k, t, ||t X||_1)]}
     with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
         for t in dict.fromkeys(ts):
             Y = as_matrix(t * X)
@@ -261,7 +262,7 @@ def per_time_plan(X, ts):
             if nrm == 0.0:
                 zeros.append((t, Y.dtype))
                 continue
-            s = _squarings(nrm)
+            k = _squarings(nrm)
             mantissa, exponent = math.frexp(t)
-            families.setdefault(mantissa, {}).setdefault(exponent - s, []).append((s, t))
+            families.setdefault(mantissa, {}).setdefault(exponent - k, []).append((k, t, nrm))
     return zeros, families

@@ -23,6 +23,7 @@ from evolflow.markov import (
     truncate_reversible,
     validate_rate,
 )
+from evolflow import markov
 from evolflow.matcore import expm, expm_times, frob_norm
 from oracles import per_call_axioms_report, per_call_kolmogorov_residuals
 
@@ -167,12 +168,14 @@ def test_axioms_share_one_exponential_memo(monkeypatch, pade):
     assert set(calls[0][1]) == sums
     assert calls[1][1] == [2.0**-k for k in range(1, 21)]
     # one approximant per distinct scaled argument: the 60 nonzero distinct
-    # times of the grid and sums have 42 (2t beside t shares one above the
-    # scaling threshold), the 20 sweep times have 20 (||Q|| is below it)
-    assert len(pade) == 42 + 20
+    # times of the grid and sums have 44 (2t beside t shares one where 2t is
+    # halved), the 20 sweep times have 20 (none is halved)
+    assert len(pade) == 44 + 20
+    shared = set(zip(pade.degrees, pade))
     pade.clear()
     assert repr(per_call_axioms_report(rate, grid)) == repr(rep)
     assert len(pade) == 60 + 20  # one per distinct time
+    assert set(zip(pade.degrees, pade)) == shared
 
 
 def traced_peak(fn, *args):
@@ -236,6 +239,18 @@ def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk)
     # stacked stages below n = 32, of at most a chunk of pairs each; pair by pair from there
     rows = matcore._block_rows(n)
     assert (stages != []) is (rows > 1) and all(1 < k <= rows for k in stages)
+
+
+def test_axioms_stack_each_chapman_sum_once(monkeypatch):
+    # the grid values are stacked once and each distinct sum once, though 441 pairs reach 41 sums
+    rate = random_rate_matrix(4, 44)
+    grid = [float(t) for t in np.linspace(0.0, 2.0, 21)]
+    want = per_call_axioms_report(rate, grid)
+    rows = []
+    stack = markov.stacked
+    monkeypatch.setattr(markov, "stacked", lambda matrices: rows.append(len(matrices)) or stack(matrices))
+    assert repr(axioms_report(rate, grid)) == repr(want)
+    assert sum(rows) == len(set(grid)) + len({s + t for s in grid for t in grid})
 
 
 def nan_exponential_at(T, Q):

@@ -73,6 +73,46 @@ def test_expm_complex_series_oracle():
     assert frob_norm(expm(M) - taylor_expm(M)) <= 1e-12 * frob_norm(taylor_expm(M))
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_expm_matches_series_oracle_on_either_side_of_each_degree(n, m, complex_):
+    # from n = 32 on each theta_m bounds a degree: just below it degree m, just above the next
+    rng = np.random.default_rng([n, m, complex_])
+    X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    for side, degree in ((1.0 - 2.0**-20, m), (1.0 + 2.0**-20, {3: 5, 5: 7, 7: 9, 9: 13, 13: 13}[m])):
+        Y = X * (matcore._THETA[m] * side / one_norm(X))
+        nrm = one_norm(Y)
+        k = matcore._squarings(nrm)
+        assert matcore._degree(matcore._Powers(Y / 2.0**k), 0, nrm, k)[0] == degree
+        R = taylor_expm(Y)
+        assert frob_norm(expm(Y) - R) <= 1e-13 * frob_norm(R)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("b", [1e8, 1e12])
+def test_expm_of_non_normal_blocks_down_a_large_diagonal(n, b):
+    # [[1, b], [0, -1]] n / 2 times: exp is [[e, b sinh 1], [0, 1 / e]] in each block, which
+    # halving by ||X||_1 alone lost 7 digits of
+    X = np.kron(np.eye(n // 2), [[1.0, b], [0.0, -1.0]])
+    want = np.kron(np.eye(n // 2), [[math.e, b * math.sinh(1.0)], [0.0, 1.0 / math.e]])
+    assert frob_norm(expm(X) - want) <= 1e-14 * frob_norm(want)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_expm_of_nilpotent_blocks_takes_ells_halvings(monkeypatch, n):
+    # [[a, a], [-a, -a]] squares to 0, so exp is I + X; the norms of its powers ask for no
+    # halving, and ell(X, 13), read off the exact norm of |X|**27, adds them back
+    X = np.kron(np.eye(n // 2), [[100.0, 100.0], [-100.0, -100.0]])
+    exact, abs_norm = [], matcore._Powers.abs_norm
+    monkeypatch.setattr(matcore._Powers, "abs_norm", lambda self, i: exact.append(i) or abs_norm(self, i))
+    nrm = one_norm(X)
+    k = matcore._squarings(nrm)
+    m, s = matcore._degree(matcore._Powers(X / 2.0**k), 0, nrm, k)
+    assert exact and m == 13 and 0 < s <= k
+    assert frob_norm(expm(X) - (np.eye(n) + X)) <= 1e-14 * frob_norm(np.eye(n) + X)
+
+
 def test_exp_additivity_on_grid():
     rng = np.random.default_rng(2)
     grid = [-2.0, -1.0, 0.5, 1.0, 2.0]
@@ -762,13 +802,41 @@ def test_expm_times_takes_one_pade_approximant_per_distinct_scaled_argument(pade
     Q = random_rate_matrix(5, 4).Q
     ts = chapman_times([0.25, 0.5, 0.6, 1.5]) + SWEEP
     got = dict(expm_times(Q, ts))
-    scaled = pade.copy()
+    scaled = list(zip(pade.degrees, pade))
     pade.clear()
     for t in got:
         assert got[t].tobytes() == expm(t * Q).tobytes()
     assert len(pade) == len(got) - 1 == 31  # expm: one per nonzero time
-    assert len(scaled) == len(set(scaled)) == 26  # expm_times: one per scaled argument
-    assert set(scaled) == set(pade)
+    # expm_times: one per distinct (degree, scaled argument), all of degree 13 below n = 32
+    assert len(scaled) == len(set(scaled)) == 27
+    assert set(scaled) == set(zip(pade.degrees, pade)) and set(pade.degrees) == {13}
+
+
+def test_the_continuity_sweep_takes_fewer_products_than_degree_13(monkeypatch):
+    # the 2**-k sweep of a 64-state rate matrix: each time that the 1-norm takes unhalved has the
+    # degree its 1-norm bounds, at 2 to 6 products (the powers it forms and r_m's own), where
+    # degree 13 took 6 each
+    Q = random_rate_matrix(64, 9).Q
+    unhalved = [t for t in SWEEP if one_norm(t * Q) <= matcore._THETA[13]]
+    products, degrees, even, pade = [], set(), matcore._Powers.even, matcore._pade
+
+    def counted(powers, h):
+        formed = len(powers.W)
+        result = even(powers, h)
+        products.extend([1] * (len(powers.W) - formed))
+        return result
+
+    def approximant(A, powers, m):
+        degrees.add(m)
+        products.extend([1] * (3 if m == 13 else 1))  # U, and degree 13's two inside
+        return pade(A, powers, m)
+
+    monkeypatch.setattr(matcore._Powers, "even", counted)
+    monkeypatch.setattr(matcore, "_pade", approximant)
+    got = dict(expm_times(Q, SWEEP))
+    monkeypatch.undo()
+    assert len(unhalved) == 17 and len(products) < 6 * len(unhalved) and degrees == {3, 5, 7, 9, 13}
+    assert all(E.tobytes() == expm(t * Q).tobytes() for t, E in got.items())
 
 
 def test_expm_times_holds_one_chain_and_one_family_of_powers():
@@ -802,7 +870,7 @@ def helper_groups(monkeypatch):
 
     def recorded(X, groups_of_block):
         if threading.get_ident() != caller:  # read as the block is taken, on the thread taking it
-            groups.extend([t for _, t in members] for members in groups_of_block)
+            groups.extend([t for _, t, _ in members] for members in groups_of_block)
         yield from block(X, groups_of_block)
 
     monkeypatch.setattr(matcore, "_block", recorded)
@@ -970,50 +1038,61 @@ def test_helper_engages_at_one_blas_thread_on_two_cpus(monkeypatch):
 
 
 def pade_stack(rng, n, complex_, squarings):
-    """Scaled arguments t X / 2**s as `expm` forms them, one per squaring count.
-
-    Each X is scaled to a 1-norm that needs exactly that many squarings; a
-    zero slice and a slice whose powers overflow come last.
-    """
-    slices, Xs = [], []
-    for s in squarings:
+    """Matrices X whose 1-norm takes each count of squarings (`_squarings`), every other one
+    non-normal (a diagonal under a large strict upper triangle), with their 1-norms and the
+    scaled arguments X / 2**k `expm` forms of them, as one stack; a zero slice and a slice whose
+    powers overflow come last in the stack, with no X."""
+    Xs = []
+    for j, k in enumerate(squarings):
         X = rng.normal(size=(n, n))
         if complex_:
             X = X + 1j * rng.normal(size=(n, n))
-        X *= matcore._PADE13_THETA * 2.0**s * rng.uniform(0.55, 1.0) / one_norm(X)
-        assert matcore._squarings(one_norm(X)) == s
+        if j % 2:
+            X = np.diag(np.diag(X)) + 1e3 * np.triu(X, 1)
+        X *= matcore._THETA[13] * 2.0**k * rng.uniform(0.55, 1.0) / one_norm(X)
+        assert matcore._squarings(one_norm(X)) == k
         Xs.append(X)
-        slices.append(X / 2.0**s)
     big = np.full((n, n), 1e200, dtype=complex if complex_ else float)
-    return np.stack([*slices, np.zeros_like(big), big]), Xs
+    S = np.stack([*(X / 2.0**k for X, k in zip(Xs, squarings)), np.zeros_like(big), big])
+    return Xs, [one_norm(X) for X in Xs], squarings, S
 
 
-def assert_stacked_helpers_are_per_slice(S, Xs, squarings):
+def assert_stacked_helpers_are_per_slice(Xs, norms, squarings, S):
+    # the (m, s) choices of a stacked `_Powers` and every power, 1-norm and norm of |A|**27
+    # behind them equal the one-matrix calls', bit for bit, and so do the approximants of one
+    # stacked call, the last two slices' (unscaled) too; these, each squared its own number of
+    # times, are expm's
+    stacked, alone, chosen = matcore._Powers(S), [matcore._Powers(A.copy()) for A in S], []
     with np.errstate(all="ignore"):  # the last slice overflows alike in both forms
-        P = matcore._powers(S)
-        E = matcore._pade13(S, *P)
-        for i, A in enumerate(S):
-            per = matcore._powers(A)
-            for stacked, alone in zip(P, per):
-                assert stacked[i].tobytes() == alone.tobytes()
-            assert E[i].tobytes() == matcore._pade13(A, *per).tobytes()
-        for s in set(squarings):
+        for i, (nrm, k) in enumerate(zip(norms, squarings)):
+            m, s = matcore._degree(alone[i], 0, nrm, k)
+            assert matcore._degree(stacked, i, nrm, k) == (m, s) and m == 13  # below n = 32
+            h = len(alone[i].W) - 1
+            assert all(P[i].tobytes() == Q.tobytes() for P, Q in zip(stacked.even(h), alone[i].even(h)))
+            assert stacked.norms(i) == alone[i].norms(0)
+            assert stacked.abs_norm(i) == alone[i].abs_norm(0)
+            chosen.append((k - s, s))
+        a = np.array([a for a, _ in chosen] + [0, 0])
+        E = matcore._approximant(stacked.arguments(13), 13, a)
+        for s in {s for _, s in chosen}:
             squared = matcore._square(E, s)
             for i in range(len(S)):
                 assert squared[i].tobytes() == matcore._square(E[i], s).tobytes()
-        # the approximants of one stack, each squared its own number of times, are expm's
-        for X, s, Ei in zip(Xs, squarings, E):
+        for powers, a_i, Ei in zip(alone, a.tolist(), E):
+            assert Ei.tobytes() == matcore._approximant(powers.arguments(13), 13, a_i).tobytes()
+        for X, (_, s), Ei in zip(Xs, chosen, E):
             assert matcore._square(Ei, s).tobytes() == expm(X).tobytes()
     assert not np.isfinite(E[-1]).any()  # the overflowing slice, in a stack of finite ones
+    return chosen
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_stacked_pade_helpers_equal_each_slice_bit_for_bit(n, complex_):
     rng = np.random.default_rng([n, complex_])
-    squarings = [0, 3, 0, 1, 7, 2, 0]
-    S, Xs = pade_stack(rng, n, complex_, squarings)
-    assert_stacked_helpers_are_per_slice(S, Xs, squarings)
+    chosen = assert_stacked_helpers_are_per_slice(*pade_stack(rng, n, complex_, [0, 3, 0, 1, 7, 2, 0, 30, 700]))
+    # the norms of the powers take fewer halvings than the 1-norm for a non-normal matrix
+    assert (max(a for a, _ in chosen) > 0) is (n > 1)
 
 
 def test_stacked_pade_helpers_property():
@@ -1025,11 +1104,10 @@ def test_stacked_pade_helpers_property():
         n=st.integers(1, 10),
         complex_=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
-        squarings=st.lists(st.integers(0, 12), min_size=1, max_size=12),
+        squarings=st.lists(st.integers(0, 12) | st.sampled_from([40, 900]), min_size=1, max_size=12),
     )
     def prop(n, complex_, seed, squarings):
-        S, Xs = pade_stack(np.random.default_rng(seed), n, complex_, squarings)
-        assert_stacked_helpers_are_per_slice(S, Xs, squarings)
+        assert_stacked_helpers_are_per_slice(*pade_stack(np.random.default_rng(seed), n, complex_, squarings))
 
     prop()
 
@@ -1043,19 +1121,22 @@ def test_block_rows_fill_chunk_entries_below_the_stacking_limit():
 
 @pytest.mark.parametrize("n", [3, matcore._STACK_BELOW_N])
 def test_expm_times_takes_a_block_of_approximants_in_one_call(monkeypatch, n):
-    shapes = []
-    approximant = matcore._pade13
+    shapes, degrees = [], set()
+    approximant = matcore._pade
 
-    def recorded(A, *powers):
+    def recorded(A, powers, m):
         shapes.append(A.shape)
-        return approximant(A, *powers)
+        degrees.add(m)
+        return approximant(A, powers, m)
 
-    monkeypatch.setattr(matcore, "_pade13", recorded)
+    monkeypatch.setattr(matcore, "_pade", recorded)
     X = np.random.default_rng(n).normal(size=(n, n))
     X /= one_norm(X)
-    ts = [0.1 * k for k in range(1, 41)]  # ||t X|| <= 4 needs no squaring: 40 scaled arguments
+    ts = [0.1 * k for k in range(1, 41)]  # ||t X|| <= 4 needs no halving: 40 scaled arguments
     got = dict(expm_times(X, ts))
     assert len(got) == 40
+    # below n = 32 every degree is 13; from there on ||t X|| <= theta_9 takes lower ones
+    assert degrees == {13} if n < matcore._STACK_BELOW_N else len(degrees) > 2
     if n < matcore._STACK_BELOW_N:
         assert shapes == [(40, n, n)]
     else:
@@ -1179,16 +1260,27 @@ def test_preload_stores_nothing_when_an_exponential_would_warn():
 
 
 def _theta_edges(X):
-    # times at and on either side of ||t X||_1 = theta 2**k, where the squarings step
+    # times at and on either side of ||t X||_1 = theta_m for m = 3 to 9, where the degree steps,
+    # and of theta_13 2**k, where the halvings step
     edges = []
-    for k in range(-3, 12):
-        t = matcore._PADE13_THETA * 2.0**k / one_norm(X)
+    bounds = [matcore._THETA[m] for m in (3, 5, 7, 9)] + [matcore._THETA[13] * 2.0**k for k in range(-3, 12)]
+    for bound in bounds:
+        t = bound / one_norm(X)
         edges += [float(np.nextafter(t, 0.0)), t, float(np.nextafter(t, math.inf))]
     return edges + [-t for t in edges]
 
 
 _PLAN_X = np.random.default_rng(17).normal(size=(4, 4))
 _PLAN_Z = _PLAN_X + 1j * _PLAN_X.T
+_EDGE_X = np.random.default_rng(23).normal(size=(32, 32))
+
+
+@pytest.mark.parametrize("X", [_PLAN_X, _PLAN_Z, np.triu(_PLAN_X), _EDGE_X, _EDGE_X + 1j * _EDGE_X.T],
+                         ids=["real", "complex", "triangular", "real-32", "complex-32"])
+def test_expm_times_is_expm_at_the_degree_and_halving_edges(X):
+    assert_expm_times_is_expm(X, _theta_edges(X))
+
+
 _PLAN_CASES = {  # X, times, and whether their blocks are stacked
     "signed-zeros-and-duplicates": (_PLAN_X, [0.0, -0.0, 0.5, 0.5, -0.0, 1.5, 0.0, -2.0, 1.5], True),
     "sweep": (_PLAN_X, [sign * 2.0**-k for k in range(60) for sign in (1.0, -1.0)], True),

@@ -239,7 +239,10 @@ def _cmd_markov_semigroup(args):
     dets = _sample_dets(mats)
     samples, exps = [], []
     for s, d in zip(sems, dets):
-        e = math.exp(s.t * tr)
+        try:
+            e = math.exp(s.t * tr)
+        except OverflowError:  # t tr(Q) > 709.78: a fast chain at a negative time
+            e = math.inf
         samples.append({"t": s.t, "matrix": jsonio.matrix_layout(s.matrix),
                         "non_markov_range": s.non_markov_range, "det": d, "exp_trace": e})
         exps.append(e)

@@ -12,6 +12,7 @@ their derivatives are exact rather than numerical.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -32,7 +33,6 @@ from .matcore import (
     inv,
     memo,
     nonempty,
-    preload_expm,
     spectral_radius_estimate,
     stacked,
     worst,
@@ -508,18 +508,16 @@ class SubgroupReport(NamedTuple):
 def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> SubgroupReport:
     """Verify A(0) = I and A(s+t) = A(s) A(t) over all grid pairs.
 
-    The check runs in one `matcore.memo()` block, so a curve built on
-    `expm` computes each distinct exponential once.  For an `ExpLine` (and
-    so a `TangentInduced`) the block is preloaded with exp(t X) for t in
-    {0} and the grid and its pairwise sums, all from one `expm_times` call.
-    The values A(s + t) go `_stepper.CHUNK_ENTRIES` entries at a time into
-    one stacked stage S - V[s] @ V[t], V the grid values, bit for bit the
-    per-pair residuals (`matcore.frob_residuals`); others go pair by pair.
+    An `ExpLine` (and so a `TangentInduced`) is checked in one
+    `matcore.memo(X, grid)` scope, so each distinct exponential is computed
+    once, all from one `expm_times` run; the other variants call no
+    memoized kernel.  The values A(s + t) go `_stepper.CHUNK_ENTRIES`
+    entries at a time into one stacked stage S - V[s] @ V[t], V the grid
+    values, bit for bit the per-pair residuals (`matcore.frob_residuals`);
+    others go pair by pair.
     """
     grid = [float(t) for t in nonempty(grid)]
-    with memo():
-        if isinstance(curve, ExpLine):
-            preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
+    with memo(curve.X, grid) if isinstance(curve, ExpLine) else contextlib.nullcontext():
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         V = list(map({t: curve.value(t) for t in grid}.get, grid))  # equal times (+-0.0 too) share one
         V = stacked(V)  # C, as its rows: a product's bits follow its operands' layout

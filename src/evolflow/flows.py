@@ -33,7 +33,7 @@ from ._stepper import rk4_step, tabulate
 from .errors import CommutatorTooLarge, DimensionMismatch, NonFiniteInput, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
 from .matcore import (_FLOAT_DTYPES, _as_float, as_matrix, expm, frob_norm, frob_residuals, memo,
-                      nonempty, preload_expm, worst)
+                      nonempty, worst)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class FlowLine:
 def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
     """A as a validated base point: raises NotInGroup outside the declared group.
 
-    The membership probe validates A (in `matcore.memo()` a hit means these
-    bytes passed before), so A is then only coerced as `as_matrix` does.
+    The membership probe validates A (in a `matcore.memo` scope a hit means
+    these bytes passed before), so A is then only coerced as `as_matrix` does.
     """
     try:
         rep = in_group(A, flow.group, tol)
@@ -127,18 +127,17 @@ class FlowAxiomsReport(NamedTuple):
 def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     """Check Phi(0, A) = A and Phi(s, Phi(t, A)) = Phi(s+t, A) on the grid.
 
-    The check runs in one `matcore.memo()` block, so each distinct
-    exponential and base-point membership is computed once; the block
-    is preloaded with exp(t X) for t in {0} and the grid and its pairwise
-    sums, all from one `expm_times` call.  Each application is a `flow_apply` call, as
-    (A E_t) E_s; `matcore.frob_residuals` takes CHUNK_ENTRIES / n^2 residuals at a time.
+    The check runs in one `matcore.memo(X, grid)` scope, so each distinct
+    exponential and base-point membership is computed once, the
+    exponentials all from one `expm_times` run.  Each application is a
+    `flow_apply` call, as (A E_t) E_s; `matcore.frob_residuals` takes
+    CHUNK_ENTRIES / n^2 residuals at a time.
     """
     ts = [float(t) for t in nonempty(grid)]
     bases = nonempty(bases, "no base points")
     pairs = [(s, t) for s in ts for t in ts]
     idents, comps = [], []  # one worst residual per base
-    with memo():
-        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s, t in pairs)))
+    with memo(flow.X, ts):
         for A in bases:
             idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
             comps.append(0.0)

@@ -288,7 +288,8 @@ def in_group(M, group: Group, tol: float = 1e-9) -> MembershipReport:
 
     The singularity gauge runs at most once: when the group needs an
     invertible matrix or M is real, where it also gives the component sign.
-    Inside `matcore.memo()` each distinct (M, group, tol) is decided once.
+    Inside a `matcore.memo` scope each distinct positional (M, group, tol)
+    is decided once.
     """
     M, residual = _residual(M, group, _GROUPS, "group")
     invertible = _GROUPS[group.kind].invertible

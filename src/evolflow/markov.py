@@ -226,9 +226,8 @@ def kolmogorov_residuals(rate: RateMatrix, grid) -> KolmogorovResiduals:
     construction; the Forward residual measures how far exp(tQ) drifts
     from commuting with Q in floating point.  The exponentials, at each
     distinct grid time and at t = 0, come from one `expm_times` call, which
-    takes its blocks of groups one at a time, or, from n =
-    `matcore._PARALLEL_MIN_N` on under a one-thread BLAS, two at a time on
-    two threads.
+    takes its blocks of groups one at a time, or, at large n under a
+    one-thread BLAS, two at a time on two threads.
     """
     Q = rate.Q
     ts = [float(t) for t in nonempty(grid)]

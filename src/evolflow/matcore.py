@@ -12,11 +12,11 @@ taken by one executor a block of groups at a time: stacked at small n, one
 group a block from n = 32, and at large n under a one-thread BLAS every
 other block on a second thread), the determinant gauge behind every
 nonsingularity and determinant-sign decision, a guaranteed upper estimate
-of the spectral radius, the per-check memo that lets a grid check compute
-each distinct exponential and membership once (preloaded from one
-`expm_times` run), and `worst`, the one reduction of a grid check's
-residuals (`frob_residuals` takes a chunk of them from one stacked stage;
-`nonempty` refuses none).
+of the spectral radius, `memo(X, grid)`, the scope of a grid check on
+t -> exp(t X) in which each distinct exponential and membership is computed
+once (the exponentials preloaded from one `expm_times` run), and `worst`,
+the one reduction of a grid check's residuals (`frob_residuals` takes a
+chunk of them from one stacked stage; `nonempty` refuses none).
 
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
@@ -28,6 +28,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._stepper import CHUNK_ENTRIES
+from . import _stepper
 from .errors import DimensionMismatch, NonFiniteInput, SingularMatrix
 
 # A matrix counts as numerically singular when the determinant of its
@@ -82,94 +83,80 @@ _THETA13_LIMITS = {k: math.frexp(_THETA[13] ** k) for k in (1, 4, 6, 8, 10)}
 _ELL_UC = 2.0**-53 * 113250775606021113483283660800000000.0
 _ELL_ROOT = math.frexp(_ELL_UC ** (1.0 / 26.0))
 
-# The table of the innermost open `memo()` block, None outside every block.
+# The table of the innermost open `memo` scope, None outside every scope.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
 _ABSENT = object()  # a key not in the memo table
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))  # the dtypes `_as_float` keeps
 
 
 @contextmanager
-def memo():
-    """Scope in which memoized kernels compute each distinct argument once.
+def memo(X, grid):
+    """Scope of a grid check on t -> exp(t X), in which memoized kernels compute each distinct
+    argument once.
 
-    The outermost block creates the table, nested blocks share it, and it
-    is dropped when the outermost block exits, also on an exception; no
-    result outlives the block.  Each entry holds the argument's bytes and
-    the result: two matrices per distinct exponential, one per distinct
-    membership.  `preload_expm` fills it with exponentials taken from one
-    `expm_times` call, ahead of the `expm` calls that read them.
+    It opens a new table, preloaded with expm(t * X) for every t in {0}, the
+    grid and its pairwise sums s + t, all from one `expm_times` run; a scope
+    opened inside another has its own table, and the outer one is back when
+    it closes.  The table is dropped when the scope exits, also on an
+    exception; no result outlives it.  Each entry holds the argument's bytes
+    and the result: two matrices per distinct exponential, one per distinct
+    membership.
+
+    A preloaded value goes in under the key a call `expm(t * X)` builds,
+    keyed on this module's kernel, so that call is a hit whichever module's
+    binding of `expm` it goes through; the keys are built from the t * X
+    `expm_times` validates, and -0.0 beside 0.0 has its own.  The preload
+    never raises: when any time fails, because `expm_times` rejects it or
+    because a floating-point event occurs that numpy's error settings would
+    report, the table starts empty, and each `expm` call computes, warns and
+    raises as outside a scope.
     """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
+    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    keys = {}  # t -> the key of expm(t * X), filled by `_plan`
+    try:
+        X, grid = np.asarray(X), list(grid)
+        ts = itertools.chain([0.0], grid, (s + t for s in grid for t in grid))
+        with np.errstate(**strict):
+            table = {key: E for t, E in _exponentials(X, *_plan(X, ts, keys)) for key in
+                     ((keys[t], _memo_key(_expm_kernel, (-t * X,))) if t == 0 else (keys[t],))}
+        table.pop(None, None)  # a dtype `memoized` does not look up
+    except Exception:  # the calls themselves raise or warn as they would have
+        table = {}
+    token = _MEMO.set(table)
     try:
         yield
     finally:
         _MEMO.reset(token)
 
 
-def preload_expm(X, ts) -> None:
-    """Store expm(t * X) for every t of ts in the open `memo()` table.
-
-    The values are those `expm_times(X, ts)` yields, the bytes `expm`
-    computes.  Each goes in under the key a call `expm(t * X)` builds, keyed
-    on this module's kernel, so that call is a hit whichever module's
-    binding of `expm` it goes through; the keys are built from the t * X
-    `expm_times` validates (-0.0 beside 0.0 forms its own), and a key
-    already in the table keeps its value.  Outside a block nothing is
-    stored.  It never raises: when any time fails, because `expm_times`
-    rejects it or because a floating-point event occurs that numpy's error
-    settings would report, nothing is stored, and each `expm` call
-    computes, warns and raises as without it.
-    """
-    table = _MEMO.get()
-    if table is None:
-        return
-    X = np.asarray(X)
-    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
-    keys = {}  # t -> the key of expm(t * X), filled by `_plan`
-    try:
-        with np.errstate(**strict):
-            entries = [(key, E) for t, E in _exponentials(X, *_plan(X, ts, keys)) for key in
-                       ((keys[t], _memo_key(_expm_kernel, (-t * X,), {})) if t == 0 else (keys[t],))]
-    except Exception:  # the calls themselves raise or warn as they would have
-        return
-    for key, E in entries:
-        if key is not None:  # None: a dtype `memoized` does not look up
-            table.setdefault(key, E)
-
-
-def _memo_key(fn, args, kwargs):
-    # the table key of fn(*args, **kwargs), None when the call is not looked up:
-    # the dtype object, not its `.str`, since for numeric dtypes the two are
-    # equal exactly together (byte order included) and the object costs no string
+def _memo_key(fn, args):
+    # the table key of fn(*args), None when the call is not looked up: the dtype
+    # object, not its `.str`, since for numeric dtypes the two are equal exactly
+    # together (byte order included) and the object costs no string
     M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
     if M.dtype.kind not in "biufc":
         return None
-    if kwargs:  # one element longer, so never equal to a key without kwargs
-        return (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:], tuple(kwargs.items()))
     return (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
 
 
 def memoized(fn):
-    """Decorate a kernel f(M, *args) to look its result up inside `memo()`.
+    """Decorate a kernel f(M, *args) to look its result up inside a `memo` scope.
 
     The key is the exact raw input (`np.asarray(M)`'s dtype, shape, strides
     and bytes) with the remaining arguments, taken before validation: the
     same bytes passed validation before, and a call that raises stores
     nothing.  Array results are handed out as copies, so callers own them.
-    Outside a block, and for a matrix passed by keyword, of a non-numeric
-    dtype or with an unhashable argument, the function runs as if
+    Outside a scope, and for a call with a keyword argument, a matrix of a
+    non-numeric dtype or an unhashable argument, the function runs as if
     undecorated.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         table = _MEMO.get()
-        if table is None or not args:
+        if table is None or not args or kwargs:
             return fn(*args, **kwargs)
-        key = _memo_key(fn, args, kwargs)
+        key = _memo_key(fn, args)
         if key is None:
             return fn(*args, **kwargs)
         try:
@@ -313,8 +300,8 @@ def expm(X) -> np.ndarray:
     product is formed beyond those the degree takes: 2, 3, 4, 5 for m = 3 to
     9, 6 for m = 13, plus s squarings.  Relative accuracy against a 50-digit
     oracle is ~1e-15 on well-conditioned inputs, also on [[1, b], [0, -1]]
-    for large b, which halving by ||X||_1 alone loses digits to.  Inside
-    `memo()` each distinct X is computed once.
+    for large b, which halving by ||X||_1 alone loses digits to.  Inside a
+    `memo` scope each distinct X is computed once.
     """
     X = as_matrix(X)
     with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
@@ -541,9 +528,9 @@ def expm_times(X, ts):
 
     The groups are taken a block of `_block_rows(n)` at a time (`_block`):
     below n = _STACK_BELOW_N the scaled arguments, each power and the
-    approximants of up to CHUNK_ENTRIES / n**2 groups come from one stacked
-    call each, each slice the unstacked call's result bit for bit; from
-    there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
+    approximants of up to `_stepper.CHUNK_ENTRIES` / n**2 groups come from
+    one stacked call each, each slice the unstacked call's result bit for
+    bit; from there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
     more than one block takes every other block on one helper thread when
     `_helper_engages` (one BLAS thread, a second usable CPU).  The helper is
     started for the call and joined when the generator finishes or is
@@ -652,7 +639,7 @@ def _block_rows(n: int) -> int:
     # the groups of one `expm_times` block, whose scaled arguments, powers and approximants stack
     if n >= _STACK_BELOW_N:
         return 1
-    return CHUNK_ENTRIES // (n * n)
+    return _stepper.CHUNK_ENTRIES // (n * n)
 
 
 def _scaled(X, squarings, t):
@@ -723,7 +710,7 @@ def _plan(X, ts, keys=None):
     for start in range(0, len(times), rows):
         for t, Y, nrm in _planned(X, times[start:start + rows], rows > 1):
             if keys is not None:
-                keys[t] = _memo_key(_expm_kernel, (Y,), {})
+                keys[t] = _memo_key(_expm_kernel, (Y,))
             if not nrm:
                 zeros.append((t, _as_float(Y).dtype))
                 continue

@@ -25,7 +25,7 @@ t * X a time: the references for the stacked residual stage and the
 stacked plan.
 """
 
-import itertools
+import contextlib
 import math
 
 import numpy as np
@@ -35,8 +35,7 @@ from evolflow.errors import DimensionMismatch, NonFiniteInput
 from evolflow.curves import ExpLine, SubgroupReport
 from evolflow.flows import FlowAxiomsReport, flow_apply
 from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
-from evolflow.matcore import (_scaling_norm, _squarings, as_matrix, expm, frob_norm, memo, nonempty,
-                              preload_expm, worst)
+from evolflow.matcore import _scaling_norm, _squarings, as_matrix, expm, frob_norm, memo, nonempty, worst
 
 
 def taylor_expm(M, terms=60):
@@ -216,9 +215,7 @@ def per_pair_subgroup_report(curve, grid, tol=1e-9):
     grid = [float(t) for t in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
-    with memo():
-        if isinstance(curve, ExpLine):
-            preload_expm(curve.X, itertools.chain([0.0], grid, (s + t for s in grid for t in grid)))
+    with memo(curve.X, grid) if isinstance(curve, ExpLine) else contextlib.nullcontext():
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         values = {t: curve.value(t) for t in grid}
         hom = worst(frob_norm(curve.value(s + t) - values[s] @ values[t])
@@ -229,16 +226,14 @@ def per_pair_subgroup_report(curve, grid, tol=1e-9):
 def per_pair_flow_axioms(flow, bases, grid, tol=1e-9):
     """Check Phi(0, A) = A and Phi(s, Phi(t, A)) = Phi(s+t, A) on the grid.
 
-    The check runs in one `matcore.memo()` block, so each distinct
-    exponential and base-point membership is computed once; the block
-    is preloaded with exp(t X) for t in {0} and the grid and its pairwise
-    sums, all from one `expm_times` call.
+    The check runs in one `matcore.memo(X, grid)` scope, so each distinct
+    exponential and base-point membership is computed once, the
+    exponentials all from one `expm_times` run.
     """
     ts = [float(t) for t in nonempty(grid)]
     bases = nonempty(bases, "no base points")
     idents, comps = [], []  # one worst residual per base
-    with memo():
-        preload_expm(flow.X, itertools.chain([0.0], ts, (s + t for s in ts for t in ts)))
+    with memo(flow.X, ts):
         for A in bases:
             idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
             comps.append(worst(

@@ -322,6 +322,31 @@ def test_markov_semigroup_negative_time_flag(capsys):
     assert report["payload"]["samples"][0]["non_markov_range"] is True
 
 
+@pytest.mark.parametrize("Q, t", [
+    # tr(Q) = -1800: exp(t tr(Q)) overflows at t = -2, and exp(-2 Q) with it
+    (np.full((4, 4), 150.0) - 600.0 * np.eye(4), -2.0),
+    # the flip-flop with lambda = 1: exp(-400 tr(Q)) = exp(800)
+    (np.array([[-1.0, 1.0], [1.0, -1.0]]), -400.0),
+], ids=["fast-chain", "flip-flop"])
+def test_markov_semigroup_reports_an_overflowing_exp_trace_as_inf(tmp_path, capsys, Q, t):
+    rate = write(tmp_path / "q.json", {"n": len(Q), "real": Q.tolist()})
+    out = tmp_path / "s.csv"
+    with np.errstate(all="ignore"):
+        code, report, err = invoke(capsys, "markov-semigroup", "--rate", rate, "--t", f"[{t}, 0, 1]",
+                                   "--out", str(out))
+    # the row-sum check fails on exp(t Q)'s non-finite entries: a full report, exit 1
+    assert code == 1 and report["status"] == "fail" and "error" not in err
+    assert report["residuals"]["max_row_sum_defect"] in ("nan", "inf")
+    tr = float(np.trace(Q))
+    samples = report["payload"]["samples"]
+    assert [s["exp_trace"] for s in samples] == ["inf", 1.0, math.exp(tr)]
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [row[-1] for row in rows] == ["exp_t_trace", "inf", "1.0", repr(math.exp(tr))]
+    # without the negative time nothing overflows, and the chain passes
+    code, report, _ = invoke(capsys, "markov-semigroup", "--rate", rate, "--t", "[0, 1]")
+    assert code == 0 and report["status"] == "pass"
+
+
 def test_markov_semigroup_needs_exactly_one_source(capsys):
     code, report, _ = invoke(capsys, "markov-semigroup", "--t", "1")
     assert code == 2
@@ -850,14 +875,13 @@ def test_markov_semigroup_dets_agree_between_the_report_and_the_csv(capsys, tmp_
 
 
 @pytest.mark.parametrize("argv", [
-    ["markov-semigroup", "--lambda", "1", "--t", "-400:-400:1"],
     ["ode-solve", "--gen-spec", "{exp400}", "--a0", "{eye}", "--T", "2"],
     ["ode-solve", "--gen-spec", "{exp400}", "--a0", "{eye}", "--T", "2", "--side", "left"],
     ["magnus", "--gen-spec", "{exp400}", "--a0", "{eye}", "--t", "2"],
     ["curve-eval", "--curve", "{numeric400}", "--t", "0.5"],
-], ids=["markov-semigroup", "ode-solve", "ode-solve-left", "magnus", "curve-eval"])
+], ids=["ode-solve", "ode-solve-left", "magnus", "curve-eval"])
 def test_an_overflowing_input_exits_2_with_an_error_report(tmp_path, capsys, argv):
-    # math.exp(800) overflows: exp(-400 tr Q), and exp(400 t) in the generator at t = 2
+    # math.exp(800) overflows: exp(400 t) in the generator at t = 2
     exp400 = {"terms": [{"fun": {"kind": "exp", "scale": 400, "shift": 0.0},
                          "matrix": {"n": 2, "real": [[0.0, 1.0], [-1.0, 0.0]]}}]}
     files = {

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -274,15 +275,17 @@ def test_subgroup_check_computes_no_approximant_after_the_preload(monkeypatch, p
     # a binding of `curves.expm` that wraps the memoized expm
     rows_after_preload, calls = [], []
 
-    def preload(X, ts):
-        matcore.preload_expm(X, ts)
-        rows_after_preload.append(len(pade))
+    @contextlib.contextmanager
+    def scope(X, grid):
+        with matcore.memo(X, grid):
+            rows_after_preload.append(len(pade))
+            yield
 
     def wrapped(X):
         calls.append(1)
         return expm(X)
 
-    monkeypatch.setattr("evolflow.curves.preload_expm", preload)
+    monkeypatch.setattr("evolflow.curves.memo", scope)
     monkeypatch.setattr("evolflow.curves.expm", wrapped)
     grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [0.5, -0.0]
     rep = check_one_parameter_subgroup(curve, grid)
@@ -291,6 +294,17 @@ def test_subgroup_check_computes_no_approximant_after_the_preload(monkeypatch, p
     assert len(rows_after_preload) == 1 and len(pade) == rows_after_preload[0] > 0
     monkeypatch.undo()
     assert tuple(rep) == _plain_subgroup_report(curve, grid)
+
+
+@pytest.mark.parametrize("curve", [So2(), AffineLine(np.array([[0.0, 1.0], [-1.0, 0.0]])), FlipFlop(0.7)],
+                         ids=["so2", "affine", "flip-flop"])
+def test_subgroup_check_opens_no_memo_scope_off_an_exp_line(monkeypatch, curve):
+    def unreachable(X, grid):
+        raise AssertionError("only an ExpLine's check opens a memo scope")
+
+    monkeypatch.setattr("evolflow.curves.memo", unreachable)
+    grid = [float(t) for t in np.linspace(-1.0, 1.0, 5)]
+    assert tuple(check_one_parameter_subgroup(curve, grid)) == _plain_subgroup_report(curve, grid)
 
 
 @pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])

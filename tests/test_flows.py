@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -149,7 +150,7 @@ def test_base_point_errors_name_the_base_point_in_and_out_of_a_memo(bad, use):
     with pytest.raises(kind) as got:
         _BASE_USES[use](A)
     assert str(got.value) == message
-    with matcore.memo():
+    with matcore.memo(_ROT2.X, [0.5]):
         flow_apply(_ROT2, 0.5, np.eye(2))  # a table with entries in it
         for _ in range(2):  # a failed probe stores nothing, so the second fails alike
             with pytest.raises(kind) as got:
@@ -166,7 +167,7 @@ def test_base_point_coerces_as_as_matrix_does(A):
     want = _outcome(lambda: matcore.as_matrix(A, name="base point"))
     f = Flow(SO2_GEN, Group.gl(2))
     assert _outcome(lambda: base_point(f, A)) == want
-    with matcore.memo():
+    with matcore.memo(f.X, []):
         for _ in range(2):  # a miss, then a hit on the probe
             assert _outcome(lambda: base_point(f, A)) == want
 
@@ -294,11 +295,13 @@ def test_flow_axioms_compute_no_approximant_after_the_preload(monkeypatch, pade)
     # every pinned expm call of the check is a memo hit on a preloaded value
     rows_after_preload = []
 
-    def preload(X, ts):
-        matcore.preload_expm(X, ts)
-        rows_after_preload.append(len(pade))
+    @contextlib.contextmanager
+    def scope(X, grid):
+        with matcore.memo(X, grid):
+            rows_after_preload.append(len(pade))
+            yield
 
-    monkeypatch.setattr("evolflow.flows.preload_expm", preload)
+    monkeypatch.setattr("evolflow.flows.memo", scope)
     rng = np.random.default_rng(74)
     grid = [float(t) for t in np.linspace(-1.5, 1.5, 7)] + [0.25, -0.0]
     H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

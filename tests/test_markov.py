@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from evolflow import matcore
+from evolflow import _stepper, matcore
 from evolflow.curves import ExpLine, FlipFlop, check_one_parameter_subgroup
 from evolflow.errors import NegativeOffDiagonal, RowSumNonzero, SubsetTooSmall
 from evolflow.lie import Algebra, Group, in_algebra, in_group
@@ -234,7 +234,7 @@ def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk)
     norms = matcore.frob_norms
     monkeypatch.setattr(matcore, "frob_norms", lambda M: stages.append(len(M)) or norms(M))
     if chunk is not None:  # chunks of 1 and 7 pairs
-        monkeypatch.setattr(matcore, "CHUNK_ENTRIES", chunk * n * n)
+        monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * n * n)
     assert repr(axioms_report(rate, grid)) == repr(want)
     # stacked stages below n = 32, of at most a chunk of pairs each; pair by pair from there
     rows = matcore._block_rows(n)
@@ -273,8 +273,8 @@ def nan_exponentials_at(T, Q):
 def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
     rate = random_rate_matrix(3, 11)
     monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(T, rate.Q))
-    for chunk in (matcore.CHUNK_ENTRIES, 7 * 9, 9):  # Chapman-Kolmogorov pairs in one, 7 and 1 a stage
-        monkeypatch.setattr(matcore, "CHUNK_ENTRIES", chunk)
+    for chunk in (_stepper.CHUNK_ENTRIES, 7 * 9, 9):  # Chapman-Kolmogorov pairs in one, 7 and 1 a stage
+        monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk)
         rep = axioms_report(rate, GRID)
         assert not rep.passed
         assert math.isnan(rep.nonneg_defect)

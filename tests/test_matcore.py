@@ -20,7 +20,7 @@ from evolflow.matcore import (
     one_norm,
     spectral_radius_estimate,
 )
-from evolflow import matcore
+from evolflow import _stepper, matcore
 from evolflow.markov import random_rate_matrix
 from oracles import cofactor_det, per_time_plan, reference_as_matrix, taylor_expm
 
@@ -460,7 +460,7 @@ def test_expm_outside_a_memo_computes_every_call(solves):
 
 
 def test_memo_computes_each_distinct_argument_once(solves):
-    with memo():
+    with memo(X_MEMO, []):  # preloaded with exp(0 X) alone, which takes no solve
         first = expm(X_MEMO)
         again = expm(X_MEMO.copy())
         assert len(solves) == 1
@@ -472,44 +472,59 @@ def test_memo_computes_each_distinct_argument_once(solves):
 
 
 def test_memo_hit_hands_out_a_private_copy():
-    with memo():
-        first = expm(X_MEMO)
+    with memo(X_MEMO, [1.0]):
+        first = expm(X_MEMO)  # a preloaded value
         first[:] = 99.0
         again = expm(X_MEMO)
         assert again is not first
+        stored = expm(0.5 * X_MEMO)  # a value stored by the call
+        want = stored.copy()
+        stored[:] = 99.0
+        assert np.array_equal(expm(0.5 * X_MEMO), want)
     assert np.array_equal(again, expm(X_MEMO))
 
 
 def test_memo_table_is_dropped_on_exit(solves):
-    with memo():
+    with memo(X_MEMO, [1.0]):
+        preloaded = len(solves)
         expm(X_MEMO)
-        assert matcore._MEMO.get()
+        expm(0.5 * X_MEMO)
+        assert matcore._MEMO.get() and len(solves) == preloaded + 1
     assert matcore._MEMO.get() is None
     expm(X_MEMO)
-    assert len(solves) == 2
+    assert len(solves) == preloaded + 2
 
 
 def test_memo_table_is_dropped_after_an_exception(solves):
     with pytest.raises(RuntimeError):
-        with memo():
+        with memo(X_MEMO, [1.0]):
+            preloaded = len(solves)
             expm(X_MEMO)
-            raise RuntimeError("inside the block")
+            raise RuntimeError("inside the scope")
     assert matcore._MEMO.get() is None
     expm(X_MEMO)
-    assert len(solves) == 2
+    assert len(solves) == preloaded + 1
 
 
-def test_nested_memo_blocks_share_one_table(solves):
-    with memo():
+def test_a_nested_memo_scope_starts_its_own_table(solves):
+    with memo(X_MEMO, []):
         outer = matcore._MEMO.get()
-        expm(X_MEMO)
-        with memo():
-            assert matcore._MEMO.get() is outer
-            expm(X_MEMO)
-        # leaving the inner block keeps the outer table
-        assert matcore._MEMO.get() is outer
-        expm(X_MEMO)
-    assert len(solves) == 1
+        expm(0.5 * X_MEMO)
+        assert len(outer) == 3 and len(solves) == 1  # exp(+-0 X) and the call's
+        with memo(X_MEMO, [1.0]):
+            inner = matcore._MEMO.get()
+            assert inner is not outer and len(outer) == 3
+            preloaded = len(solves)
+            expm(X_MEMO), expm(2.0 * X_MEMO)  # hits on the inner preload
+            expm(0.5 * X_MEMO)  # the outer table's entry is not looked up here
+            assert len(solves) == preloaded + 1
+        # leaving the inner scope brings the outer table back, unchanged
+        assert matcore._MEMO.get() is outer and len(outer) == 3
+        expm(0.5 * X_MEMO)
+        assert len(solves) == preloaded + 1
+        expm(X_MEMO)  # the inner preload went with its scope
+        assert len(solves) == preloaded + 2
+    assert matcore._MEMO.get() is None
 
 
 def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
@@ -521,7 +536,8 @@ def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
         return float(np.sum(M))
 
     M = np.arange(4.0).reshape(2, 2)
-    with memo():
+    with memo(X_MEMO, []):
+        preloaded = len(matcore._MEMO.get())
         f(M)
         f(M.copy())                       # same bytes, strides, dtype: a hit
         assert len(calls) == 1
@@ -531,16 +547,34 @@ def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
         f(M.reshape(1, 4))                # same bytes, other shape
         assert len(calls) == 5
         f(M, 1e-9)
-        f(M, tol=1e-9)                    # a keyword is not a positional argument
         f(M, 1e-9)
-        f(M, tol=1e-9)
-        assert len(calls) == 7
+        assert len(calls) == 6
         f(M, [1])                         # unhashable: computed every call
         f(M, [1])
         f(np.array([[1, 2]], dtype=object))  # not numeric: computed every call
         f(np.array([[1, 2]], dtype=object))
-        assert len(calls) == 11
-        assert len(matcore._MEMO.get()) == 7
+        assert len(calls) == 10
+        assert len(matcore._MEMO.get()) == preloaded + 6
+
+
+def test_a_keyword_call_in_a_memo_scope_is_computed_and_not_stored(solves):
+    calls = []
+
+    @memoized
+    def f(M, tol=0.0):
+        calls.append(1)
+        return float(np.sum(M))
+
+    with memo(X_MEMO, [1.0]):
+        table = dict(matcore._MEMO.get())
+        preloaded = len(solves)
+        f(X_MEMO, tol=1e-9), f(X_MEMO, tol=1e-9), f(M=X_MEMO)
+        assert len(calls) == 3
+        # the preload holds exp(X_MEMO), but a keyword call does not look it up
+        assert expm(X=X_MEMO).tobytes() == expm(X_MEMO).tobytes()
+        expm(X=X_MEMO)
+        assert len(solves) == preloaded + 2
+        assert matcore._MEMO.get().keys() == table.keys()
 
 
 def test_memo_stores_no_call_that_raises():
@@ -553,7 +587,8 @@ def test_memo_stores_no_call_that_raises():
             raise RuntimeError("first call fails")
         return float(np.sum(M))
 
-    with memo():
+    with memo(X_MEMO, []):
+        preloaded = len(matcore._MEMO.get())
         with pytest.raises(RuntimeError):
             flaky(np.eye(2))
         assert flaky(np.eye(2)) == 2.0
@@ -562,7 +597,7 @@ def test_memo_stores_no_call_that_raises():
             expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFiniteInput):
             expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        assert len(matcore._MEMO.get()) == 1  # flaky's one success
+        assert len(matcore._MEMO.get()) == preloaded + 1  # flaky's one success
     assert len(calls) == 2
 
 
@@ -634,9 +669,9 @@ def assert_expm_times_is_expm(X, ts):
     """
     off, on = (lambda: False), (lambda: True)
     settings = [
-        {"_helper_engages": off},
-        {"_helper_engages": off, "CHUNK_ENTRIES": 3 * np.asarray(X).size},
-        {"_helper_engages": on, "_PARALLEL_MIN_N": 1},
+        {"evolflow.matcore._helper_engages": off},
+        {"evolflow.matcore._helper_engages": off, "evolflow._stepper.CHUNK_ENTRIES": 3 * np.asarray(X).size},
+        {"evolflow.matcore._helper_engages": on, "evolflow.matcore._PARALLEL_MIN_N": 1},
     ]
     with np.errstate(all="ignore"):  # an exponential that overflows does so alike
         want = {}
@@ -646,7 +681,7 @@ def assert_expm_times_is_expm(X, ts):
         for patches in settings:
             with pytest.MonkeyPatch.context() as mp:
                 for name, value in patches.items():
-                    mp.setattr(matcore, name, value)
+                    mp.setattr(name, value)
                 runs.append(list(expm_times(X, ts)))
     for results in runs:
         assert len(results) == len(want)
@@ -948,16 +983,17 @@ def test_the_helper_overflows_under_the_callers_error_settings(helper_groups, mo
 
 
 def test_preload_stores_nothing_when_the_helpers_exponential_would_warn(helper_groups):
+    # the grid [0.3, 2.0] and its sums make three blocks: 0.3 with 0.6, 2.0 with 4.0, and 2.3;
+    # the helper takes the second, where exp(2 X) overflows
     n = matcore._PARALLEL_MIN_N
     X = np.zeros((n, n))
     X[0, 0], X[1, 1] = 500.0, -500.0
-    with memo():
-        matcore.preload_expm(X, [0.3, 2.0])
+    with memo(X, [0.3, 2.0]):
         assert memo_entries() == 0
-        with np.errstate(all="ignore"):
-            matcore.preload_expm(X, [0.3, 2.0])
-            assert memo_entries() == 2
-    assert helper_groups == [[2.0], [2.0]]
+    with np.errstate(all="ignore"):
+        with memo(X, [0.3, 2.0]):
+            assert memo_entries() == 7  # 0.0, -0.0, 0.3, 2.0, 0.6, 2.3 and 4.0
+    assert helper_groups == [[2.0, 4.0], [2.0, 4.0]]
 
 
 def test_two_at_a_time_joins_its_helper_when_the_generator_stops(helper_groups, monkeypatch):
@@ -1113,8 +1149,8 @@ def test_stacked_pade_helpers_property():
 
 
 def test_block_rows_fill_chunk_entries_below_the_stacking_limit():
-    assert matcore._block_rows(1) == matcore.CHUNK_ENTRIES
-    assert matcore._block_rows(5) == matcore.CHUNK_ENTRIES // 25
+    assert matcore._block_rows(1) == _stepper.CHUNK_ENTRIES
+    assert matcore._block_rows(5) == _stepper.CHUNK_ENTRIES // 25
     assert matcore._block_rows(matcore._STACK_BELOW_N - 1) > 1
     assert matcore._block_rows(matcore._STACK_BELOW_N) == 1
 
@@ -1142,7 +1178,7 @@ def test_expm_times_takes_a_block_of_approximants_in_one_call(monkeypatch, n):
     else:
         assert shapes == [(n, n)] * 40
     shapes.clear()
-    monkeypatch.setattr(matcore, "CHUNK_ENTRIES", 16 * n * n)
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 16 * n * n)
     assert all(E.tobytes() == got[t].tobytes() for t, E in expm_times(X, ts))
     if n < matcore._STACK_BELOW_N:
         assert shapes == [(16, n, n), (16, n, n), (8, n, n)]
@@ -1160,7 +1196,7 @@ def test_expm_times_computes_a_mixed_dtype_block_row_by_row():
 
 
 # ---------------------------------------------------------------------------
-# preload_expm
+# the memo scope's preload
 
 
 def memo_entries():
@@ -1169,14 +1205,16 @@ def memo_entries():
 
 def test_preload_stores_expm_under_the_key_of_each_call(pade):
     X = np.array([[0.3, -1.2], [0.7, 0.1]])
-    ts = [0.0, -0.0, 0.25, 0.5, 0.25, 3.0, -7.5, 1e-9]
+    grid = [-0.0, 0.25, 0.25, 1e-9, -1.5]
+    ts = [0.0, *grid, *(s + t for s in grid for t in grid)]
     want = {repr(t): expm(t * X) for t in ts}
     pade.clear()
-    with memo():
-        matcore.preload_expm(X, ts)
+    with memo(X, grid):
         rows = len(pade)
-        # one row per distinct nonzero scaled argument; 0.0 and -0.0 both stored
-        assert rows == 5 and memo_entries() == 7
+        # ||t X||_1 <= 3.9 takes no halving: one row per distinct nonzero time (0.25, 1e-9,
+        # -1.5 and their sums 0.5, 0.25 + 1e-9, -1.25, 2e-9, -1.5 + 1e-9, -3.0);
+        # 0.0 and -0.0 both stored
+        assert rows == 9 and memo_entries() == 11 == len(want)
         for t in ts:
             assert expm(t * X).tobytes() == want[repr(t)].tobytes()
         assert len(pade) == rows
@@ -1194,34 +1232,14 @@ def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
 
     monkeypatch.setattr(matcore, "expm", wrapper)
     X = np.array([[0.0, 2.0], [-1.0, 0.5]])
-    with memo():
-        matcore.preload_expm(X, [0.5, 1.5])
+    with memo(X, [0.5, 1.5]):
         rows = len(pade)
-        wrapper(0.5 * X), wrapper(1.5 * X)
-        assert len(calls) == 2 and len(pade) == rows == 2
-
-
-def test_preload_keeps_an_entry_already_in_the_table():
-    X = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with memo():
-        expm(0.5 * X)
-        table = matcore._MEMO.get()
-        (key, first), = table.items()
-        matcore.preload_expm(X, [0.5, 1.0])
-        assert table[key] is first and len(table) == 2
-
-
-def test_preload_outside_a_memo_stores_nothing(monkeypatch):
-    def unreachable(X, ts):
-        raise AssertionError("no exponential is computed outside a memo")
-
-    monkeypatch.setattr(matcore, "expm_times", unreachable)
-    assert matcore.preload_expm(np.eye(2), [1.0]) is None
-    assert matcore._MEMO.get() is None
+        wrapper(0.5 * X), wrapper(1.5 * X), wrapper(3.0 * X)
+        assert len(calls) == 3 and len(pade) == rows > 0
 
 
 @pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
-@pytest.mark.parametrize("X, ts", [
+@pytest.mark.parametrize("X, grid", [
     (np.array([[0.0, 1e10], [2.0, 0.0]]), [0.5, 1e300, 1.0]),  # t X overflows
     (np.full((2, 2), 1e308), [0.5, 1.0]),  # the 1-norm of t X overflows
     (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, math.nan]),
@@ -1230,11 +1248,29 @@ def test_preload_outside_a_memo_stores_nothing(monkeypatch):
     (np.array([[0.0, 1.0], [2.0, 0.0]]), [0.5, "a"]),
     (np.array([["a", "b"], ["c", "d"]]), [0.5]),
 ], ids=["overflow", "norm-overflow", "nan", "inf", "non-square", "string-time", "string-matrix"])
-def test_preload_never_raises_and_stores_nothing_when_a_time_fails(X, ts, quiet):
+def test_preload_never_raises_and_stores_nothing_when_a_time_fails(X, grid, quiet):
     with np.errstate(all="ignore") if quiet else np.errstate():
-        with memo():
-            assert matcore.preload_expm(X, ts) is None
+        with memo(X, grid):
             assert memo_entries() == 0
+
+
+@pytest.mark.parametrize("X, t, message", [
+    (np.array([[0.0, 1e10], [2.0, 0.0]]), 1e300, "matrix has non-finite entries"),
+    (np.full((2, 2), 1e308), 1.0, "matrix 1-norm overflows"),
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), math.nan, "matrix has non-finite entries"),
+], ids=["overflow", "norm-overflow", "nan"])
+def test_after_a_failed_preload_each_call_raises_as_outside_a_scope(X, t, message):
+    with np.errstate(over="ignore"):
+        Y = t * X
+    with memo(X, [0.5, t]):
+        assert memo_entries() == 0
+        for _ in range(2):
+            with pytest.raises(NonFiniteInput, match=message):
+                expm(Y)
+            expm(np.eye(2))
+        assert memo_entries() == 1  # exp(I), stored by its call
+    with pytest.raises(NonFiniteInput, match=message):
+        expm(Y)
 
 
 def test_preload_stores_nothing_when_an_exponential_would_warn():
@@ -1245,13 +1281,15 @@ def test_preload_stores_nothing_when_an_exponential_would_warn():
     with np.errstate(all="ignore"):
         want = expm(2.0 * X)
     assert np.isinf(want[0, 0])
-    with memo():
-        with np.errstate(over="warn"):
-            matcore.preload_expm(X, [1.0, 2.0])
-        assert memo_entries() == 0
-        with np.errstate(all="ignore"):
-            matcore.preload_expm(X, [1.0, 2.0])
-            assert memo_entries() == 2
+    with np.errstate(over="warn"):
+        with memo(X, [1.0]):
+            assert memo_entries() == 0
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                expm(2.0 * X)  # warns as outside a scope
+            assert memo_entries() == 1
+    with np.errstate(all="ignore"):
+        with memo(X, [1.0]):
+            assert memo_entries() == 4  # 0.0, -0.0, 1.0 and 2.0
             assert expm(2.0 * X).tobytes() == want.tobytes()
 
 
@@ -1315,7 +1353,7 @@ def test_stacked_plan_equals_the_per_time_plan(norms, case):
     assert repr(got) == repr(want)
     assert len(norms) == (0 if stacks else len(dict.fromkeys(ts)))
     for t in dict.fromkeys(ts):
-        assert keys[t] == matcore._memo_key(matcore._expm_kernel, (t * X,), {})
+        assert keys[t] == matcore._memo_key(matcore._expm_kernel, (t * X,))
 
 
 @pytest.mark.parametrize("ts, message", [
@@ -1350,14 +1388,14 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
     rng = np.random.default_rng(20)
     X = np.asarray(rng.normal(size=(4, 4)) + (1j * rng.normal(size=(4, 4)) if complex_ else 0.0),
                    order=order)
-    grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)]
-    ts = [0.0, -0.0, *grid, *(s + t for s in grid for t in grid)]
-    with memo():
-        matcore.preload_expm(X, ts)
+    # -0.0 beside 0.0, and 0.5 twice
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [-0.0, 0.5]
+    ts = [0.0, *grid, *(s + t for s in grid for t in grid)]
+    with memo(X, grid):
         table = dict(matcore._MEMO.get())
     # a C-ordered X is planned from stacked products, an F-ordered one time by time
     assert len(norms) == (0 if order == "C" else len(dict.fromkeys(ts)))
-    want = {matcore._memo_key(matcore._expm_kernel, (t * X,), {}): t for t in ts}
+    want = {matcore._memo_key(matcore._expm_kernel, (t * X,)): t for t in ts}
     assert set(table) == set(want) and len(want) == len({repr(t) for t in ts})
     for key, E in table.items():
         assert E.tobytes() == expm(want[key] * X).tobytes()

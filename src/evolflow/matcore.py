@@ -21,6 +21,7 @@ chunk of them from one stacked stage; `nonempty` refuses none).
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
 call's result bit for bit (one gemm and one LAPACK solve per slice).
+Their products of one matrix go through `matmul`: `ndarray.dot` where it rounds as `@`, n >= 2.
 
 All functions are pure and never mutate their arguments.
 """
@@ -67,14 +68,9 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
           9: 2.097847961257068, 13: 5.371920351148152}
 # h of the even powers A**2, ..., A**(2h) that r_m takes
 _EVEN_POWERS = {3: 1, 5: 2, 7: 3, 9: 4, 13: 3}
-# (coefficient, index into [A**2, ..., A**(2h)]) of each term c A**(2j), j >= 1, of r_m's parts
-# v (b_2, b_4, ...) and u (b_3, b_5, ...): those up to A**(2h), and those past it, which degree
-# 13 takes inside A**(2h) @ (...)
-_PADE_TERMS = {
-    m: [([(c, j) for j, c in enumerate(b[2 + odd::2][:_EVEN_POWERS[m]])],
-         [(c, j) for j, c in enumerate(b[2 + odd::2][_EVEN_POWERS[m]:])]) for odd in (0, 1)]
-    for m, b in _PADE_B.items()
-}
+# (b_2j, b_2j+1), j = 0, 1, ...: r_m's coefficients of v and u paired, as (2, 1, 1) arrays; row j
+# scales I for j = 0, A**(2j) up to j = h, and past it A**(2(j - h)) in degree 13's A**6 @ (...)
+_PADE_PAIRS = {m: [np.array(p).reshape(2, 1, 1) for p in zip(b[0::2], b[1::2])] for m, b in _PADE_B.items()}
 # theta_13**k, the bounds on ||A**k||_1 of the halvings, as `_halvings` limits
 _THETA13_LIMITS = {k: math.frexp(_THETA[13] ** k) for k in (1, 4, 6, 8, 10)}
 # u / |c_27|, c_27 the leading coefficient of r_13's backward error series:
@@ -197,11 +193,18 @@ def _as_float(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
-    # `_as_float` with every entry finite
-    a = _as_float(a)
+    # a float64 or complex128 array, with every entry finite
     if np.count_nonzero(np.isfinite(a)) != a.size:  # `.all()` costs twice as much
         raise NonFiniteInput(f"{name} has non-finite entries")
     return a
+
+
+def _square_float(a, name: str = "matrix") -> np.ndarray:
+    # `as_matrix` without its finiteness check
+    M = np.asarray(a)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
+    return _as_float(M)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -210,10 +213,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     Raises DimensionMismatch for non-square input and NonFiniteInput when
     any entry is NaN or infinite.
     """
-    M = np.asarray(a)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    return _finite(M, name)
+    return _finite(_square_float(a, name), name)
 
 
 def as_vector(a, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -223,7 +223,7 @@ def as_vector(a, n: int | None = None, name: str = "vector") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {x.shape}")
     if n is not None and x.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {n}")
-    return _finite(x, name)
+    return _finite(_as_float(x), name)
 
 
 def is_real(M, tol: float = 0.0) -> bool:
@@ -303,9 +303,11 @@ def expm(X) -> np.ndarray:
     for large b, which halving by ||X||_1 alone loses digits to.  Inside a
     `memo` scope each distinct X is computed once.
     """
-    X = as_matrix(X)
+    X = _square_float(X)  # validated in one pass with its 1-norm
     with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
-        nrm = _scaling_norm(X)
+        nrm = float(_MAX(_SUM(np.abs(X), axis=0)))  # `one_norm`: finite exactly when every entry
+        if not nrm < math.inf:  # is and no column sum overflows; else raise as the two checks do
+            _scaling_norm(as_matrix(X))
     if nrm == 0.0:
         return np.eye(X.shape[0], dtype=X.dtype)
     squarings = _squarings(nrm)
@@ -320,6 +322,8 @@ _expm_kernel = expm.__wrapped__
 def _exponential(A, nrm, squarings):
     # exp(Y) from A = Y / 2**squarings, ||Y||_1 = nrm
     powers = _Powers(A)
+    if not squarings and len(A) < _STACK_BELOW_N:  # (m, s) is (13, 0): no call that returns its input
+        return _pade(A, powers.even(3), 13)
     m, s = _degree(powers, 0, nrm, squarings)
     return _square(_approximant(powers.arguments(m, release=True), m, squarings - s), s)
 
@@ -356,6 +360,14 @@ def _squarings(nrm: float) -> int:
 _SUM, _MAX = np.add.reduce, np.maximum.reduce
 
 
+def matmul(a, b) -> np.ndarray:
+    """a @ b, by `ndarray.dot`'s gemm without `np.matmul`'s dispatch where the two round alike:
+    C- or F-contiguous matrices, a with n >= 2 columns (a 1 x 1 `dot` keeps a -0.0 product)."""
+    if a.flags.forc and b.flags.forc and a.ndim == b.ndim == 2 and a.shape[1] > 1:
+        return a.dot(b)
+    return a @ b
+
+
 class _Powers:
     """A matrix A, or a (k, n, n) stack of them, and its even powers, each formed when first asked
     for.
@@ -375,7 +387,7 @@ class _Powers:
         """[A**2, ..., A**(2h)], for h up to 4, each formed with the ones before it."""
         W = self.W
         for k in range(len(W), h + 1):  # A**(2k) = A A, A**2 A**2, A**2 A**4, A**4 A**4
-            W.append(W[k // 2] @ W[k - k // 2] if k > 1 else W[0] @ W[0])
+            W.append(matmul(W[k // 2], W[k - k // 2]) if k > 1 else matmul(W[0], W[0]))
         return W[1:h + 1]
 
     def norms(self, i):
@@ -402,7 +414,7 @@ class _Powers:
             B = np.abs(self.A)
             v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
             for _ in range(27):
-                v = v @ B
+                v = matmul(v, B)
             self._abs_norms = _MAX(v, axis=-1).reshape(-1).tolist()
         return self._abs_norms[i]
 
@@ -422,8 +434,8 @@ def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
     no cost when ||A||_1**26 |c_27| <= u, else from the exact norm
     (`_Powers.abs_norm`).  Their d_j tests of the degrees below 13 are left
     out: with their ell they cost more than the products they save (a 2 x 2
-    upper triangular matrix of 1-norm 4.2 took 155 us with them against
-    54 us under the 1-norm rule; 2-core x86-64 host, one OpenBLAS thread).
+    upper triangular matrix of 1-norm 4.2 took 60 us with them, at degree
+    7, against 34 us at degree 13; 2-core x86-64 host, one OpenBLAS thread).
     Every comparison is exact (`_halvings`), so the choice depends on slice
     i and nrm alone.
     """
@@ -476,39 +488,47 @@ def _pade(A, powers, m) -> np.ndarray:
     `powers` are A**2, ..., A**(2h), as the degree takes them
     (`_EVEN_POWERS`).  With U = A u(A**2) and V = v(A**2) from the odd and
     even coefficients, r_m = (V - U)^-1 (V + U); degree 13 takes A**8 to
-    A**12 as A**6 @ (b13 A**6 + b11 A**4 + b9 A**2).  A may be a (k, n, n)
-    stack with its powers' stacks: each slice is then what its own call
-    gives, bit for bit.
+    A**12 as A**6 @ (b13 A**6 + b11 A**4 + b9 A**2).  One matrix below
+    n = _STACK_BELOW_N forms v and u as one pair, a multiply a term; others
+    form u, then v, as a pair would hold two matrices more.  A may be a
+    (k, n, n) stack with its powers' stacks: each slice is then what its
+    own call gives, bit for bit.
     """
-    eye = np.eye(A.shape[-1], dtype=A.dtype)
-    U = A @ _part(powers, m, 1, eye)
-    V = _part(powers, m, 0, eye)
-    del eye
+    n = A.shape[-1]
+    if A.ndim == 2 and n < _STACK_BELOW_N:
+        V, u = _parts(_PADE_PAIRS[m], powers)
+        U = matmul(A, u)
+    else:
+        U = matmul(A, _parts(_PADE_B[m][1::2], powers))
+        V = _parts(_PADE_B[m][0::2], powers)
     P = V - U
     V += U  # V + U in V's place: one matrix fewer held through the solve
     del U
     return np.linalg.solve(P, V)
 
 
-def _part(powers, m, odd, eye):
-    # v(A**2) (odd 0) or u(A**2) (odd 1) of r_m from `_PADE_TERMS`, the identity's term last
-    low, high = _PADE_TERMS[m][odd]
-    acc = low[0][0] * powers[low[0][1]]
-    for c, j in low[1:]:
-        acc += c * powers[j]
-    if high:
-        inner = high[0][0] * powers[high[0][1]]
-        for c, j in high[1:]:
-            inner += c * powers[j]
-        acc += powers[-1] @ inner
-    acc += _PADE_B[m][odd] * eye
+def _parts(rows, powers):
+    # r_m's parts with coefficients rows[j], `_PADE_PAIRS[m]` or one part's floats; b * I as b * np.eye(n)
+    h = len(powers)
+    acc = rows[1] * powers[0]
+    for c, P in zip(rows[2:h + 1], powers[1:]):
+        acc += c * P
+    if len(rows) > h + 1:
+        inner = rows[h + 1] * powers[0]
+        for c, P in zip(rows[h + 2:], powers[1:]):
+            inner += c * P
+        acc += matmul(powers[-1], inner)
+    b, n = np.asarray(rows[0]), acc.shape[-1]
+    eye = np.zeros((b.size, n * n), acc.dtype)
+    eye[:, ::n + 1] = b.reshape(-1, 1)
+    acc += eye.reshape(*b.shape[:1], n, n)
     return acc
 
 
 def _square(E, squarings: int) -> np.ndarray:
     # E squared `squarings` times, slice by slice for a stack
     for _ in range(squarings):
-        E = E @ E
+        E = matmul(E, E)
     return E
 
 
@@ -585,11 +605,11 @@ def _listed(values, errors):
 
 
 # Stacking a block of approximants into one call saves numpy's per-call
-# overhead, about 30 us an approximant at n = 2-5, where it costs most of
-# the approximant.  With the products it stops paying: stacked blocks of
-# CHUNK_ENTRIES entries took 1/6.5 of the one-at-a-time time at n = 8,
-# 1/2.4 at n = 16, 1/1.2 at n = 31 and 1/0.97 at n = 40 (2-core x86-64
-# host, one OpenBLAS thread), so from n = 32 on they are taken one at a time.
+# overhead, about 25 us an approximant at n = 2-5, most of its cost.  With
+# the products it stops paying: stacked blocks of CHUNK_ENTRIES entries took
+# 1/5.9 of the one-at-a-time time at n = 8, 1/2.1-2.4 at n = 16, 1/1.0-1.1 at
+# n = 31 and 1/0.92-1.0 at n = 40 (2-core x86-64 host, one OpenBLAS thread),
+# so from n = 32 on they are taken one at a time.
 _STACK_BELOW_N = 32
 
 # Two blocks at a time pay once a group's products outweigh starting and

@@ -22,7 +22,12 @@ pair, the reference for the stacked stage's results and peak memory.
 `per_pair_flow_axioms` is `flows.flow_axioms` as it was with one residual
 a grid pair, and `per_time_plan` is `matcore._plan` as it was with one
 t * X a time: the references for the stacked residual stage and the
-stacked plan.
+stacked plan.  `reference_expm` is `matcore.expm` as it was before its
+one-matrix path formed the Pade parts v and u paired and took `ndarray.dot`:
+the helper chain `ReferencePowers` -> `reference_degree` ->
+`reference_approximant` -> `reference_pade` (v and u one at a time) ->
+`reference_square`, every product an `@`, kept as the reference for those
+changes' bits.
 """
 
 import contextlib
@@ -35,7 +40,9 @@ from evolflow.errors import DimensionMismatch, NonFiniteInput
 from evolflow.curves import ExpLine, SubgroupReport
 from evolflow.flows import FlowAxiomsReport, flow_apply
 from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
-from evolflow.matcore import _scaling_norm, _squarings, as_matrix, expm, frob_norm, memo, nonempty, worst
+from evolflow.matcore import (_ELL_ROOT, _ELL_UC, _EVEN_POWERS, _STACK_BELOW_N, _THETA, _THETA13_LIMITS,
+                              _halvings, _scale, _scaling_norm, _squarings, as_matrix, expm, frob_norm, memo,
+                              nonempty, worst)
 
 
 def taylor_expm(M, terms=60):
@@ -261,3 +268,120 @@ def per_time_plan(X, ts):
             mantissa, exponent = math.frexp(t)
             families.setdefault(mantissa, {}).setdefault(exponent - k, []).append((k, t, nrm))
     return zeros, families
+
+
+# b_0, ..., b_m of the diagonal Pade approximants r_m (Higham, SIAM J. Matrix Anal. Appl. 26, 2005),
+# the reference's own copy
+REFERENCE_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+
+
+def reference_expm(X):
+    """exp(X) by the Al-Mohy & Higham degree and halvings, through the reference helper chain."""
+    X = reference_as_matrix(X)
+    with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
+        nrm = float(np.abs(X).sum(axis=0).max())
+    if nrm == math.inf:
+        raise NonFiniteInput("matrix 1-norm overflows")
+    if nrm == 0.0:
+        return np.eye(X.shape[0], dtype=X.dtype)
+    k = _squarings(nrm)
+    powers = ReferencePowers(X / (2.0**k))
+    m, s = reference_degree(powers, 0, nrm, k)
+    return reference_square(reference_approximant(powers.arguments(m), m, k - s), s)
+
+
+class ReferencePowers:
+    """A matrix A or a (k, n, n) stack, its even powers as formed, their 1-norms and ||(|A|)**27||_1."""
+
+    def __init__(self, A):
+        self.A, self.W = A, [A]
+
+    def even(self, h):
+        W = self.W
+        for k in range(len(W), h + 1):
+            W.append(W[k // 2] @ W[k - k // 2] if k > 1 else W[0] @ W[0])
+        return W[1:h + 1]
+
+    def norms(self, i):
+        norms = [np.abs(P).sum(axis=-2).max(axis=-1) for P in self.even(3)]
+        return np.array(norms).T.reshape(-1, 3).tolist()[i]
+
+    def arguments(self, m):
+        h = _EVEN_POWERS[m]
+        self.even(h)
+        return self.W[:h + 1]
+
+    def abs_norm(self, i):
+        B = np.abs(self.A)
+        v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
+        for _ in range(27):
+            v = v @ B
+        return v.max(axis=-1).reshape(-1).tolist()[i]
+
+
+def reference_degree(powers, i, nrm, squarings):
+    """(m, s) for Y with ||Y||_1 = nrm, whose Y / 2**squarings is slice i of `powers`."""
+    if powers.A.shape[-1] >= _STACK_BELOW_N:
+        for m in (3, 5, 7, 9):
+            if nrm <= _THETA[m]:
+                return m, 0
+    if nrm <= _THETA[13]:
+        return 13, 0
+    (p2, p4, p6), limits = powers.norms(i), _THETA13_LIMITS
+    d8 = min(_halvings(p4, 4, squarings, limits[4]), _halvings(p6 * p2, 8, squarings, limits[8]))
+    eta3 = max(_halvings(p6, 6, squarings, limits[6]), d8)
+    eta4 = max(d8, _halvings(p4 * p6, 10, squarings, limits[10]))
+    s = max(min(eta3, eta4), 0)
+    if _halvings(nrm, 1, 0, _ELL_ROOT) <= s:
+        return 13, s
+    mantissa, exponent = math.frexp(nrm)
+    mantissa, shift = math.frexp(_ELL_UC * mantissa)
+    return 13, max(s, _halvings(powers.abs_norm(i), 26, squarings, (mantissa, shift + exponent - squarings)))
+
+
+def reference_approximant(W, m, a):
+    """r_m(2**a A) from W = [A, A**2, ..., A**(2h)]: each power times its exact power of two."""
+    if a:
+        W = [_scale(P, power * a) for P, power in zip(W, (1, 2, 4, 6, 8))]
+    return reference_pade(W[0], W[1:], m)
+
+
+def reference_pade(A, powers, m):
+    """r_m(A) = (V - U)^-1 (V + U), its parts V = v(A**2) and U = A u(A**2) formed one at a time."""
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    U = A @ _reference_part(powers, m, 1, eye)
+    V = _reference_part(powers, m, 0, eye)
+    return np.linalg.solve(V - U, V + U)
+
+
+def _reference_part(powers, m, odd, eye):
+    # v(A**2) (odd 0) or u(A**2) (odd 1): the terms up to A**(2h), then degree 13's A**(2h) @ (...),
+    # the identity's term last
+    b, h = REFERENCE_PADE_B[m], _EVEN_POWERS[m]
+    coefficients = b[2 + odd::2]
+    acc = coefficients[0] * powers[0]
+    for c, P in zip(coefficients[1:h], powers[1:]):
+        acc += c * P
+    if len(coefficients) > h:
+        inner = coefficients[h] * powers[0]
+        for c, P in zip(coefficients[h + 1:], powers[1:]):
+            inner += c * P
+        acc += powers[-1] @ inner
+    acc += b[odd] * eye
+    return acc
+
+
+def reference_square(E, squarings):
+    """E squared `squarings` times, slice by slice for a stack."""
+    for _ in range(squarings):
+        E = E @ E
+    return E

@@ -186,6 +186,40 @@ def test_flow_apply_is_the_product_at_operator_for_every_layout():
             assert ExpLine(A, X).value(0.7).tobytes() == want.tobytes()
 
 
+
+# 1 x 1 entries and generators whose products have a signed zero or underflow
+_TINY = [-0.0, 0.0, -5e-324, 5e-324, -1e-200, 1e-200, -1.0, 2.0]
+_ONE_BY_ONE_X = [-0.0, 1.0, -460.0, 0.25]
+
+
+@pytest.mark.parametrize("a", _TINY)
+@pytest.mark.parametrize("x", _ONE_BY_ONE_X)
+def test_one_by_one_products_are_the_product_at_operator(a, x):
+    # a 1 x 1 `ndarray.dot` is a scalar product, which keeps a -0.0 that `@`'s gemm sums to +0.0
+    # (-0.0 * 1.0, or -1e-200 * 1e-200 underflowing): flow_apply, ExpLine.value and march's fold
+    # take `@`'s bits there
+    A0, X = np.array([[a]]), np.array([[x]])
+    for t in (0.5, 1.0):
+        want = A0 @ expm(t * X)
+        assert ExpLine(A0, X).value(t).tobytes() == want.tobytes()
+        if a != 0.0:  # a base point of GL(1)
+            assert flow_apply(Flow(X, Group.gl(1)), t, A0).tobytes() == want.tobytes()
+    fun = lambda t: X  # noqa: E731
+    ts, ms = march(fun, A0, 0.1, 0.3, 1.0)
+    want_ts, want_ms = per_step_march(fun, A0, 0.1, 0.3, 1.0)
+    assert ts == want_ts
+    assert np.stack(ms).tobytes() == np.stack(want_ms).tobytes()
+
+
+def test_a_one_by_one_unitary_flow_is_the_product_at_operator():
+    # (-0.0 + 1j) (1 + 0j) is -0.0 + 1j as a scalar product, 0.0 + 1j from `@`
+    f, A = Flow(np.array([[0.5j]]), Group.u(1)), np.array([[complex(-0.0, 1.0)]])
+    for t in (0.0, 0.5):
+        want = A @ expm(t * f.X)
+        assert flow_apply(f, t, A).tobytes() == want.tobytes()
+        assert ExpLine(A, f.X).value(t).tobytes() == want.tobytes()
+    assert str(flow_apply(f, 0.0, A)[0, 0]) == "1j"
+
 def _sl2(rng):
     M = rng.normal(size=(2, 2))
     M[0] *= np.sign(np.linalg.det(M))

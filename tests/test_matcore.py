@@ -22,7 +22,8 @@ from evolflow.matcore import (
 )
 from evolflow import _stepper, matcore
 from evolflow.markov import random_rate_matrix
-from oracles import cofactor_det, per_time_plan, reference_as_matrix, taylor_expm
+from oracles import (ReferencePowers, cofactor_det, per_time_plan, reference_as_matrix, reference_expm,
+                     reference_pade, taylor_expm)
 
 
 def test_expm_of_zero_is_identity():
@@ -399,7 +400,7 @@ _nan_imag = np.eye(2, dtype=complex)
 _nan_imag[1, 0] = complex(0.0, np.nan)
 
 
-@pytest.mark.parametrize("a", [
+_AS_MATRIX_INPUTS = [
     np.arange(4).reshape(2, 2), np.eye(3, dtype=bool), np.eye(2, dtype=np.uint8),
     np.eye(2, dtype=np.float32), np.eye(2, dtype=np.complex64), np.eye(2) + 0j,
     np.eye(2, dtype=">f8"), np.asfortranarray(_REAL), _CPLX[::2, ::2],
@@ -408,9 +409,14 @@ _nan_imag[1, 0] = complex(0.0, np.nan)
     [[1, 2], [3, 4]], [[1.0, 2j], [3, 4]], [[True, False], [False, True]],
     [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [0.0, 1.0]],
     _nan_imag, np.array([[1.0, complex(0, np.inf)], [0.0, 1.0]]),
-    np.array([[1e308, 1e308], [1e308, 1e308]]), np.full((1, 1), np.inf, dtype=np.float32),
+    np.array([[1e308, 1e308], [1e308, 1e308]]), np.array([[1e308, 1e308j], [1e308j, 0.0]]),
+    np.full((1, 1), np.inf, dtype=np.float32),
     np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2)), 3.0, [],
-], ids=lambda a: f"{type(a).__name__}-{np.asarray(a).dtype}{np.asarray(a).shape}")
+]
+_AS_MATRIX_IDS = [f"{type(a).__name__}-{np.asarray(a).dtype}{np.asarray(a).shape}" for a in _AS_MATRIX_INPUTS]
+
+
+@pytest.mark.parametrize("a", _AS_MATRIX_INPUTS, ids=_AS_MATRIX_IDS)
 def test_as_matrix_accepts_and_rejects_as_the_generic_predicates_do(a):
     ref = _outcome(reference_as_matrix, a)
     assert _outcome(as_matrix, a) == ref
@@ -1399,3 +1405,148 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
     assert set(table) == set(want) and len(want) == len({repr(t) for t in ts})
     for key, E in table.items():
         assert E.tobytes() == expm(want[key] * X).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the exponential's bits against the reference helper chain (`oracles.reference_expm`):
+# paired Pade parts, `matmul`'s `ndarray.dot` and the one-matrix path below n = 32 change no bit
+
+
+BATTERY_NS = [*range(1, 32), 32, 64, 100, 300]
+THETA13 = matcore._THETA[13]
+# 1-norms: unhalved, at theta_13 and one ulp either side, halved a little and a lot
+BATTERY_NORMS = [0.4, 3.0, THETA13 * (1.0 - 2.0**-52), THETA13, THETA13 * (1.0 + 2.0**-52), 9.0, 300.0]
+
+
+def assert_same_outcome(got, want):
+    # the same bytes, dtype and shape, or the same exception type and message
+    assert _expm_outcome(got) == _expm_outcome(want)
+
+
+def _expm_outcome(f):
+    try:
+        E = f()
+    except Exception as exc:  # compared by type and message; numpy's floating-point error names
+        return type(exc), str(exc).split(" encountered in ")[0]  # the ufunc, `dot` or `matmul`
+    return E.dtype, E.shape, E.tobytes()
+
+
+def battery(rng, n, complex_):
+    """Matrices of order n for the reference battery: random ones at each of BATTERY_NORMS, a
+    non-normal one whose ell adds halvings, and one with -0.0 and subnormal entries, each C- and
+    F-ordered and as a strided view."""
+    def draw():
+        X = rng.normal(size=(n, n))
+        return X + 1j * rng.normal(size=(n, n)) if complex_ else X
+
+    X = draw()
+    Xs = [X * (nrm / one_norm(X)) for nrm in (BATTERY_NORMS if n <= 64 else BATTERY_NORMS[1::2])]
+    T = draw()
+    Xs.append(np.diag(np.diag(T)) + 1e3 * np.triu(T, 1))
+    Z = 2.0 * draw() / n
+    Z[rng.random(Z.shape) < 0.3] = -0.0
+    Z[rng.random(Z.shape) < 0.2] = 3e-320
+    if complex_:
+        Z.imag[rng.random(Z.shape) < 0.3] = -0.0
+    Xs.append(Z)
+    for X in Xs:
+        wide = np.zeros((n, 2 * n), dtype=X.dtype)
+        wide[:, ::2] = X
+        yield from (X, np.asfortranarray(X), wide[:, ::2])
+
+
+@pytest.mark.parametrize("n", BATTERY_NS)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_expm_is_the_reference_chain_bit_for_bit(n, complex_):
+    for X in battery(np.random.default_rng([n, complex_]), n, complex_):
+        assert_same_outcome(lambda: expm(X), lambda: reference_expm(X))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 32, 64])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_expm_times_is_the_reference_chain_bit_for_bit(n, complex_):
+    rng = np.random.default_rng([n, complex_, 1])
+    X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    X /= one_norm(X)
+    ts = [0.0, 0.1, 0.2, 3.0, THETA13, -THETA13, 6.0, -9.0, 300.0, *_theta_edges(X)[::5]]
+    with np.errstate(over="ignore", invalid="ignore"):  # the largest times overflow alike
+        for t, E in expm_times(X, ts):
+            assert E.tobytes() == reference_expm(t * X).tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_pade_is_the_reference_pade_on_one_matrix_and_on_a_stack(m, n, complex_):
+    rng = np.random.default_rng([m, n, complex_])
+    S = rng.normal(size=(6, n, n)) + (1j * rng.normal(size=(6, n, n)) if complex_ else 0.0)
+    S *= (matcore._THETA[m] * rng.uniform(0.3, 1.0, size=6) / [one_norm(A) for A in S])[:, None, None]
+    S[1] = np.triu(S[1])  # a zero lower triangle in every power
+    W = ReferencePowers(S).arguments(m)
+    stacked = matcore._pade(W[0], W[1:], m)
+    for i, A in enumerate(S):
+        powers = ReferencePowers(A.copy()).arguments(m)
+        want = reference_pade(powers[0], powers[1:], m).tobytes()
+        assert matcore._pade(powers[0], powers[1:], m).tobytes() == want
+        assert stacked[i].tobytes() == want
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+def test_expm_is_the_reference_chain_at_each_theta_edge_from_n_32(m):
+    rng = np.random.default_rng(m)
+    for X in (rng.normal(size=(32, 32)), rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))):
+        for side in (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52):
+            Y = X * (matcore._THETA[m] * side / one_norm(X))
+            assert expm(Y).tobytes() == reference_expm(Y).tobytes()
+
+
+@pytest.mark.parametrize("b", [1e8, 1e20])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_is_the_reference_chain_on_a_large_off_diagonal(b, dtype):
+    X = np.array([[1.0, b], [0.0, -1.0]], dtype=dtype)
+    assert expm(X).tobytes() == reference_expm(X).tobytes()
+
+
+@pytest.mark.parametrize("z", [-745 - 1j, -745 - 2.5j, -745 + 100j, -800 - 1j, -3000 + 2.5j, 1e-200 - 1e-200j])
+def test_expm_is_the_reference_chain_on_a_one_by_one_complex_underflow(z):
+    # exp(z) underflows in its squarings: a 1 x 1 `dot` is a scalar product, which keeps a -0.0
+    # imaginary part that `@`'s gemm sums to +0.0, so at n = 1 every product is `@`'s
+    X = np.array([[z]])
+    with np.errstate(under="ignore"):
+        assert expm(X).tobytes() == reference_expm(X).tobytes()
+
+
+@pytest.mark.parametrize("a", _AS_MATRIX_INPUTS, ids=_AS_MATRIX_IDS)
+def test_expm_validates_as_the_reference_chain(a):
+    with np.errstate(over="raise"):  # neither its 1-norm nor its validation warns
+        assert_same_outcome(lambda: expm(a), lambda: reference_expm(a))
+
+
+def _coefficient_mutants():
+    # (table, degree, coefficient) of b_0, b_1 and b_2: in `_PADE_PAIRS`, which one matrix below n = 32
+    # takes (degree 13, rows of (v, u) pairs), and in `_PADE_B`, which the others take.  An ulp of
+    # the higher coefficients lies below the result's last bit on most inputs (b_13 = 1 scales
+    # A**13 against b_0 ~ 6e16)
+    return ([("pairs", 13, i) for i in range(3)]
+            + [("b", m, i) for m in matcore._PADE_B for i in range(3)])
+
+
+@pytest.mark.parametrize("table, m, i", _coefficient_mutants())
+def test_a_coefficient_one_ulp_off_fails_the_battery(monkeypatch, table, m, i):
+    rng = np.random.default_rng([m, i, table == "pairs"])
+    n = 4 if table == "pairs" else 32
+    Xs = []
+    for side in np.linspace(1.0, 0.2, 8):  # each 1-norm within theta_m, so the degree is m from n = 32
+        for complex_ in (False, True):
+            X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+            Xs.append(X * (matcore._THETA[m] * side / one_norm(X)))
+    assert all(expm(X).tobytes() == reference_expm(X).tobytes() for X in Xs)
+    if table == "pairs":
+        rows = [c.copy() for c in matcore._PADE_PAIRS[m]]
+        rows[i // 2][i % 2] = np.nextafter(rows[i // 2][i % 2], math.inf)
+        monkeypatch.setitem(matcore._PADE_PAIRS, m, rows)
+    else:
+        b = list(matcore._PADE_B[m])
+        b[i] = float(np.nextafter(b[i], math.inf))
+        monkeypatch.setitem(matcore._PADE_B, m, tuple(b))
+    assert any(expm(X).tobytes() != reference_expm(X).tobytes() for X in Xs)

@@ -265,7 +265,7 @@ class ExpLine(Curve):
         return self.A0.shape[0]
 
     def value(self, t):
-        E = expm(t * self.X)  # `matcore.matmul`'s rule inline, as in `flows.flow_apply`
+        E = expm(t * self.X)  # `matcore._matmul`'s rule inline, as in `flows.flow_apply`
         return self.A0.dot(E) if self.A0.flags.forc and len(self.A0) > 1 else self.A0 @ E
 
     def derivative(self, t):

@@ -21,7 +21,7 @@ chunk of them from one stacked stage; `nonempty` refuses none).
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
 call's result bit for bit (one gemm and one LAPACK solve per slice).
-Their products of one matrix go through `matmul`: `ndarray.dot` where it rounds as `@`, n >= 2.
+Their products of one matrix go through `_matmul`: `ndarray.dot` where it rounds as `@`, n >= 2.
 
 All functions are pure and never mutate their arguments.
 """
@@ -68,9 +68,9 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
           9: 2.097847961257068, 13: 5.371920351148152}
 # h of the even powers A**2, ..., A**(2h) that r_m takes
 _EVEN_POWERS = {3: 1, 5: 2, 7: 3, 9: 4, 13: 3}
-# (b_2j, b_2j+1), j = 0, 1, ...: r_m's coefficients of v and u paired, as (2, 1, 1) arrays; row j
-# scales I for j = 0, A**(2j) up to j = h, and past it A**(2(j - h)) in degree 13's A**6 @ (...)
-_PADE_PAIRS = {m: [np.array(p).reshape(2, 1, 1) for p in zip(b[0::2], b[1::2])] for m, b in _PADE_B.items()}
+# (b_2j, b_2j+1), j = 0, ..., 6: r_13's coefficients of v and u paired, as (2, 1, 1) arrays; row j
+# scales I for j = 0, A**(2j) up to j = 3, and past it A**(2(j - 3)) in A**6 @ (...)
+_PADE13_PAIRS = [np.array(p).reshape(2, 1, 1) for p in zip(_PADE_B[13][0::2], _PADE_B[13][1::2])]
 # theta_13**k, the bounds on ||A**k||_1 of the halvings, as `_halvings` limits
 _THETA13_LIMITS = {k: math.frexp(_THETA[13] ** k) for k in (1, 4, 6, 8, 10)}
 # u / |c_27|, c_27 the leading coefficient of r_13's backward error series:
@@ -360,7 +360,7 @@ def _squarings(nrm: float) -> int:
 _SUM, _MAX = np.add.reduce, np.maximum.reduce
 
 
-def matmul(a, b) -> np.ndarray:
+def _matmul(a, b) -> np.ndarray:
     """a @ b, by `ndarray.dot`'s gemm without `np.matmul`'s dispatch where the two round alike:
     C- or F-contiguous matrices, a with n >= 2 columns (a 1 x 1 `dot` keeps a -0.0 product)."""
     if a.flags.forc and b.flags.forc and a.ndim == b.ndim == 2 and a.shape[1] > 1:
@@ -387,7 +387,7 @@ class _Powers:
         """[A**2, ..., A**(2h)], for h up to 4, each formed with the ones before it."""
         W = self.W
         for k in range(len(W), h + 1):  # A**(2k) = A A, A**2 A**2, A**2 A**4, A**4 A**4
-            W.append(matmul(W[k // 2], W[k - k // 2]) if k > 1 else matmul(W[0], W[0]))
+            W.append(_matmul(W[k // 2], W[k - k // 2]) if k > 1 else _matmul(W[0], W[0]))
         return W[1:h + 1]
 
     def norms(self, i):
@@ -414,7 +414,7 @@ class _Powers:
             B = np.abs(self.A)
             v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
             for _ in range(27):
-                v = matmul(v, B)
+                v = _matmul(v, B)
             self._abs_norms = _MAX(v, axis=-1).reshape(-1).tolist()
         return self._abs_norms[i]
 
@@ -489,17 +489,16 @@ def _pade(A, powers, m) -> np.ndarray:
     (`_EVEN_POWERS`).  With U = A u(A**2) and V = v(A**2) from the odd and
     even coefficients, r_m = (V - U)^-1 (V + U); degree 13 takes A**8 to
     A**12 as A**6 @ (b13 A**6 + b11 A**4 + b9 A**2).  One matrix below
-    n = _STACK_BELOW_N forms v and u as one pair, a multiply a term; others
-    form u, then v, as a pair would hold two matrices more.  A may be a
-    (k, n, n) stack with its powers' stacks: each slice is then what its
-    own call gives, bit for bit.
+    n = _STACK_BELOW_N, always degree 13 (`_degree`), forms v and u as one
+    pair, a multiply a term; others form u, then v, as a pair would hold
+    two matrices more.  A may be a (k, n, n) stack with its powers' stacks:
+    each slice is then what its own call gives, bit for bit.
     """
-    n = A.shape[-1]
-    if A.ndim == 2 and n < _STACK_BELOW_N:
-        V, u = _parts(_PADE_PAIRS[m], powers)
-        U = matmul(A, u)
+    if m == 13 and A.ndim == 2 and A.shape[-1] < _STACK_BELOW_N:
+        V, u = _parts(_PADE13_PAIRS, powers)
+        U = _matmul(A, u)
     else:
-        U = matmul(A, _parts(_PADE_B[m][1::2], powers))
+        U = _matmul(A, _parts(_PADE_B[m][1::2], powers))
         V = _parts(_PADE_B[m][0::2], powers)
     P = V - U
     V += U  # V + U in V's place: one matrix fewer held through the solve
@@ -508,7 +507,7 @@ def _pade(A, powers, m) -> np.ndarray:
 
 
 def _parts(rows, powers):
-    # r_m's parts with coefficients rows[j], `_PADE_PAIRS[m]` or one part's floats; b * I as b * np.eye(n)
+    # r_m's parts with coefficients rows[j], `_PADE13_PAIRS` or one part's floats; b * I as b * np.eye(n)
     h = len(powers)
     acc = rows[1] * powers[0]
     for c, P in zip(rows[2:h + 1], powers[1:]):
@@ -517,7 +516,7 @@ def _parts(rows, powers):
         inner = rows[h + 1] * powers[0]
         for c, P in zip(rows[h + 2:], powers[1:]):
             inner += c * P
-        acc += matmul(powers[-1], inner)
+        acc += _matmul(powers[-1], inner)
     b, n = np.asarray(rows[0]), acc.shape[-1]
     eye = np.zeros((b.size, n * n), acc.dtype)
     eye[:, ::n + 1] = b.reshape(-1, 1)
@@ -528,7 +527,7 @@ def _parts(rows, powers):
 def _square(E, squarings: int) -> np.ndarray:
     # E squared `squarings` times, slice by slice for a stack
     for _ in range(squarings):
-        E = matmul(E, E)
+        E = _matmul(E, E)
     return E
 
 

@@ -1409,7 +1409,7 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
 
 # ---------------------------------------------------------------------------
 # the exponential's bits against the reference helper chain (`oracles.reference_expm`):
-# paired Pade parts, `matmul`'s `ndarray.dot` and the one-matrix path below n = 32 change no bit
+# paired Pade parts, `_matmul`'s `ndarray.dot` and the one-matrix path below n = 32 change no bit
 
 
 BATTERY_NS = [*range(1, 32), 32, 64, 100, 300]
@@ -1523,8 +1523,8 @@ def test_expm_validates_as_the_reference_chain(a):
 
 
 def _coefficient_mutants():
-    # (table, degree, coefficient) of b_0, b_1 and b_2: in `_PADE_PAIRS`, which one matrix below n = 32
-    # takes (degree 13, rows of (v, u) pairs), and in `_PADE_B`, which the others take.  An ulp of
+    # (table, degree, coefficient) of b_0, b_1 and b_2: in `_PADE13_PAIRS`, which one matrix below
+    # n = 32 takes (rows of (v, u) pairs), and in `_PADE_B`, which the others take.  An ulp of
     # the higher coefficients lies below the result's last bit on most inputs (b_13 = 1 scales
     # A**13 against b_0 ~ 6e16)
     return ([("pairs", 13, i) for i in range(3)]
@@ -1542,9 +1542,9 @@ def test_a_coefficient_one_ulp_off_fails_the_battery(monkeypatch, table, m, i):
             Xs.append(X * (matcore._THETA[m] * side / one_norm(X)))
     assert all(expm(X).tobytes() == reference_expm(X).tobytes() for X in Xs)
     if table == "pairs":
-        rows = [c.copy() for c in matcore._PADE_PAIRS[m]]
+        rows = [c.copy() for c in matcore._PADE13_PAIRS]
         rows[i // 2][i % 2] = np.nextafter(rows[i // 2][i % 2], math.inf)
-        monkeypatch.setitem(matcore._PADE_PAIRS, m, rows)
+        monkeypatch.setattr(matcore, "_PADE13_PAIRS", rows)
     else:
         b = list(matcore._PADE_B[m])
         b[i] = float(np.nextafter(b[i], math.inf))

@@ -35,10 +35,10 @@ CHUNK_ENTRIES = 1 << 16
 
 
 def checked_generator(fun, n: int):
-    """Wrap a time -> matrix callable with shape and finiteness checks."""
+    """Wrap a time -> matrix callable with shape and finiteness checks; values come out in C order."""
 
     def gen(t: float) -> np.ndarray:
-        X = np.asarray(fun(t))
+        X = np.asarray(fun(t), order="C")
         if X.shape != (n, n):
             raise DimensionMismatch(
                 f"generator returned shape {X.shape} at t={t}, expected {(n, n)}"

@@ -196,6 +196,7 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     without `np.matmul`'s ufunc dispatch (which doubled a 2000-node fold at
     n = 2-4).  A run of steps whose values differ in dtype from the previous
     step's is stacked on its own, so no value is upcast by its neighbours'.
+    Values are multiplied in C order, as `checked_generator` returns them.
 
     The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
     adds only zeros to a finite P_k.  A column of P_k that overflows turns

@@ -19,8 +19,7 @@ from .errors import (
     RowSumNonzero,
     SubsetTooSmall,
 )
-from .matcore import (_block_rows, as_matrix, expm, expm_times, frob_norm, frob_residuals, is_real,
-                      nonempty, stacked, worst)
+from .matcore import as_matrix, expm, expm_times, frob_norm, is_real, nonempty, worst
 
 # expm rounding can leave entries this far below zero without disqualifying
 # a matrix from being considered Markov.
@@ -149,18 +148,14 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
     Q = rate.Q
     eye = np.eye(rate.n)
     pairs = {}  # s + t -> the grid pairs (s, t) with that sum
-    for s in ts:
-        for t in ts:
-            pairs.setdefault(s + t, []).append((s, t))
+    for s, t in itertools.product(ts, ts):
+        pairs.setdefault(s + t, []).append((s, t))
     grid = set(ts)
     # exp(tQ) for the grid, A(0) and the Chapman-Kolmogorov sums from one
-    # call, each distinct t once.  A sum's exponential is held only until the
-    # whole grid's are here, so the report does not hold every sum's at once;
-    # `worst` gives the same value for the residuals in any order.  Below
-    # n = 32 the residuals go a stacked chunk of `rows` pairs at a time, with
-    # the grid values stacked once (V), each stage's sums stacked once (W),
-    # and each chunk's sums and factors gathered by row
-    A, V, sums, residuals, rows = {}, None, [], [], _block_rows(rate.n)
+    # call, each distinct t once.  A sum's exponential is held only until
+    # the whole grid's are here, not every sum's at once, and its pairs'
+    # residuals are taken one by one (`worst` is the same in any order)
+    A, sums, residuals = {}, [], []
     for u, E in expm_times(Q, itertools.chain(ts, [0.0], pairs)):
         if u == 0.0:
             identity = frob_norm(E - eye)
@@ -169,25 +164,12 @@ def axioms_report(rate: RateMatrix, grid, tol: float = 1e-9) -> AxiomsReport:
         if u in pairs:
             sums.append((u, E))
         if len(A) == len(grid):
-            if V is None:
-                V = stacked(list(A.values())) if rows > 1 else list(A.values())
-                if type(V) is np.ndarray:  # the grid values as V's rows, C-contiguous as they were
-                    A = dict(zip(A, V))
-                row = {t: i for i, t in enumerate(A)}
-            # the stage's distinct sums stacked once (W), each pair's gathered by row as its factors
-            W = stacked([S for _, S in sums]) if rows > 1 else [S for _, S in sums]
-            held = ((k, row[s], row[t]) for k, v in enumerate([v for v, _ in sums]) for s, t in pairs[v])
+            residuals.extend(frob_norm(S - A[s] @ A[t]) for u, S in sums for s, t in pairs[u])
             sums.clear()
-            while chunk := list(itertools.islice(held, rows)):
-                k, s, t = zip(*chunk)
-                S = W[list(k)] if type(W) is np.ndarray else [W[i] for i in k]
-                P = V[list(s)] @ V[list(t)] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
-                residuals.extend(frob_residuals(S, P))
-            del W
     nonneg = worst(-float(A[t].min()) for t in ts)
     row_sum = worst(float(np.max(np.abs(A[t].sum(axis=1) - 1.0))) for t in ts)
     chapman = worst(residuals)
-    del A, V  # not held through the sweep below, which keeps only norms
+    del A  # not held through the sweep below, which keeps only norms
 
     tks = [2.0**-k for k in range(1, 21)]
     by_t = {t: frob_norm(E - eye) for t, E in expm_times(Q, tks)}

@@ -15,8 +15,9 @@ nonsingularity and determinant-sign decision, a guaranteed upper estimate
 of the spectral radius, `memo(X, grid)`, the scope of a grid check on
 t -> exp(t X) in which each distinct exponential and membership is computed
 once (the exponentials preloaded from one `expm_times` run), and `worst`,
-the one reduction of a grid check's residuals (`frob_residuals` takes a
-chunk of them from one stacked stage; `nonempty` refuses none).
+the one reduction of a grid check's residuals (`nonempty` refuses none;
+`frob_residuals` takes a chunk of them from one stacked stage, only for
+the subgroup check and `flow_axioms`).
 
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked

@@ -1,0 +1,141 @@
+"""Property tests of laws the fixed cases pin on a few inputs.
+
+`markov.axioms_report` must give the report of `oracles.per_call_axioms_report`
+on drawn rate matrices and grids; the evolution operator must be the
+transpose of the structure matrix and `evo_mul` commutative, both bit for
+bit; and every curve variant must survive its JSON round trip with
+bit-identical values.  Skipped when hypothesis is not installed.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from evolflow import jsonio
+from evolflow.curves import (AFFINE_ARG_KINDS, AffineArg, AffineLine, Constant, ExpLine, FlipFlop,
+                             Heisenberg, HeisenbergExp, Lorentz11, MatrixFunction, Numeric, Poly,
+                             Sl2Iwasawa, So2, TangentInduced)
+from evolflow.evoalg import EvolutionAlgebra, evo_mul, evolution_operator
+from evolflow.markov import RateMatrix, axioms_report
+from oracles import per_call_axioms_report
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+bounded = st.floats(-1.0, 1.0, allow_nan=False)
+scalar_functions = st.one_of(
+    st.builds(AffineArg, st.sampled_from(AFFINE_ARG_KINDS), bounded, bounded),
+    st.builds(Poly, st.lists(bounded, min_size=1, max_size=3).map(tuple)),
+)
+
+
+@st.composite
+def matrices(draw, n=None, complex_=None):
+    """A seeded normal matrix, complex with nonzero imaginary parts when drawn so."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.normal(size=(n, n))
+    if draw(st.booleans()) if complex_ is None else complex_:
+        M = M + 1j * rng.uniform(0.5, 1.0, size=(n, n))
+    return M
+
+
+# ---------------------------------------------------------------------------
+# Chapman-Kolmogorov residuals pair by pair
+
+
+@st.composite
+def rate_matrices(draw):
+    n = draw(st.integers(1, 6))
+    off = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=n * n, max_size=n * n))
+    Q = np.array(off).reshape(n, n)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return RateMatrix(Q)
+
+
+times = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 3.0))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    rate=rate_matrices(),
+    grid=st.lists(times, min_size=1, max_size=8).flatmap(
+        lambda ts: st.lists(st.sampled_from(ts), min_size=len(ts), max_size=8)),
+)
+def test_axioms_report_equals_the_per_call_reference(rate, grid):
+    # the grid drawn from its own points, so times repeat
+    assert repr(axioms_report(rate, grid)) == repr(per_call_axioms_report(rate, grid))
+
+
+# ---------------------------------------------------------------------------
+# evolution algebras
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(A=matrices())
+def test_evolution_operator_is_the_transpose(A):
+    alg = EvolutionAlgebra(A)
+    L = evolution_operator(alg)
+    assert L.dtype == alg.A.dtype
+    assert L.tobytes() == alg.A.T.tobytes()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data(), A=matrices())
+def test_evo_mul_is_commutative(data, A):
+    n = len(A)
+    entries = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)
+    x, y = (np.array(data.draw(entries)) for _ in range(2))
+    if data.draw(st.booleans()):
+        x = x + 1j * np.array(data.draw(entries))
+    alg = EvolutionAlgebra(A)
+    xy, yx = evo_mul(alg, x, y), evo_mul(alg, y, x)
+    assert xy.dtype == yx.dtype
+    assert xy.tobytes() == yx.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# JSON round trip of every curve variant
+
+
+@st.composite
+def curves(draw, variant):
+    n = draw(st.integers(1, 3))
+    M = lambda: draw(matrices(n=n))  # noqa: E731
+    near_identity = lambda: np.eye(n) + draw(matrices(n=n, complex_=False)) / (4 * n)  # noqa: E731
+    three = lambda: [draw(scalar_functions) for _ in range(3)]  # noqa: E731
+    build = {
+        "constant": lambda: Constant(M()),
+        "affine_line": lambda: AffineLine(M()),
+        "exp_line": lambda: ExpLine(M(), M()),
+        "tangent_induced": lambda: TangentInduced(near_identity(), M()),  # B invertible
+        "so2": So2,
+        "lorentz11": lambda: Lorentz11(draw(st.integers(1, 4))),
+        "heisenberg": lambda: Heisenberg(*three()),
+        "heisenberg_exp": lambda: HeisenbergExp(*three()),
+        "sl2_iwasawa": lambda: Sl2Iwasawa(*three()),
+        "flip_flop": lambda: FlipFlop(draw(st.floats(0.01, 5.0))),
+        "numeric": lambda: Numeric(
+            near_identity(),
+            MatrixFunction(draw(st.lists(st.tuples(scalar_functions, matrices(n=n, complex_=False)),
+                                         min_size=1, max_size=3))),
+            h=draw(st.floats(0.05, 0.25)), horizon=draw(st.floats(0.5, 1.0))),
+    }
+    return build[variant]()
+
+
+@pytest.mark.parametrize("variant", sorted(jsonio.CURVE_VARIANTS))
+def test_curve_json_round_trip_keeps_every_value(variant):
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(c=curves(variant), ts=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4))
+    def round_trip(c, ts):
+        again = jsonio.curve_from_json(json.loads(json.dumps(jsonio.curve_to_json(c))))
+        assert type(again) is type(c)
+        for t in ts:
+            want, got = c.value(t), again.value(t)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    round_trip()

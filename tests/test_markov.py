@@ -23,7 +23,6 @@ from evolflow.markov import (
     truncate_reversible,
     validate_rate,
 )
-from evolflow import markov
 from evolflow.matcore import expm, expm_times, frob_norm
 from oracles import per_call_axioms_report, per_call_kolmogorov_residuals
 
@@ -236,21 +235,8 @@ def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk)
     if chunk is not None:  # chunks of 1 and 7 pairs
         monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * n * n)
     assert repr(axioms_report(rate, grid)) == repr(want)
-    # stacked stages below n = 32, of at most a chunk of pairs each; pair by pair from there
-    rows = matcore._block_rows(n)
-    assert (stages != []) is (rows > 1) and all(1 < k <= rows for k in stages)
-
-
-def test_axioms_stack_each_chapman_sum_once(monkeypatch):
-    # the grid values are stacked once and each distinct sum once, though 441 pairs reach 41 sums
-    rate = random_rate_matrix(4, 44)
-    grid = [float(t) for t in np.linspace(0.0, 2.0, 21)]
-    want = per_call_axioms_report(rate, grid)
-    rows = []
-    stack = markov.stacked
-    monkeypatch.setattr(markov, "stacked", lambda matrices: rows.append(len(matrices)) or stack(matrices))
-    assert repr(axioms_report(rate, grid)) == repr(want)
-    assert sum(rows) == len(set(grid)) + len({s + t for s in grid for t in grid})
+    # pair by pair at every n: no stacked norm stage
+    assert stages == []
 
 
 def nan_exponential_at(T, Q):

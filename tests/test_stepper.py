@@ -104,6 +104,39 @@ def test_numeric_table_is_bit_identical_to_the_per_step_loops(fun):
     assert_same_bytes(c._table, bwd_m[::-1] + fwd_m[1:])
 
 
+def f_ordered(n):
+    """A plain callable whose values are F-ordered copies of a MatrixFunction's, and its A0."""
+    mf = generators(n=n, seed=n)["matrix_function"]
+    return (lambda t: np.asfortranarray(mf(t) / math.sqrt(n))), np.eye(n) + 0.1 / n
+
+
+# at 17 and 33 rows an F-ordered product can round differently from a C-ordered one
+@pytest.mark.parametrize("n", [3, 17, 33])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_march_of_f_ordered_values_is_bit_identical_to_the_per_step_loop(n, direction):
+    fun, A0 = f_ordered(n)
+    ts, ms = march(fun, A0, H, T, direction)
+    want_ts, want_ms = per_step_march(fun, A0, H, T, direction)
+    assert ts == want_ts
+    assert_same_bytes(ms, want_ms)
+
+
+@pytest.mark.parametrize("n", [3, 17, 33])
+def test_integrate_right_of_f_ordered_values_is_bit_identical_to_the_per_step_loop(n):
+    fun, A0 = f_ordered(n)
+    line = integrate_right(fun, A0, IntegratorConfig(H, T))
+    assert_same_bytes([M for _, M in line.samples], per_step_march(fun, A0, H, T, 1.0)[1])
+
+
+@pytest.mark.parametrize("n", [3, 17, 33])
+def test_numeric_table_of_f_ordered_values_is_bit_identical_to_the_per_step_loops(n):
+    fun, A0 = f_ordered(n)
+    c = Numeric(A0, fun, h=H, horizon=T)
+    _, fwd_m = per_step_march(fun, A0, H, T, 1.0)
+    _, bwd_m = per_step_march(fun, A0, H, T, -1.0)
+    assert_same_bytes(c._table, bwd_m[::-1] + fwd_m[1:])
+
+
 @pytest.mark.parametrize("complex_terms", [False, True])
 @pytest.mark.parametrize("kind", ["matrix_function", "lambda"])
 def test_numeric_value_between_nodes_is_one_checked_step_off_its_node(kind, complex_terms):

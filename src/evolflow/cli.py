@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _stepper, curves, flows, jsonio, lie, markov
 from .errors import BadGrid, CommutatorTooLarge, EvolflowError, RateMatrixError
-from .matcore import expm, worst
+from .matcore import expm, expm_times, worst
 
 DEFAULT_GRID = "-2:2:0.1"  # 41 equispaced points
 
@@ -164,8 +164,7 @@ def _cmd_curve_eval(args):
     c = jsonio.load_curve(args.curve)
     grid = parse_grid(args.t)
     samples, values = [], []
-    for t in grid:
-        A = c.value(t)
+    for t, A in curves.slices(c, grid):
         samples.append({"t": t, "matrix": jsonio.matrix_to_json(A)})
         values.append(A)
     payload = {"samples": samples}
@@ -234,7 +233,7 @@ def _cmd_markov_semigroup(args):
     else:
         grid = parse_grid(args.t)
     tr = float(np.trace(rate.Q))
-    sems = [markov.semigroup_at(rate, t) for t in grid]
+    sems = markov.semigroup_samples(rate, grid)
     mats = _stepper._stacked([s.matrix for s in sems], rate.n)
     dets = _sample_dets(mats)
     samples, exps = [], []
@@ -288,7 +287,8 @@ def _cmd_flow_orbit(args):
         # the times of `flows.flow_line`: t = 0 first, then every nonzero grid point
         A = flows.base_point(fl, A, args.tol)
         times = [0.0, *(t for t in grid if t != 0.0)]
-        samples = [(t, expm(t * X) @ A) for t in times]
+        E = dict(expm_times(X, times))
+        samples = [(t, E[t] @ A) for t in times]
     samples = sorted(samples, key=lambda p: p[0])
     # a non-finite sample is outside every group: its residual is NaN, and the check fails
     residuals = [lie.in_group(M, group, args.tol).residual

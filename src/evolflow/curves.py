@@ -4,6 +4,8 @@ Each curve is one continuous evolution algebra: freezing it at a time t
 gives the structure matrix of that slice.  Closed-form variants carry
 exact analytic derivatives; the Numeric variant integrates A' = A X(t)
 once at construction and pays with finite-difference derivatives.
+`Curve.values` evaluates a grid of times in one call, each matrix bit for
+bit the `value` of its time.
 
 Scalar coefficients of the closed-form variants come from a fixed catalog
 (polynomials, and sin/cos/exp/cosh/sinh of an affine argument) so that
@@ -21,13 +23,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _stepper, lie
-from ._stepper import _evaluate, rk4_step
+from ._stepper import rk4_step, tabulate
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .evoalg import EvolutionAlgebra, is_perfect
 from .flows import IntegratorConfig, march
 from .matcore import (
     as_matrix,
     expm,
+    expm_times,
     frob_norm,
     frob_residuals,
     inv,
@@ -200,6 +203,16 @@ class Curve:
         """Structure matrix A(t)."""
         raise NotImplementedError
 
+    def values(self, ts) -> list:
+        """A(t) for each t of ts, in order, each bit-identical to `value(t)` and the caller's own.
+
+        The first time whose `value` raises makes this raise, with the same
+        type and message.  Here one `value` call a time: the closed forms
+        keep their scalar `math` calls, which numpy's vectorised ones may
+        round differently.
+        """
+        return [self.value(t) for t in ts]
+
     def derivative(self, t: float) -> np.ndarray:
         """dA/dt at time t."""
         raise NotImplementedError
@@ -265,7 +278,28 @@ class ExpLine(Curve):
         return self.A0.shape[0]
 
     def value(self, t):
-        E = expm(t * self.X)  # `matcore._matmul`'s rule inline, as in `flows.flow_apply`
+        # one `expm` a call, not one `expm_times` plan: single times (grid_small's oracle checks) stay cheap
+        return self._left(expm(t * self.X))
+
+    def values(self, ts):
+        """A0 exp(t X) for each t of ts, the exponentials from one `matcore.expm_times` call.
+
+        Real times (ints and floats) share each distinct exponential, and
+        each is multiplied by A0 as `value` multiplies it, so every matrix
+        is `value(t)`'s bit for bit.  An overflowing time raises
+        NonFiniteInput as `value` does, without numpy's overflow warning.
+        Times of other types (a complex time would share its equal real
+        time's key) go one `value` call a time.
+        """
+        ts = list(ts)
+        if not all(isinstance(t, (int, float)) for t in ts):
+            return super().values(ts)
+        ts = [float(t) for t in ts]  # an int's product t * X is the float's
+        E = dict(expm_times(self.X, ts))
+        return [self._left(E[t]) for t in ts]
+
+    def _left(self, E):
+        # A0 @ E for a C-contiguous E, by `matcore._matmul`'s rule inline, as in `flows.flow_apply`
         return self.A0.dot(E) if self.A0.flags.forc and len(self.A0) > 1 else self.A0 @ E
 
     def derivative(self, t):
@@ -449,9 +483,11 @@ class Numeric(Curve):
 
     A dense trajectory table with nodes at +-k*h is integrated once at
     construction (`flows.march` in both time directions) and is read-only
-    afterwards; evaluation takes one partial RK4 step off the stored node
-    at or below t, its three generator values from one checked `_evaluate`
-    call.  Derivatives are central differences with step _FD_STEP (1e-5).
+    afterwards.  `values` takes one partial RK4 step off the stored node at
+    or below each time: every node from one `searchsorted`, the generator
+    values of all the partial steps from one `_stepper.tabulate` call and
+    the steps from one stacked `rk4_step`; `value(t)` is `values([t])[0]`.
+    Derivatives are central differences with step _FD_STEP (1e-5).
     Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
     """
 
@@ -476,22 +512,48 @@ class Numeric(Curve):
         return self.A0.shape[0]
 
     def value(self, t):
-        if not abs(t) <= self.horizon + 1e-12:  # NaN is outside too
+        return self.values([t])[0]
+
+    def values(self, ts):
+        """A(t) for each t of ts (taken as float64): a copy of the node at t, else one RK4 step
+        from the node below.
+
+        The first time outside the horizon raises before any step.  Each
+        step is the one `rk4_step(A_k, t_k, t - t_k, gen)` call would take,
+        bit for bit: the stacked step's slices equal their own calls' where
+        the nodes and the generator values each share one dtype, and
+        otherwise the steps go one at a time.  A failing generator value
+        raises at the first failing time, in order.
+        """
+        ts = list(ts)
+        at = np.array(ts, dtype=float)
+        outside = ~(np.abs(at) <= self.horizon + 1e-12)  # NaN is outside too
+        if outside.any():
+            t = ts[outside.argmax()]
             raise HorizonExceeded(f"t={t} outside integrated horizon [-{self.horizon}, {self.horizon}]")
-        idx = int(np.searchsorted(self._ts, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self._ts) - 1)
-        t0, A = float(self._ts[idx]), self._table[idx]
-        dt = t - t0
-        if dt == 0.0:
-            return A.copy()
-        ts = [t0, t0 + 0.5 * dt, t0 + dt]  # the times rk4_step asks for
-        X = dict(zip(ts, _evaluate(self.generator, self.n, ts)))
-        return rk4_step(A, t0, dt, X.__getitem__)
+        idx = np.clip(self._ts.searchsorted(at, side="right") - 1, 0, len(self._ts) - 1)
+        t0 = self._ts[idx]
+        dt = at - t0
+        out = [self._table[i].copy() if d == 0.0 else None for i, d in zip(idx.tolist(), dt.tolist())]
+        off = np.flatnonzero(dt != 0.0)
+        if off.size:
+            t0, dt = t0[off, None, None], dt[off, None, None]
+            # the times rk4_step asks for, one row a step
+            X = tabulate(self.generator, self.n, np.concatenate((t0, t0 + 0.5 * dt, t0 + dt), axis=1))
+            A = stacked([self._table[i] for i in idx[off].tolist()])
+            if type(A) is np.ndarray and type(X.values) is np.ndarray:
+                steps = rk4_step(A, t0, dt, X)
+            else:
+                steps = [rk4_step(a, s, h, X) for a, s, h in zip(A, t0.ravel().tolist(), dt.ravel().tolist())]
+            for i, S in zip(off.tolist(), steps):
+                out[i] = S
+        return out
 
     def derivative(self, t):
         if abs(t) + _FD_STEP > self.horizon + 1e-12:
             raise HorizonExceeded(f"central difference at t={t} leaves the horizon")
-        return (self.value(t + _FD_STEP) - self.value(t - _FD_STEP)) / (2.0 * _FD_STEP)
+        ahead, behind = self.values([t + _FD_STEP, t - _FD_STEP])
+        return (ahead - behind) / (2.0 * _FD_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +579,8 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     others go pair by pair.
     """
     grid = [float(t) for t in nonempty(grid)]
+    # one `value` call a time, not `values`: perfbench's self-test counts the
+    # G^2 + G + 1 `expm` calls of an ExpLine's check (1723 on 41 points)
     with memo(curve.X, grid) if isinstance(curve, ExpLine) else contextlib.nullcontext():
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         V = list(map({t: curve.value(t) for t in grid}.get, grid))  # equal times (+-0.0 too) share one
@@ -558,17 +622,39 @@ class PerfectnessProfile(NamedTuple):
     passed: bool
 
 
+def slices(curve: Curve, grid):
+    """Yield (t, A(t)) for each t of the grid, in order, from `Curve.values`.
+
+    The grid goes `_stepper.CHUNK_ENTRIES` / n^2 times a call, so a caller
+    that keeps only scalars of each slice holds bounded memory.  A call that
+    raises is taken again one `value` call a time, so the first failing
+    time raises only once the slices before it have reached the caller,
+    as in a loop over `value`.
+    """
+    per_chunk = max(1, _stepper.CHUNK_ENTRIES // curve.n**2)
+    for start in range(0, len(grid), per_chunk):
+        part = grid[start:start + per_chunk]
+        try:
+            values = curve.values(part)
+        except Exception:
+            values = map(curve.value, part)
+        yield from zip(part, values)
+        del values  # not held while the next chunk is computed
+
+
 def perfectness_profile(curve: Curve, grid) -> PerfectnessProfile:
     """`evoalg.is_perfect` of each slice along the grid.
 
     Each sample carries the slice's scaled |det| and sign as the
     singularity gauge reports them.  For real curves the report also says
     whether the determinant sign is constant (it must be along any real
-    curve of nonsingular matrices).
+    curve of nonsingular matrices).  The slices come from `slices`, a
+    chunk of the grid a `Curve.values` call, bit for bit the `value` of
+    each time.
     """
     samples, all_perfect = [], True
-    for t in nonempty(grid):
-        rep = is_perfect(EvolutionAlgebra(curve.value(t)))
+    for t, A in slices(curve, nonempty(grid)):
+        rep = is_perfect(EvolutionAlgebra(A))
         all_perfect = all_perfect and rep.perfect
         samples.append(PerfectnessSample(float(t), rep.scaled_abs_det, rep.sign))
     signs = {s.sign for s in samples}

@@ -550,7 +550,8 @@ def expm_times(X, ts):
     below n = _STACK_BELOW_N the scaled arguments, each power and the
     approximants of up to `_stepper.CHUNK_ENTRIES` / n**2 groups come from
     one stacked call each, each slice the unstacked call's result bit for
-    bit; from there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
+    bit, for a C-contiguous X (a block of an F-ordered or strided X goes
+    one group at a time); from there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
     more than one block takes every other block on one helper thread when
     `_helper_engages` (one BLAS thread, a second usable CPU).  The helper is
     started for the call and joined when the generator finishes or is
@@ -672,9 +673,11 @@ def _block(X, block):
     # the values of a block of groups, in order.  The scaled arguments of several groups of
     # Python-float times and a float64 or complex128 X, their powers and approximants come from
     # one stacked call each, the arguments from one stacked t * X (each slice has that product's
-    # bits) over 2**k; others are taken one at a time
+    # bits) over 2**k, for a C-contiguous X (an F-ordered t * X rounds its products otherwise, at
+    # n = 17 in every stacked exponential); others are taken one at a time
     firsts = [members[0] for members in block]
-    if len(block) > 1 and X.dtype in _FLOAT_DTYPES and all(type(t) is float for _, t, _ in firsts):
+    if (len(block) > 1 and X.dtype in _FLOAT_DTYPES and X.flags.c_contiguous
+            and all(type(t) is float for _, t, _ in firsts)):
         k, t, _ = map(np.array, zip(*firsts))
         powers = _Powers(t[:, None, None] * X / np.ldexp(1.0, k)[:, None, None])
         keys, chains, strays = [], [], []
@@ -796,7 +799,7 @@ def det_gauge(M) -> DetGauge:
     inversion all decide through it.
     """
     M = as_matrix(M)
-    scale = np.max(np.abs(M))  # |det| of M / scale is scale-invariant
+    scale = _MAX(np.abs(M), axis=None)  # `np.max` without its wrapper: |det| of M / scale is scale-invariant
     d = np.linalg.det(M / scale) if scale != 0.0 else 0.0
     scaled_abs_det = float(abs(d))
     nonsingular = scaled_abs_det > SINGULAR_TOL

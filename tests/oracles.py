@@ -27,7 +27,12 @@ one-matrix path formed the Pade parts v and u paired and took `ndarray.dot`:
 the helper chain `ReferencePowers` -> `reference_degree` ->
 `reference_approximant` -> `reference_pade` (v and u one at a time) ->
 `reference_square`, every product an `@`, kept as the reference for those
-changes' bits.
+changes' bits.  `per_time_perfectness_profile` and the CLI handlers
+`per_time_curve_eval`, `per_time_markov_semigroup` and `per_time_flow_orbit`
+are `curves.perfectness_profile` and `cli`'s `curve-eval`, `markov-semigroup`
+and `flow-orbit` as they were with one `value`, `semigroup_at` or `expm` call
+a time: the references for `Curve.values` and its consumers' reports, CSVs
+and peak memory.
 """
 
 import contextlib
@@ -35,9 +40,11 @@ import math
 
 import numpy as np
 
+from evolflow import _stepper, cli, flows, jsonio, lie, markov
 from evolflow._stepper import checked_generator, rk4_step
 from evolflow.errors import DimensionMismatch, NonFiniteInput
-from evolflow.curves import ExpLine, SubgroupReport
+from evolflow.curves import ExpLine, PerfectnessProfile, PerfectnessSample, SubgroupReport
+from evolflow.evoalg import EvolutionAlgebra, is_perfect
 from evolflow.flows import FlowAxiomsReport, flow_apply
 from evolflow.markov import NONNEG_TOL, AxiomsReport, KolmogorovResiduals
 from evolflow.matcore import (_ELL_ROOT, _ELL_UC, _EVEN_POWERS, _STACK_BELOW_N, _THETA, _THETA13_LIMITS,
@@ -385,3 +392,93 @@ def reference_square(E, squarings):
     for _ in range(squarings):
         E = E @ E
     return E
+
+
+def per_time_perfectness_profile(curve, grid):
+    """`evoalg.is_perfect` of each slice along the grid, one `value` call a time."""
+    samples, all_perfect = [], True
+    for t in nonempty(grid):
+        rep = is_perfect(EvolutionAlgebra(curve.value(t)))
+        all_perfect = all_perfect and rep.perfect
+        samples.append(PerfectnessSample(float(t), rep.scaled_abs_det, rep.sign))
+    signs = {s.sign for s in samples}
+    sign_constant = None if None in signs else len(signs) == 1 and 0 not in signs
+    passed = all_perfect and sign_constant is not False
+    return PerfectnessProfile(tuple(samples), all_perfect, sign_constant, passed)
+
+
+def per_time_curve_eval(args):
+    """The `curve-eval` handler with one `value` call a time."""
+    c = jsonio.load_curve(args.curve)
+    grid = cli.parse_grid(args.t)
+    samples, values = [], []
+    for t in grid:
+        A = c.value(t)
+        samples.append({"t": t, "matrix": jsonio.matrix_to_json(A)})
+        values.append(A)
+    payload = {"samples": samples}
+    if args.out:
+        mats = _stepper._stacked(values, c.n)
+        cli._write_samples_csv(args.out, grid, mats, {"det": cli._sample_dets(mats)})
+        payload["csv"] = args.out
+    return "pass", {}, payload
+
+
+def per_time_markov_semigroup(args):
+    """The `markov-semigroup` handler with one `semigroup_at` call a time."""
+    rate = cli._load_rate(args)
+    if args.t_grid:
+        with open(args.t_grid, "r", encoding="utf-8") as fh:
+            grid = cli.parse_grid(fh.read())
+    else:
+        grid = cli.parse_grid(args.t)
+    tr = float(np.trace(rate.Q))
+    sems = [markov.semigroup_at(rate, t) for t in grid]
+    mats = _stepper._stacked([s.matrix for s in sems], rate.n)
+    dets = cli._sample_dets(mats)
+    samples, exps = [], []
+    for s, d in zip(sems, dets):
+        try:
+            e = math.exp(s.t * tr)
+        except OverflowError:
+            e = math.inf
+        samples.append({"t": s.t, "matrix": jsonio.matrix_layout(s.matrix),
+                        "non_markov_range": s.non_markov_range, "det": d, "exp_trace": e})
+        exps.append(e)
+    worst_row = worst(s.row_sum_defect for s in sems)
+    worst_neg = worst(-s.min_entry for s in sems if not s.non_markov_range)
+    payload = {"samples": samples}
+    if args.out:
+        columns = {"row_sum_defect": [s.row_sum_defect for s in sems], "det": dets, "exp_t_trace": exps}
+        cli._write_samples_csv(args.out, [s.t for s in sems], mats, columns)
+        payload["csv"] = args.out
+    ok = worst_row <= 1e-10 and worst_neg <= markov.NONNEG_TOL
+    residuals = {"max_row_sum_defect": worst_row, "max_negative_entry": worst_neg}
+    return ("pass" if ok else "fail"), residuals, payload
+
+
+def per_time_flow_orbit(args):
+    """The `flow-orbit` handler with one `expm` call a time, on either side."""
+    X = jsonio.load_matrix(args.generator)
+    A = jsonio.load_matrix(args.base)
+    group = lie.Group.from_name(args.group, X.shape[0], args.s)
+    grid = sorted(cli.parse_grid(args.grid))
+    fl = flows.Flow(X, group)
+    A = flows.base_point(fl, A, args.tol)
+    times = [0.0, *(t for t in grid if t != 0.0)]
+    if args.side == "right":
+        samples = [(0.0, A.copy()), *((t, A @ expm(t * fl.X)) for t in times[1:])]
+    else:
+        samples = [(t, expm(t * X) @ A) for t in times]
+    samples = sorted(samples, key=lambda p: p[0])
+    residuals = [lie.in_group(M, group, args.tol).residual
+                 if np.isfinite(M).all() else math.nan for _, M in samples]
+    payload = {"n_samples": len(samples)}
+    if args.out:
+        times, mats = zip(*samples)
+        mats = _stepper._stacked(mats, X.shape[0])
+        columns = {"group_residual": residuals, "det": cli._sample_dets(mats)}
+        cli._write_samples_csv(args.out, times, mats, columns)
+        payload["csv"] = args.out
+    top = worst(residuals)
+    return ("pass" if top <= args.tol else "fail"), {"max_group_residual": top}, payload

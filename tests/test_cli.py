@@ -31,8 +31,8 @@ from evolflow.curves import (
 )
 from evolflow.errors import BadGrid
 from evolflow.flows import IntegratorConfig
-from evolflow.matcore import expm, frob_norm
-from oracles import per_step_march
+from evolflow.matcore import expm, expm_times, frob_norm
+from oracles import per_step_march, per_time_curve_eval, per_time_flow_orbit, per_time_markov_semigroup
 
 
 def write(path, obj):
@@ -472,17 +472,17 @@ def test_curve_check_fails_on_a_nan_residual(tmp_path, capsys, check, grid, key)
     assert report["residuals"][key] == "nan"
 
 
-def nan_exponential_at(T, Q):
-    """`expm` that returns all NaN at exp(T Q) and the true value elsewhere."""
-    def patched(X):
-        E = expm(X)
-        return np.full_like(E, np.nan) if np.array_equal(X, T * Q) else E
+def nan_exponentials_at(T, Q):
+    """`expm_times` that yields all NaN for exp(T Q) and the true values elsewhere."""
+    def patched(X, ts):
+        for t, E in expm_times(X, ts):
+            yield t, (np.full_like(E, np.nan) if np.array_equal(t * X, T * Q) else E)
     return patched
 
 
 def test_markov_semigroup_does_not_pass_a_nan_exponential(monkeypatch, tmp_path, capsys):
     Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    monkeypatch.setattr("evolflow.markov.expm", nan_exponential_at(0.5, Q))
+    monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(0.5, Q))
     out = tmp_path / "semigroup.csv"
     code, report, err = invoke(capsys, "markov-semigroup", "--lambda", "1", "--t", "0:1:0.25",
                                "--out", str(out))
@@ -499,12 +499,13 @@ def test_markov_semigroup_does_not_pass_a_nan_exponential(monkeypatch, tmp_path,
     assert rows[3][:5] == ["0.5", "nan", "nan", "nan", "nan"]
 
 
-@pytest.mark.parametrize("side, binding", [("right", "evolflow.flows.expm"), ("left", "evolflow.cli.expm")])
+@pytest.mark.parametrize("side, binding", [("right", "evolflow.flows.expm_times"),
+                                           ("left", "evolflow.cli.expm_times")])
 def test_flow_orbit_does_not_pass_a_nan_orbit_point(monkeypatch, tmp_path, capsys, side, binding):
     X = np.array([[0.0, 1.0], [-1.0, 0.0]])
     gen = write(tmp_path / "x.json", jsonio.matrix_to_json(X))
     base = write(tmp_path / "a.json", {"n": 2, "real": [[1.0, 0.0], [0.0, 1.0]]})
-    monkeypatch.setattr(binding, nan_exponential_at(0.5, X))
+    monkeypatch.setattr(binding, nan_exponentials_at(0.5, X))
     out = tmp_path / "orbit.csv"
     code, report, err = invoke(
         capsys, "flow-orbit", "--generator", gen, "--base", base, "--group", "so",
@@ -1102,3 +1103,92 @@ def test_the_cli_process_writes_one_stderr_line(tmp_path, name):
     proc = subprocess.run([sys.executable, "-m", "evolflow.cli", *_stderr_case(tmp_path, name)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == _expected_outcome(name)
+
+
+# ---------------------------------------------------------------------------
+# grid commands against their per-time references, byte for byte
+
+REPEATS = "[-1.0, 0.5, -0.0, 0.25, 0.5, 0.0, 1.0, -0.5, 0.25]"
+
+
+def corpus_files(tmp_path):
+    """The curve, matrix and rate files of the byte-identity corpus, by name."""
+    rng = np.random.default_rng(31)
+    curves_ = {
+        "exp3": ExpLine(np.eye(3) + 0.1 * rng.normal(size=(3, 3)), 0.5 * rng.normal(size=(3, 3))),
+        "exp2c": ExpLine(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))),
+        "exp17": ExpLine(rng.normal(size=(17, 17)), rng.normal(size=(17, 17)) / 4.0),
+        "exp_big": ExpLine(np.eye(2), 10.0 * rng.normal(size=(2, 2))),  # 1e308 t X overflows
+        "tangent": TangentInduced(np.eye(2) + 0.1 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))),
+        "numeric": Numeric(np.eye(3), MatrixFunction([(AffineArg("sin", 1.3, 0.2), rng.normal(size=(3, 3))),
+                                                      (Poly((0.1, 0.5)), rng.normal(size=(3, 3)))]), 0.07, 1.5),
+        "numeric_c": Numeric(np.eye(2), MatrixFunction([(AffineArg("cos"), rng.normal(size=(2, 2)) * 1j)]), 0.1, 1.2),
+        "so2": So2(),
+        "flip_flop": FlipFlop(0.7),
+        "heisenberg_exp": HeisenbergExp(AffineArg("sin"), Poly((0.0, 1.0)), 2.0),
+    }
+    files = {name: write(tmp_path / f"{name}.json", jsonio.curve_to_json(c)) for name, c in curves_.items()}
+    Q = rng.uniform(0.0, 1.0, size=(4, 4))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    files["rate4"] = write(tmp_path / "rate4.json", jsonio.matrix_to_json(Q))
+    S = rng.normal(size=(3, 3))
+    files["so3_gen"] = write(tmp_path / "so3_gen.json", jsonio.matrix_to_json(S - S.T))
+    files["so3_base"] = write(tmp_path / "so3_base.json", jsonio.matrix_to_json(expm(0.3 * (S.T - S))))
+    files["so3_big"] = write(tmp_path / "so3_big.json", jsonio.matrix_to_json(10.0 * (S - S.T)))
+    files["eye3"] = write(tmp_path / "eye3.json", jsonio.matrix_to_json(np.eye(3)))
+    (tmp_path / "grid.txt").write_text("-0.5:1:0.25")
+    files["grid_txt"] = str(tmp_path / "grid.txt")
+    return files
+
+
+GRID_COMMANDS = {
+    # name: (subcommand, its per-time reference, argv with {file} placeholders, exit code)
+    **{f"curve-eval-{c}-{g}": ("curve-eval", per_time_curve_eval, ["--curve", f"{{{c}}}", "--t", grid, "--out"], 0)
+       for c in ("exp3", "exp2c", "exp17", "tangent", "numeric", "numeric_c", "so2", "flip_flop", "heisenberg_exp")
+       for g, grid in (("range", "-1:1:0.125"), ("repeats", REPEATS))},
+    "curve-eval-numeric-beyond-horizon": ("curve-eval", per_time_curve_eval,
+                                          ["--curve", "{numeric}", "--t", "[0.5, 2.0, 0.7]"], 2),
+    "curve-eval-exp-overflow": ("curve-eval", per_time_curve_eval,
+                                ["--curve", "{exp_big}", "--t", "[0.5, 1e308, 1e307]"], 2),
+    "markov-semigroup-lambda": ("markov-semigroup", per_time_markov_semigroup,
+                                ["--lambda", "1.5", "--t", "-1:2:0.25", "--out"], 0),
+    "markov-semigroup-rate-repeats": ("markov-semigroup", per_time_markov_semigroup,
+                                      ["--rate", "{rate4}", "--t", REPEATS, "--out"], 0),
+    "markov-semigroup-grid-file": ("markov-semigroup", per_time_markov_semigroup,
+                                   ["--rate", "{rate4}", "--t-grid", "{grid_txt}", "--out"], 0),
+    "markov-semigroup-exp-trace-overflow": ("markov-semigroup", per_time_markov_semigroup,
+                                            ["--lambda", "1", "--t", "[-1000, 0, 1]", "--out"], 1),
+    "markov-semigroup-overflow": ("markov-semigroup", per_time_markov_semigroup,
+                                  ["--lambda", "10", "--t", "[0.5, 1e308, 1e307]"], 2),
+    **{f"flow-orbit-{side}-{g}": ("flow-orbit", per_time_flow_orbit,
+                                  ["--generator", "{so3_gen}", "--base", "{so3_base}", "--group", "so",
+                                   "--grid", grid, "--side", side, "--out"], 0)
+       for side in ("right", "left") for g, grid in (("range", "-2:2:0.1"), ("repeats", REPEATS))},
+    **{f"flow-orbit-{side}-overflow": ("flow-orbit", per_time_flow_orbit,
+                                       ["--generator", "{so3_big}", "--base", "{eye3}", "--group", "so",
+                                        "--grid", "[0.5, 1e308]", "--side", side], 2)
+       for side in ("right", "left")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_COMMANDS))
+def test_grid_commands_equal_their_per_time_references_byte_for_byte(monkeypatch, tmp_path, capsys, name):
+    command, reference, template, code = GRID_COMMANDS[name]
+    files = corpus_files(tmp_path)
+    out = tmp_path / "samples.csv"
+    argv = [command, *(a.format(**files) for a in template)]
+    if argv[-1] == "--out":
+        argv.append(str(out))
+
+    def outputs():
+        code = run(argv)
+        captured = capsys.readouterr()
+        csv_bytes = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, csv_bytes
+
+    got = outputs()
+    monkeypatch.setitem(cli._HANDLERS, command, reference)
+    assert got == outputs()
+    assert got[0] == code

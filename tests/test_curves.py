@@ -29,7 +29,7 @@ from evolflow.curves import (
 )
 from evolflow.errors import DimensionMismatch, HorizonExceeded, NonFiniteInput, SingularMatrix, WrongVariant
 from evolflow.matcore import expm, frob_norm
-from oracles import per_pair_subgroup_report, taylor_expm
+from oracles import per_pair_subgroup_report, per_time_perfectness_profile, taylor_expm
 
 GRID = [-2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0]
 
@@ -529,6 +529,66 @@ def test_perfectness_sign_of_slices_whose_determinant_underflows(M, sign):
 def test_perfectness_sign_is_none_for_complex_slices():
     prof = perfectness_profile(Constant(np.eye(2) * 1j), [0.0])
     assert prof.samples[0].sign is None and prof.sign_constant is None and prof.passed
+
+
+@pytest.mark.parametrize("curve", [
+    ExpLine(np.eye(3) + 0.1, 0.5 * np.random.default_rng(49).normal(size=(3, 3))),
+    TangentInduced(np.array([[1.0, 0.2], [-0.1, 0.9]]), np.array([[0.3, 1.0], [-0.4, 0.2]])),
+    ExpLine(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.2 + 0.3j, -0.5j], [0.4, -0.1 + 0.2j]])),
+    Numeric(np.eye(2), MatrixFunction([(AffineArg("cos"), np.array([[0.0, 1.0], [-1.0, 0.0]]))]), 0.05, 2.0),
+    So2(),
+], ids=["exp-line", "tangent", "singular-complex", "numeric", "so2"])
+@pytest.mark.parametrize("chunk", [None, 1, 4], ids=["one-chunk", "time-chunks", "four-time-chunks"])
+def test_perfectness_profile_equals_the_per_time_reference(monkeypatch, curve, chunk):
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 21)] + [0.5, -0.0, 0.0, 0.5]
+    if chunk is not None:
+        monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * curve.n**2)
+    assert repr(perfectness_profile(curve, grid)) == repr(per_time_perfectness_profile(curve, grid))
+
+
+def test_exp_line_values_keep_a_complex_time_apart_from_its_equal_real_time():
+    # 1 + 0j == 1.0 as a key, but its t X is complex
+    curve = ExpLine(np.eye(2), np.array([[0.3, -1.0], [0.5, 0.1]]))
+    ts = [1.0, 1 + 0j, np.float32(0.5), 0.5, True, 1]
+    for got, t in zip(curve.values(ts), ts):
+        want = curve.value(t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_perfectness_profile_raises_at_the_first_failing_slice_as_a_per_time_loop():
+    # exp(100) overflows A0 @ E at t = 10, an earlier slice than the time whose t X overflows
+    curve = ExpLine(np.array([[1e300]]), np.array([[10.0]]))
+    grid = [0.5, 10.0, 1e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput, match="^structure matrix has non-finite entries$"):
+            per_time_perfectness_profile(curve, grid)
+        with pytest.raises(NonFiniteInput, match="^structure matrix has non-finite entries$"):
+            perfectness_profile(curve, grid)
+        with pytest.raises(NonFiniteInput, match="^matrix has non-finite entries$"):
+            curve.values(grid)  # the grid's own first failure
+
+
+def test_perfectness_profile_holds_one_chunk_of_slices_at_a_time():
+    # 2 * 10**4 times at n = 5 go CHUNK_ENTRIES / 25 = 2621 a `values` call: beyond the samples it
+    # returns, the profile holds about what one chunk of the grid takes (6.3 MB, and 6.1-6.4 MB on
+    # the whole grid), at most twice that; the whole grid in one call held 51 MB
+    rng = np.random.default_rng(50)
+    curve = ExpLine(np.eye(5) + rng.normal(size=(5, 5)) / 8, 0.5 * rng.normal(size=(5, 5)))
+    grid = [float(t) for t in np.linspace(-2.0, 2.0, 20_000)]
+
+    def beyond_the_result(grid):
+        tracemalloc.start()
+        try:
+            profile = perfectness_profile(curve, grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return profile, peak - held
+
+    profile, extra = beyond_the_result(grid)
+    _, one_chunk_extra = beyond_the_result(grid[:_stepper.CHUNK_ENTRIES // 25])
+    assert extra <= 2 * one_chunk_extra
+    assert profile.samples[::499] == per_time_perfectness_profile(curve, grid[::499]).samples
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,22 @@
 `markov.axioms_report` must give the report of `oracles.per_call_axioms_report`
 on drawn rate matrices and grids; the evolution operator must be the
 transpose of the structure matrix and `evo_mul` commutative, both bit for
-bit; and every curve variant must survive its JSON round trip with
-bit-identical values.  Skipped when hypothesis is not installed.
+bit; every curve variant must survive its JSON round trip with
+bit-identical values; and every variant's `values(ts)` and `curves.slices`
+must be its `value(t)` at each time, bit for bit, or raise as the first
+failing `value` call does.  Skipped when hypothesis is not installed.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from evolflow import jsonio
+from evolflow import _stepper, jsonio
 from evolflow.curves import (AFFINE_ARG_KINDS, AffineArg, AffineLine, Constant, ExpLine, FlipFlop,
                              Heisenberg, HeisenbergExp, Lorentz11, MatrixFunction, Numeric, Poly,
-                             Sl2Iwasawa, So2, TangentInduced)
+                             Sl2Iwasawa, So2, TangentInduced, slices)
 from evolflow.evoalg import EvolutionAlgebra, evo_mul, evolution_operator
 from evolflow.markov import RateMatrix, axioms_report
 from oracles import per_call_axioms_report
@@ -101,8 +104,11 @@ def test_evo_mul_is_commutative(data, A):
 
 
 @st.composite
-def curves(draw, variant):
+def curves(draw, variant, complex_terms=False):
+    """A curve of the variant; a numeric one's generator terms are complex when `complex_terms` is
+    true (drawn when it is None)."""
     n = draw(st.integers(1, 3))
+    complex_terms = draw(st.booleans()) if complex_terms is None else complex_terms
     M = lambda: draw(matrices(n=n))  # noqa: E731
     near_identity = lambda: np.eye(n) + draw(matrices(n=n, complex_=False)) / (4 * n)  # noqa: E731
     three = lambda: [draw(scalar_functions) for _ in range(3)]  # noqa: E731
@@ -119,7 +125,7 @@ def curves(draw, variant):
         "flip_flop": lambda: FlipFlop(draw(st.floats(0.01, 5.0))),
         "numeric": lambda: Numeric(
             near_identity(),
-            MatrixFunction(draw(st.lists(st.tuples(scalar_functions, matrices(n=n, complex_=False)),
+            MatrixFunction(draw(st.lists(st.tuples(scalar_functions, matrices(n=n, complex_=complex_terms)),
                                          min_size=1, max_size=3))),
             h=draw(st.floats(0.05, 0.25)), horizon=draw(st.floats(0.5, 1.0))),
     }
@@ -139,3 +145,43 @@ def test_curve_json_round_trip_keeps_every_value(variant):
             assert got.tobytes() == want.tobytes()
 
     round_trip()
+
+
+# ---------------------------------------------------------------------------
+# a curve at a grid of times
+
+
+def outcome(evaluate):
+    """Each matrix's dtype and bytes, or the type and message of what raised."""
+    try:
+        return [(A.dtype, A.shape, A.tobytes()) for A in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# times a curve may fail at: outside a numeric curve's horizon, NaN or infinite
+# everywhere, and +-1e308 overflows an ExpLine's t X when an entry of X exceeds 1.8
+FAILING_TIMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 3.0]
+
+
+@pytest.mark.parametrize("variant", sorted(jsonio.CURVE_VARIANTS))
+def test_values_are_value_at_each_time_bit_for_bit(variant):
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(data=st.data(), c=curves(variant, complex_terms=None))
+    def values_at_times(data, c):
+        points = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.5, 0.5))
+        if isinstance(c, Numeric):  # nodes, and times a node apart
+            points = st.one_of(points, st.integers(-5, 5).map(lambda k: k * c.h))
+        ts = data.draw(st.lists(points, min_size=1, max_size=10).flatmap(
+            lambda ts: st.lists(st.sampled_from(ts), min_size=len(ts), max_size=12)))
+        if data.draw(st.booleans()):  # one or two failing times anywhere in the grid
+            for bad in data.draw(st.lists(st.sampled_from(FAILING_TIMES), min_size=1, max_size=2)):
+                ts.insert(data.draw(st.integers(0, len(ts))), bad)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            # expm_times blocks and `slices` chunks of one to five times
+            mp.setattr(_stepper, "CHUNK_ENTRIES", data.draw(st.integers(1, 5)) * c.n**2)
+            want = outcome(lambda: [c.value(t) for t in ts])
+            assert outcome(lambda: c.values(ts)) == want
+            assert outcome(lambda: [A for _, A in slices(c, ts)]) == want
+
+    values_at_times()

@@ -8,7 +8,7 @@ import pytest
 
 from evolflow import _stepper, matcore
 from evolflow.curves import ExpLine, FlipFlop, check_one_parameter_subgroup
-from evolflow.errors import NegativeOffDiagonal, RowSumNonzero, SubsetTooSmall
+from evolflow.errors import NegativeOffDiagonal, NonFiniteInput, RowSumNonzero, SubsetTooSmall
 from evolflow.lie import Algebra, Group, in_algebra, in_group
 from evolflow.markov import (
     StationaryDistribution,
@@ -20,6 +20,7 @@ from evolflow.markov import (
     kolmogorov_residuals,
     random_rate_matrix,
     semigroup_at,
+    semigroup_samples,
     truncate_reversible,
     validate_rate,
 )
@@ -109,6 +110,28 @@ def test_markov_window_for_nonnegative_time():
             s = semigroup_at(rate, t)
             assert s.min_entry >= -1e-12
             assert s.row_sum_defect <= 1e-10
+
+
+def sample_bits(s):
+    return s.t, s.matrix.dtype, s.matrix.tobytes(), s.non_markov_range, s.min_entry, s.row_sum_defect
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 31, 32])
+def test_semigroup_samples_are_semigroup_at_bit_for_bit(n):
+    rate = random_rate_matrix(n, n)
+    grid = [-1.5, 0.0, -0.0, 0.25, 0.25, 1.0, 3.0, 40.0, 1, -0.25]
+    got = semigroup_samples(rate, grid)
+    assert [type(s.t) for s in got] == [float] * len(grid)
+    assert [sample_bits(s) for s in got] == [sample_bits(semigroup_at(rate, t)) for t in grid]
+
+
+def test_semigroup_samples_raise_at_an_overflowing_time_as_semigroup_at():
+    rate = flip_flop_rate(10.0)
+    with pytest.raises(NonFiniteInput) as want, np.errstate(over="ignore"):
+        semigroup_at(rate, 1e308)
+    with pytest.raises(NonFiniteInput) as got:
+        semigroup_samples(rate, [0.5, 1e308, math.inf])
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +246,9 @@ _CK_CASES = {
 }
 
 
+# `axioms_report` no longer reads CHUNK_ENTRIES, but its one `expm_times` call does: below n = 32
+# the chunks of 1 and 7 n^2 entries take one and up to seven groups of times a stacked block, where
+# one chunk stacks every group of the grid and its sums in one call
 @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["one-chunk", "pair-chunks", "seven-pair-chunks"])
 @pytest.mark.parametrize("case", sorted(_CK_CASES))
 def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk):
@@ -232,7 +258,7 @@ def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk)
     stages = []
     norms = matcore.frob_norms
     monkeypatch.setattr(matcore, "frob_norms", lambda M: stages.append(len(M)) or norms(M))
-    if chunk is not None:  # chunks of 1 and 7 pairs
+    if chunk is not None:  # blocks of 1 and 7 groups of times
         monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk * n * n)
     assert repr(axioms_report(rate, grid)) == repr(want)
     # pair by pair at every n: no stacked norm stage
@@ -259,7 +285,7 @@ def nan_exponentials_at(T, Q):
 def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
     rate = random_rate_matrix(3, 11)
     monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(T, rate.Q))
-    for chunk in (_stepper.CHUNK_ENTRIES, 7 * 9, 9):  # Chapman-Kolmogorov pairs in one, 7 and 1 a stage
+    for chunk in (_stepper.CHUNK_ENTRIES, 7 * 9, 9):  # expm_times blocks of every group, 7 groups and 1
         monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk)
         rep = axioms_report(rate, GRID)
         assert not rep.passed

@@ -170,6 +170,24 @@ def test_det_gauge_encoding():
     assert det_gauge(np.eye(2).astype(complex)) == (True, 1.0, 1)
 
 
+@pytest.mark.parametrize("M", [
+    np.random.default_rng(5).normal(size=(5, 5)),
+    np.random.default_rng(5).normal(size=(4, 4)) + 1j * np.random.default_rng(6).normal(size=(4, 4)),
+    np.array([[1.0, np.nan], [-3.0, 2.0]]),
+    np.array([[np.nan, 1j], [-3.0, 2.0 + np.nan * 1j]]),
+    np.array([[-0.0, 0.0], [-0.0, -0.0]]),
+    np.array([[-0.0, -2.5], [2.5, -0.0]]),
+    np.asfortranarray(np.random.default_rng(7).normal(size=(3, 3))),
+], ids=["real", "complex", "nan", "complex-nan", "signed-zeros", "signed-zeros-and-ties", "fortran"])
+def test_det_gauge_scale_is_np_max_bit_for_bit(M):
+    # `det_gauge` reduces |M| with the ufunc reduction that `np.max` calls, without its wrapper
+    want, got = np.max(np.abs(M)), matcore._MAX(np.abs(M), axis=None)
+    assert type(got) is type(want) and repr(got) == repr(want)
+    if np.isfinite(M).all():  # a NaN entry fails validation first
+        d = np.linalg.det(M / want) if want != 0.0 else 0.0
+        assert repr(det_gauge(M).scaled_abs_det) == repr(float(abs(d)))
+
+
 @pytest.mark.parametrize("M, sign", [
     (0.01 * np.eye(200), 1),
     (1e-110 * np.eye(3), 1),
@@ -713,6 +731,21 @@ def test_expm_times_is_expm_bit_for_bit(n, kind, scale):
     if kind == "complex":
         X = X + 1j * rng.normal(size=(n, n))
     assert_expm_times_is_expm(scale * X, TIMES)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 31])
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_expm_times_is_expm_bit_for_bit_on_an_x_not_in_c_order(n, layout):
+    # an F-ordered t * X rounds its products otherwise than a stacked C-ordered one (at n = 17 every
+    # nonzero time of TIMES differed when its blocks stacked), so only a C-ordered X stacks
+    X = np.random.default_rng(n).normal(size=(n, n))
+    if layout == "fortran":
+        X = np.asfortranarray(X)
+    else:
+        wide = np.zeros((n, 2 * n))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+    assert_expm_times_is_expm(X, TIMES)
 
 
 @pytest.mark.parametrize("n", [50, 100, 200, 300])

@@ -137,6 +137,25 @@ def test_numeric_table_of_f_ordered_values_is_bit_identical_to_the_per_step_loop
     assert_same_bytes(c._table, bwd_m[::-1] + fwd_m[1:])
 
 
+@pytest.mark.parametrize("n", [2, 3, 17])
+@pytest.mark.parametrize("complex_terms", [False, True])
+@pytest.mark.parametrize("kind", ["matrix_function", "lambda"])
+def test_numeric_values_are_one_checked_step_off_each_node(kind, complex_terms, n):
+    # one stacked step for the off-node times (a real A0 among complex nodes steps one at a
+    # time), each slice the one-step call's bits; node times give copies of their nodes
+    fun = generators(n=n, complex_terms=complex_terms)[kind]
+    A0 = np.eye(n) + 0.05 / n
+    c = Numeric(A0, fun, h=H, horizon=T)
+    node_ts, node_ms = list(c._ts), c._table
+    gen = checked_generator(fun, n)
+    ts = [-1.3699, 0.0004, -0.0, node_ts[7], 0.5123, -0.0101, 0.0004, 0.0, T, 1e-13, -T - 1e-13]
+    for t, got in zip(ts, c.values(ts)):
+        k = max((i for i, s in enumerate(node_ts) if s <= t), default=0)  # -T - 1e-13 steps off -T
+        want = node_ms[k] if t == node_ts[k] else rk4_step(node_ms[k], node_ts[k], t - node_ts[k], gen)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("complex_terms", [False, True])
 @pytest.mark.parametrize("kind", ["matrix_function", "lambda"])
 def test_numeric_value_between_nodes_is_one_checked_step_off_its_node(kind, complex_terms):

@@ -31,6 +31,9 @@ from .errors import DimensionMismatch, NonFiniteGenerator
 # entries) add bounded memory however many steps they take.  A stacked RK4
 # step holds about five block-sized arrays at once.  At 2 MB they left the
 # cache: marching at n = 60 took 165 us a step, not 132 (2-core Xeon, 1 thread).
+# A chunk of CHUNK_ENTRIES / n^2 times (`curves.slices`, an `expm_times` block)
+# holds more at small n: 5.6-6.4 MB at n = 5 and 16.4 MB at n = 2 (tracemalloc,
+# `perfectness_profile`), mostly per-time tuples and per-group lists, not entries.
 CHUNK_ENTRIES = 1 << 16
 
 

@@ -626,10 +626,11 @@ def slices(curve: Curve, grid):
     """Yield (t, A(t)) for each t of the grid, in order, from `Curve.values`.
 
     The grid goes `_stepper.CHUNK_ENTRIES` / n^2 times a call, so a caller
-    that keeps only scalars of each slice holds bounded memory.  A call that
-    raises is taken again one `value` call a time, so the first failing
-    time raises only once the slices before it have reached the caller,
-    as in a loop over `value`.
+    that keeps only scalars of each slice holds one chunk's matrices and,
+    more at small n, their Python records (1-2 KB a time; see
+    `CHUNK_ENTRIES`).  A call that raises is taken again one `value` call a
+    time, so the first failing time raises only once the slices before it
+    have reached the caller, as in a loop over `value`.
     """
     per_chunk = max(1, _stepper.CHUNK_ENTRIES // curve.n**2)
     for start in range(0, len(grid), per_chunk):

@@ -23,7 +23,8 @@ pair, the reference for the stacked stage's results and peak memory.
 a grid pair, and `per_time_plan` is `matcore._plan` as it was with one
 t * X a time: the references for the stacked residual stage and the
 stacked plan.  `reference_expm` is `matcore.expm` as it was before its
-one-matrix path formed the Pade parts v and u paired and took `ndarray.dot`:
+one-matrix path took `ndarray.dot` and formed the Pade parts v and u
+together, from one stack of its powers:
 the helper chain `ReferencePowers` -> `reference_degree` ->
 `reference_approximant` -> `reference_pade` (v and u one at a time) ->
 `reference_square`, every product an `@`, kept as the reference for those

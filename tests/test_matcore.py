@@ -1441,8 +1441,9 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
 
 
 # ---------------------------------------------------------------------------
-# the exponential's bits against the reference helper chain (`oracles.reference_expm`):
-# paired Pade parts, `_matmul`'s `ndarray.dot` and the one-matrix path below n = 32 change no bit
+# the exponential's bits against the reference helper chain (`oracles.reference_expm`): `_matmul`'s
+# `ndarray.dot` and the one-matrix path below n = 32, its powers in one stack and v's and u's sums
+# from one multiply and one reduction, change no bit
 
 
 BATTERY_NS = [*range(1, 32), 32, 64, 100, 300]
@@ -1466,8 +1467,9 @@ def _expm_outcome(f):
 
 def battery(rng, n, complex_):
     """Matrices of order n for the reference battery: random ones at each of BATTERY_NORMS, a
-    non-normal one whose ell adds halvings, and one with -0.0 and subnormal entries, each C- and
-    F-ordered and as a strided view."""
+    non-normal one whose ell adds halvings, one with -0.0 and subnormal entries and, complex at
+    n = 2, one whose result's signs of zero hang on the Pade identity terms, each C- and F-ordered,
+    as a strided view and as an unaligned copy, which `expm` takes unhalved without copying it."""
     def draw():
         X = rng.normal(size=(n, n))
         return X + 1j * rng.normal(size=(n, n)) if complex_ else X
@@ -1482,17 +1484,34 @@ def battery(rng, n, complex_):
     if complex_:
         Z.imag[rng.random(Z.shape) < 0.3] = -0.0
     Xs.append(Z)
+    if complex_ and n == 2:  # exp's (2, 1) entry is -0.0 unless b_0 I and b_1 I reach every entry of v and u
+        Xs.append(np.array([[-1 - 0.5j, -1 - 1j], [complex(-0.0, 0.0), 0.5 + 0.5j]]))
     for X in Xs:
         wide = np.zeros((n, 2 * n), dtype=X.dtype)
         wide[:, ::2] = X
-        yield from (X, np.asfortranarray(X), wide[:, ::2])
+        unaligned = np.frombuffer(bytearray(X.nbytes + 1), X.dtype, X.size, offset=1).reshape(n, n)
+        unaligned[...] = X
+        yield from (X, np.asfortranarray(X), wide[:, ::2], unaligned)
 
 
 @pytest.mark.parametrize("n", BATTERY_NS)
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_expm_is_the_reference_chain_bit_for_bit(n, complex_):
+def test_expm_is_the_reference_chain_bit_for_bit(monkeypatch, n, complex_):
+    # every branch of the one-matrix path: unhalved, halved with the approximant's argument as it
+    # is and halved with `_approximant` rescaling it by 2**a, a > 0 (never at n = 1, where each
+    # power's 1-norm is the 1-norm's power); and `expm_times`' blocks of one group, which take it
+    rescaled, approximant = [], matcore._approximant
+
+    def recorded(W, m, a, rows=None):
+        rescaled.append(bool(np.any(np.asarray(a) > 0)))  # a stacked call's a is an array
+        return approximant(W, m, a, rows)
+
+    monkeypatch.setattr(matcore, "_approximant", recorded)
     for X in battery(np.random.default_rng([n, complex_]), n, complex_):
         assert_same_outcome(lambda: expm(X), lambda: reference_expm(X))
+        for t, E in expm_times(X, [1.0, 2.0] if n < matcore._STACK_BELOW_N else []):  # 2.0 X: one more halving
+            assert E.tobytes() == reference_expm(t * X).tobytes()
+    assert False in rescaled and (True in rescaled) is (n > 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 32, 64])
@@ -1508,13 +1527,15 @@ def test_expm_times_is_the_reference_chain_bit_for_bit(n, complex_):
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
-@pytest.mark.parametrize("n", [1, 2, 5, 32])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 31, 32])
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_pade_is_the_reference_pade_on_one_matrix_and_on_a_stack(m, n, complex_):
     rng = np.random.default_rng([m, n, complex_])
     S = rng.normal(size=(6, n, n)) + (1j * rng.normal(size=(6, n, n)) if complex_ else 0.0)
     S *= (matcore._THETA[m] * rng.uniform(0.3, 1.0, size=6) / [one_norm(A) for A in S])[:, None, None]
     S[1] = np.triu(S[1])  # a zero lower triangle in every power
+    S[2][rng.random((n, n)) < 0.3] = -0.0
+    S[2][rng.random((n, n)) < 0.2] = 3e-320
     W = ReferencePowers(S).arguments(m)
     stacked = matcore._pade(W[0], W[1:], m)
     for i, A in enumerate(S):
@@ -1522,6 +1543,11 @@ def test_pade_is_the_reference_pade_on_one_matrix_and_on_a_stack(m, n, complex_)
         want = reference_pade(powers[0], powers[1:], m).tobytes()
         assert matcore._pade(powers[0], powers[1:], m).tobytes() == want
         assert stacked[i].tobytes() == want
+        # the powers as one (h, n, n) stack, as `expm` passes them, with A F-ordered and strided
+        wide = np.zeros((n, 2 * n), dtype=A.dtype)
+        wide[:, ::2] = A
+        for B in (np.asfortranarray(A), wide[:, ::2]):
+            assert matcore._pade(B, np.array(powers[1:]), m).tobytes() == reference_pade(B, powers[1:], m).tobytes()
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
@@ -1549,6 +1575,19 @@ def test_expm_is_the_reference_chain_on_a_one_by_one_complex_underflow(z):
         assert expm(X).tobytes() == reference_expm(X).tobytes()
 
 
+def test_the_identity_terms_stay_read_only_and_unchanged():
+    # `_pade13_identity` hands every one-matrix approximant below n = 32 the same array
+    rng = np.random.default_rng(24)
+    for n in range(1, matcore._STACK_BELOW_N):
+        for dtype in (np.dtype(float), np.dtype(complex)):
+            X = rng.normal(size=(n, n)).astype(dtype)
+            for nrm in (1.0, 9.0):  # unhalved and halved
+                expm(X * (nrm / one_norm(X)))
+            eye = matcore._pade13_identity(n, dtype)
+            fresh = matcore._pade13_identity.__wrapped__(n, dtype)
+            assert not eye.flags.writeable and eye.dtype == dtype and eye.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("a", _AS_MATRIX_INPUTS, ids=_AS_MATRIX_IDS)
 def test_expm_validates_as_the_reference_chain(a):
     with np.errstate(over="raise"):  # neither its 1-norm nor its validation warns
@@ -1556,10 +1595,11 @@ def test_expm_validates_as_the_reference_chain(a):
 
 
 def _coefficient_mutants():
-    # (table, degree, coefficient) of b_0, b_1 and b_2: in `_PADE13_PAIRS`, which one matrix below
-    # n = 32 takes (rows of (v, u) pairs), and in `_PADE_B`, which the others take.  An ulp of
-    # the higher coefficients lies below the result's last bit on most inputs (b_13 = 1 scales
-    # A**13 against b_0 ~ 6e16)
+    # (table, degree, coefficient) of b_0, b_1 and b_2: in the tables of v's and u's coefficients
+    # that one matrix below n = 32 takes ("pairs": b_0 and b_1 in `_pade13_identity`, b_2 in
+    # `_PADE13_TERMS`), and in `_PADE_B`, which the others take.  An ulp of the higher
+    # coefficients lies below the result's last bit on most inputs (b_13 = 1 scales A**13 against
+    # b_0 ~ 6e16)
     return ([("pairs", 13, i) for i in range(3)]
             + [("b", m, i) for m in matcore._PADE_B for i in range(3)])
 
@@ -1574,10 +1614,19 @@ def test_a_coefficient_one_ulp_off_fails_the_battery(monkeypatch, table, m, i):
             X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
             Xs.append(X * (matcore._THETA[m] * side / one_norm(X)))
     assert all(expm(X).tobytes() == reference_expm(X).tobytes() for X in Xs)
-    if table == "pairs":
-        rows = [c.copy() for c in matcore._PADE13_PAIRS]
-        rows[i // 2][i % 2] = np.nextafter(rows[i // 2][i % 2], math.inf)
-        monkeypatch.setattr(matcore, "_PADE13_PAIRS", rows)
+    if table == "pairs" and i < 2:
+        identity = matcore._pade13_identity
+
+        def mutated(n, dtype):
+            eye = identity(n, dtype).copy()
+            eye[i] += np.eye(n) * (np.nextafter(matcore._PADE_B[13][i], math.inf) - matcore._PADE_B[13][i])
+            return eye
+
+        monkeypatch.setattr(matcore, "_pade13_identity", mutated)
+    elif table == "pairs":
+        terms = matcore._PADE13_TERMS.copy()
+        terms[0, 0, 0] = np.nextafter(terms[0, 0, 0], math.inf)  # b_2, of v's A**2
+        monkeypatch.setattr(matcore, "_PADE13_TERMS", terms)
     else:
         b = list(matcore._PADE_B[m])
         b[i] = float(np.nextafter(b[i], math.inf))

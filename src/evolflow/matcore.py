@@ -16,18 +16,18 @@ of the spectral radius, `memo(X, grid)`, the scope of a grid check on
 t -> exp(t X) in which each distinct exponential and membership is computed
 once (the exponentials preloaded from one `expm_times` run), and `worst`,
 the one reduction of a grid check's residuals (`nonempty` refuses none;
-`frob_residuals` takes a chunk of them from one stacked stage, only for
-the subgroup check and `flow_axioms`).
+`frob_residuals` takes a chunk of them from one stacked stage below n = 32,
+only for the subgroup check and `flow_axioms`).
 
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
-call's result bit for bit (one gemm and one LAPACK solve per slice).
-Their products of one matrix go through `_matmul`: `ndarray.dot` where it
-rounds as `@`, n >= 2.  One matrix below n = 32 takes r_13 from one stack
-of its powers and one multiply and reduction (`_pade`), to the bits of the
-term-by-term chain in about half its numpy calls: an unhalved 2 x 2 or 3 x 3
-`expm` took 32 us where it took 42, grid_small's median check 1.34 ms where
-it took 1.65 (2-core x86-64 host, one OpenBLAS thread).
+call's result bit for bit (one gemm and one LAPACK gesv per slice, the
+solve by numpy's gufunc without its Python wrapper).  Products of one
+matrix go through `_matmul`: `ndarray.dot` where it rounds as `@`, n >= 2.
+One matrix below n = 32 takes r_13 from one stack of its powers and one
+multiply and reduction (`_pade`), to the bits of the term-by-term chain;
+grid_small's median check took 1.12 ms where it took 1.28 through the
+wrapper (2-core x86-64 host, one OpenBLAS thread).
 
 All functions are pure and never mutate their arguments.
 """
@@ -283,10 +283,11 @@ def stacked(matrices):
 
 def frob_residuals(left, right) -> list:
     """`frob_norm(l - r)` of each pair of two chunks of matrices, bit for bit: a stacked difference
-    normed by `frob_norms` when both chunks stack (`stacked`) alike, else pair by pair."""
-    L, R = stacked(left), stacked(right)
-    if type(L) is type(R) is np.ndarray and L.dtype == R.dtype and L.shape == R.shape:
-        return frob_norms(L - R).tolist()
+    normed by `frob_norms` when both chunks stack (`stacked`) alike below n = 32, else pair by pair."""
+    if len(left) and len(left[0]) < _STACK_BELOW_N:
+        L, R = stacked(left), stacked(right)
+        if type(L) is type(R) is np.ndarray and L.dtype == R.dtype and L.shape == R.shape:
+            return frob_norms(L - R).tolist()
     return [frob_norm(a - b) for a, b in zip(left, right)]
 
 
@@ -368,8 +369,8 @@ def _squarings(nrm: float) -> int:
     return 0 if nrm <= _THETA[13] else _halvings(nrm, 1, 0, _THETA13_LIMITS[1])
 
 
-# the reductions of `one_norm`, without the method wrappers
-_SUM, _MAX = np.add.reduce, np.maximum.reduce
+# the reductions of `one_norm`, without the method wrappers; LAPACK's gesv gufunc, `_pade`'s solve
+_SUM, _MAX, _gesv = np.add.reduce, np.maximum.reduce, np.linalg._umath_linalg.solve
 
 
 def _matmul(a, b, out=None) -> np.ndarray:
@@ -507,7 +508,11 @@ def _pade(A, powers, m) -> np.ndarray:
     reduction (`_PADE13_TERMS`), then adds A**6 @ inner and b_0 I, b_1 I,
     each sum as the term-by-term chain rounds it; others form u, then v.  A
     may be a (k, n, n) stack with its powers' stacks: each slice is then
-    what its own call gives, bit for bit.
+    what its own call gives, bit for bit.  The solve is `np.linalg.solve`'s
+    gufunc (`_gesv`: the loop it names for float64 or complex128 operands of
+    one dtype) without the wrapper's Python and errstate, which only makes a
+    singular matrix's invalid flag LinAlgError (the gufunc clears the other
+    flags): q_m(A) with ||A||_1 <= theta_m is well conditioned (Higham 2005).
     """
     if m == 13 and A.ndim == 2 and A.shape[-1] < _STACK_BELOW_N:
         E = np.asarray(powers)
@@ -523,7 +528,7 @@ def _pade(A, powers, m) -> np.ndarray:
     P = V - U
     V += U  # V + U in V's place: one matrix fewer held through the solve
     del U
-    return np.linalg.solve(P, V)
+    return _gesv(P, V)
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -349,9 +350,13 @@ def _pair_chunks(rng, n, k):
     "real", "complex", "one-pair", "mixed-dtype", "fortran", "transposed", "mixed-shape", "stacked-right",
     "non-finite",
 ])
-def test_frob_residuals_are_frob_norm_of_each_difference_bit_for_bit(case):
+def test_frob_residuals_are_frob_norm_of_each_difference_bit_for_bit(case, monkeypatch):
+    stacks = []
+    norms = matcore.frob_norms
+    monkeypatch.setattr(matcore, "frob_norms", lambda M: stacks.append(M.shape[-1]) or norms(M))
     rng = np.random.default_rng(15)
-    for n in (1, 2, 5, 31, 40):
+    ns = (1, 2, 5, 31, 32, 40, 64)
+    for n in ns:
         left, right = _pair_chunks(rng, n, 1 if case == "one-pair" else 6)
         if case == "complex":
             left = [L + 1j * R for L, R in zip(left, right)]
@@ -371,6 +376,11 @@ def test_frob_residuals_are_frob_norm_of_each_difference_bit_for_bit(case):
             got = matcore.frob_residuals(left, right)
             want = [frob_norm(L - R) for L, R in zip(left, right)]
         assert type(got) is list and np.array(got).tobytes() == np.array(want).tobytes()
+    # chunks that stack alike (a 1 x 1 matrix is C-contiguous in any layout) take the stacked
+    # stage below n = 32, and go pair by pair from there
+    stacking = {"real", "complex", "stacked-right", "non-finite"}
+    assert stacks == [n for n in ns if n < matcore._STACK_BELOW_N
+                      and (case in stacking or n == 1 and case in ("fortran", "transposed"))]
 
 
 def test_frob_residuals_stack_only_chunks_that_stack_alike(monkeypatch):
@@ -464,15 +474,16 @@ X_MEMO = np.array([[0.3, -1.2], [0.7, 0.1]])
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Padé solves taken so far: one per expm that computes a nonzero input."""
+    """Padé solves taken so far: one per expm that computes a nonzero input, counted at the
+    LAPACK binding `matcore._pade` solves through."""
     calls = []
-    solve = np.linalg.solve
+    solve = matcore._gesv
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(matcore, "_gesv", counted)
     return calls
 
 
@@ -1632,3 +1643,103 @@ def test_a_coefficient_one_ulp_off_fails_the_battery(monkeypatch, table, m, i):
         b[i] = float(np.nextafter(b[i], math.inf))
         monkeypatch.setitem(matcore._PADE_B, m, tuple(b))
     assert any(expm(X).tobytes() != reference_expm(X).tobytes() for X in Xs)
+
+
+# ---------------------------------------------------------------------------
+# the Pade solve: LAPACK's gesv gufunc (`matcore._gesv`) without numpy's wrapper, the same bits and
+# the same floating-point reports
+
+
+def _solve_operands(rng, shape, complex_):
+    # a well-conditioned P and a V, with -0.0 and subnormal entries in both
+    n = shape[-1]
+    P, V = (rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0) for _ in range(2))
+    P += n * np.eye(n)
+    for M in (P, V):
+        M[rng.random(shape) < 0.2] = -0.0
+        M[rng.random(shape) < 0.1] = 3e-320
+        if complex_:
+            M.imag[rng.random(shape) < 0.2] = -0.0
+    P[..., range(n), range(n)] = n + 1.0  # subnormal off-diagonal entries only
+    return P, V
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 31, 32, 64, 300])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_gesv_is_numpys_solve_bit_for_bit_on_one_matrix_and_on_a_stack(n, complex_):
+    rng = np.random.default_rng([n, complex_, 25])
+    for shape in ((n, n), (2 if n == 300 else 5, n, n)):
+        P, V = _solve_operands(rng, shape, complex_)
+        got, want = matcore._gesv(P, V), np.linalg.solve(P, V)
+        assert got.dtype == want.dtype == P.dtype and got.tobytes() == want.tobytes()
+
+
+def test_gesv_raises_no_flag_that_numpys_wrapper_hides():
+    # the gufunc clears the overflow, underflow and division flags its elimination raises; only a
+    # singular matrix reports (invalid), which numpy's wrapper turns into LinAlgError, so `inv` and
+    # `stochastic_affine_embed` keep `np.linalg.solve`
+    systems = [
+        (np.array([[1e-300, 0.0], [0.0, 1.0]]), np.array([[1e300, 1.0], [1.0, 1.0]])),  # overflows
+        (np.array([[1e300, 0.0], [0.0, 1.0]]), np.array([[1e-300, 1.0], [1.0, 1.0]])),  # underflows
+        (np.array([[1.0, 1e-200], [1e-200, 1.0]]), np.array([[1e-200, 0.0], [0.0, 1.0]])),
+        (np.array([[1.0, 3e-320], [-3e-320, 1.0]]) + 0j, np.array([[3e-320j, -0.0], [1.0, 1.0]])),
+    ]
+    for P, V in systems:
+        with np.errstate(all="ignore"):
+            want = np.linalg.solve(P, V)
+        with np.errstate(all="raise"):
+            assert matcore._gesv(P, V).tobytes() == want.tobytes()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+        matcore._gesv(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.zeros((2, 2)), np.eye(2))
+
+
+def _reported(fn, errors):
+    # what fn() raises, or its warnings in order, under the numpy error settings `errors`
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**errors):
+        warnings.simplefilter("always")
+        try:
+            fn()
+        except FloatingPointError as exc:
+            return [("raised", str(exc))]
+    return [(w.category.__name__, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("errors", ["warn", "raise"])
+def test_tiny_arguments_report_only_from_products_as_through_numpys_solve(monkeypatch, n, errors):
+    # tiny and subnormal arguments underflow in their products (and their solves in elimination);
+    # `expm` and `expm_times` (one stacked block below n = 32) report the same events as through
+    # numpy's wrapper, none of them from the solve
+    rng = np.random.default_rng([n, 25])
+    Z = rng.normal(size=(n, n)) * 1e-310
+    Z[rng.random((n, n)) < 0.3] = -0.0
+    cases = [rng.normal(size=(n, n)) * 1e-160, rng.normal(size=(n, n)) * 1e-310, Z, Z * 1j + Z.T]
+    runs = [lambda X=X: expm(X) for X in cases] + [lambda X=X: dict(expm_times(X, [0.5, 1.0, 2.0])) for X in cases]
+    got = [_reported(run, {"all": errors}) for run in runs]
+    monkeypatch.setattr(matcore, "_gesv", np.linalg.solve)
+    assert got == [_reported(run, {"all": errors}) for run in runs]
+    assert all(events for events in got)  # each underflows somewhere
+    assert not any("solve" in message for events in got for _, message in events)
+
+
+@pytest.mark.parametrize("errors", [{}, {"under": "warn"}, {"all": "ignore"}], ids=["default", "under-warn", "ignore"])
+def test_memo_preloads_tiny_arguments_as_through_numpys_solve(monkeypatch, errors):
+    # the preload runs under the strict form of the caller's settings; the solve adds no event
+    X = np.random.default_rng(25).normal(size=(3, 3)) * 1e-310
+    X[0, 1] = -0.0
+
+    def entries():
+        with np.errstate(**errors), memo(X, [0.5, 1.0]):
+            return {key[-2]: E.tobytes() for key, E in matcore._MEMO.get().items()}
+
+    got = entries()
+    monkeypatch.setattr(matcore, "_gesv", np.linalg.solve)
+    assert got == entries()
+    # under the default settings, 0.0 and -0.0 and the nonzero times 0.5, 1.0, 1.5 and 2.0, each
+    # expm(t * X)'s bits; with underflow reported the preload stores nothing
+    assert len(got) == (0 if errors == {"under": "warn"} else 6)
+    if not errors:
+        with np.errstate(under="ignore"):
+            assert set(got.values()) == {expm(t * X).tobytes() for t in (0.0, 0.5, 1.0, 1.5, 2.0)}

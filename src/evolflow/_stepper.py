@@ -32,8 +32,9 @@ from .errors import DimensionMismatch, NonFiniteGenerator
 # step holds about five block-sized arrays at once.  At 2 MB they left the
 # cache: marching at n = 60 took 165 us a step, not 132 (2-core Xeon, 1 thread).
 # A chunk of CHUNK_ENTRIES / n^2 times (`curves.slices`, an `expm_times` block)
-# holds more at small n: 5.6-6.4 MB at n = 5 and 16.4 MB at n = 2 (tracemalloc,
-# `perfectness_profile`), mostly per-time tuples and per-group lists, not entries.
+# holds more at small n: 4.1, 4.0 and 4.7 MB beyond its results at n = 5, 3 and 2
+# (tracemalloc, `perfectness_profile`): about six block-sized stacks of
+# `expm_times` (products, powers, Pade parts), and two Python arrays a time.
 CHUNK_ENTRIES = 1 << 16
 
 

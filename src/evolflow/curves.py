@@ -627,10 +627,11 @@ def slices(curve: Curve, grid):
 
     The grid goes `_stepper.CHUNK_ENTRIES` / n^2 times a call, so a caller
     that keeps only scalars of each slice holds one chunk's matrices and,
-    more at small n, their Python records (1-2 KB a time; see
-    `CHUNK_ENTRIES`).  A call that raises is taken again one `value` call a
-    time, so the first failing time raises only once the slices before it
-    have reached the caller, as in a loop over `value`.
+    beyond them, about 4-5 MB at n = 2-5: `expm_times`' block-sized stacks
+    and two Python arrays a time (see `CHUNK_ENTRIES`).  A call that raises
+    is taken again one `value` call a time, so the first failing time
+    raises only once the slices before it have reached the caller, as in a
+    loop over `value`.
     """
     per_chunk = max(1, _stepper.CHUNK_ENTRIES // curve.n**2)
     for start in range(0, len(grid), per_chunk):

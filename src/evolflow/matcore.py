@@ -1,23 +1,25 @@
 """Dense real/complex matrix kernel.
 
-Matrices throughout the library are plain numpy arrays, square, with finite
-entries, dtype float64 for real data and complex128 otherwise.  Ordinary
-arithmetic (products, sums, scaling, transposes, traces) is numpy's own;
-this module adds the pieces everything else is built on: validation, the
-matrix exponential (its Pade degree and halvings chosen from the norms of
-the powers it forms, after Al-Mohy & Higham; also at many times, planned a
-stacked block of t * X at a time, the times of one scaled argument sharing
-its powers and, with one degree and halving count, one Pade approximant,
-taken by one executor a block of groups at a time: stacked at small n, one
-group a block from n = 32, and at large n under a one-thread BLAS every
-other block on a second thread), the determinant gauge behind every
-nonsingularity and determinant-sign decision, a guaranteed upper estimate
-of the spectral radius, `memo(X, grid)`, the scope of a grid check on
-t -> exp(t X) in which each distinct exponential and membership is computed
-once (the exponentials preloaded from one `expm_times` run), and `worst`,
-the one reduction of a grid check's residuals (`nonempty` refuses none;
-`frob_residuals` takes a chunk of them from one stacked stage below n = 32,
-only for the subgroup check and `flow_axioms`).
+Matrices throughout the library are plain numpy arrays, square, with
+finite entries, dtype float64 for real data and complex128 otherwise.
+Ordinary arithmetic (products, sums, scaling, transposes, traces) is
+numpy's own; this module adds the pieces everything else is built on:
+validation, the matrix exponential (its Pade degree and halvings chosen
+from the norms of the powers it forms, after Al-Mohy & Higham; also at
+many times: below n = 32 a stacked block of times as arrays, one row a
+time from the 1-norms to the squarings, where the Python that shares work
+between times costs more than the work; from n = 32 on, and for blocks
+that do not stack, the times of one scaled argument sharing its powers
+and, with one degree and halving count, one Pade approximant, one group at
+a time, and at large n under a one-thread BLAS every other block on a
+second thread), the determinant gauge behind every nonsingularity and
+determinant-sign decision, a guaranteed upper estimate of the spectral
+radius, `memo(X, grid)`, the scope of a grid check on t -> exp(t X) in
+which each distinct exponential and membership is computed once (the
+exponentials preloaded from one `expm_times` run), and `worst`, the one
+reduction of a grid check's residuals (`nonempty` refuses none;
+`frob_residuals` takes a chunk of them from one stacked stage below
+n = 32, only for the subgroup check and `flow_axioms`).
 
 The Pade helpers `_Powers`, `_pade` and `_square` take one matrix or a
 (k, n, n) stack; each slice of a stacked result equals the unstacked
@@ -79,6 +81,10 @@ _EVEN_POWERS = {3: 1, 5: 2, 7: 3, 9: 4, 13: 3}
 _PADE13_TERMS = np.reshape(_PADE_B[13][2:], (2, 3, 2, 1, 1))
 # theta_13**k, the bounds on ||A**k||_1 of the halvings, as `_halvings` limits
 _THETA13_LIMITS = {k: math.frexp(_THETA[13] ** k) for k in (1, 4, 6, 8, 10)}
+# the powers k and limits of eta's four `_halvings` (d_4, d_8's (||A**6|| ||A**2||)**(1/8), d_6, d_10), as
+# columns: a stack's are one `_halvings_of` call
+_ETA_POWERS = np.array([[4], [8], [6], [10]])
+_ETA_LIMITS = tuple(np.array([[_THETA13_LIMITS[k][i]] for k in (4, 8, 6, 10)]) for i in (0, 1))
 # u / |c_27|, c_27 the leading coefficient of r_13's backward error series:
 # ell(A, 13) adds halvings while ||(|A|)**27||_1 |c_27| / ||A||_1 exceeds u;
 # its 26th root bounds the ||A||_1 with ell = 0, as a `_halvings` limit
@@ -150,7 +156,9 @@ def memoized(fn):
     nothing.  Array results are handed out as copies, so callers own them.
     Outside a scope, and for a call with a keyword argument, a matrix of a
     non-numeric dtype or an unhashable argument, the function runs as if
-    undecorated.
+    undecorated.  A call builds its key in the wrapper's own body, one call
+    frame less a lookup (grid_small's `flow_axioms` makes 60 528 of them a
+    round); `_memo_key` builds the same key for `memo`'s preload.
     """
 
     @functools.wraps(fn)
@@ -158,9 +166,10 @@ def memoized(fn):
         table = _MEMO.get()
         if table is None or not args or kwargs:
             return fn(*args, **kwargs)
-        key = _memo_key(fn, args)
-        if key is None:
+        M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
+        if M.dtype.kind not in "biufc":
             return fn(*args, **kwargs)
+        key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])  # `_memo_key`, built in place
         try:
             result = table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
@@ -337,7 +346,7 @@ def _exponential(A, nrm, squarings):
         _matmul(A2, A4, A6)
         return _pade(A, E, 13)
     powers = _Powers(A)
-    m, s = _degree(powers, 0, nrm, squarings)
+    m, s = _degree(powers, nrm, squarings)
     return _square(_approximant(powers.arguments(m, release=True), m, squarings - s), s)
 
 
@@ -392,10 +401,10 @@ class _Powers:
     of |A|**27 are what the one-matrix call gives, bit for bit.
     """
 
-    __slots__ = ("A", "W", "_norms", "_abs_norms")
+    __slots__ = ("A", "W")
 
     def __init__(self, A):
-        self.A, self.W, self._norms, self._abs_norms = A, [A], None, None
+        self.A, self.W = A, [A]
 
     def even(self, h):
         """[A**2, ..., A**(2h)], for h up to 4, each formed with the ones before it."""
@@ -404,13 +413,11 @@ class _Powers:
             W.append(_matmul(W[k // 2], W[k - k // 2]) if k > 1 else _matmul(W[0], W[0]))
         return W[1:h + 1]
 
-    def norms(self, i):
-        """(||A**2||_1, ||A**4||_1, ||A**6||_1) of slice i (0 for one matrix), each power's for all
-        slices from one reduction."""
-        if self._norms is None:
-            norms = [_MAX(_SUM(np.abs(P), axis=-2), axis=-1) for P in self.even(3)]  # `one_norm`s
-            self._norms = np.array(norms).T.reshape(-1, 3).tolist()
-        return self._norms[i]
+    def norms(self):
+        """[||A**2||_1, ||A**4||_1, ||A**6||_1]: floats for one matrix, (k,) arrays for a stack, each
+        power's for all slices from one reduction."""
+        norms = [_MAX(_SUM(np.abs(P), axis=-2), axis=-1) for P in self.even(3)]  # `one_norm`s
+        return norms if self.A.ndim == 3 else [float(p) for p in norms]
 
     def arguments(self, m, release=False):
         """[A, A**2, ..., A**(2h)], as r_m takes them; with `release` no longer held here, so that
@@ -422,19 +429,19 @@ class _Powers:
             self.A = self.W = None
         return W
 
-    def abs_norm(self, i):
-        """||(|A|)**27||_1 of slice i, all slices' from the same 27 vector products 1^T |A|**k."""
-        if self._abs_norms is None:
-            B = np.abs(self.A)
-            v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
-            for _ in range(27):
-                v = _matmul(v, B)
-            self._abs_norms = _MAX(v, axis=-1).reshape(-1).tolist()
-        return self._abs_norms[i]
+    def abs_norm(self):
+        """||(|A|)**27||_1: a float for one matrix, a (k,) array for a stack, all slices' from the same
+        27 vector products 1^T |A|**k."""
+        B = np.abs(self.A)
+        v = np.ones((*B.shape[:-2], 1, B.shape[-1]))
+        for _ in range(27):
+            v = _matmul(v, B)
+        v = _MAX(v, axis=-1).reshape(-1)
+        return v if B.ndim == 3 else float(v[0])
 
 
-def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
-    """(m, s) for Y with ||Y||_1 = nrm, whose Y / 2**squarings is slice i of `powers`.
+def _degree(powers, nrm, squarings) -> tuple[int, int]:
+    """(m, s) for Y with ||Y||_1 = nrm, whose Y / 2**squarings is the matrix of `powers`.
 
     From n = _STACK_BELOW_N on the smallest of degrees 3 to 9 with nrm <=
     theta_m, where Al-Mohy & Higham's d_j = ||Y**j||_1**(1/j) <= nrm and
@@ -450,8 +457,9 @@ def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
     out: with their ell they cost more than the products they save (a 2 x 2
     upper triangular matrix of 1-norm 4.2 took 60 us with them, at degree
     7, against 34 us at degree 13; 2-core x86-64 host, one OpenBLAS thread).
-    Every comparison is exact (`_halvings`), so the choice depends on slice
-    i and nrm alone.
+    Every comparison is exact (`_halvings`), so the choice depends on the
+    matrix and nrm alone; `_row_halvings` makes the same comparisons for
+    each slice of a stack.
     """
     if powers.A.shape[-1] >= _STACK_BELOW_N:
         for m in (3, 5, 7, 9):
@@ -459,7 +467,7 @@ def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
                 return m, 0
     if nrm <= _THETA[13]:  # then eta_5 <= nrm and ell(Y, 13) = 0
         return 13, 0
-    (p2, p4, p6), limits = powers.norms(i), _THETA13_LIMITS
+    (p2, p4, p6), limits = powers.norms(), _THETA13_LIMITS
     d8 = min(_halvings(p4, 4, squarings, limits[4]), _halvings(p6 * p2, 8, squarings, limits[8]))
     eta3 = max(_halvings(p6, 6, squarings, limits[6]), d8)
     eta4 = max(d8, _halvings(p4 * p6, 10, squarings, limits[10]))
@@ -468,15 +476,41 @@ def _degree(powers, i, nrm, squarings) -> tuple[int, int]:
         return 13, s
     mantissa, exponent = math.frexp(nrm)
     mantissa, shift = math.frexp(_ELL_UC * mantissa)  # u / |c_27| ||Y||_1
-    return 13, max(s, _halvings(powers.abs_norm(i), 26, squarings, (mantissa, shift + exponent - squarings)))
+    return 13, max(s, _halvings(powers.abs_norm(), 26, squarings, (mantissa, shift + exponent - squarings)))
 
 
-def _approximant(W, m, a, rows=None) -> np.ndarray:
-    # r_m(2**a A) from W = `_Powers.arguments(m)` of one matrix, or of the slices `rows` of a (k,
-    # n, n) stack (None for every slice in order) with an array a, one each.  The scaled argument
-    # and its powers are A's times exact powers of two (none for a = 0), each put in W's place
-    if rows is not None:
-        W = [P[rows] for P in W]
+def _halvings_of(q, k, e, limit) -> np.ndarray:
+    # `_halvings` of each entry of a float array q, on int64 arrays: k, e and limit's mantissa and
+    # exponent may be arrays that broadcast against q
+    mantissa, exponent = np.frexp(q)
+    s = (exponent.astype(np.int64) + k * e - limit[1] + (mantissa > limit[0]) + k - 1) // k
+    return np.where(q != 0.0, s, _ANY)
+
+
+def _row_halvings(powers, nrm, squarings) -> np.ndarray:
+    # `_degree`'s s of each slice of a (k, n, n) stack below n = _STACK_BELOW_N, every degree 13: the
+    # slices Y / 2**squarings with ||Y||_1 = nrm, nrm and squarings (k,) arrays; the same
+    # comparisons, exact on each slice's mantissas and exponents
+    halved = squarings > 0  # exactly where nrm > theta_13
+    if not halved.any():
+        return np.zeros_like(squarings)
+    p2, p4, p6 = powers.norms()
+    h4, h8, h6, h10 = _halvings_of(np.array([p4, p6 * p2, p6, p4 * p6]), _ETA_POWERS, squarings, _ETA_LIMITS)
+    d8 = np.minimum(h4, h8)
+    s = np.where(halved, np.maximum(np.minimum(np.maximum(h6, d8), np.maximum(d8, h10)), 0), 0)
+    ell = np.flatnonzero(halved & (_halvings_of(nrm, 1, 0, _ELL_ROOT) > s))  # the exact norm's rows
+    if len(ell):
+        mantissa, exponent = np.frexp(nrm[ell])
+        mantissa, shift = np.frexp(_ELL_UC * mantissa)
+        limit = (mantissa, shift.astype(np.int64) + exponent - squarings[ell])
+        s[ell] = np.maximum(s[ell], _halvings_of(_Powers(powers.A[ell]).abs_norm(), 26, squarings[ell], limit))
+    return s
+
+
+def _approximant(W, m, a) -> np.ndarray:
+    # r_m(2**a A) from W = `_Powers.arguments(m)` of one matrix, or of a (k, n, n) stack with an
+    # array a, one each.  The scaled argument and its powers are A's times exact powers of two
+    # (none for a = 0), each put in W's place
     if a.any() if isinstance(a, np.ndarray) else a:
         if isinstance(a, np.ndarray):  # numpy's ldexp takes int64 exponents 15 times slower
             a = a.astype(np.int32)[:, None, None]
@@ -566,43 +600,50 @@ def expm_times(X, ts):
     """Yield (t, expm(t * X)) for each distinct t of ts, bit for bit.
 
     Times are deduplicated as dict keys are (0.0 and -0.0 are one time, the
-    first is kept) and grouped by their scaled argument t*X / 2**k, with k
-    the halvings of ||t X||_1 to theta_13 (`_squarings`), exactly as `expm`
-    forms it.  The times that share a scaled argument (2t beside t above
-    theta_13, 2**-k for k up to k + 1), each confirmed with
-    `np.array_equal`, share its powers; each takes its own degree and
-    halvings by `expm`'s rule (`_degree`), and those with one degree and
-    one power of two 2**a of their approximant's argument share one Pade
-    approximant, read off one squaring chain, so no result differs from
-    `expm(t * X)` in any bit.  Each yielded matrix is the caller's own.
+    first is kept); each yielded matrix is the caller's own.  Below
+    n = _STACK_BELOW_N a block of two to `_block_rows(n)` Python-float
+    times, for a C-contiguous float64 or complex128 X, is computed as
+    arrays, one row a time (`_rows`): the 1-norms, halvings k, scaled
+    arguments t*X / 2**k, their powers, degree-13 halvings s
+    (`_row_halvings`: `_degree`'s exact comparisons) and approximants
+    r_13(2**(k - s) A) each from one stacked call, then the squarings level
+    by level; such a block yields its times in order, first.  2t beside t
+    above theta_13 takes a row of its own: at n = 2-5 finding them cost
+    more Python a time than the approximant they would share (at n = 20-31
+    with many such times, rows cost more).
 
-    The groups are taken a block of `_block_rows(n)` at a time (`_block`):
-    below n = _STACK_BELOW_N the scaled arguments, each power and the
-    approximants of up to `_stepper.CHUNK_ENTRIES` / n**2 groups come from
-    one stacked call each, each slice the unstacked call's result bit for
-    bit, for a C-contiguous X (a block of an F-ordered or strided X goes
-    one group at a time); from there on a block is one group.  From n = _PARALLEL_MIN_N on, a call with
-    more than one block takes every other block on one helper thread when
-    `_helper_engages` (one BLAS thread, a second usable CPU).  The helper is
-    started for the call and joined when the generator finishes or is
-    closed; it runs under the caller's numpy error settings, and what it
-    raises is raised here.  The values and their order are the same either
-    way.
+    The other times (from n = 32 on, an F-ordered or strided X, other types
+    of time, numpy reporting underflow) are grouped by their scaled argument,
+    exactly as `expm` forms it.  The times that share one (2t beside t above
+    theta_13, 2**-k for k up to k + 1), each confirmed with
+    `np.array_equal`, share its powers, and those with one degree and one
+    power of two 2**a of their approximant's argument (`_degree`) share one
+    Pade approximant, read off one squaring chain; there a product costs
+    more than the Python that shares it (a four-time `axioms_report` grid
+    and its sums at n = 100 take 10-11 approximants for 14 times).  The
+    groups go one at a time (`_block`), a block of `_block_rows(n)` at a
+    time.  From n = _PARALLEL_MIN_N on, a call with more than one block
+    takes every other block on one helper thread when `_helper_engages`
+    (one BLAS thread, a second usable CPU).  The helper is started for the
+    call and joined when the generator finishes or is closed; it runs under
+    the caller's numpy error settings, and what it raises is raised here.
+    The values and their order are the same either way.
 
     Every time is validated before the first yield: a non-finite t * X, or
     one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
-    as `expm` does, without numpy's overflow warning; below n = 32 a stacked
-    block of Python-float times at a time, for a C-contiguous float64 or
-    complex128 X.  The generator holds one block's powers and approximants
-    and one squaring chain; two at a time, it also holds the later block's
-    values and the helper's work in progress.
+    as `expm` does, without numpy's overflow warning.  The generator holds
+    one stacked block's arrays and values, or one group's powers and one
+    squaring chain; two at a time, it also holds the later block's values
+    and the helper's work in progress.
     """
     X = np.asarray(X)
     yield from _exponentials(X, *_plan(X, ts))
 
 
-def _exponentials(X, zeros, families):
+def _exponentials(X, stacks, zeros, families):
     # the values of a `_plan`, in `expm_times`' order
+    for block, nrm in stacks:
+        yield from _rows(X, block, nrm)
     for t, dtype in zeros:
         yield t, np.eye(X.shape[0], dtype=dtype)
     # each group's members (s, t), in the order their approximants are taken
@@ -687,7 +728,7 @@ def _helper_engages() -> bool:
 
 
 def _block_rows(n: int) -> int:
-    # the groups of one `expm_times` block, whose scaled arguments, powers and approximants stack
+    # the times of one stacked `expm_times` block (`_rows`), or the groups of one block of groups
     if n >= _STACK_BELOW_N:
         return 1
     return _stepper.CHUNK_ENTRIES // (n * n)
@@ -700,68 +741,83 @@ def _scaled(X, squarings, t):
 
 
 def _block(X, block):
-    # the values of a block of groups, in order.  The scaled arguments of several groups of
-    # Python-float times and a float64 or complex128 X, their powers and approximants come from
-    # one stacked call each, the arguments from one stacked t * X (each slice has that product's
-    # bits) over 2**k, for a C-contiguous X (an F-ordered t * X rounds its products otherwise, at
-    # n = 17 in every stacked exponential); others are taken one at a time
-    firsts = [members[0] for members in block]
-    if (len(block) > 1 and X.dtype in _FLOAT_DTYPES and X.flags.c_contiguous
-            and all(type(t) is float for _, t, _ in firsts)):
-        k, t, _ = map(np.array, zip(*firsts))
-        powers = _Powers(t[:, None, None] * X / np.ldexp(1.0, k)[:, None, None])
-        keys, chains, strays = [], [], []
-        for g, members in enumerate(block):
-            for key, chain in _chains(X, powers, g, members).items():
-                if key is None:
-                    strays += chain
-                else:
-                    keys.append((g, *key))
-                    chains.append(chain)
-        rows, _, a = map(np.array, zip(*keys))  # every degree 13 below _STACK_BELOW_N
-        approximants = _approximant(powers.arguments(13, release=True), 13, a,
-                                    None if len(rows) == len(block) else rows)
-        for E, chain in zip(approximants, chains):
-            yield from _chain(E.copy(), chain)  # each the caller's own
-        yield from strays
-        return
+    # the values of a block of groups, in order, one group at a time
     for members in block:
         powers = _Powers(_scaled(X, *members[0][:2]))
-        chains = _chains(X, powers, 0, members)
+        chains = _chains(X, powers, members)
         yield from chains.pop(None, [])
         for j, ((m, a), chain) in enumerate(chains.items(), 1):  # the last releases the powers
             yield from _chain(_approximant(powers.arguments(m, release=j == len(chains)), m, a), chain)
 
 
-def _chains(X, powers, g, members):
-    # the members (k, t, ||t X||_1) of a group, whose first member's scaled argument A is slice g of
-    # `powers` (g = 0 for one matrix), by the (m, a) of their approximant r_m(2**a A): each member's
-    # (m, s) from `_degree`, a = k - s.  A member whose t*X / 2**k is not A is computed on its own,
-    # its (t, value) under the key None
-    A = powers.A[g] if powers.A.ndim == 3 else powers.A
+def _chains(X, powers, members):
+    # the members (k, t, ||t X||_1) of a group, whose first member's scaled argument A is the matrix
+    # of `powers`, by the (m, a) of their approximant r_m(2**a A): each member's (m, s) from
+    # `_degree`, a = k - s.  A member whose t*X / 2**k is not A is computed on its own, its (t,
+    # value) under the key None
     chains = {}
     for j, (k, t, nrm) in enumerate(members):
         if j:
             At = _scaled(X, k, t)
-            if not np.array_equal(At, A):
+            if not np.array_equal(At, powers.A):
                 chains.setdefault(None, []).append((t, _exponential(At, nrm, k)))
                 continue
             del At
-        m, s = _degree(powers, g, nrm, k)
+        m, s = _degree(powers, nrm, k)
         chains.setdefault((m, k - s), []).append((s, t))
     return chains
 
 
+def _rows(X, block, nrm):
+    # the values of a stacked block of times (`_plan`), in order: each nonzero time one row, as
+    # `expm` takes it (every degree 13 below _STACK_BELOW_N), each step for every row in one call;
+    # sorted by their halvings s, the rows still to square are a prefix of the stack
+    live = nrm > 0.0
+    if live.any():
+        nrm = nrm[live]
+        k = np.maximum(_halvings_of(nrm, 1, 0, _THETA13_LIMITS[1]), 0)  # `_squarings`
+        powers = _Powers(np.array(block)[live, None, None] * X / np.ldexp(1.0, k)[:, None, None])
+        s = _row_halvings(powers, nrm, k)
+        E = _approximant(powers.arguments(13, release=True), 13, k - s)
+        if s.any():
+            order = np.argsort(-s)
+            S, s = E[order], s[order]
+            for j in range(int(s[0])):
+                rows = np.count_nonzero(s > j)
+                S[:rows] = _matmul(S[:rows], S[:rows])
+            E[order] = S  # back in the times' order
+        E = iter(E)
+    for t, nonzero in zip(block, live.tolist()):
+        yield t, next(E).copy() if nonzero else np.eye(len(X), dtype=X.dtype)  # each the caller's own
+
+
 def _plan(X, ts, keys=None):
-    # validate every distinct time; sort the nonzero ones into families (one mantissa of t) of
-    # groups (one exponent of t minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1); with
-    # `keys`, put expm(t * X)'s `_memo_key` in keys[t].  Blocks of times stack while numpy ignores
-    # underflow, which a stacked t * X does not report
-    zeros, families, times = [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
+    # validate every distinct time, a block of `_block_rows(n)` times at a time; with `keys`, put
+    # expm(t * X)'s `_memo_key` in keys[t].  A block of several Python-float times whose 1-norms
+    # are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is t * X,
+    # bit for bit), while numpy ignores underflow, which a stacked t * X does not report (one time
+    # is cheaper on `expm`'s own path, the stack's fixed cost left out).  The other times are
+    # validated one t * X a time, so the first failing one raises as `expm` does, and sorted into
+    # zeros and families (one mantissa of t) of groups (one exponent of t minus k, the halvings of
+    # ||t X||_1) of (k, t, ||t X||_1)
+    stacks, zeros, families, times = [], [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
     rows = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
             and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
     for start in range(0, len(times), rows):
-        for t, Y, nrm in _planned(X, times[start:start + rows], rows > 1):
+        block = times[start:start + rows]
+        if len(block) > 1 and all(type(t) is float for t in block):
+            with np.errstate(all="ignore"):
+                P = np.array(block)[:, None, None] * X
+                nrm = _MAX(_SUM(np.abs(P), axis=1), axis=1)  # `one_norm` of each slice
+            if np.isfinite(nrm).all():  # then so is every entry
+                if keys is not None:
+                    keys.update(zip(block, (_memo_key(_expm_kernel, (Y,)) for Y in P)))
+                stacks.append((block, nrm))
+                continue
+        for t in block:
+            with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
+                Y = t * X
+                nrm = _scaling_norm(as_matrix(Y))
             if keys is not None:
                 keys[t] = _memo_key(_expm_kernel, (Y,))
             if not nrm:
@@ -770,25 +826,7 @@ def _plan(X, ts, keys=None):
             k = _squarings(nrm)
             mantissa, exponent = math.frexp(t)
             families.setdefault(mantissa, {}).setdefault(exponent - k, []).append((k, t, nrm))
-    return zeros, families
-
-
-def _planned(X, block, stacks):
-    # (t, t * X, ||t X||_1) of each time: from one stacked t * X (a slice is t * X, bit for bit) when
-    # `stacks`, the times are Python floats and the 1-norms finite; else one t * X a time, so the
-    # first failing time raises as `expm` does
-    if stacks and all(type(t) is float for t in block):
-        with np.errstate(all="ignore"):
-            P = np.array(block)[:, None, None] * X
-            nrm = np.abs(P).sum(axis=1).max(axis=1)  # `one_norm` of each slice
-        if np.isfinite(nrm).all():  # then so is every entry
-            yield from zip(block, P, nrm.tolist())
-            return
-    for t in block:
-        with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
-            Y = t * X
-            nrm = _scaling_norm(as_matrix(Y))
-        yield t, Y, nrm
+    return stacks, zeros, families
 
 
 def _chain(E, members):

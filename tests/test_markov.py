@@ -189,10 +189,11 @@ def test_axioms_share_one_exponential_memo(monkeypatch, pade):
     assert all(X is rate.Q for X, _ in calls)
     assert set(calls[0][1]) == sums
     assert calls[1][1] == [2.0**-k for k in range(1, 21)]
-    # one approximant per distinct scaled argument: the 60 nonzero distinct
-    # times of the grid and sums have 44 (2t beside t shares one where 2t is
-    # halved), the 20 sweep times have 20 (none is halved)
-    assert len(pade) == 44 + 20
+    # one approximant row per nonzero distinct time, each stacked block below n = 32 taking its
+    # own: the 60 of the grid and sums repeat 16 arguments (2t beside t where 2t is halved, 44
+    # distinct), the 20 sweep times none, and exp(Q / 2) is computed in both calls
+    assert len(pade) == 60 + 20 and len(set(zip(pade.degrees, pade[:60]))) == 44
+    assert len(set(zip(pade.degrees, pade))) == 44 + 20 - 1
     shared = set(zip(pade.degrees, pade))
     pade.clear()
     assert repr(per_call_axioms_report(rate, grid)) == repr(rep)
@@ -247,8 +248,8 @@ _CK_CASES = {
 
 
 # `axioms_report` no longer reads CHUNK_ENTRIES, but its one `expm_times` call does: below n = 32
-# the chunks of 1 and 7 n^2 entries take one and up to seven groups of times a stacked block, where
-# one chunk stacks every group of the grid and its sums in one call
+# a chunk of 7 n^2 entries stacks seven times a block and one of n^2 none (one time a block, by
+# groups), where one chunk stacks every time of the grid and its sums in one block
 @pytest.mark.parametrize("chunk", [None, 1, 7], ids=["one-chunk", "pair-chunks", "seven-pair-chunks"])
 @pytest.mark.parametrize("case", sorted(_CK_CASES))
 def test_axioms_equal_the_per_call_reference_in_chunks(monkeypatch, case, chunk):
@@ -285,7 +286,7 @@ def nan_exponentials_at(T, Q):
 def test_axioms_fail_on_a_nan_exponential_at_a_grid_time(monkeypatch, T):
     rate = random_rate_matrix(3, 11)
     monkeypatch.setattr("evolflow.markov.expm_times", nan_exponentials_at(T, rate.Q))
-    for chunk in (_stepper.CHUNK_ENTRIES, 7 * 9, 9):  # expm_times blocks of every group, 7 groups and 1
+    for chunk in (_stepper.CHUNK_ENTRIES, 7 * 9, 9):  # expm_times blocks of every time, 7 times and 1
         monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", chunk)
         rep = axioms_report(rate, GRID)
         assert not rep.passed

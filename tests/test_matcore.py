@@ -86,7 +86,7 @@ def test_expm_matches_series_oracle_on_either_side_of_each_degree(n, m, complex_
         Y = X * (matcore._THETA[m] * side / one_norm(X))
         nrm = one_norm(Y)
         k = matcore._squarings(nrm)
-        assert matcore._degree(matcore._Powers(Y / 2.0**k), 0, nrm, k)[0] == degree
+        assert matcore._degree(matcore._Powers(Y / 2.0**k), nrm, k)[0] == degree
         R = taylor_expm(Y)
         assert frob_norm(expm(Y) - R) <= 1e-13 * frob_norm(R)
 
@@ -107,10 +107,10 @@ def test_expm_of_nilpotent_blocks_takes_ells_halvings(monkeypatch, n):
     # halving, and ell(X, 13), read off the exact norm of |X|**27, adds them back
     X = np.kron(np.eye(n // 2), [[100.0, 100.0], [-100.0, -100.0]])
     exact, abs_norm = [], matcore._Powers.abs_norm
-    monkeypatch.setattr(matcore._Powers, "abs_norm", lambda self, i: exact.append(i) or abs_norm(self, i))
+    monkeypatch.setattr(matcore._Powers, "abs_norm", lambda self: exact.append(1) or abs_norm(self))
     nrm = one_norm(X)
     k = matcore._squarings(nrm)
-    m, s = matcore._degree(matcore._Powers(X / 2.0**k), 0, nrm, k)
+    m, s = matcore._degree(matcore._Powers(X / 2.0**k), nrm, k)
     assert exact and m == 13 and 0 < s <= k
     assert frob_norm(expm(X) - (np.eye(n) + X)) <= 1e-14 * frob_norm(np.eye(n) + X)
 
@@ -699,8 +699,8 @@ def assert_expm_times_is_expm(X, ts):
     """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
 
     Checked one block at a time and two at a time (the helper thread forced
-    on at every size), and one at a time with stacked blocks of at most
-    three approximants below _STACK_BELOW_N.
+    on at every size), and one at a time with stacked blocks of three times
+    below _STACK_BELOW_N.
     """
     off, on = (lambda: False), (lambda: True)
     settings = [
@@ -884,6 +884,9 @@ def test_an_overflow_raises_nonfiniteinput_without_a_warning(errors):
 
 
 def test_expm_times_takes_one_pade_approximant_per_distinct_scaled_argument(pade):
+    # a block that does not stack takes one approximant per distinct scaled argument; a stacked
+    # block below n = 32 takes one row per nonzero time, as expm does, though 2t beside t above
+    # theta_13 repeat an argument
     Q = random_rate_matrix(5, 4).Q
     ts = chapman_times([0.25, 0.5, 0.6, 1.5]) + SWEEP
     got = dict(expm_times(Q, ts))
@@ -892,9 +895,15 @@ def test_expm_times_takes_one_pade_approximant_per_distinct_scaled_argument(pade
     for t in got:
         assert got[t].tobytes() == expm(t * Q).tobytes()
     assert len(pade) == len(got) - 1 == 31  # expm: one per nonzero time
-    # expm_times: one per distinct (degree, scaled argument), all of degree 13 below n = 32
-    assert len(scaled) == len(set(scaled)) == 27
+    # expm_times: one row per nonzero time, 27 distinct (degree, scaled argument), all of degree 13
+    assert len(scaled) == 31 and len(set(scaled)) == 27
     assert set(scaled) == set(zip(pade.degrees, pade)) and set(pade.degrees) == {13}
+    pade.clear()
+    with pytest.MonkeyPatch.context() as mp:  # one time a block: no block stacks
+        mp.setattr(_stepper, "CHUNK_ENTRIES", Q.size)
+        assert all(E.tobytes() == got[t].tobytes() for t, E in expm_times(Q, ts))
+    assert len(pade) == len(set(zip(pade.degrees, pade))) == 27
+    assert set(scaled) == set(zip(pade.degrees, pade))
 
 
 def test_the_continuity_sweep_takes_fewer_products_than_degree_13(monkeypatch):
@@ -979,7 +988,7 @@ def test_two_at_a_time_is_expm_from_the_threshold_on(helper_groups, monkeypatch,
         mp.setattr(matcore, "_helper_engages", lambda: False)
         assert [repr(t) for t, _ in got] == [repr(t) for t, _ in expm_times(X, ts)]
     assert len(got) == 7
-    _, families = matcore._plan(X, ts)
+    _, _, families = matcore._plan(X, ts)
     groups = sum(len(family) for family in families.values())
     if n < matcore._PARALLEL_MIN_N:
         assert helper_groups == []
@@ -1078,7 +1087,7 @@ def test_two_at_a_time_holds_two_exponentials_and_two_blocks_of_values(monkeypat
     monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
     Q = random_rate_matrix(64, 3).Q
     ts = [*SWEEP, *chapman_times([0.3, 0.6, 0.7, 1.4])]
-    _, families = matcore._plan(Q, ts)
+    _, _, families = matcore._plan(Q, ts)
     values = max(len(members) for family in families.values() for members in family.values())
     assert len(families) > 1 and values > 1
     dict(expm_times(Q, ts))  # the thread pool's import is not the generator's memory
@@ -1144,19 +1153,20 @@ def pade_stack(rng, n, complex_, squarings):
 
 
 def assert_stacked_helpers_are_per_slice(Xs, norms, squarings, S):
-    # the (m, s) choices of a stacked `_Powers` and every power, 1-norm and norm of |A|**27
-    # behind them equal the one-matrix calls', bit for bit, and so do the approximants of one
-    # stacked call, the last two slices' (unscaled) too; these, each squared its own number of
-    # times, are expm's
+    # the halvings of a stacked `_Powers` (`_row_halvings`, the last two slices taken as unhalved)
+    # and every power, 1-norm and norm of |A|**27 behind them equal the one-matrix calls' (`_degree`),
+    # bit for bit, and so do the approximants of one stacked call, the last two slices' (unscaled)
+    # too; these, each squared its own number of times, are expm's
     stacked, alone, chosen = matcore._Powers(S), [matcore._Powers(A.copy()) for A in S], []
     with np.errstate(all="ignore"):  # the last slice overflows alike in both forms
+        rows = matcore._row_halvings(stacked, np.array([*norms, 0.0, 0.0]), np.array([*squarings, 0, 0]))
+        stacked_norms, stacked_abs_norms = np.array(stacked.norms()), stacked.abs_norm()
         for i, (nrm, k) in enumerate(zip(norms, squarings)):
-            m, s = matcore._degree(alone[i], 0, nrm, k)
-            assert matcore._degree(stacked, i, nrm, k) == (m, s) and m == 13  # below n = 32
-            h = len(alone[i].W) - 1
-            assert all(P[i].tobytes() == Q.tobytes() for P, Q in zip(stacked.even(h), alone[i].even(h)))
-            assert stacked.norms(i) == alone[i].norms(0)
-            assert stacked.abs_norm(i) == alone[i].abs_norm(0)
+            m, s = matcore._degree(alone[i], nrm, k)
+            assert m == 13 and rows[i] == s  # below n = 32
+            assert stacked_norms[:, i].tolist() == alone[i].norms()
+            assert stacked_abs_norms[i] == alone[i].abs_norm()
+            assert all(P[i].tobytes() == Q.tobytes() for P, Q in zip(stacked.even(3), alone[i].even(3)))
             chosen.append((k - s, s))
         a = np.array([a for a, _ in chosen] + [0, 0])
         E = matcore._approximant(stacked.arguments(13), 13, a)
@@ -1398,9 +1408,17 @@ def test_stacked_plan_equals_the_per_time_plan(norms, case):
     X, ts, stacks = _PLAN_CASES[case]
     want = per_time_plan(X, ts)
     keys = {}
-    got = matcore._plan(X, ts, keys)
-    # the zero times with their dtypes, the families with their squarings, in order
-    assert repr(got) == repr(want)
+    stacked, *got = matcore._plan(X, ts, keys)
+    if stacks:  # every time in a stacked block, in order, with the per-time plan's 1-norm (0.0 if zero)
+        assert got == [[], {}]
+        zeros, families = want
+        planned = {t: nrm for block, nrms in stacked for t, nrm in zip(block, nrms.tolist())}
+        assert [repr(t) for t in planned] == [repr(t) for t in dict.fromkeys(ts)]
+        assert planned == {t: 0.0 for t, _ in zeros} | {
+            t: nrm for family in families.values() for members in family.values() for _, t, nrm in members}
+        assert all(dtype == X.dtype for _, dtype in zeros)
+    else:  # the zero times with their dtypes, the families with their squarings, in order
+        assert stacked == [] and repr(tuple(got)) == repr(want)
     assert len(norms) == (0 if stacks else len(dict.fromkeys(ts)))
     for t in dict.fromkeys(ts):
         assert keys[t] == matcore._memo_key(matcore._expm_kernel, (t * X,))
@@ -1426,10 +1444,10 @@ def test_a_block_stacks_only_while_numpy_ignores_underflow(norms):
     X = np.array([[1.0, 2.0], [3.0, 1e-20]])
     ts = [0.5, 1e-300, 2.0]
     with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
-        got = matcore._plan(X, ts)
-    assert len(norms) == 3
+        stacked, *got = matcore._plan(X, ts)
+    assert len(norms) == 3 and stacked == []
     with np.errstate(under="warn"), pytest.warns(RuntimeWarning, match="underflow"):
-        assert repr(got) == repr(per_time_plan(X, ts))
+        assert repr(tuple(got)) == repr(per_time_plan(X, ts))
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -1449,6 +1467,165 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
     assert set(table) == set(want) and len(want) == len({repr(t) for t in ts})
     for key, E in table.items():
         assert E.tobytes() == expm(want[key] * X).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the stacked rows below n = 32: one row per time, as arrays from the 1-norms to the squarings
+
+
+ROWS_GRID = [float(t) for t in np.linspace(-2.0, 2.0, 41)]
+
+
+def rows_cases(n, complex_):
+    """C-ordered matrices of order n for the stacked rows: a random one, a non-normal one (a
+    diagonal under a large strict upper triangle), a nilpotent one whose powers ask for no halving
+    and whose ell adds them, and one with ||t X||_1 = t exactly (its first column e_1, the others
+    smaller), so that t = theta_13 and one ulp either side are the halving edge itself."""
+    rng = np.random.default_rng([n, complex_, 26])
+
+    def draw():
+        return rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+
+    R, T = draw(), draw()
+    w = np.resize([1.0, -1.0], n)
+    w[-1] -= w.sum()  # entries summing to 0.0 exactly, so the rank-one X below squares to 0
+    edge = draw()
+    edge[:, 0] = 0.0
+    edge *= 0.9 / max(one_norm(edge), 1.0)
+    edge[0, 0] = 1.0
+    return {"random": R * (4.0 / one_norm(R)), "non-normal": np.diag(np.diag(T)) + 1e3 * np.triu(T, 1),
+            "nilpotent": 100.0 * np.outer(np.ones(n), w), "edge": edge.astype(T.dtype)}
+
+
+def rows_times(X, grid):
+    """The times of a stacked block: a grid and its sums, 2**-k sweeps, t beside 2t and 4t above
+    theta_13, the degree and halving edges of ||t X||_1, +-0.0 and subnormal times."""
+    theta, nrm = matcore._THETA[13], one_norm(X)
+    above = [c * theta / (nrm or 1.0) * 2.0**j for c in (1.3, 2.9) for j in range(3)]
+    edges = [float(np.nextafter(theta, 0.0)), theta, float(np.nextafter(theta, math.inf))]
+    edges += _theta_edges(X)[::5] if nrm else []
+    tiny = [5e-324, -5e-324, 2.0**-1060, 1e-310]
+    return [0.0, *grid, *(s + t for s in grid for t in grid), *(2.0**-k for k in range(0, 40, 3)), *above,
+            *edges, -0.0, *tiny]
+
+
+def assert_rows_are_expm(X, ts, pade):
+    """`expm_times(X, ts)` on stacked rows: each distinct time once, in order, with the bytes of
+    expm(t * X) and of the reference chain, in one block and in blocks of seven times; one
+    approximant row per nonzero time; each value the caller's own."""
+    want = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # the largest times overflow alike
+        for t in ts:
+            if t not in want:
+                want[t] = expm(t * X)
+                assert want[t].tobytes() == reference_expm(t * X).tobytes(), t
+    nonzero = sum(bool(np.any(t * X)) for t in want)
+    for chunk in (_stepper.CHUNK_ENTRIES, 7 * X.size):
+        pade.clear()
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(_stepper, "CHUNK_ENTRIES", chunk)
+            got = list(expm_times(X, ts))
+        assert [repr(t) for t, _ in got] == [repr(t) for t in want]
+        for t, E in got:
+            assert E.dtype == want[t].dtype and E.tobytes() == want[t].tobytes(), t
+        assert len(pade) == nonzero and set(pade.degrees) <= {13}
+        assert all(E.base is None for _, E in got)
+        got[1][1][...] = 99.0  # written into: no other value changes
+        assert all(E.tobytes() == want[t].tobytes() for t, E in got[2:])
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, matcore._STACK_BELOW_N))
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_rows_are_expm_and_the_reference_chain_bit_for_bit(monkeypatch, pade, n, complex_):
+    halvings = matcore._row_halvings
+    squared, ells = [], []
+
+    def recorded(powers, nrm, squarings):
+        s = halvings(powers, nrm, squarings)
+        squared.append(int(s.max(initial=0)))
+        return s
+
+    abs_norm = matcore._Powers.abs_norm
+    monkeypatch.setattr(matcore, "_row_halvings", recorded)
+    monkeypatch.setattr(matcore._Powers, "abs_norm", lambda self: ells.append(self.A.ndim) or abs_norm(self))
+    # at grid_small's sizes every case on the 41-point grid; above them half the cases, alternately
+    cases = list(rows_cases(n, complex_).items())
+    grid, cases = (ROWS_GRID, cases) if n <= 5 else (ROWS_GRID[::8], cases[n % 2::2])
+    for name, X in cases:
+        ells.clear()
+        assert_rows_are_expm(X, rows_times(X, grid), pade)
+        if name == "nilpotent" and n > 1:  # its rows' ell comes from the exact norm, on a stack
+            assert 3 in ells
+    assert max(squared) > 0  # rows squared at several levels
+
+
+def test_stacked_rows_split_t_and_2t_that_shared_a_chain(pade):
+    # above theta_13, 2t's scaled argument is t's (one halving more): grouped, they took one
+    # approximant and one chain; as rows each takes its own, to the same bits
+    X = np.random.default_rng(26).normal(size=(4, 4))
+    X *= 40.0 / one_norm(X)
+    ts = [0.3 * 2.0**j for j in range(6)]
+
+    def scaled(t):
+        return t * X / 2.0**matcore._squarings(one_norm(t * X))
+
+    assert all(scaled(t).tobytes() == scaled(0.3).tobytes() for t in ts)
+    assert_rows_are_expm(X, ts, pade)
+    assert len(set(pade)) < len(pade) == 6  # repeated arguments, each its own row
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_rows_validate_every_time_before_the_first_yield(complex_):
+    X = np.array([[0.0, 1e10], [2.0, 0.0]]) * (1j if complex_ else 1.0)
+    for ts in ([0.5, 1e300, 1.0], [0.5, 1.0, 0.25, 1e300]):
+        times = expm_times(X, ts)
+        with pytest.raises(NonFiniteInput, match="non-finite entries"):
+            next(times)
+        with pytest.MonkeyPatch.context() as mp:  # the failing time in a later block
+            mp.setattr(_stepper, "CHUNK_ENTRIES", 2 * X.size)
+            with pytest.raises(NonFiniteInput, match="non-finite entries"):
+                next(expm_times(X, ts))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 31])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_rows_preload_hits_through_every_binding(solves, n, complex_):
+    from evolflow import cli, curves, flows, markov
+
+    X = rows_cases(n, complex_)["random"]
+    ts = [0.0, -0.0, *ROWS_GRID, *(s + t for s in ROWS_GRID for t in ROWS_GRID)]
+    want = {repr(t): expm(t * X) for t in ts}
+    with memo(X, ROWS_GRID):
+        solves.clear()
+        for module in (matcore, curves, flows, markov, cli):
+            for t in ts:
+                E = module.expm(t * X)
+                assert E.tobytes() == want[repr(t)].tobytes()
+                E[...] = 99.0  # a hit is the caller's own: the entry stays
+        assert len(solves) == 0
+        assert all(module.expm(t * X).tobytes() == want[repr(t)].tobytes() for t in ts)
+        assert memo_entries() == len(want)
+    assert len(solves) == 0
+
+
+def test_halvings_of_every_entry_are_the_scalar_ones():
+    # `_halvings_of` on int64 arrays against `_halvings` on Python ints: zero, subnormal, normal and
+    # huge quantities, each scale k and exponent e of the degree-13 and ell limits
+    rng = np.random.default_rng(26)
+    q = np.concatenate([[0.0, 5e-324, 3e-320, 2.2250738585072014e-308, 1.0, 1e300],
+                        10.0 ** rng.uniform(-300, 300, 200), rng.uniform(0.0, 8.0, 200)])
+    q = np.concatenate([q, np.nextafter(q, 0.0), np.nextafter(q, math.inf)])
+    e = rng.integers(-60, 60, len(q))
+    limits = [*matcore._THETA13_LIMITS.items(), (1, matcore._ELL_ROOT), (26, (0.8, -7))]
+    for k, limit in limits:
+        got = matcore._halvings_of(q, k, e, limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [matcore._halvings(qi, k, ei, limit) for qi, ei in zip(q.tolist(), e.tolist())]
+    theta = matcore._THETA[13]
+    norms = np.array([theta, *np.nextafter(theta, [0.0, math.inf]), *q[q > 0]])
+    k = np.maximum(matcore._halvings_of(norms, 1, 0, matcore._THETA13_LIMITS[1]), 0)
+    assert k.tolist() == [matcore._squarings(x) for x in norms.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -1513,9 +1690,9 @@ def test_expm_is_the_reference_chain_bit_for_bit(monkeypatch, n, complex_):
     # power's 1-norm is the 1-norm's power); and `expm_times`' blocks of one group, which take it
     rescaled, approximant = [], matcore._approximant
 
-    def recorded(W, m, a, rows=None):
+    def recorded(W, m, a):
         rescaled.append(bool(np.any(np.asarray(a) > 0)))  # a stacked call's a is an array
-        return approximant(W, m, a, rows)
+        return approximant(W, m, a)
 
     monkeypatch.setattr(matcore, "_approximant", recorded)
     for X in battery(np.random.default_rng([n, complex_]), n, complex_):

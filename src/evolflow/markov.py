@@ -224,8 +224,8 @@ def kolmogorov_residuals(rate: RateMatrix, grid) -> KolmogorovResiduals:
     construction; the Forward residual measures how far exp(tQ) drifts
     from commuting with Q in floating point.  The exponentials, at each
     distinct grid time and at t = 0, come from one `expm_times` call, which
-    takes its blocks of groups one at a time, or, at large n under a
-    one-thread BLAS, two at a time on two threads.
+    takes its groups one at a time, or, at large n under a one-thread BLAS,
+    every other group on a helper thread.
     """
     Q = rate.Q
     ts = [float(t) for t in nonempty(grid)]

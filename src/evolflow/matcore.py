@@ -8,10 +8,10 @@ validation, the matrix exponential (its Pade degree and halvings chosen
 from the norms of the powers it forms, after Al-Mohy & Higham; also at
 many times: below n = 32 a stacked block of times as arrays, one row a
 time from the 1-norms to the squarings, where the Python that shares work
-between times costs more than the work; from n = 32 on, and for blocks
+between times costs more than the work; from n = 32 on, and for times
 that do not stack, the times of one scaled argument sharing its powers
 and, with one degree and halving count, one Pade approximant, one group at
-a time, and at large n under a one-thread BLAS every other block on a
+a time, and at large n under a one-thread BLAS every other group on a
 second thread), the determinant gauge behind every nonsingularity and
 determinant-sign decision, a guaranteed upper estimate of the spectral
 radius, `memo(X, grid)`, the scope of a grid check on t -> exp(t X) in
@@ -27,9 +27,7 @@ call's result bit for bit (one gemm and one LAPACK gesv per slice, the
 solve by numpy's gufunc without its Python wrapper).  Products of one
 matrix go through `_matmul`: `ndarray.dot` where it rounds as `@`, n >= 2.
 One matrix below n = 32 takes r_13 from one stack of its powers and one
-multiply and reduction (`_pade`), to the bits of the term-by-term chain;
-grid_small's median check took 1.12 ms where it took 1.28 through the
-wrapper (2-core x86-64 host, one OpenBLAS thread).
+multiply and reduction (`_pade`), to the bits of the term-by-term chain.
 
 All functions are pure and never mutate their arguments.
 """
@@ -37,7 +35,6 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -123,7 +120,7 @@ def memo(X, grid):
     keys = {}  # t -> the key of expm(t * X), filled by `_plan`
     try:
         X, grid = np.asarray(X), list(grid)
-        ts = itertools.chain([0.0], grid, (s + t for s in grid for t in grid))
+        ts = [0.0, *grid, *np.add.outer(grid, grid).ravel().tolist()]
         with np.errstate(**strict):
             table = {key: E for t, E in _exponentials(X, *_plan(X, ts, keys)) for key in
                      ((keys[t], _memo_key(_expm_kernel, (-t * X,))) if t == 0 else (keys[t],))}
@@ -621,19 +618,19 @@ def expm_times(X, ts):
     Pade approximant, read off one squaring chain; there a product costs
     more than the Python that shares it (a four-time `axioms_report` grid
     and its sums at n = 100 take 10-11 approximants for 14 times).  The
-    groups go one at a time (`_block`), a block of `_block_rows(n)` at a
-    time.  From n = _PARALLEL_MIN_N on, a call with more than one block
-    takes every other block on one helper thread when `_helper_engages`
-    (one BLAS thread, a second usable CPU).  The helper is started for the
-    call and joined when the generator finishes or is closed; it runs under
-    the caller's numpy error settings, and what it raises is raised here.
-    The values and their order are the same either way.
+    groups go one at a time (`_group`).  From n = _PARALLEL_MIN_N on, a
+    call with more than one group takes every other group on one helper
+    thread when `_helper_engages` (one BLAS thread, a second usable CPU).
+    The helper is started for the call and joined when the generator
+    finishes or is closed; it runs under the caller's numpy error settings,
+    and what it raises is raised here.  The values and their order are the
+    same either way.
 
     Every time is validated before the first yield: a non-finite t * X, or
     one that overflows in its entries or its 1-norm, raises `NonFiniteInput`
     as `expm` does, without numpy's overflow warning.  The generator holds
     one stacked block's arrays and values, or one group's powers and one
-    squaring chain; two at a time, it also holds the later block's values
+    squaring chain; two at a time, it also holds the later group's values
     and the helper's work in progress.
     """
     X = np.asarray(X)
@@ -646,32 +643,30 @@ def _exponentials(X, stacks, zeros, families):
         yield from _rows(X, block, nrm)
     for t, dtype in zeros:
         yield t, np.eye(X.shape[0], dtype=dtype)
-    # each group's members (s, t), in the order their approximants are taken
+    # each group's members (k, t, ||t X||_1), in the order their approximants are taken
     groups = [sorted(family[offset]) for family in families.values() for offset in sorted(family)]
-    rows = _block_rows(X.shape[0])
-    blocks = [groups[start:start + rows] for start in range(0, len(groups), rows)]
-    if len(blocks) < 2 or X.shape[0] < _PARALLEL_MIN_N or not _helper_engages():
-        for block in blocks:
-            yield from _block(X, block)
+    if len(groups) < 2 or X.shape[0] < _PARALLEL_MIN_N or not _helper_engages():
+        for members in groups:
+            yield from _group(X, members)
         return
     # imported here: 4 ms and 0.6 MB that calls below the threshold never need
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, thread_name_prefix="evolflow-expm_times") as helper:
-        for i in range(0, len(blocks), 2):
+        for i in range(0, len(groups), 2):
             # a new thread starts from numpy's default error settings (numpy 2
             # keeps them in a context variable, numpy 1 per thread): the helper
             # takes this thread's, so an overflow warns or raises as it would here
             errors = {**np.geterr(), "call": np.geterrcall()}
-            later = helper.submit(_listed, _block(X, blocks[i + 1]), errors) if i + 1 < len(blocks) else None
-            yield from _block(X, blocks[i])
+            later = helper.submit(_listed, _group(X, groups[i + 1]), errors) if i + 1 < len(groups) else None
+            yield from _group(X, groups[i])
             if later is not None:
                 yield from later.result()
                 del later  # its values are not held while the next pair is taken
 
 
 def _listed(values, errors):
-    # a block's values as a list, taken under the numpy error settings `errors`
+    # a group's values as a list, taken under the numpy error settings `errors`
     with np.errstate(**errors):
         return list(values)
 
@@ -684,7 +679,7 @@ def _listed(values, errors):
 # so from n = 32 on they are taken one at a time.
 _STACK_BELOW_N = 32
 
-# Two blocks at a time pay once a group's products outweigh starting and
+# Two groups at a time pay once a group's products outweigh starting and
 # joining a thread and the two threads' contention for memory.  With the
 # helper forced on at every n, `axioms_report` on random rate matrices (four
 # times in (0, 1.6], their sums and the 2**-k sweep; mean over 3 matrices of
@@ -702,7 +697,7 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 
 
 def _helper_engages() -> bool:
-    """True when `expm_times` may hand every other block to a helper thread.
+    """True when `expm_times` may hand every other group to a helper thread.
 
     That is when the BLAS runs one thread, as its environment variables
     set it, and the process may use at least two CPUs.  With more BLAS
@@ -728,7 +723,7 @@ def _helper_engages() -> bool:
 
 
 def _block_rows(n: int) -> int:
-    # the times of one stacked `expm_times` block (`_rows`), or the groups of one block of groups
+    # the times of one stacked `expm_times` block (`_rows`)
     if n >= _STACK_BELOW_N:
         return 1
     return _stepper.CHUNK_ENTRIES // (n * n)
@@ -740,32 +735,27 @@ def _scaled(X, squarings, t):
     return _as_float(t * X) / (2.0**squarings)
 
 
-def _block(X, block):
-    # the values of a block of groups, in order, one group at a time
-    for members in block:
-        powers = _Powers(_scaled(X, *members[0][:2]))
-        chains = _chains(X, powers, members)
-        yield from chains.pop(None, [])
-        for j, ((m, a), chain) in enumerate(chains.items(), 1):  # the last releases the powers
-            yield from _chain(_approximant(powers.arguments(m, release=j == len(chains)), m, a), chain)
-
-
-def _chains(X, powers, members):
-    # the members (k, t, ||t X||_1) of a group, whose first member's scaled argument A is the matrix
-    # of `powers`, by the (m, a) of their approximant r_m(2**a A): each member's (m, s) from
-    # `_degree`, a = k - s.  A member whose t*X / 2**k is not A is computed on its own, its (t,
-    # value) under the key None
-    chains = {}
+def _group(X, members):
+    # the values of a group's members (k, t, ||t X||_1), sorted: those whose t*X / 2**k is the first's,
+    # A, share A's powers and, with one (m, a = k - s) of `_degree`, the approximant r_m(2**a A) and
+    # its chain of squarings, in order of s; any other is computed on its own and yielded at once
+    powers, chains = _Powers(_scaled(X, *members[0][:2])), {}
     for j, (k, t, nrm) in enumerate(members):
         if j:
             At = _scaled(X, k, t)
             if not np.array_equal(At, powers.A):
-                chains.setdefault(None, []).append((t, _exponential(At, nrm, k)))
+                yield t, _exponential(At, nrm, k)
                 continue
             del At
         m, s = _degree(powers, nrm, k)
         chains.setdefault((m, k - s), []).append((s, t))
-    return chains
+    for j, ((m, a), chain) in enumerate(chains.items(), 1):  # the last releases the powers
+        E = _approximant(powers.arguments(m, release=j == len(chains)), m, a)
+        done = 0
+        for s, t in sorted(chain):
+            E = _square(E, s - done)
+            done = s
+            yield t, E
 
 
 def _rows(X, block, nrm):
@@ -827,16 +817,6 @@ def _plan(X, ts, keys=None):
             mantissa, exponent = math.frexp(t)
             families.setdefault(mantissa, {}).setdefault(exponent - k, []).append((k, t, nrm))
     return stacks, zeros, families
-
-
-def _chain(E, members):
-    # E = r_m of a group's scaled argument, its members (s, t) with distinct s: E squared s
-    # times for each
-    done = 0
-    for s, t in sorted(members):
-        E = _square(E, s - done)
-        done = s
-        yield t, E
 
 
 def det(M):

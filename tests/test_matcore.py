@@ -698,7 +698,7 @@ TIMES = [0.0, -0.0, 0.3, 0.3, 0.6, 1.2, 2.4, -0.3, -0.6, 7.0, 14.0, 28.0, 1e-5, 
 def assert_expm_times_is_expm(X, ts):
     """`expm_times(X, ts)` yields each distinct t once, with expm(t * X)'s bytes.
 
-    Checked one block at a time and two at a time (the helper thread forced
+    Checked one group at a time and two at a time (the helper thread forced
     on at every size), and one at a time with stacked blocks of three times
     below _STACK_BELOW_N.
     """
@@ -731,6 +731,26 @@ def assert_expm_times_is_expm(X, ts):
 
 def chapman_times(ts):
     return [*ts, 0.0, *(s + t for s in ts for t in ts)]
+
+
+def assert_grouped_is_expm(X, ts):
+    """`assert_expm_times_is_expm` as planned, then with every nonzero time on the grouped path:
+    with `_block_rows` forced to 1, so that no block stacks, and on an F-ordered copy of X."""
+    assert_expm_times_is_expm(X, ts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "_block_rows", lambda n: 1)
+        assert_grouped(X, ts)
+        assert_expm_times_is_expm(X, ts)
+    F = np.asfortranarray(X)
+    assert_grouped(F, ts)
+    assert_expm_times_is_expm(F, ts)
+
+
+def assert_grouped(X, ts):
+    # `_plan` stacks no time: each nonzero one goes to a group
+    stacks, zeros, families = matcore._plan(X, ts)
+    members = sum(len(group) for family in families.values() for group in family.values())
+    assert stacks == [] and members + len(zeros) == len(dict.fromkeys(ts))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 50])
@@ -767,6 +787,31 @@ def test_expm_times_is_expm_on_rate_matrices(n):
     ts = [float(t) for t in np.random.default_rng(n).uniform(0.0, 1.6, 4)]
     assert_expm_times_is_expm(Q, chapman_times(ts))
     assert_expm_times_is_expm(Q, SWEEP)
+
+
+@pytest.mark.parametrize("engages", [False, True], ids=["one-at-a-time", "two-at-a-time"])
+def test_expm_times_yields_a_group_at_a_time_in_the_plans_order(monkeypatch, engages):
+    # at n = 40 every time is grouped: zeros first, then the families by first-seen mantissa of t,
+    # each family's groups by ascending offset and each group's members by (k, t), the order that
+    # sets how many Chapman-Kolmogorov sums `axioms_report` holds (its times are `chapman_times`)
+    monkeypatch.setattr(matcore, "_helper_engages", lambda: engages)
+    monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
+    Q = random_rate_matrix(40, 40).Q
+
+    def order(ts):
+        zeros, families = per_time_plan(Q, ts)
+        return [t for t, _ in zeros] + [t for family in families.values() for offset in sorted(family)
+                                        for _, t, _ in sorted(family[offset])]
+
+    def yielded(ts):
+        return [t for t, _ in expm_times(Q, ts)]
+
+    ts = chapman_times([0.3, 0.6, 0.7, 1.4])
+    assert yielded(ts) == [0.0, 0.3, 0.6, 1.2, 0.7, 1.4, 2.8, 0.3 + 0.6, 0.3 + 0.7, 0.6 + 1.4, 0.3 + 1.4,
+                           0.6 + 0.7, 0.7 + 1.4] == order(ts)
+    ts = chapman_times([float(t) for t in np.random.default_rng(40).uniform(0.0, 1.6, 4)])
+    assert yielded(ts) == order(ts) != list(dict.fromkeys(ts))
+    assert yielded(SWEEP) == order(SWEEP) == SWEEP[::-1]
 
 
 def test_expm_times_is_expm_on_a_complex_300():
@@ -822,13 +867,13 @@ def test_expm_times_computes_the_powers_near_underflow():
     # powers of 2^k X t are not 4^k (X t)^2 there
     X = np.zeros((4, 4))
     X[0, 1], X[1, 2], X[2, 3] = 1.2345678901234e-155, 3.3333333333e-157, 5.0 / 2**10
-    assert_expm_times_is_expm(X, [2.0**k for k in range(11)])
+    assert_grouped_is_expm(X, [2.0**k for k in range(11)])
 
 
 def test_expm_times_shares_powers_only_over_a_representable_factor():
     # power-of-two multiples of a nilpotent X, at times from 2^-1074 to 4
     X = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert_expm_times_is_expm(X, [2.0**-1074, 2.0**-300, 2.0**-10, 1.0, 4.0])
+    assert_grouped_is_expm(X, [2.0**-1074, 2.0**-300, 2.0**-10, 1.0, 4.0])
 
 
 def test_expm_times_shares_no_powers_with_an_entry_that_underflowed():
@@ -836,7 +881,7 @@ def test_expm_times_shares_no_powers_with_an_entry_that_underflowed():
     # the scaled arguments are no longer power-of-two multiples of one another
     X = np.array([[1.0, 5e-324], [0.0, 2.0]])
     assert np.array_equal(0.25 * X, np.diag([0.25, 0.5]))
-    assert_expm_times_is_expm(X, [2.0**-k for k in range(8)])
+    assert_grouped_is_expm(X, [2.0**-k for k in range(8)])
 
 
 def test_expm_times_splits_a_group_whose_scaled_arguments_differ(pade):
@@ -844,7 +889,9 @@ def test_expm_times_splits_a_group_whose_scaled_arguments_differ(pade):
     # the two times take one approximant each, though 0.6 is twice 0.3
     X = np.array([[40.0, 3.78159362874e-313], [0.0, -40.0]])
     assert not np.array_equal(as_matrix(0.3 * X) / 4.0, as_matrix(0.6 * X) / 8.0)
-    assert_expm_times_is_expm(X, [0.3, 0.6])
+    _, families = per_time_plan(X, [0.3, 0.6])
+    assert [[t for _, t, _ in group] for family in families.values() for group in family.values()] == [[0.3, 0.6]]
+    assert_grouped_is_expm(X, [0.3, 0.6])
     assert len(set(pade)) == 2
 
 
@@ -955,19 +1002,19 @@ def test_expm_times_holds_one_chain_and_one_family_of_powers():
 
 @pytest.fixture
 def helper_groups(monkeypatch):
-    """The helper forced on, blocks of one group; the times of each group computed on another thread."""
+    """The helper forced on, no times stacked; the times of each group computed on another thread."""
     monkeypatch.setattr(matcore, "_helper_engages", lambda: True)
     monkeypatch.setattr(matcore, "_block_rows", lambda n: 1)
     caller = threading.get_ident()
     groups = []
-    block = matcore._block
+    group = matcore._group
 
-    def recorded(X, groups_of_block):
-        if threading.get_ident() != caller:  # read as the block is taken, on the thread taking it
-            groups.extend([t for _, t, _ in members] for members in groups_of_block)
-        yield from block(X, groups_of_block)
+    def recorded(X, members):
+        if threading.get_ident() != caller:  # read as the group is taken, on the thread taking it
+            groups.append([t for _, t, _ in members])
+        yield from group(X, members)
 
-    monkeypatch.setattr(matcore, "_block", recorded)
+    monkeypatch.setattr(matcore, "_group", recorded)
     return groups
 
 
@@ -1042,7 +1089,7 @@ def test_the_helper_overflows_under_the_callers_error_settings(helper_groups, mo
 
 
 def test_preload_stores_nothing_when_the_helpers_exponential_would_warn(helper_groups):
-    # the grid [0.3, 2.0] and its sums make three blocks: 0.3 with 0.6, 2.0 with 4.0, and 2.3;
+    # the grid [0.3, 2.0] and its sums make three groups: 0.3 with 0.6, 2.0 with 4.0, and 2.3;
     # the helper takes the second, where exp(2 X) overflows
     n = matcore._PARALLEL_MIN_N
     X = np.zeros((n, n))
@@ -1081,8 +1128,8 @@ def test_two_at_a_time_joins_its_helper_when_the_generator_stops(helper_groups, 
 
 def test_two_at_a_time_holds_two_exponentials_and_two_blocks_of_values(monkeypatch):
     # the helper's approximant can be in progress while the caller's is, so
-    # the bound is two exponentials' peaks and the values of two blocks (at
-    # n = 64 a block is one group: its chain's members)
+    # the bound is two exponentials' peaks and the values of two groups
+    # (a group's values: its chain's members)
     monkeypatch.setattr(matcore, "_helper_engages", lambda: True)
     monkeypatch.setattr(matcore, "_PARALLEL_MIN_N", 1)
     Q = random_rate_matrix(64, 3).Q
@@ -1687,7 +1734,7 @@ def battery(rng, n, complex_):
 def test_expm_is_the_reference_chain_bit_for_bit(monkeypatch, n, complex_):
     # every branch of the one-matrix path: unhalved, halved with the approximant's argument as it
     # is and halved with `_approximant` rescaling it by 2**a, a > 0 (never at n = 1, where each
-    # power's 1-norm is the 1-norm's power); and `expm_times`' blocks of one group, which take it
+    # power's 1-norm is the 1-norm's power); and `expm_times`' groups, which take it
     rescaled, approximant = [], matcore._approximant
 
     def recorded(W, m, a):

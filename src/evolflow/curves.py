@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _stepper, lie
+from . import _stepper, lie, matcore
 from ._stepper import rk4_step, tabulate
 from .errors import DimensionMismatch, HorizonExceeded, WrongVariant
 from .evoalg import EvolutionAlgebra, is_perfect
@@ -272,14 +272,16 @@ class ExpLine(Curve):
             raise DimensionMismatch("A0 and X must have the same dimension")
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "_reach", matcore._reach(X))  # `matcore._times`' overflow bound on t
 
     @property
     def n(self):
         return self.A0.shape[0]
 
     def value(self, t):
-        # one `expm` a call, not one `expm_times` plan: single times (grid_small's oracle checks) stay cheap
-        return self._left(expm(t * self.X))
+        """A0 exp(t X) from one `expm` call, so single times stay cheap; t X as in `flows.flow_apply`: a
+        memo scope's preloaded row where it has one, and one that overflows raises NonFiniteInput unwarned."""
+        return self._left(expm(matcore._times(self.X, t, self._reach)))
 
     def values(self, ts):
         """A0 exp(t X) for each t of ts, the exponentials from one `matcore.expm_times` call.
@@ -303,7 +305,7 @@ class ExpLine(Curve):
         return self.A0.dot(E) if self.A0.flags.forc and len(self.A0) > 1 else self.A0 @ E
 
     def derivative(self, t):
-        return self.A0 @ expm(t * self.X) @ self.X
+        return self.A0 @ expm(matcore._times(self.X, t, self._reach)) @ self.X
 
 
 @dataclass(frozen=True, init=False)
@@ -572,11 +574,12 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
 
     An `ExpLine` (and so a `TangentInduced`) is checked in one
     `matcore.memo(X, grid)` scope, so each distinct exponential is computed
-    once, all from one `expm_times` run; the other variants call no
-    memoized kernel.  The values A(s + t) go `_stepper.CHUNK_ENTRIES`
-    entries at a time into one stacked stage S - V[s] @ V[t], V the grid
-    values, bit for bit the per-pair residuals (`matcore.frob_residuals`);
-    others go pair by pair.
+    once, all from one `expm_times` run, and `value` takes each float
+    time's t X from the preload; the other variants call no memoized
+    kernel.  The values A(s + t) go `_stepper.CHUNK_ENTRIES` entries at a
+    time into one stacked stage S - V[s] @ V[t], V the grid values, bit for
+    bit the per-pair residuals (`matcore.frob_residuals`); others go pair by
+    pair.
     """
     grid = [float(t) for t in nonempty(grid)]
     # one `value` call a time, not `values`: perfbench's self-test counts the

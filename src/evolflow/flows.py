@@ -32,8 +32,8 @@ from . import _stepper
 from ._stepper import rk4_step, tabulate
 from .errors import CommutatorTooLarge, DimensionMismatch, NonFiniteInput, NotInAlgebra, NotInGroup
 from .lie import Group, algebra_of, in_algebra, in_group
-from .matcore import (_FLOAT_DTYPES, _as_float, as_matrix, expm, expm_times, frob_norm, frob_residuals,
-                      memo, nonempty, worst)
+from .matcore import (_FLOAT_DTYPES, _as_float, _reach, _times, as_matrix, expm, expm_times, frob_norm,
+                      frob_residuals, memo, nonempty, worst)
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class Flow:
     def __post_init__(self):
         X = as_matrix(self.X, name="generator")
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "_reach", _reach(X))  # `matcore._times`' overflow bound on t
         rep = in_algebra(X, algebra_of(self.group))
         if not rep.belongs:
             raise NotInAlgebra(
@@ -111,8 +112,9 @@ def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
 
 
 def flow_apply(flow: Flow, t: float, A, tol: float = 1e-9) -> np.ndarray:
-    """Phi(t, A) = A exp(t X) for a base point A of the declared group."""
-    A, E = base_point(flow, A, tol), expm(t * flow.X)
+    """Phi(t, A) = A exp(t X) for a base point A of the declared group; t X is a memo scope's preloaded
+    row where it has one (`matcore._times`), and one that overflows raises NonFiniteInput unwarned."""
+    A, E = base_point(flow, A, tol), expm(_times(flow.X, t, flow._reach))
     # `matcore._matmul`'s rule for a C-contiguous E, inline: calling it cost grid_small 4% of its checks/s
     return A.dot(E) if A.flags.forc and len(A) > 1 else A @ E
 
@@ -129,9 +131,11 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
 
     The check runs in one `matcore.memo(X, grid)` scope, so each distinct
     exponential and base-point membership is computed once, the
-    exponentials all from one `expm_times` run.  Each application is a
-    `flow_apply` call, as (A E_t) E_s; `matcore.frob_residuals` takes
-    CHUNK_ENTRIES / n^2 residuals at a time.
+    exponentials all from one `expm_times` run, and each t X is the row the
+    preload formed.  Each application is a `flow_apply` call, as
+    (A E_t) E_s; a chunk of CHUNK_ENTRIES / n^2 pairs writes its left sides
+    and its right sides A E_{s+t} into two stacks of the applications' dtype,
+    which `matcore.frob_residuals` takes as they are.
     """
     ts = [float(t) for t in nonempty(grid)]
     bases = nonempty(bases, "no base points")
@@ -141,12 +145,14 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     # self-test counts 3 G^2 + 1 `flow_apply`, `in_group` and `expm` calls (5044 on 41 points)
     with memo(flow.X, ts):
         for A in bases:
-            idents.append(frob_norm(flow_apply(flow, 0.0, A, tol) - as_matrix(A)))
+            idents.append(frob_norm((origin := flow_apply(flow, 0.0, A, tol)) - as_matrix(A)))
             comps.append(0.0)
             for start in range(0, len(pairs), chunk := max(1, _stepper.CHUNK_ENTRIES // flow.n**2)):
-                left, right = zip(*[(flow_apply(flow, s, flow_apply(flow, t, A, tol), tol),
-                                     flow_apply(flow, s + t, A, tol))
-                                    for s, t in pairs[start:start + chunk]])
+                block = pairs[start:start + chunk]
+                left, right = np.empty((2, len(block), *origin.shape), origin.dtype)
+                for i, (s, t) in enumerate(block):
+                    left[i] = flow_apply(flow, s, flow_apply(flow, t, A, tol), tol)
+                    right[i] = flow_apply(flow, s + t, A, tol)
                 comps[-1] = worst([comps[-1], *frob_residuals(left, right)])  # NaN once one residual is
     ident, comp = worst(idents), worst(comps)
     return FlowAxiomsReport(ident <= tol and comp <= tol, ident, comp, tol)

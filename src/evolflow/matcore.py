@@ -88,8 +88,10 @@ _ETA_LIMITS = tuple(np.array([[_THETA13_LIMITS[k][i]] for k in (4, 8, 6, 10)]) f
 _ELL_UC = 2.0**-53 * 113250775606021113483283660800000000.0
 _ELL_ROOT = math.frexp(_ELL_UC ** (1.0 / 26.0))
 
-# The table of the innermost open `memo` scope, None outside every scope.
+# The table of the innermost open `memo` scope, None outside every scope; and that scope's
+# (X, X's bytes, {t: t * X}) of its stacked preload (`_times`), None also when the preload failed.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
+_ROWS: ContextVar[tuple | None] = ContextVar("evolflow_memo_rows", default=None)
 _ABSENT = object()  # a key not in the memo table
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))  # the dtypes `_as_float` keeps
 
@@ -110,11 +112,14 @@ def memo(X, grid):
     A preloaded value goes in under the key a call `expm(t * X)` builds,
     keyed on this module's kernel, so that call is a hit whichever module's
     binding of `expm` it goes through; the keys are built from the t * X
-    `expm_times` validates, and -0.0 beside 0.0 has its own.  The preload
-    never raises: when any time fails, because `expm_times` rejects it or
-    because a floating-point event occurs that numpy's error settings would
-    report, the table starts empty, and each `expm` call computes, warns and
-    raises as outside a scope.
+    `expm_times` validates, and -0.0 beside 0.0 has its own.  The t * X of
+    each nonzero time it stacked (below n = 32) stays for the scope, a view
+    of its key's bytes, and `_times` hands it to `flows.flow_apply` and
+    `curves.ExpLine.value` in place of a new product.  The preload never
+    raises: when any time fails, because `expm_times` rejects it or because
+    a floating-point event occurs that numpy's error settings would report,
+    the table starts empty and holds no t * X, and each `expm` call
+    computes, warns and raises as outside a scope.
     """
     strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
     keys = {}  # t -> the key of expm(t * X), filled by `_plan`
@@ -122,16 +127,41 @@ def memo(X, grid):
         X, grid = np.asarray(X), list(grid)
         ts = [0.0, *grid, *np.add.outer(grid, grid).ravel().tolist()]
         with np.errstate(**strict):
-            table = {key: E for t, E in _exponentials(X, *_plan(X, ts, keys)) for key in
+            plan = _plan(X, ts, keys)
+            table = {key: E for t, E in _exponentials(X, *plan) for key in
                      ((keys[t], _memo_key(_expm_kernel, (-t * X,))) if t == 0 else (keys[t],))}
         table.pop(None, None)  # a dtype `memoized` does not look up
+        # each stacked time's t * X as a view of its key's bytes; +-0.0 left to `_times`' own product
+        rows = X, X.tobytes(), {t: np.frombuffer(keys[t][4], X.dtype).reshape(X.shape)
+                                for block, _ in plan[0] for t in block if t}
     except Exception:  # the calls themselves raise or warn as they would have
-        table = {}
-    token = _MEMO.set(table)
+        table, rows = {}, None
+    tokens = _MEMO.set(table), _ROWS.set(rows)
     try:
         yield
     finally:
-        _MEMO.reset(token)
+        _MEMO.reset(tokens[0])
+        _ROWS.reset(tokens[1])
+
+
+def _times(X, t, reach):
+    # t * X: the open scope's preloaded row when X is its array, with the bytes it preloaded, and t a
+    # float it stacked; else a new product, without numpy's overflow warning for |t| > reach (`_reach`)
+    rows = _ROWS.get()
+    if (rows is not None and X is rows[0] and type(t) is float and (row := rows[2].get(t)) is not None
+            and X.tobytes() == rows[1]):
+        return row
+    if abs(t) <= reach:
+        return t * X
+    with np.errstate(over="ignore"):  # `expm` raises NonFiniteInput on an overflowed product
+        return t * X
+
+
+def _reach(X) -> np.float64:
+    # the |t| up to which t * X of a finite X stays finite: each real and imaginary part of a product
+    # is at most |t| max|x_ij| <= 2**1023, rounding included (a float64: a float32 |t| is not cast)
+    top = float(_MAX(np.abs(X), axis=None))
+    return np.float64(2.0**1023 / top if top else math.inf)
 
 
 def _memo_key(fn, args):
@@ -150,12 +180,12 @@ def memoized(fn):
     The key is the exact raw input (`np.asarray(M)`'s dtype, shape, strides
     and bytes) with the remaining arguments, taken before validation: the
     same bytes passed validation before, and a call that raises stores
-    nothing.  Array results are handed out as copies, so callers own them.
-    Outside a scope, and for a call with a keyword argument, a matrix of a
-    non-numeric dtype or an unhashable argument, the function runs as if
-    undecorated.  A call builds its key in the wrapper's own body, one call
-    frame less a lookup (grid_small's `flow_axioms` makes 60 528 of them a
-    round); `_memo_key` builds the same key for `memo`'s preload.
+    nothing.  Results of type ndarray are handed out as copies, so callers
+    own them.  Outside a scope, and for a call with a keyword argument, a
+    matrix of a non-numeric dtype or an unhashable argument, the function
+    runs as if undecorated; the dtype is tested only on a miss, since no
+    other dtype is stored.  A call builds its key in the wrapper's own body;
+    `_memo_key` builds the same key for `memo`'s preload.
     """
 
     @functools.wraps(fn)
@@ -164,16 +194,16 @@ def memoized(fn):
         if table is None or not args or kwargs:
             return fn(*args, **kwargs)
         M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
-        if M.dtype.kind not in "biufc":
-            return fn(*args, **kwargs)
         key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])  # `_memo_key`, built in place
         try:
             result = table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
             return fn(*args, **kwargs)
         if result is _ABSENT:
-            result = table[key] = fn(*args, **kwargs)
-        return result.copy() if isinstance(result, np.ndarray) else result
+            result = fn(*args, **kwargs)
+            if M.dtype.kind in "biufc":  # no other dtype is stored, so none can hit
+                table[key] = result
+        return result.copy() if type(result) is np.ndarray else result
 
     return wrapper
 
@@ -672,23 +702,15 @@ def _listed(values, errors):
 
 
 # Stacking a block of approximants into one call saves numpy's per-call
-# overhead, about 25 us an approximant at n = 2-5, most of its cost.  With
-# the products it stops paying: stacked blocks of CHUNK_ENTRIES entries took
-# 1/5.9 of the one-at-a-time time at n = 8, 1/2.1-2.4 at n = 16, 1/1.0-1.1 at
-# n = 31 and 1/0.92-1.0 at n = 40 (2-core x86-64 host, one OpenBLAS thread),
-# so from n = 32 on they are taken one at a time.
+# overhead, most of an approximant's cost at n = 2-5.  With the products it
+# stops paying (README, `expm_times`, has the timings), so from n = 32 on
+# they are taken one at a time.
 _STACK_BELOW_N = 32
 
 # Two groups at a time pay once a group's products outweigh starting and
-# joining a thread and the two threads' contention for memory.  With the
-# helper forced on at every n, `axioms_report` on random rate matrices (four
-# times in (0, 1.6], their sums and the 2**-k sweep; mean over 3 matrices of
-# the best of 3-5 runs, two passes; 2-core x86-64 host, one OpenBLAS
-# thread) went, one at a time -> two at a time, in ms:
-#   n = 100: 25-32 -> 38-39      n = 150: 61-86 -> 59-106
-#   n = 175: 120-133 -> 92-93    n = 200: 139-176 -> 104-129
-#   n = 250: 264-268 -> 200-211  n = 300: 450-521 -> 339-347
-# The crossover lies between 150 and 175; the threshold keeps a margin above it.
+# joining a thread and the two threads' contention for memory: with the
+# helper forced on at every n, `axioms_report` crossed over between n = 150
+# and 175 (README, `expm_times`); the threshold keeps a margin above it.
 _PARALLEL_MIN_N = 200
 
 # The variables OpenBLAS reads its thread count from, in its order: the
@@ -702,9 +724,8 @@ def _helper_engages() -> bool:
     That is when the BLAS runs one thread, as its environment variables
     set it, and the process may use at least two CPUs.  With more BLAS
     threads (OpenBLAS starts one per CPU when none is set) each product
-    already uses the cores, and a helper only oversubscribes them: at two
-    BLAS threads on two cores, `axioms_report` at n = 200 and 300 took 1.2
-    to 1.6 times as long with the helper forced on.
+    already uses the cores, and a helper only oversubscribes them (README,
+    `expm_times`, has the timings).
     """
     for name in _BLAS_THREAD_VARIABLES:
         try:

@@ -555,6 +555,69 @@ def test_exp_line_values_keep_a_complex_time_apart_from_its_equal_real_time():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _scope_curves():
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(4, 4))
+    A0 = rng.normal(size=(4, 4))
+    return {
+        "real": ExpLine(A0, X),
+        "complex": ExpLine(A0, X + 1j * rng.normal(size=(4, 4))),
+        "complex-base": ExpLine(A0 + 1j * rng.normal(size=(4, 4)), X),
+        "fortran": ExpLine(A0, np.asfortranarray(X)),
+        "n=31": ExpLine(np.eye(31), rng.normal(size=(31, 31)) / 31),
+        "n=32": ExpLine(np.eye(32), rng.normal(size=(32, 32)) / 32),
+    }
+
+
+# the grid of a subgroup check, and times a caller may pass in its scope: the grid's and its
+# sums, signed zeros, ints, bools, numpy scalars, complex ones and a time not preloaded
+SCOPE_GRID = [0.5, -0.25, 1.5, 0.0, -0.0]
+SCOPE_TIMES = [0.5, -0.25, 1.5, 0.0, -0.0, 1.0, 0.25, 3.0, 1, True, np.float64(0.5), np.float32(0.5),
+               1 + 0j, 0.5 + 0j, 0.3]
+
+
+def _bits(M):
+    return M.dtype, M.shape, M.strides, M.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_scope_curves()))
+def test_exp_line_value_in_a_memo_scope_is_value_outside(case):
+    curve = _scope_curves()[case]
+    want = [_bits(curve.value(t)) for t in SCOPE_TIMES]
+    with matcore.memo(curve.X, SCOPE_GRID):
+        rows = matcore._times(curve.X, 0.5, curve._reach).base is not None
+        assert rows == (case in ("real", "complex", "complex-base", "n=31"))
+        assert [_bits(curve.value(t)) for t in SCOPE_TIMES] == want
+        curve.X[0, 0] = 2.0  # mutated in place: the next call sees the new X
+        assert _bits(curve.value(0.5)) == _bits(curve.A0 @ expm(0.5 * curve.X))
+    assert matcore._ROWS.get() is None
+
+
+def test_exp_line_value_takes_the_rows_of_its_own_scope_only():
+    outer, inner = _scope_curves()["real"], _scope_curves()["complex"]
+    want = [_bits(c.value(t)) for c in (outer, inner) for t in SCOPE_TIMES]
+    with matcore.memo(outer.X, SCOPE_GRID):
+        with matcore.memo(inner.X, [0.75, 1.5]):
+            assert [_bits(c.value(t)) for c in (outer, inner) for t in SCOPE_TIMES] == want
+            assert matcore._times(outer.X, 0.5, outer._reach).base is None
+        assert matcore._times(outer.X, 0.5, outer._reach).base is not None
+    with matcore.memo(outer.X, [0.5, 1e308]):  # the preload fails: no rows, the same values
+        assert matcore._ROWS.get() is None
+        assert [_bits(outer.value(t)) for t in SCOPE_TIMES] == want[:len(SCOPE_TIMES)]
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, np.float64(1e308), 1e308 + 0j])
+def test_exp_line_value_at_an_overflowing_time_raises_without_a_warning(t):
+    # pytest turns RuntimeWarning into an error, and no errstate wraps the call
+    curve = ExpLine(np.eye(2), np.array([[0.0, 10.0], [-10.0, 0.0]]))
+    for evaluate in (curve.value, curve.derivative):
+        with pytest.raises(NonFiniteInput, match="^matrix has non-finite entries$"):
+            evaluate(t)
+        with np.errstate(over="raise"):
+            with pytest.raises(NonFiniteInput, match="^matrix has non-finite entries$"):
+                evaluate(t)
+
+
 def test_perfectness_profile_raises_at_the_first_failing_slice_as_a_per_time_loop():
     # exp(100) overflows A0 @ E at t = 10, an earlier slice than the time whose t X overflows
     curve = ExpLine(np.array([[1e300]]), np.array([[10.0]]))

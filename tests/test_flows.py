@@ -358,7 +358,8 @@ def test_flow_axioms_compute_no_approximant_after_the_preload(monkeypatch, pade)
 @pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
 def test_flow_axioms_raise_as_a_plain_loop_on_an_overflowing_time(in_group, quiet):
     # 1e300 t X overflows: the preload stores nothing, and the check raises
-    # what its calls raise (NotInGroup for the base first, when it is outside)
+    # what its calls raise (NotInGroup for the base first, when it is outside):
+    # NonFiniteInput, without numpy's overflow warning, also where warnings are errors
     flow = Flow(1e10 * SO2_GEN, Group.so(2))
     bases = [np.eye(2) if in_group else 2.0 * np.eye(2)]
     grid = [1e-10, 1e300, 2e-10]
@@ -368,7 +369,78 @@ def test_flow_axioms_raise_as_a_plain_loop_on_an_overflowing_time(in_group, quie
         with pytest.raises(want.type) as got:
             flow_axioms(flow, bases, grid)
     assert str(got.value) == str(want.value)
-    assert want.type is {(True, False): RuntimeWarning, (True, True): NonFiniteInput}.get((in_group, quiet), NotInGroup)
+    assert want.type is (NonFiniteInput if in_group else NotInGroup)
+
+
+# times a caller may pass inside `flow_axioms`' scope: the grid's and its sums, signed zeros, ints,
+# bools, numpy scalars, complex ones (1 + 0j must not take 1.0's real row) and a time not preloaded
+SCOPE_GRID = [0.5, -0.25, 1.5, 0.0, -0.0]
+SCOPE_TIMES = [0.5, -0.25, 1.5, 0.0, -0.0, 1.0, 0.25, 3.0, 1, True, np.float64(0.5), np.float32(0.5),
+               1 + 0j, 0.5 + 0j, 0.3]
+
+
+def _scope_flows():
+    rng = np.random.default_rng(28)
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    X = so3_generator(rng)
+    return {
+        "so3": (Flow(X, Group.so(3)), expm(so3_generator(rng))),
+        "complex": (Flow(0.3 * (H - H.conj().T), Group.u(2)), _unitary(rng, 2)),
+        "fortran": (Flow(np.asfortranarray(X), Group.so(3)), expm(so3_generator(rng))),
+        "n=31": (Flow(rng.normal(size=(31, 31)) / 31, Group.gl(31)), np.eye(31)),
+        "n=32": (Flow(rng.normal(size=(32, 32)) / 32, Group.gl(32)), np.eye(32)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_scope_flows()))
+def test_flow_apply_in_a_memo_scope_is_flow_apply_outside(case):
+    flow, A = _scope_flows()[case]
+    assert flow.X.flags.f_contiguous == (case == "fortran")
+    want = [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES]
+    with matcore.memo(flow.X, SCOPE_GRID):
+        # the preloaded rows stand in for 0.5 X below n = 32 on a C-contiguous X
+        assert (matcore._times(flow.X, 0.5, flow._reach).base is not None) == (case in ("so3", "complex", "n=31"))
+        assert [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES] == want
+        # an equal copy of the generator is not the scope's: its products are new, with the same bits
+        copy = Flow(flow.X.copy(), flow.group)
+        assert [_outcome(lambda: flow_apply(copy, t, A)) for t in SCOPE_TIMES] == want
+    assert matcore._ROWS.get() is None
+
+
+def test_flow_apply_sees_a_generator_mutated_in_its_scope():
+    flow, A = _scope_flows()["so3"]
+    X = flow.X
+    with matcore.memo(X, SCOPE_GRID):
+        before = flow_apply(flow, 0.5, A)
+        X[0, 1], X[1, 0] = X[0, 1] + 0.5, X[1, 0] - 0.5  # still skew: a new generator of so(3)
+        after = flow_apply(flow, 0.5, A)
+    assert not np.array_equal(before, after)
+    assert _outcome(lambda: after) == _outcome(lambda: flow_apply(flow, 0.5, A))
+
+
+@pytest.mark.parametrize("bases, generator", [("complex", "real"), ("complex", "complex"), ("real", "complex")])
+def test_flow_axioms_stack_complex_applications_as_complex(bases, generator):
+    rng = np.random.default_rng(29)
+    H = rng.normal(size=(2, 2)) + (1j * rng.normal(size=(2, 2)) if generator == "complex" else 0.0)
+    flow = Flow(0.4 * (H - H.conj().T), Group.u(2))
+    Q = [_unitary(rng, 2) for _ in range(2)]
+    base = [Q[0], Q[1]] if bases == "complex" else [np.linalg.qr(rng.normal(size=(2, 2)))[0]]
+    assert np.iscomplexobj(flow.X) == (generator == "complex")
+    grid = [float(t) for t in np.linspace(-1.5, 1.5, 7)]
+    report = flow_axioms(flow, base, grid)
+    assert tuple(report) == _plain_flow_axioms(flow, base, grid)
+    assert report.passed and report.composition_residual > 0.0
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, np.float64(1e308), 1e308 + 0j])
+def test_flow_apply_at_an_overflowing_time_raises_without_a_warning(t):
+    # pytest turns RuntimeWarning into an error, and no errstate wraps the call
+    flow = Flow(1e10 * SO2_GEN, Group.so(2))
+    with pytest.raises(NonFiniteInput, match="^matrix has non-finite entries$"):
+        flow_apply(flow, t, np.eye(2))
+    with np.errstate(over="raise"):
+        with pytest.raises(NonFiniteInput, match="^matrix has non-finite entries$"):
+            flow_apply(flow, t, np.eye(2))
 
 
 def test_broken_flow_fails_composition():

@@ -3,7 +3,8 @@
 `markov.axioms_report` must give the report of `oracles.per_call_axioms_report`
 on drawn rate matrices and grids; the evolution operator must be the
 transpose of the structure matrix and `evo_mul` commutative, both bit for
-bit; every curve variant must survive its JSON round trip with
+bit; every closed group kind must hold the products and inverses of its
+members; every curve variant must survive its JSON round trip with
 bit-identical values; and every variant's `values(ts)` and `curves.slices`
 must be its `value(t)` at each time, bit for bit, or raise as the first
 failing `value` call does.  Skipped when hypothesis is not installed.
@@ -20,7 +21,9 @@ from evolflow.curves import (AFFINE_ARG_KINDS, AffineArg, AffineLine, Constant, 
                              Heisenberg, HeisenbergExp, Lorentz11, MatrixFunction, Numeric, Poly,
                              Sl2Iwasawa, So2, TangentInduced, slices)
 from evolflow.evoalg import EvolutionAlgebra, evo_mul, evolution_operator
+from evolflow.lie import Group, in_group
 from evolflow.markov import RateMatrix, axioms_report
+from evolflow.matcore import expm, inv
 from oracles import per_call_axioms_report
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -70,6 +73,76 @@ times = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 3.0))
 def test_axioms_report_equals_the_per_call_reference(rate, grid):
     # the grid drawn from its own points, so times repeat
     assert repr(axioms_report(rate, grid)) == repr(per_call_axioms_report(rate, grid))
+
+
+# ---------------------------------------------------------------------------
+# closure of the closed group kinds under product and inverse
+
+
+def _algebra_element(kind, rng, n):
+    # a random element of the kind's Lie algebra, Frobenius norm at most about 1.5
+    S = rng.normal(size=(n, n)) / n
+    if kind in ("gl", "sl"):
+        X = S
+    elif kind in ("o", "so"):
+        X = S - S.T
+    elif kind in ("u", "su"):
+        X = S + 1j * rng.normal(size=(n, n)) / n
+        X = X - X.conj().T
+    elif kind == "stochastic":  # a rate matrix: nonnegative off the diagonal, rows summing to 0
+        X = np.abs(S)
+        np.fill_diagonal(X, 0.0)
+        np.fill_diagonal(X, -X.sum(axis=1))
+    elif kind == "gds":  # rows and columns summing to 0
+        X = S - S.mean(axis=0) - S.mean(axis=1)[:, None] + S.mean()
+    elif kind in ("lorentz11", "o11"):
+        X = S[0, 0] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    elif kind == "heis3":
+        X = np.triu(S, 1)
+    if kind in ("sl", "su"):
+        X = X - np.trace(X) / n * np.eye(n)
+    return X
+
+
+def _member(kind, rng, n):
+    # a well-conditioned member of the kind's group: expm of an algebra element, an affine one directly
+    if kind != "affine":
+        return expm(_algebra_element(kind, rng, n))
+    M = np.eye(n) + rng.normal(size=(n, n)) / (2 * n)  # the linear block stays well conditioned
+    M[:, -1] = 0.0
+    M[-1, -1] = 1.0
+    return M
+
+
+CLOSED_KINDS = {"gl": None, "sl": None, "o": None, "so": None, "u": None, "su": None, "stochastic": None,
+                "gds": None, "lorentz11": 2, "o11": 2, "heis3": 3, "affine": None}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_KINDS))
+def test_closed_groups_hold_products_and_inverses(kind):
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
+    def closed(seed, n):
+        n = CLOSED_KINDS[kind] or n
+        group = Group.gen_doubly_stochastic(n) if kind == "gds" else Group.from_name(kind, n)
+        rng = np.random.default_rng(seed)
+        M1, M2 = _member(kind, rng, n), _member(kind, rng, n)
+        assert in_group(M1, group).belongs and in_group(M2, group).belongs
+        assert in_group(M1 @ M2, group).belongs
+        assert in_group(inv(M1), group).belongs
+
+    closed()
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+                  s=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)))
+def test_gds_off_one_holds_no_product(seed, n, s):
+    # s times a gds(1) member has row and column sums s, its product with another s^2
+    group, rng = Group.gen_doubly_stochastic(n, s), np.random.default_rng(seed)
+    M1, M2 = s * _member("gds", rng, n), s * _member("gds", rng, n)
+    assert in_group(M1, group).belongs and in_group(M2, group).belongs
+    assert not in_group(M1 @ M2, group).belongs
 
 
 # ---------------------------------------------------------------------------

@@ -637,6 +637,126 @@ def test_memo_stores_no_call_that_raises():
 
 
 # ---------------------------------------------------------------------------
+# the scope's t * X rows (`matcore._times`)
+
+SCOPE_GRID = [0.5, -0.25, 1.5, 0.0, -0.0]
+# times a caller may pass: the grid's, its sums, ints, bools, numpy scalars, complex ones
+# (1 + 0j equals 1.0 as a key, but its t * X is complex) and a float the preload did not form
+SCOPE_TIMES = [0.5, -0.25, 1.5, 0.0, -0.0, 1.0, 0.25, 3.0, -0.5, 1, 0, True, False, np.float64(0.5),
+               np.float32(0.5), np.float32(-0.25), 1 + 0j, 0.5 + 0j, -0.25j, 0.3]
+
+
+def _bits(M):
+    return M.dtype, M.shape, M.strides, M.tobytes()
+
+
+def _scope_matrices():
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(4, 4))
+    return {
+        "real": X,
+        "complex": X + 1j * rng.normal(size=(4, 4)),
+        "fortran": np.asfortranarray(X),
+        "n=31": rng.normal(size=(31, 31)) / 31,
+        "n=32": rng.normal(size=(32, 32)) / 32,
+    }
+
+
+def _row_expected(X, t):
+    # a preloaded row: a nonzero float time the scope stacked, for a C-contiguous float X below n = 32
+    sums = {s + u for s in SCOPE_GRID for u in SCOPE_GRID}
+    return (type(t) is float and t != 0.0 and (t in SCOPE_GRID or t in sums) and len(X) < 32
+            and X.flags.c_contiguous)
+
+
+@pytest.mark.parametrize("case", sorted(_scope_matrices()))
+def test_memo_scope_hands_out_t_x_bit_for_bit(case):
+    X = _scope_matrices()[case]
+    reach = matcore._reach(X)
+    want = [_bits(t * X) for t in SCOPE_TIMES]
+    with memo(X, SCOPE_GRID):
+        got = [matcore._times(X, t, reach) for t in SCOPE_TIMES]
+        assert [_bits(M) for M in got] == want
+        # a row is a read-only view of its key's bytes, every other product a new array
+        assert [M.base is not None for M in got] == [_row_expected(X, t) for t in SCOPE_TIMES]
+        assert all(not M.flags.writeable for M in got if M.base is not None)
+        assert matcore._ROWS.get() is not None
+        assert any(M.base is not None for M in got) == (case in ("real", "complex", "n=31"))
+    assert [_bits(matcore._times(X, t, reach)) for t in SCOPE_TIMES] == want
+    assert matcore._ROWS.get() is None
+
+
+def test_memo_scope_rows_go_with_the_scope():
+    X = X_MEMO.copy()
+    reach = matcore._reach(X)
+    with memo(X, [0.5]):
+        assert matcore._times(X, 0.5, reach).base is not None
+    assert matcore._ROWS.get() is None and matcore._times(X, 0.5, reach).base is None
+    with pytest.raises(RuntimeError):
+        with memo(X, [0.5]):
+            raise RuntimeError("inside the scope")
+    assert matcore._ROWS.get() is None
+    # a preload that fails (2e308 overflows) holds no row, and the products are new
+    with memo(X, [0.5, 1e308]):
+        assert matcore._MEMO.get() == {} and matcore._ROWS.get() is None
+        assert _bits(matcore._times(X, 0.5, reach)) == _bits(0.5 * X)
+        assert matcore._times(X, 0.5, reach).base is None
+
+
+def test_memo_scope_rows_belong_to_their_own_x():
+    X, Y = X_MEMO.copy(), 2.0 * X_MEMO
+    reach_x, reach_y = matcore._reach(X), matcore._reach(Y)
+    with memo(X, [0.5]):
+        outer = matcore._ROWS.get()
+        with memo(Y, [0.75]):
+            # the inner scope's rows are Y's: X's products are new, with X's bits
+            assert matcore._times(X, 0.5, reach_x).base is None
+            assert _bits(matcore._times(X, 0.5, reach_x)) == _bits(0.5 * X)
+            assert matcore._times(Y, 0.75, reach_y).base is not None
+            assert _bits(matcore._times(Y, 0.75, reach_y)) == _bits(0.75 * Y)
+            # an equal copy of X is not the scope's array
+            assert matcore._times(Y.copy(), 0.75, reach_y).base is None
+        assert matcore._ROWS.get() is outer
+        assert matcore._times(X, 0.5, reach_x).base is not None
+        assert matcore._times(Y, 0.75, reach_y).base is None
+
+
+def test_memo_scope_sees_x_mutated_in_place():
+    X = X_MEMO.copy()
+    reach = matcore._reach(X)
+    with memo(X, [0.5]):
+        X[0, 0] = 1.3
+        M = matcore._times(X, 0.5, reach)
+        assert M.base is None and _bits(M) == _bits(0.5 * X)
+        assert expm(M).tobytes() == matcore._expm_kernel(0.5 * X).tobytes()
+        X[0, 0] = X_MEMO[0, 0]  # the preloaded bytes again
+        assert matcore._times(X, 0.5, reach).base is not None
+
+
+def test_times_past_the_reach_overflow_without_a_warning():
+    # pytest turns RuntimeWarning into an error here: no errstate wrapper
+    X = np.array([[0.0, 3.0], [-2.0, 1e-300]])
+    reach = matcore._reach(X)
+    assert reach == 2.0**1023 / 3.0 and type(reach) is np.float64
+    for t in (reach, -reach, float(np.nextafter(reach, 0.0)), np.float32(3e38), 1j * reach,
+              reach * (0.6 + 0.8j), 10**300):
+        assert np.isfinite(matcore._times(X, t, reach)).all()
+    for t in (1e308, -1e308, np.float64(1e308), 1e308 + 0j):
+        M = matcore._times(X, t, reach)
+        assert not np.isfinite(M).all() and _bits(M) == _bits(_quiet_product(t, X))
+        with pytest.raises(NonFiniteInput):
+            expm(M)
+    with np.errstate(over="raise"):
+        assert not np.isfinite(matcore._times(X, 1e308, reach)).all()
+    assert matcore._reach(np.zeros((2, 2))) == math.inf
+
+
+def _quiet_product(t, X):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return t * X
+
+
+# ---------------------------------------------------------------------------
 # the residual fold
 
 

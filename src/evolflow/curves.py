@@ -254,6 +254,16 @@ class AffineLine(_OneMatrixCurve):
     def value(self, t):
         return np.eye(self.n, dtype=self.A.dtype) + t * self.A
 
+    def values(self, ts):
+        """I + t A for each t of ts, `value(t)`'s bits: real times (ints and floats) as one broadcast,
+        others, and all times of a broadcast that raises, one `value` call a time, so the first failing
+        time raises as its own call does (an int's product t * A is its float's)."""
+        ts = list(ts)
+        with contextlib.suppress(Exception):  # then taken again one call a time
+            if all(isinstance(t, (int, float)) for t in ts):
+                return list(np.eye(self.n, dtype=self.A.dtype) + np.array(ts, float)[:, None, None] * self.A)
+        return super().values(ts)
+
     def derivative(self, t):
         return self.A.copy()
 
@@ -575,22 +585,25 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     An `ExpLine` (and so a `TangentInduced`) is checked in one
     `matcore.memo(X, grid)` scope, so each distinct exponential is computed
     once, all from one `expm_times` run, and `value` takes each float
-    time's t X from the preload; the other variants call no memoized
-    kernel.  The values A(s + t) go `_stepper.CHUNK_ENTRIES` entries at a
-    time into one stacked stage S - V[s] @ V[t], V the grid values, bit for
-    bit the per-pair residuals (`matcore.frob_residuals`); others go pair by
-    pair.
+    time's t X row from the preload, whose `expm` finds its exponential by
+    identity; the other variants call no memoized kernel and take each
+    chunk of sums A(s + t), `_stepper.CHUNK_ENTRIES` entries, from one
+    `values` call.  A chunk goes into one stacked stage S - V[s] @ V[t], V
+    the grid values, bit for bit the per-pair residuals
+    (`matcore.frob_residuals`); others go pair by pair.
     """
     grid = [float(t) for t in nonempty(grid)]
-    # one `value` call a time, not `values`: perfbench's self-test counts the
-    # G^2 + G + 1 `expm` calls of an ExpLine's check (1723 on 41 points)
-    with memo(curve.X, grid) if isinstance(curve, ExpLine) else contextlib.nullcontext():
+    # an ExpLine's sums one `value` call a time, not `values`: perfbench's self-test
+    # counts the G^2 + G + 1 `expm` calls of its check (1723 on 41 points)
+    exp_line = isinstance(curve, ExpLine)
+    with memo(curve.X, grid) if exp_line else contextlib.nullcontext():
         id_res = frob_norm(curve.value(0.0) - np.eye(curve.n))
         V = list(map({t: curve.value(t) for t in grid}.get, grid))  # equal times (+-0.0 too) share one
         V = stacked(V)  # C, as its rows: a product's bits follow its operands' layout
         G, sums, hom = len(grid), (s + t for s in grid for t in grid), 0.0
         for start in range(0, G * G, per_chunk := max(1, _stepper.CHUNK_ENTRIES // V[0].size)):
-            S = [curve.value(u) for u in itertools.islice(sums, per_chunk)]
+            chunk = list(itertools.islice(sums, per_chunk))
+            S = [curve.value(u) for u in chunk] if exp_line else curve.values(chunk)
             s, t = np.divmod(np.arange(start, start + len(S)), G)
             P = V[s] @ V[t] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
             hom = worst([hom, *frob_residuals(S, P)])  # the worst residual so far, NaN once one is

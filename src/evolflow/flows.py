@@ -132,7 +132,8 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
     The check runs in one `matcore.memo(X, grid)` scope, so each distinct
     exponential and base-point membership is computed once, the
     exponentials all from one `expm_times` run, and each t X is the row the
-    preload formed.  Each application is a `flow_apply` call, as
+    preload formed, whose `expm` call finds its exponential by the row's
+    identity, without a key.  Each application is a `flow_apply` call, as
     (A E_t) E_s; a chunk of CHUNK_ENTRIES / n^2 pairs writes its left sides
     and its right sides A E_{s+t} into two stacks of the applications' dtype,
     which `matcore.frob_residuals` takes as they are.

@@ -16,7 +16,8 @@ second thread), the determinant gauge behind every nonsingularity and
 determinant-sign decision, a guaranteed upper estimate of the spectral
 radius, `memo(X, grid)`, the scope of a grid check on t -> exp(t X) in
 which each distinct exponential and membership is computed once (the
-exponentials preloaded from one `expm_times` run), and `worst`, the one
+exponentials preloaded from one `expm_times` run, each found by the
+identity of the t X row the scope hands out), and `worst`, the one
 reduction of a grid check's residuals (`nonempty` refuses none;
 `frob_residuals` takes a chunk of them from one stacked stage below
 n = 32, only for the subgroup check and `flow_axioms`).
@@ -88,8 +89,8 @@ _ETA_LIMITS = tuple(np.array([[_THETA13_LIMITS[k][i]] for k in (4, 8, 6, 10)]) f
 _ELL_UC = 2.0**-53 * 113250775606021113483283660800000000.0
 _ELL_ROOT = math.frexp(_ELL_UC ** (1.0 / 26.0))
 
-# The table of the innermost open `memo` scope, None outside every scope; and that scope's
-# (X, X's bytes, {t: t * X}) of its stacked preload (`_times`), None also when the preload failed.
+# The table of the innermost open `memo` scope, None outside every scope; and that scope's rows
+# (X, X's bytes, {t: t * X}, {id(t * X): expm(t * X)}) of its preload (`_times`), None when it failed.
 _MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
 _ROWS: ContextVar[tuple | None] = ContextVar("evolflow_memo_rows", default=None)
 _ABSENT = object()  # a key not in the memo table
@@ -101,42 +102,32 @@ def memo(X, grid):
     """Scope of a grid check on t -> exp(t X), in which memoized kernels compute each distinct
     argument once.
 
-    It opens a new table, preloaded with expm(t * X) for every t in {0}, the
-    grid and its pairwise sums s + t, all from one `expm_times` run; a scope
-    opened inside another has its own table, and the outer one is back when
-    it closes.  The table is dropped when the scope exits, also on an
-    exception; no result outlives it.  Each entry holds the argument's bytes
-    and the result: two matrices per distinct exponential, one per distinct
-    membership.
-
-    A preloaded value goes in under the key a call `expm(t * X)` builds,
-    keyed on this module's kernel, so that call is a hit whichever module's
-    binding of `expm` it goes through; the keys are built from the t * X
-    `expm_times` validates, and -0.0 beside 0.0 has its own.  The t * X of
-    each nonzero time it stacked (below n = 32) stays for the scope, a view
-    of its key's bytes, and `_times` hands it to `flows.flow_apply` and
-    `curves.ExpLine.value` in place of a new product.  The preload never
-    raises: when any time fails, because `expm_times` rejects it or because
-    a floating-point event occurs that numpy's error settings would report,
-    the table starts empty and holds no t * X, and each `expm` call
-    computes, warns and raises as outside a scope.
+    It preloads expm(t * X) for every t in the grid and its pairwise sums
+    s + t, from one `expm_times` run, and opens a table for the calls that
+    miss; a scope opened inside another has its own, and the outer one is
+    back when it closes.  Both go when the scope exits, also on an
+    exception.  The preload is keyed on rows, not bytes: for each nonzero
+    Python-float time it keeps the read-only t * X `_plan` formed to
+    validate it (a stacked slice below n = 32, else its own product) and
+    its exponential.  `_times` hands the row to `flows.flow_apply` and
+    `curves.ExpLine.value`, and `expm` on the row, through any binding,
+    finds it by identity.  Any other argument (+-0.0's t * X, an equal
+    product formed elsewhere) is looked up by its bytes: computed once,
+    then a hit.  The preload never raises: when a time fails (`expm_times`
+    rejects it, or a floating-point event numpy's error settings would
+    report), no rows are kept, and each call acts as outside a scope.
     """
     strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
-    keys = {}  # t -> the key of expm(t * X), filled by `_plan`
+    rows = {}  # t -> the read-only t * X of each nonzero float time, filled by `_plan`
     try:
         X, grid = np.asarray(X), list(grid)
-        ts = [0.0, *grid, *np.add.outer(grid, grid).ravel().tolist()]
+        ts = [*grid, *np.add.outer(grid, grid).ravel().tolist()]
         with np.errstate(**strict):
-            plan = _plan(X, ts, keys)
-            table = {key: E for t, E in _exponentials(X, *plan) for key in
-                     ((keys[t], _memo_key(_expm_kernel, (-t * X,))) if t == 0 else (keys[t],))}
-        table.pop(None, None)  # a dtype `memoized` does not look up
-        # each stacked time's t * X as a view of its key's bytes; +-0.0 left to `_times`' own product
-        rows = X, X.tobytes(), {t: np.frombuffer(keys[t][4], X.dtype).reshape(X.shape)
-                                for block, _ in plan[0] for t in block if t}
+            hits = {id(rows[t]): E for t, E in _exponentials(X, *_plan(X, ts, rows)) if t in rows}
+        scope = X, X.tobytes(), rows, hits
     except Exception:  # the calls themselves raise or warn as they would have
-        table, rows = {}, None
-    tokens = _MEMO.set(table), _ROWS.set(rows)
+        scope = None
+    tokens = _MEMO.set({}), _ROWS.set(scope)
     try:
         yield
     finally:
@@ -145,8 +136,8 @@ def memo(X, grid):
 
 
 def _times(X, t, reach):
-    # t * X: the open scope's preloaded row when X is its array, with the bytes it preloaded, and t a
-    # float it stacked; else a new product, without numpy's overflow warning for |t| > reach (`_reach`)
+    # t * X: the open scope's row when X is its array, with the bytes it preloaded, and t a float it
+    # preloaded; else a new product, without numpy's overflow warning for |t| > reach (`_reach`)
     rows = _ROWS.get()
     if (rows is not None and X is rows[0] and type(t) is float and (row := rows[2].get(t)) is not None
             and X.tobytes() == rows[1]):
@@ -164,28 +155,19 @@ def _reach(X) -> np.float64:
     return np.float64(2.0**1023 / top if top else math.inf)
 
 
-def _memo_key(fn, args):
-    # the table key of fn(*args), None when the call is not looked up: the dtype
-    # object, not its `.str`, since for numeric dtypes the two are equal exactly
-    # together (byte order included) and the object costs no string
-    M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
-    if M.dtype.kind not in "biufc":
-        return None
-    return (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
-
-
 def memoized(fn):
     """Decorate a kernel f(M, *args) to look its result up inside a `memo` scope.
 
-    The key is the exact raw input (`np.asarray(M)`'s dtype, shape, strides
-    and bytes) with the remaining arguments, taken before validation: the
-    same bytes passed validation before, and a call that raises stores
-    nothing.  Results of type ndarray are handed out as copies, so callers
-    own them.  Outside a scope, and for a call with a keyword argument, a
-    matrix of a non-numeric dtype or an unhashable argument, the function
-    runs as if undecorated; the dtype is tested only on a miss, since no
-    other dtype is stored.  A call builds its key in the wrapper's own body;
-    `_memo_key` builds the same key for `memo`'s preload.
+    `expm` on a row of the scope's preload (`memo`) finds it by identity:
+    the scope holds the row alive, so no other array has its `id`, and the
+    row is read-only.  Any other call is keyed on the exact raw input
+    (`np.asarray(M)`'s dtype, shape, strides and bytes) with the remaining
+    arguments, taken before validation: the same bytes passed validation
+    before, and a call that raises stores nothing.  Results of type ndarray
+    are handed out as copies, so callers own them.  Outside a scope, and
+    for a call with a keyword argument, a matrix of a non-numeric dtype or
+    an unhashable argument, the function runs as if undecorated; the dtype
+    is tested only on a miss, since no other dtype is stored.
     """
 
     @functools.wraps(fn)
@@ -193,8 +175,11 @@ def memoized(fn):
         table = _MEMO.get()
         if table is None or not args or kwargs:
             return fn(*args, **kwargs)
+        if (fn is _expm_kernel and (rows := _ROWS.get()) is not None
+                and (E := rows[3].get(id(args[0]))) is not None):
+            return E.copy()  # a row of the preload: no key, no bytes
         M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
-        key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])  # `_memo_key`, built in place
+        key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
         try:
             result = table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
@@ -358,8 +343,8 @@ def expm(X) -> np.ndarray:
     return _exponential(X if not squarings and X.flags.forc else X / 2.0**squarings, nrm, squarings)
 
 
-# the kernel that `memoized` wraps into `expm`: the function in the memo keys
-# of its calls, through whatever module binding they reach it
+# the kernel that `memoized` wraps into `expm`: the function in the memo keys of its calls, and the
+# one whose calls look the scope's rows up, through whatever module binding they reach it
 _expm_kernel = expm.__wrapped__
 
 
@@ -802,35 +787,36 @@ def _rows(X, block, nrm):
         yield t, next(E).copy() if nonzero else np.eye(len(X), dtype=X.dtype)  # each the caller's own
 
 
-def _plan(X, ts, keys=None):
-    # validate every distinct time, a block of `_block_rows(n)` times at a time; with `keys`, put
-    # expm(t * X)'s `_memo_key` in keys[t].  A block of several Python-float times whose 1-norms
-    # are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is t * X,
-    # bit for bit), while numpy ignores underflow, which a stacked t * X does not report (one time
-    # is cheaper on `expm`'s own path, the stack's fixed cost left out).  The other times are
-    # validated one t * X a time, so the first failing one raises as `expm` does, and sorted into
-    # zeros and families (one mantissa of t) of groups (one exponent of t minus k, the halvings of
-    # ||t X||_1) of (k, t, ||t X||_1)
+def _plan(X, ts, rows=None):
+    # validate every distinct time, `_block_rows(n)` at a time; with `rows`, put the t * X formed to validate
+    # each nonzero Python-float time in rows[t], read-only.  A block of several Python-float times whose
+    # 1-norms are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is t * X, bit
+    # for bit), while numpy ignores underflow, which a stacked t * X does not report (one time is cheaper on
+    # `expm`'s own path).  The other times are validated one t * X a time, so the first failing one raises
+    # as `expm` does, and sorted into zeros and families (one mantissa of t) of groups (one exponent of t
+    # minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1)
     stacks, zeros, families, times = [], [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
-    rows = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
-            and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
-    for start in range(0, len(times), rows):
-        block = times[start:start + rows]
+    per_block = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
+                 and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
+    for start in range(0, len(times), per_block):
+        block = times[start:start + per_block]
         if len(block) > 1 and all(type(t) is float for t in block):
             with np.errstate(all="ignore"):
                 P = np.array(block)[:, None, None] * X
                 nrm = _MAX(_SUM(np.abs(P), axis=1), axis=1)  # `one_norm` of each slice
             if np.isfinite(nrm).all():  # then so is every entry
-                if keys is not None:
-                    keys.update(zip(block, (_memo_key(_expm_kernel, (Y,)) for Y in P)))
+                if rows is not None:
+                    P.flags.writeable = False  # and so each slice
+                    rows.update((t, Y) for t, Y in zip(block, P) if t)
                 stacks.append((block, nrm))
                 continue
         for t in block:
             with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
                 Y = t * X
                 nrm = _scaling_norm(as_matrix(Y))
-            if keys is not None:
-                keys[t] = _memo_key(_expm_kernel, (Y,))
+            if rows is not None and t and type(t) is float:
+                Y.flags.writeable = False
+                rows[t] = Y
             if not nrm:
                 zeros.append((t, _as_float(Y).dtype))
                 continue

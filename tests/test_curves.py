@@ -416,6 +416,65 @@ def test_stacked_subgroup_stage_equals_the_per_pair_reference(monkeypatch, name,
         assert math.isnan(rep.homomorphism_residual)
 
 
+_A4 = np.random.default_rng(51).normal(size=(4, 4))
+_VALUES_GRID = [float(t) for t in np.linspace(-2.0, 2.0, 41)] + [-0.0]
+_VALUES_CURVES = {  # variants whose subgroup check takes its sums from `values`
+    "affine-real": lambda: AffineLine(_A4),
+    "affine-complex": lambda: AffineLine(_A4 + 1j * _A4.T),
+    "affine-fortran": lambda: AffineLine(np.asfortranarray(_A4)),
+    "so2": So2,
+    "flipflop": lambda: FlipFlop(0.7),
+    "numeric": lambda: Numeric(np.eye(2), lambda t: math.cos(t) * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                               h=0.01, horizon=4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES_CURVES))
+def test_subgroup_sums_from_values_equal_the_per_pair_reference(monkeypatch, name):
+    want, got = _VALUES_CURVES[name](), _VALUES_CURVES[name]()
+    ref = per_pair_subgroup_report(want, _VALUES_GRID)
+    calls = []
+    values = type(got).values
+    monkeypatch.setattr(type(got), "values", lambda self, ts: calls.append(len(ts)) or values(self, ts))
+    rep = check_one_parameter_subgroup(got, _VALUES_GRID)
+    assert repr(rep) == repr(ref)
+    assert len(_VALUES_GRID) ** 2 in calls  # every sum from one `values` call
+
+
+_AFFINE_TIMES = [0.5, 0.0, -0.0, -1.25, 3, -2, True, False, 2**53 + 1, -(10**300), 1e-320, np.float64(0.75),
+                 math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("A", [_A4, _A4 + 1j * _A4.T, np.asfortranarray(_A4), np.array([[0.0, 1.0], [-1.0, 0.0]])],
+                         ids=["real", "complex", "fortran", "with-zeros"])
+def test_affine_line_values_are_value_bit_for_bit(A):
+    curve = AffineLine(A)
+    with np.errstate(invalid="ignore"):  # inf * 0.0 in the matrix with zero entries
+        want = [_bits(curve.value(t)) for t in _AFFINE_TIMES]
+        assert [_bits(M) for M in curve.values(_AFFINE_TIMES)] == want
+        # a time of another type among them: each one `value` call
+        others = [*_AFFINE_TIMES, 1 + 0j, np.float32(0.5)]
+        assert [_bits(M) for M in curve.values(others)] == [_bits(curve.value(t)) for t in others]
+    assert curve.values([]) == []
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as caught:
+        fn()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("ts", [[0.5, 1e308, 2.0], [-1e308, 1e308], [0.5, 10**400, 1e308], [1e308, 10**400],
+                                [0.5, math.inf, 1e308]],
+                         ids=["overflow", "both-signs", "int-too-large", "overflow-then-int", "invalid-then-overflow"])
+def test_affine_line_values_raise_as_value_at_the_first_failing_time(ts):
+    curve = AffineLine(np.array([[0.0, 2.0], [-1.0, 3.0]]))  # inf * 0.0 is invalid
+    for errors in ({"over": "raise"}, {"all": "raise"}, {}):  # {}: pytest's RuntimeWarning as an error
+        with np.errstate(**errors):
+            want = _raised(lambda: [curve.value(t) for t in ts])
+            assert _raised(lambda: curve.values(ts)) == want
+
+
 def test_subgroup_stage_stacks_only_values_of_one_dtype_and_layout(monkeypatch):
     stacks = []
     norms = matcore.frob_norms
@@ -585,8 +644,8 @@ def test_exp_line_value_in_a_memo_scope_is_value_outside(case):
     curve = _scope_curves()[case]
     want = [_bits(curve.value(t)) for t in SCOPE_TIMES]
     with matcore.memo(curve.X, SCOPE_GRID):
-        rows = matcore._times(curve.X, 0.5, curve._reach).base is not None
-        assert rows == (case in ("real", "complex", "complex-base", "n=31"))
+        # the preloaded row stands in for 0.5 X at every n and order
+        assert matcore._times(curve.X, 0.5, curve._reach) is matcore._ROWS.get()[2][0.5]
         assert [_bits(curve.value(t)) for t in SCOPE_TIMES] == want
         curve.X[0, 0] = 2.0  # mutated in place: the next call sees the new X
         assert _bits(curve.value(0.5)) == _bits(curve.A0 @ expm(0.5 * curve.X))
@@ -599,8 +658,8 @@ def test_exp_line_value_takes_the_rows_of_its_own_scope_only():
     with matcore.memo(outer.X, SCOPE_GRID):
         with matcore.memo(inner.X, [0.75, 1.5]):
             assert [_bits(c.value(t)) for c in (outer, inner) for t in SCOPE_TIMES] == want
-            assert matcore._times(outer.X, 0.5, outer._reach).base is None
-        assert matcore._times(outer.X, 0.5, outer._reach).base is not None
+            assert matcore._times(outer.X, 0.5, outer._reach).flags.writeable  # a new product
+        assert matcore._times(outer.X, 0.5, outer._reach) is matcore._ROWS.get()[2][0.5]
     with matcore.memo(outer.X, [0.5, 1e308]):  # the preload fails: no rows, the same values
         assert matcore._ROWS.get() is None
         assert [_bits(outer.value(t)) for t in SCOPE_TIMES] == want[:len(SCOPE_TIMES)]

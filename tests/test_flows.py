@@ -398,8 +398,8 @@ def test_flow_apply_in_a_memo_scope_is_flow_apply_outside(case):
     assert flow.X.flags.f_contiguous == (case == "fortran")
     want = [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES]
     with matcore.memo(flow.X, SCOPE_GRID):
-        # the preloaded rows stand in for 0.5 X below n = 32 on a C-contiguous X
-        assert (matcore._times(flow.X, 0.5, flow._reach).base is not None) == (case in ("so3", "complex", "n=31"))
+        # the preloaded row stands in for 0.5 X at every n and order
+        assert matcore._times(flow.X, 0.5, flow._reach) is matcore._ROWS.get()[2][0.5]
         assert [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES] == want
         # an equal copy of the generator is not the scope's: its products are new, with the same bits
         copy = Flow(flow.X.copy(), flow.group)

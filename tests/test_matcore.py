@@ -472,6 +472,23 @@ def test_mat_arithmetic_contracts():
 X_MEMO = np.array([[0.3, -1.2], [0.7, 0.1]])
 
 
+def _row(X, t):
+    # t * X as `flows.flow_apply` and `curves.ExpLine.value` take it: the open scope's row if it has one
+    return matcore._times(X, t, matcore._reach(X))
+
+
+def scope_rows():
+    # the open scope's rows {t: t * X}, {} when it holds none
+    rows = matcore._ROWS.get()
+    return {} if rows is None else rows[2]
+
+
+def preloaded():
+    # the open scope's preloaded exponentials {t: expm(t * X)}, by their rows' times
+    rows = matcore._ROWS.get()
+    return {} if rows is None else {t: rows[3][id(Y)] for t, Y in rows[2].items()}
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Padé solves taken so far: one per expm that computes a nonzero input, counted at the
@@ -522,11 +539,11 @@ def test_memo_hit_hands_out_a_private_copy():
 def test_memo_table_is_dropped_on_exit(solves):
     with memo(X_MEMO, [1.0]):
         preloaded = len(solves)
-        expm(X_MEMO)
-        expm(0.5 * X_MEMO)
-        assert matcore._MEMO.get() and len(solves) == preloaded + 1
-    assert matcore._MEMO.get() is None
-    expm(X_MEMO)
+        expm(_row(X_MEMO, 1.0))  # a preloaded row
+        expm(0.5 * X_MEMO)  # computed and stored
+        assert matcore._MEMO.get() and matcore._ROWS.get() and len(solves) == preloaded + 1
+    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
+    expm(_row(X_MEMO, 1.0))
     assert len(solves) == preloaded + 2
 
 
@@ -534,32 +551,32 @@ def test_memo_table_is_dropped_after_an_exception(solves):
     with pytest.raises(RuntimeError):
         with memo(X_MEMO, [1.0]):
             preloaded = len(solves)
-            expm(X_MEMO)
+            expm(_row(X_MEMO, 1.0))
             raise RuntimeError("inside the scope")
-    assert matcore._MEMO.get() is None
-    expm(X_MEMO)
+    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
+    expm(_row(X_MEMO, 1.0))
     assert len(solves) == preloaded + 1
 
 
 def test_a_nested_memo_scope_starts_its_own_table(solves):
     with memo(X_MEMO, []):
-        outer = matcore._MEMO.get()
+        outer, outer_rows = matcore._MEMO.get(), matcore._ROWS.get()
         expm(0.5 * X_MEMO)
-        assert len(outer) == 3 and len(solves) == 1  # exp(+-0 X) and the call's
+        assert len(outer) == 1 and len(solves) == 1 and scope_rows() == {}  # the call's
         with memo(X_MEMO, [1.0]):
             inner = matcore._MEMO.get()
-            assert inner is not outer and len(outer) == 3
+            assert inner is not outer and len(outer) == 1
             preloaded = len(solves)
-            expm(X_MEMO), expm(2.0 * X_MEMO)  # hits on the inner preload
+            expm(_row(X_MEMO, 1.0)), expm(_row(X_MEMO, 2.0))  # hits on the inner preload
             expm(0.5 * X_MEMO)  # the outer table's entry is not looked up here
             assert len(solves) == preloaded + 1
-        # leaving the inner scope brings the outer table back, unchanged
-        assert matcore._MEMO.get() is outer and len(outer) == 3
+        # leaving the inner scope brings the outer table and rows back, unchanged
+        assert matcore._MEMO.get() is outer and len(outer) == 1 and matcore._ROWS.get() is outer_rows
         expm(0.5 * X_MEMO)
         assert len(solves) == preloaded + 1
-        expm(X_MEMO)  # the inner preload went with its scope
+        expm(_row(X_MEMO, 1.0))  # the inner preload went with its scope
         assert len(solves) == preloaded + 2
-    assert matcore._MEMO.get() is None
+    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
 
 
 def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
@@ -605,9 +622,11 @@ def test_a_keyword_call_in_a_memo_scope_is_computed_and_not_stored(solves):
         preloaded = len(solves)
         f(X_MEMO, tol=1e-9), f(X_MEMO, tol=1e-9), f(M=X_MEMO)
         assert len(calls) == 3
-        # the preload holds exp(X_MEMO), but a keyword call does not look it up
-        assert expm(X=X_MEMO).tobytes() == expm(X_MEMO).tobytes()
-        expm(X=X_MEMO)
+        # the preload holds exp(X_MEMO) for its row, but a keyword call does not look it up
+        row = _row(X_MEMO, 1.0)
+        assert row is scope_rows()[1.0]
+        assert expm(X=row).tobytes() == expm(row).tobytes()
+        expm(X=row)
         assert len(solves) == preloaded + 2
         assert matcore._MEMO.get().keys() == table.keys()
 
@@ -662,11 +681,14 @@ def _scope_matrices():
     }
 
 
-def _row_expected(X, t):
-    # a preloaded row: a nonzero float time the scope stacked, for a C-contiguous float X below n = 32
+def _row_expected(t):
+    # a preloaded row: a nonzero Python-float time of the grid or its sums, at every n and order
     sums = {s + u for s in SCOPE_GRID for u in SCOPE_GRID}
-    return (type(t) is float and t != 0.0 and (t in SCOPE_GRID or t in sums) and len(X) < 32
-            and X.flags.c_contiguous)
+    return type(t) is float and t != 0.0 and (t in SCOPE_GRID or t in sums)
+
+
+def _is_row(M, t):
+    return M is scope_rows().get(t)
 
 
 @pytest.mark.parametrize("case", sorted(_scope_matrices()))
@@ -677,11 +699,13 @@ def test_memo_scope_hands_out_t_x_bit_for_bit(case):
     with memo(X, SCOPE_GRID):
         got = [matcore._times(X, t, reach) for t in SCOPE_TIMES]
         assert [_bits(M) for M in got] == want
-        # a row is a read-only view of its key's bytes, every other product a new array
-        assert [M.base is not None for M in got] == [_row_expected(X, t) for t in SCOPE_TIMES]
-        assert all(not M.flags.writeable for M in got if M.base is not None)
-        assert matcore._ROWS.get() is not None
-        assert any(M.base is not None for M in got) == (case in ("real", "complex", "n=31"))
+        # a row is the scope's read-only t * X (a stacked slice below n = 32 for a C-ordered X),
+        # every other product a new array
+        assert [_is_row(M, t) for M, t in zip(got, SCOPE_TIMES)] == [_row_expected(t) for t in SCOPE_TIMES]
+        assert all(not M.flags.writeable for M, t in zip(got, SCOPE_TIMES) if _is_row(M, t))
+        assert all(M.flags.writeable for M, t in zip(got, SCOPE_TIMES) if not _is_row(M, t))
+        stacked = case in ("real", "complex", "n=31")
+        assert all((Y.base is not None) == stacked for Y in scope_rows().values())
     assert [_bits(matcore._times(X, t, reach)) for t in SCOPE_TIMES] == want
     assert matcore._ROWS.get() is None
 
@@ -690,8 +714,9 @@ def test_memo_scope_rows_go_with_the_scope():
     X = X_MEMO.copy()
     reach = matcore._reach(X)
     with memo(X, [0.5]):
-        assert matcore._times(X, 0.5, reach).base is not None
-    assert matcore._ROWS.get() is None and matcore._times(X, 0.5, reach).base is None
+        row = matcore._times(X, 0.5, reach)
+        assert _is_row(row, 0.5)
+    assert matcore._ROWS.get() is None and matcore._times(X, 0.5, reach) is not row
     with pytest.raises(RuntimeError):
         with memo(X, [0.5]):
             raise RuntimeError("inside the scope")
@@ -700,7 +725,7 @@ def test_memo_scope_rows_go_with_the_scope():
     with memo(X, [0.5, 1e308]):
         assert matcore._MEMO.get() == {} and matcore._ROWS.get() is None
         assert _bits(matcore._times(X, 0.5, reach)) == _bits(0.5 * X)
-        assert matcore._times(X, 0.5, reach).base is None
+        assert matcore._times(X, 0.5, reach).flags.writeable
 
 
 def test_memo_scope_rows_belong_to_their_own_x():
@@ -710,15 +735,15 @@ def test_memo_scope_rows_belong_to_their_own_x():
         outer = matcore._ROWS.get()
         with memo(Y, [0.75]):
             # the inner scope's rows are Y's: X's products are new, with X's bits
-            assert matcore._times(X, 0.5, reach_x).base is None
+            assert matcore._times(X, 0.5, reach_x) is not outer[2][0.5]
             assert _bits(matcore._times(X, 0.5, reach_x)) == _bits(0.5 * X)
-            assert matcore._times(Y, 0.75, reach_y).base is not None
+            assert _is_row(matcore._times(Y, 0.75, reach_y), 0.75)
             assert _bits(matcore._times(Y, 0.75, reach_y)) == _bits(0.75 * Y)
-            # an equal copy of X is not the scope's array
-            assert matcore._times(Y.copy(), 0.75, reach_y).base is None
+            # an equal copy of Y is not the scope's array
+            assert not _is_row(matcore._times(Y.copy(), 0.75, reach_y), 0.75)
         assert matcore._ROWS.get() is outer
-        assert matcore._times(X, 0.5, reach_x).base is not None
-        assert matcore._times(Y, 0.75, reach_y).base is None
+        assert _is_row(matcore._times(X, 0.5, reach_x), 0.5)
+        assert matcore._times(Y, 0.75, reach_y).flags.writeable
 
 
 def test_memo_scope_sees_x_mutated_in_place():
@@ -727,10 +752,95 @@ def test_memo_scope_sees_x_mutated_in_place():
     with memo(X, [0.5]):
         X[0, 0] = 1.3
         M = matcore._times(X, 0.5, reach)
-        assert M.base is None and _bits(M) == _bits(0.5 * X)
+        assert not _is_row(M, 0.5) and _bits(M) == _bits(0.5 * X)
         assert expm(M).tobytes() == matcore._expm_kernel(0.5 * X).tobytes()
         X[0, 0] = X_MEMO[0, 0]  # the preloaded bytes again
-        assert matcore._times(X, 0.5, reach).base is not None
+        assert _is_row(matcore._times(X, 0.5, reach), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# identity hits: `expm` on a row finds the row's preloaded exponential without a key
+
+
+@pytest.mark.parametrize("n", [2, 5, 31, 32, 40])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_rows_hit_is_a_private_copy_of_expm_outside_a_scope(solves, n, complex_, order):
+    rng = np.random.default_rng([n, complex_, 29])
+    X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    X = np.asarray(X / n, order=order)
+    grid = [-1.5, -0.5, 0.25, 1.0, 2.0]  # no sum is zero: every time has a row
+    ts = [*grid, *(s + t for s in grid for t in grid)]
+    want = {t: _bits(expm(t * X)) for t in ts}
+    with memo(X, grid):
+        solves.clear()
+        for t in ts:
+            row = _row(X, t)
+            assert row is scope_rows()[t] and _bits(row) == _bits(t * X)
+            E = expm(row)
+            assert _bits(E) == want[t] and E.flags.writeable and E.flags.owndata
+            E[...] = 99.0  # the caller's own: the next hit is unchanged
+            assert _bits(expm(row)) == want[t]
+        assert len(solves) == 0 and memo_entries() == 0  # no call computed, none looked up by bytes
+
+
+def test_rows_are_read_only_and_go_with_the_scope(solves):
+    X = X_MEMO.copy()
+    with memo(X, [0.5, 1.0]):
+        rows = dict(scope_rows())
+        assert sorted(rows) == [0.5, 1.0, 1.5, 2.0]
+        assert set(matcore._ROWS.get()[3]) == {id(Y) for Y in rows.values()}
+        for Y in rows.values():
+            with pytest.raises(ValueError, match="read-only"):
+                Y[0, 0] = 1.0
+        solves.clear()
+        expm(rows[0.5])
+        assert len(solves) == 0
+    assert matcore._ROWS.get() is None
+    # past its scope a row is an ordinary argument, computed by each call
+    assert expm(rows[0.5]).tobytes() == expm(0.5 * X).tobytes() and len(solves) == 2
+
+
+def test_only_expm_finds_a_row_by_identity():
+    calls = []
+
+    @memoized
+    def f(M):
+        calls.append(1)
+        return float(np.sum(M))
+
+    with memo(X_MEMO, [0.5]):
+        row = _row(X_MEMO, 0.5)
+        assert _is_row(row, 0.5)
+        # another kernel on the row is not answered with its exponential: computed once, then hit by bytes
+        assert f(row) == f(row) == float(np.sum(0.5 * X_MEMO))
+        assert len(calls) == 1 and memo_entries() == 1
+
+
+def test_a_foreign_product_in_a_scope_is_computed_once_then_hit(solves):
+    X = X_MEMO
+    want = expm(0.5 * X).tobytes()
+    with memo(X, [0.5]):
+        solves.clear()
+        # 0.5 * X formed here, not the scope's row: looked up by its bytes
+        first, again = expm(0.5 * X), expm(0.5 * X)
+        assert len(solves) == 1 and memo_entries() == 1
+        assert first.tobytes() == again.tobytes() == want == expm(_row(X, 0.5)).tobytes()
+        assert len(solves) == 1 and first is not again
+
+
+def test_an_x_mutated_in_its_scope_is_computed_afresh(solves):
+    X = X_MEMO.copy()
+    changed = X.copy()
+    changed[0, 1] = 2.0
+    want = expm(0.5 * changed).tobytes()
+    with memo(X, [0.5]):
+        solves.clear()
+        X[0, 1] = 2.0
+        M = _row(X, 0.5)  # a new product of the new X, not the preloaded row
+        assert not _is_row(M, 0.5)
+        assert expm(M).tobytes() == want and len(solves) == 1
+        assert expm(_row(X, 0.5)).tobytes() == want and len(solves) == 1  # then a hit by bytes
 
 
 def test_times_past_the_reach_overflow_without_a_warning():
@@ -1215,10 +1325,10 @@ def test_preload_stores_nothing_when_the_helpers_exponential_would_warn(helper_g
     X = np.zeros((n, n))
     X[0, 0], X[1, 1] = 500.0, -500.0
     with memo(X, [0.3, 2.0]):
-        assert memo_entries() == 0
+        assert preloaded() == {} and memo_entries() == 0
     with np.errstate(all="ignore"):
         with memo(X, [0.3, 2.0]):
-            assert memo_entries() == 7  # 0.0, -0.0, 0.3, 2.0, 0.6, 2.3 and 4.0
+            assert sorted(preloaded()) == [0.3, 0.6, 2.0, 2.3, 4.0]
     assert helper_groups == [[2.0, 4.0], [2.0, 4.0]]
 
 
@@ -1438,13 +1548,14 @@ def test_preload_stores_expm_under_the_key_of_each_call(pade):
     pade.clear()
     with memo(X, grid):
         rows = len(pade)
-        # ||t X||_1 <= 3.9 takes no halving: one row per distinct nonzero time (0.25, 1e-9,
-        # -1.5 and their sums 0.5, 0.25 + 1e-9, -1.25, 2e-9, -1.5 + 1e-9, -3.0);
-        # 0.0 and -0.0 both stored
-        assert rows == 9 and memo_entries() == 11 == len(want)
+        # ||t X||_1 <= 3.9 takes no halving: one approximant row per distinct nonzero time (0.25,
+        # 1e-9, -1.5 and their sums 0.5, 0.25 + 1e-9, -1.25, 2e-9, -1.5 + 1e-9, -3.0), each the
+        # exponential of its t * X row; 0.0 and -0.0 have none
+        assert rows == 9 == len(preloaded()) == len(want) - 2
         for t in ts:
-            assert expm(t * X).tobytes() == want[repr(t)].tobytes()
+            assert expm(_row(X, t)).tobytes() == want[repr(t)].tobytes()
         assert len(pade) == rows
+        assert memo_entries() == 2  # +-0.0's products, each computed once by its call
 
 
 def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
@@ -1461,8 +1572,8 @@ def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
     X = np.array([[0.0, 2.0], [-1.0, 0.5]])
     with memo(X, [0.5, 1.5]):
         rows = len(pade)
-        wrapper(0.5 * X), wrapper(1.5 * X), wrapper(3.0 * X)
-        assert len(calls) == 3 and len(pade) == rows > 0
+        wrapper(_row(X, 0.5)), wrapper(_row(X, 1.5)), wrapper(_row(X, 3.0))
+        assert len(calls) == 3 and len(pade) == rows > 0 and memo_entries() == 0
 
 
 @pytest.mark.parametrize("quiet", [False, True], ids=["pytest-errors", "errstate-ignore"])
@@ -1510,14 +1621,14 @@ def test_preload_stores_nothing_when_an_exponential_would_warn():
     assert np.isinf(want[0, 0])
     with np.errstate(over="warn"):
         with memo(X, [1.0]):
-            assert memo_entries() == 0
+            assert preloaded() == {} and memo_entries() == 0
             with pytest.warns(RuntimeWarning, match="overflow"):
-                expm(2.0 * X)  # warns as outside a scope
+                expm(_row(X, 2.0))  # a new product, which warns as outside a scope
             assert memo_entries() == 1
     with np.errstate(all="ignore"):
         with memo(X, [1.0]):
-            assert memo_entries() == 4  # 0.0, -0.0, 1.0 and 2.0
-            assert expm(2.0 * X).tobytes() == want.tobytes()
+            assert sorted(preloaded()) == [1.0, 2.0]
+            assert expm(_row(X, 2.0)).tobytes() == want.tobytes() and memo_entries() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1574,8 +1685,8 @@ def norms(monkeypatch):
 def test_stacked_plan_equals_the_per_time_plan(norms, case):
     X, ts, stacks = _PLAN_CASES[case]
     want = per_time_plan(X, ts)
-    keys = {}
-    stacked, *got = matcore._plan(X, ts, keys)
+    rows = {}
+    stacked, *got = matcore._plan(X, ts, rows)
     if stacks:  # every time in a stacked block, in order, with the per-time plan's 1-norm (0.0 if zero)
         assert got == [[], {}]
         zeros, families = want
@@ -1587,8 +1698,10 @@ def test_stacked_plan_equals_the_per_time_plan(norms, case):
     else:  # the zero times with their dtypes, the families with their squarings, in order
         assert stacked == [] and repr(tuple(got)) == repr(want)
     assert len(norms) == (0 if stacks else len(dict.fromkeys(ts)))
-    for t in dict.fromkeys(ts):
-        assert keys[t] == matcore._memo_key(matcore._expm_kernel, (t * X,))
+    # the t * X of each nonzero Python-float time, read-only, in order: a stacked slice or its own product
+    assert [repr(t) for t in rows] == [repr(t) for t in dict.fromkeys(ts) if t and type(t) is float]
+    for t, Y in rows.items():
+        assert _bits(Y) == _bits(t * X) and not Y.flags.writeable and (Y.base is not None) == stacks
 
 
 @pytest.mark.parametrize("ts, message", [
@@ -1625,15 +1738,17 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
                    order=order)
     # -0.0 beside 0.0, and 0.5 twice
     grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [-0.0, 0.5]
-    ts = [0.0, *grid, *(s + t for s in grid for t in grid)]
+    ts = [*grid, *(s + t for s in grid for t in grid)]
+    want = {t: expm(t * X).tobytes() for t in ts if t}
     with memo(X, grid):
-        table = dict(matcore._MEMO.get())
+        rows, got = dict(scope_rows()), preloaded()
+        assert memo_entries() == 0
     # a C-ordered X is planned from stacked products, an F-ordered one time by time
     assert len(norms) == (0 if order == "C" else len(dict.fromkeys(ts)))
-    want = {matcore._memo_key(matcore._expm_kernel, (t * X,)): t for t in ts}
-    assert set(table) == set(want) and len(want) == len({repr(t) for t in ts})
-    for key, E in table.items():
-        assert E.tobytes() == expm(want[key] * X).tobytes()
+    # each nonzero time's value under its row, t * X bit for bit
+    assert [repr(t) for t in got] == [repr(t) for t in want] and len(want) == len(dict.fromkeys(ts)) - 1
+    for t, E in got.items():
+        assert E.tobytes() == want[t] and _bits(rows[t]) == _bits(t * X)
 
 
 # ---------------------------------------------------------------------------
@@ -1767,12 +1882,13 @@ def test_stacked_rows_preload_hits_through_every_binding(solves, n, complex_):
         solves.clear()
         for module in (matcore, curves, flows, markov, cli):
             for t in ts:
-                E = module.expm(t * X)
+                E = module.expm(_row(X, t))
                 assert E.tobytes() == want[repr(t)].tobytes()
                 E[...] = 99.0  # a hit is the caller's own: the entry stays
         assert len(solves) == 0
-        assert all(module.expm(t * X).tobytes() == want[repr(t)].tobytes() for t in ts)
-        assert memo_entries() == len(want)
+        assert all(module.expm(_row(X, t)).tobytes() == want[repr(t)].tobytes() for t in ts)
+        # a row for each nonzero time; +-0.0's products, which take no solve, stored by their calls
+        assert len(preloaded()) == len(want) - 2 and memo_entries() == 2
     assert len(solves) == 0
 
 
@@ -2076,14 +2192,14 @@ def test_memo_preloads_tiny_arguments_as_through_numpys_solve(monkeypatch, error
 
     def entries():
         with np.errstate(**errors), memo(X, [0.5, 1.0]):
-            return {key[-2]: E.tobytes() for key, E in matcore._MEMO.get().items()}
+            return {t: E.tobytes() for t, E in preloaded().items()}
 
     got = entries()
     monkeypatch.setattr(matcore, "_gesv", np.linalg.solve)
     assert got == entries()
-    # under the default settings, 0.0 and -0.0 and the nonzero times 0.5, 1.0, 1.5 and 2.0, each
-    # expm(t * X)'s bits; with underflow reported the preload stores nothing
-    assert len(got) == (0 if errors == {"under": "warn"} else 6)
+    # under the default settings, the nonzero times 0.5, 1.0, 1.5 and 2.0, each with expm(t * X)'s
+    # bits; with underflow reported the preload stores nothing
+    assert len(got) == (0 if errors == {"under": "warn"} else 4)
     if not errors:
         with np.errstate(under="ignore"):
-            assert set(got.values()) == {expm(t * X).tobytes() for t in (0.0, 0.5, 1.0, 1.5, 2.0)}
+            assert got == {t: expm(t * X).tobytes() for t in (0.5, 1.0, 1.5, 2.0)}

@@ -584,12 +584,12 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
 
     An `ExpLine` (and so a `TangentInduced`) is checked in one
     `matcore.memo(X, grid)` scope, so each distinct exponential is computed
-    once, all from one `expm_times` run, and `value` takes each float
-    time's t X row from the preload, whose `expm` finds its exponential by
-    identity; the other variants call no memoized kernel and take each
-    chunk of sums A(s + t), `_stepper.CHUNK_ENTRIES` entries, from one
-    `values` call.  A chunk goes into one stacked stage S - V[s] @ V[t], V
-    the grid values, bit for bit the per-pair residuals
+    once, all from one `expm_times` run, and `value` takes each time's t X
+    row from the preload (+-0.0 the one zero row), whose exponential
+    `expm` finds by the row's identity; the other variants open no scope
+    and take each chunk of sums A(s + t), `_stepper.CHUNK_ENTRIES` entries,
+    from one `values` call.  A chunk goes into one stacked stage
+    S - V[s] @ V[t], V the grid values, bit for bit the per-pair residuals
     (`matcore.frob_residuals`); others go pair by pair.
     """
     grid = [float(t) for t in nonempty(grid)]

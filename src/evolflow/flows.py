@@ -98,8 +98,9 @@ class FlowLine:
 def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
     """A as a validated base point: raises NotInGroup outside the declared group.
 
-    The membership probe validates A (in a `matcore.memo` scope a hit means
-    these bytes passed before), so A is then only coerced as `as_matrix` does.
+    The membership probe validates A (in a `matcore.memo` scope it is looked
+    up by A's bytes, and a hit means these bytes passed before), so A is
+    then only coerced as `as_matrix` does.
     """
     try:
         rep = in_group(A, flow.group, tol)
@@ -131,12 +132,13 @@ def flow_axioms(flow: Flow, bases, grid, tol: float = 1e-9) -> FlowAxiomsReport:
 
     The check runs in one `matcore.memo(X, grid)` scope, so each distinct
     exponential and base-point membership is computed once, the
-    exponentials all from one `expm_times` run, and each t X is the row the
-    preload formed, whose `expm` call finds its exponential by the row's
-    identity, without a key.  Each application is a `flow_apply` call, as
-    (A E_t) E_s; a chunk of CHUNK_ENTRIES / n^2 pairs writes its left sides
-    and its right sides A E_{s+t} into two stacks of the applications' dtype,
-    which `matcore.frob_residuals` takes as they are.
+    exponentials all from one `expm_times` run: each t X, zero included,
+    is a row of the preload, whose exponential `expm` finds by the row's
+    identity, and each membership is looked up by its bytes.  Each
+    application is a `flow_apply` call, as (A E_t) E_s; a chunk of
+    CHUNK_ENTRIES / n^2 pairs writes its left sides and its right sides
+    A E_{s+t} into two stacks of the applications' dtype, which
+    `matcore.frob_residuals` takes as they are.
     """
     ts = [float(t) for t in nonempty(grid)]
     bases = nonempty(bases, "no base points")

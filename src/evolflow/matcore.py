@@ -15,9 +15,10 @@ a time, and at large n under a one-thread BLAS every other group on a
 second thread), the determinant gauge behind every nonsingularity and
 determinant-sign decision, a guaranteed upper estimate of the spectral
 radius, `memo(X, grid)`, the scope of a grid check on t -> exp(t X) in
-which each distinct exponential and membership is computed once (the
-exponentials preloaded from one `expm_times` run, each found by the
-identity of the t X row the scope hands out), and `worst`, the one
+which each distinct exponential and membership is computed once, with one
+lookup per kernel (`expm` finds an exponential, preloaded from one
+`expm_times` run, by the identity of the t X row the scope hands out;
+`memoized` finds a membership by its bytes), and `worst`, the one
 reduction of a grid check's residuals (`nonempty` refuses none;
 `frob_residuals` takes a chunk of them from one stacked stage below
 n = 32, only for the subgroup check and `flow_axioms`).
@@ -89,58 +90,65 @@ _ETA_LIMITS = tuple(np.array([[_THETA13_LIMITS[k][i]] for k in (4, 8, 6, 10)]) f
 _ELL_UC = 2.0**-53 * 113250775606021113483283660800000000.0
 _ELL_ROOT = math.frexp(_ELL_UC ** (1.0 / 26.0))
 
-# The table of the innermost open `memo` scope, None outside every scope; and that scope's rows
-# (X, X's bytes, {t: t * X}, {id(t * X): expm(t * X)}) of its preload (`_times`), None when it failed.
-_MEMO: ContextVar[dict | None] = ContextVar("evolflow_memo", default=None)
-_ROWS: ContextVar[tuple | None] = ContextVar("evolflow_memo_rows", default=None)
+
+class _Scope(NamedTuple):
+    # an open `memo` scope: X and its bytes at entry; its preload's read-only rows {t: t * X} and their
+    # exponentials {id(t * X): expm(t * X)}, both empty when it failed; and the memoized kernels' table
+    X: np.ndarray | None
+    data: bytes | None
+    rows: dict
+    exponentials: dict
+    table: dict
+
+
+_SCOPE: ContextVar[_Scope | None] = ContextVar("evolflow_memo", default=None)  # the innermost open one
 _ABSENT = object()  # a key not in the memo table
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))  # the dtypes `_as_float` keeps
 
 
 @contextmanager
 def memo(X, grid):
-    """Scope of a grid check on t -> exp(t X), in which memoized kernels compute each distinct
-    argument once.
+    """Scope of a grid check on t -> exp(t X), in which each distinct exponential and membership is
+    computed once.
 
-    It preloads expm(t * X) for every t in the grid and its pairwise sums
-    s + t, from one `expm_times` run, and opens a table for the calls that
-    miss; a scope opened inside another has its own, and the outer one is
-    back when it closes.  Both go when the scope exits, also on an
-    exception.  The preload is keyed on rows, not bytes: for each nonzero
-    Python-float time it keeps the read-only t * X `_plan` formed to
-    validate it (a stacked slice below n = 32, else its own product) and
-    its exponential.  `_times` hands the row to `flows.flow_apply` and
-    `curves.ExpLine.value`, and `expm` on the row, through any binding,
-    finds it by identity.  Any other argument (+-0.0's t * X, an equal
-    product formed elsewhere) is looked up by its bytes: computed once,
-    then a hit.  The preload never raises: when a time fails (`expm_times`
-    rejects it, or a floating-point event numpy's error settings would
-    report), no rows are kept, and each call acts as outside a scope.
+    It preloads expm(t * X) for each distinct t of the grid and its sums
+    s + t, zero included, from one `expm_times` run, and keeps each Python
+    float's row: t * X bit for bit, a slice of one read-only stack.
+    `_times` hands the rows out, and `expm` on a row, through any binding,
+    finds its exponential by the row's identity (+-0.0 share the zero
+    row); any other argument is computed.  The table of the `memoized`
+    kernels (`lie.in_group`) is keyed by bytes.  A nested scope has its
+    own; each goes when its scope exits, also on an exception.  The
+    preload never raises: when a time fails (`expm_times` rejects it, or
+    a floating-point event numpy's error settings would report), no rows
+    are kept, and each `expm` call acts as outside a scope.
     """
     strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
-    rows = {}  # t -> the read-only t * X of each nonzero float time, filled by `_plan`
     try:
         X, grid = np.asarray(X), list(grid)
-        ts = [*grid, *np.add.outer(grid, grid).ravel().tolist()]
         with np.errstate(**strict):
-            hits = {id(rows[t]): E for t, E in _exponentials(X, *_plan(X, ts, rows)) if t in rows}
-        scope = X, X.tobytes(), rows, hits
+            ts = list(dict.fromkeys([*grid, *np.add.outer(grid, grid).ravel().tolist()]))
+            floats = [t for t in ts if type(t) is float]
+            P = np.multiply.outer(floats, X)  # each slice t * X, bit for bit
+            P.flags.writeable = False  # and so each row
+            rows = dict(zip(floats, P))
+            exponentials = {id(rows[t]): E for t, E in expm_times(X, ts) if t in rows}
+        scope = _Scope(X, X.tobytes(), rows, exponentials, {})
     except Exception:  # the calls themselves raise or warn as they would have
-        scope = None
-    tokens = _MEMO.set({}), _ROWS.set(scope)
+        scope = _Scope(None, None, {}, {}, {})
+    token = _SCOPE.set(scope)
     try:
         yield
     finally:
-        _MEMO.reset(tokens[0])
-        _ROWS.reset(tokens[1])
+        _SCOPE.reset(token)
 
 
 def _times(X, t, reach):
     # t * X: the open scope's row when X is its array, with the bytes it preloaded, and t a float it
-    # preloaded; else a new product, without numpy's overflow warning for |t| > reach (`_reach`)
-    rows = _ROWS.get()
-    if (rows is not None and X is rows[0] and type(t) is float and (row := rows[2].get(t)) is not None
-            and X.tobytes() == rows[1]):
+    # preloaded (+-0.0 the zero row); else a new product, unwarned for |t| > reach (`_reach`)
+    scope = _SCOPE.get()
+    if (scope is not None and X is scope.X and type(t) is float and (row := scope.rows.get(t)) is not None
+            and X.tobytes() == scope.data):
         return row
     if abs(t) <= reach:
         return t * X
@@ -158,36 +166,32 @@ def _reach(X) -> np.float64:
 def memoized(fn):
     """Decorate a kernel f(M, *args) to look its result up inside a `memo` scope.
 
-    `expm` on a row of the scope's preload (`memo`) finds it by identity:
-    the scope holds the row alive, so no other array has its `id`, and the
-    row is read-only.  Any other call is keyed on the exact raw input
-    (`np.asarray(M)`'s dtype, shape, strides and bytes) with the remaining
-    arguments, taken before validation: the same bytes passed validation
-    before, and a call that raises stores nothing.  Results of type ndarray
-    are handed out as copies, so callers own them.  Outside a scope, and
-    for a call with a keyword argument, a matrix of a non-numeric dtype or
-    an unhashable argument, the function runs as if undecorated; the dtype
-    is tested only on a miss, since no other dtype is stored.
+    A call is keyed on the exact raw input (`np.asarray(M)`'s dtype, shape,
+    strides and bytes) with the remaining arguments, taken before
+    validation: the same bytes passed validation before, and a call that
+    raises stores nothing.  Results of type ndarray are handed out as
+    copies, so callers own them.  Outside a scope, and for a call with a
+    keyword argument, a matrix of a non-numeric dtype or an unhashable
+    argument, the function runs as if undecorated; the dtype is tested
+    only on a miss, since no other dtype is stored.  It decorates
+    `lie.in_group`; `expm` finds its preloaded rows itself.
     """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        table = _MEMO.get()
-        if table is None or not args or kwargs:
+        scope = _SCOPE.get()
+        if scope is None or not args or kwargs:
             return fn(*args, **kwargs)
-        if (fn is _expm_kernel and (rows := _ROWS.get()) is not None
-                and (E := rows[3].get(id(args[0]))) is not None):
-            return E.copy()  # a row of the preload: no key, no bytes
         M = args[0] if type(args[0]) is np.ndarray else np.asarray(args[0])
         key = (fn, M.dtype, M.shape, M.strides, M.tobytes(), args[1:])
         try:
-            result = table.get(key, _ABSENT)  # the one hash of the key
+            result = scope.table.get(key, _ABSENT)  # the one hash of the key
         except TypeError:  # an unhashable argument: no lookup
             return fn(*args, **kwargs)
         if result is _ABSENT:
             result = fn(*args, **kwargs)
             if M.dtype.kind in "biufc":  # no other dtype is stored, so none can hit
-                table[key] = result
+                scope.table[key] = result
         return result.copy() if type(result) is np.ndarray else result
 
     return wrapper
@@ -317,7 +321,6 @@ def one_norm(M) -> float:
     return float(np.abs(np.asarray(M)).sum(axis=0).max())
 
 
-@memoized
 def expm(X) -> np.ndarray:
     """Matrix exponential by scaling and squaring, its Pade degree chosen.
 
@@ -329,8 +332,11 @@ def expm(X) -> np.ndarray:
     9, 6 for m = 13, plus s squarings.  Relative accuracy against a 50-digit
     oracle is ~1e-15 on well-conditioned inputs, also on [[1, b], [0, -1]]
     for large b, which halving by ||X||_1 alone loses digits to.  Inside a
-    `memo` scope each distinct X is computed once.
+    `memo` scope a row of its preload takes a copy of its preloaded
+    exponential; any other X is computed.
     """
+    if (scope := _SCOPE.get()) is not None and (E := scope.exponentials.get(id(X))) is not None:
+        return E.copy()  # a row the scope holds alive, so no other array has its id, and read-only
     X = _square_float(X)  # validated in one pass with its 1-norm
     with np.errstate(over="ignore"):  # an overflowing 1-norm raises below instead
         nrm = float(_MAX(_SUM(np.abs(X), axis=0)))  # `one_norm`: finite exactly when every entry
@@ -341,11 +347,6 @@ def expm(X) -> np.ndarray:
     squarings = _squarings(nrm)
     # X itself when unhalved (no copy), unless strided: products of a strided X round otherwise
     return _exponential(X if not squarings and X.flags.forc else X / 2.0**squarings, nrm, squarings)
-
-
-# the kernel that `memoized` wraps into `expm`: the function in the memo keys of its calls, and the
-# one whose calls look the scope's rows up, through whatever module binding they reach it
-_expm_kernel = expm.__wrapped__
 
 
 def _exponential(A, nrm, squarings):
@@ -787,14 +788,13 @@ def _rows(X, block, nrm):
         yield t, next(E).copy() if nonzero else np.eye(len(X), dtype=X.dtype)  # each the caller's own
 
 
-def _plan(X, ts, rows=None):
-    # validate every distinct time, `_block_rows(n)` at a time; with `rows`, put the t * X formed to validate
-    # each nonzero Python-float time in rows[t], read-only.  A block of several Python-float times whose
-    # 1-norms are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is t * X, bit
-    # for bit), while numpy ignores underflow, which a stacked t * X does not report (one time is cheaper on
-    # `expm`'s own path).  The other times are validated one t * X a time, so the first failing one raises
-    # as `expm` does, and sorted into zeros and families (one mantissa of t) of groups (one exponent of t
-    # minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1)
+def _plan(X, ts):
+    # validate every distinct time, `_block_rows(n)` at a time.  A block of several Python-float times
+    # whose 1-norms are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is
+    # t * X, bit for bit), while numpy ignores underflow, which a stacked t * X does not report (one time
+    # is cheaper on `expm`'s own path).  The other times are validated one t * X a time, so the first
+    # failing one raises as `expm` does, and sorted into zeros and families (one mantissa of t) of groups
+    # (one exponent of t minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1)
     stacks, zeros, families, times = [], [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
     per_block = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
                  and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)
@@ -805,18 +805,12 @@ def _plan(X, ts, rows=None):
                 P = np.array(block)[:, None, None] * X
                 nrm = _MAX(_SUM(np.abs(P), axis=1), axis=1)  # `one_norm` of each slice
             if np.isfinite(nrm).all():  # then so is every entry
-                if rows is not None:
-                    P.flags.writeable = False  # and so each slice
-                    rows.update((t, Y) for t, Y in zip(block, P) if t)
                 stacks.append((block, nrm))
                 continue
         for t in block:
             with np.errstate(over="ignore"):  # an overflowing t * X or 1-norm raises instead
                 Y = t * X
                 nrm = _scaling_norm(as_matrix(Y))
-            if rows is not None and t and type(t) is float:
-                Y.flags.writeable = False
-                rows[t] = Y
             if not nrm:
                 zeros.append((t, _as_float(Y).dtype))
                 continue

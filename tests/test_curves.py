@@ -645,11 +645,11 @@ def test_exp_line_value_in_a_memo_scope_is_value_outside(case):
     want = [_bits(curve.value(t)) for t in SCOPE_TIMES]
     with matcore.memo(curve.X, SCOPE_GRID):
         # the preloaded row stands in for 0.5 X at every n and order
-        assert matcore._times(curve.X, 0.5, curve._reach) is matcore._ROWS.get()[2][0.5]
+        assert matcore._times(curve.X, 0.5, curve._reach) is matcore._SCOPE.get().rows[0.5]
         assert [_bits(curve.value(t)) for t in SCOPE_TIMES] == want
         curve.X[0, 0] = 2.0  # mutated in place: the next call sees the new X
         assert _bits(curve.value(0.5)) == _bits(curve.A0 @ expm(0.5 * curve.X))
-    assert matcore._ROWS.get() is None
+    assert matcore._SCOPE.get() is None
 
 
 def test_exp_line_value_takes_the_rows_of_its_own_scope_only():
@@ -659,9 +659,9 @@ def test_exp_line_value_takes_the_rows_of_its_own_scope_only():
         with matcore.memo(inner.X, [0.75, 1.5]):
             assert [_bits(c.value(t)) for c in (outer, inner) for t in SCOPE_TIMES] == want
             assert matcore._times(outer.X, 0.5, outer._reach).flags.writeable  # a new product
-        assert matcore._times(outer.X, 0.5, outer._reach) is matcore._ROWS.get()[2][0.5]
+        assert matcore._times(outer.X, 0.5, outer._reach) is matcore._SCOPE.get().rows[0.5]
     with matcore.memo(outer.X, [0.5, 1e308]):  # the preload fails: no rows, the same values
-        assert matcore._ROWS.get() is None
+        assert matcore._SCOPE.get().rows == {}
         assert [_bits(outer.value(t)) for t in SCOPE_TIMES] == want[:len(SCOPE_TIMES)]
 
 

@@ -399,12 +399,12 @@ def test_flow_apply_in_a_memo_scope_is_flow_apply_outside(case):
     want = [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES]
     with matcore.memo(flow.X, SCOPE_GRID):
         # the preloaded row stands in for 0.5 X at every n and order
-        assert matcore._times(flow.X, 0.5, flow._reach) is matcore._ROWS.get()[2][0.5]
+        assert matcore._times(flow.X, 0.5, flow._reach) is matcore._SCOPE.get().rows[0.5]
         assert [_outcome(lambda: flow_apply(flow, t, A)) for t in SCOPE_TIMES] == want
         # an equal copy of the generator is not the scope's: its products are new, with the same bits
         copy = Flow(flow.X.copy(), flow.group)
         assert [_outcome(lambda: flow_apply(copy, t, A)) for t in SCOPE_TIMES] == want
-    assert matcore._ROWS.get() is None
+    assert matcore._SCOPE.get() is None
 
 
 def test_flow_apply_sees_a_generator_mutated_in_its_scope():

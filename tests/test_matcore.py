@@ -1,4 +1,6 @@
+import contextlib
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -479,14 +481,14 @@ def _row(X, t):
 
 def scope_rows():
     # the open scope's rows {t: t * X}, {} when it holds none
-    rows = matcore._ROWS.get()
-    return {} if rows is None else rows[2]
+    scope = matcore._SCOPE.get()
+    return {} if scope is None else scope.rows
 
 
 def preloaded():
     # the open scope's preloaded exponentials {t: expm(t * X)}, by their rows' times
-    rows = matcore._ROWS.get()
-    return {} if rows is None else {t: rows[3][id(Y)] for t, Y in rows[2].items()}
+    scope = matcore._SCOPE.get()
+    return {} if scope is None else {t: scope.exponentials[id(Y)] for t, Y in scope.rows.items()}
 
 
 @pytest.fixture
@@ -504,79 +506,93 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def doubled():
+    """A memoized kernel M -> 2 M, as `lie.in_group` is one, with `calls`, the calls that reach it."""
+    calls = []
+
+    @memoized
+    def f(M):
+        calls.append(1)
+        return 2.0 * np.asarray(M)
+
+    f.calls = calls
+    return f
+
+
 def test_expm_outside_a_memo_computes_every_call(solves):
     expm(X_MEMO)
     expm(X_MEMO)
     assert len(solves) == 2
-    assert matcore._MEMO.get() is None
+    assert matcore._SCOPE.get() is None
 
 
-def test_memo_computes_each_distinct_argument_once(solves):
-    with memo(X_MEMO, []):  # preloaded with exp(0 X) alone, which takes no solve
-        first = expm(X_MEMO)
-        again = expm(X_MEMO.copy())
-        assert len(solves) == 1
+def test_memo_computes_each_distinct_argument_once(doubled):
+    with memo(X_MEMO, []):
+        first = doubled(X_MEMO)
+        again = doubled(X_MEMO.copy())
+        assert len(doubled.calls) == 1
         # exact bytes: a one-ulp change is a different argument
-        expm(np.nextafter(X_MEMO, 2.0))
-        assert len(solves) == 2
+        doubled(np.nextafter(X_MEMO, 2.0))
+        assert len(doubled.calls) == 2
     assert np.array_equal(first, again)
-    assert np.array_equal(first, expm(X_MEMO))
+    assert np.array_equal(first, doubled(X_MEMO))
 
 
-def test_memo_hit_hands_out_a_private_copy():
+def test_memo_hit_hands_out_a_private_copy(doubled):
     with memo(X_MEMO, [1.0]):
-        first = expm(X_MEMO)  # a preloaded value
+        row = _row(X_MEMO, 1.0)
+        first = expm(row)  # a preloaded value
         first[:] = 99.0
-        again = expm(X_MEMO)
+        again = expm(row)
         assert again is not first
-        stored = expm(0.5 * X_MEMO)  # a value stored by the call
-        want = stored.copy()
+        stored = doubled(X_MEMO)  # a value stored by the call
         stored[:] = 99.0
-        assert np.array_equal(expm(0.5 * X_MEMO), want)
+        assert np.array_equal(doubled(X_MEMO), 2.0 * X_MEMO) and len(doubled.calls) == 1
     assert np.array_equal(again, expm(X_MEMO))
 
 
-def test_memo_table_is_dropped_on_exit(solves):
+def test_memo_table_is_dropped_on_exit(solves, doubled):
     with memo(X_MEMO, [1.0]):
         preloaded = len(solves)
         expm(_row(X_MEMO, 1.0))  # a preloaded row
-        expm(0.5 * X_MEMO)  # computed and stored
-        assert matcore._MEMO.get() and matcore._ROWS.get() and len(solves) == preloaded + 1
-    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
-    expm(_row(X_MEMO, 1.0))
-    assert len(solves) == preloaded + 2
+        doubled(X_MEMO)  # computed and stored
+        assert matcore._SCOPE.get().table and len(solves) == preloaded
+    assert matcore._SCOPE.get() is None
+    expm(_row(X_MEMO, 1.0)), doubled(X_MEMO)
+    assert len(solves) == preloaded + 1 and len(doubled.calls) == 2
 
 
-def test_memo_table_is_dropped_after_an_exception(solves):
+def test_memo_table_is_dropped_after_an_exception(solves, doubled):
     with pytest.raises(RuntimeError):
         with memo(X_MEMO, [1.0]):
             preloaded = len(solves)
-            expm(_row(X_MEMO, 1.0))
+            expm(_row(X_MEMO, 1.0)), doubled(X_MEMO)
             raise RuntimeError("inside the scope")
-    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
-    expm(_row(X_MEMO, 1.0))
-    assert len(solves) == preloaded + 1
+    assert matcore._SCOPE.get() is None
+    expm(_row(X_MEMO, 1.0)), doubled(X_MEMO)
+    assert len(solves) == preloaded + 1 and len(doubled.calls) == 2
 
 
-def test_a_nested_memo_scope_starts_its_own_table(solves):
+def test_a_nested_memo_scope_starts_its_own_table(solves, doubled):
     with memo(X_MEMO, []):
-        outer, outer_rows = matcore._MEMO.get(), matcore._ROWS.get()
-        expm(0.5 * X_MEMO)
-        assert len(outer) == 1 and len(solves) == 1 and scope_rows() == {}  # the call's
+        outer = matcore._SCOPE.get()
+        doubled(0.5 * X_MEMO)
+        assert len(outer.table) == 1 and len(doubled.calls) == 1 and scope_rows() == {}  # the call's
         with memo(X_MEMO, [1.0]):
-            inner = matcore._MEMO.get()
-            assert inner is not outer and len(outer) == 1
+            inner = matcore._SCOPE.get()
+            assert inner.table is not outer.table and len(outer.table) == 1
             preloaded = len(solves)
             expm(_row(X_MEMO, 1.0)), expm(_row(X_MEMO, 2.0))  # hits on the inner preload
-            expm(0.5 * X_MEMO)  # the outer table's entry is not looked up here
-            assert len(solves) == preloaded + 1
+            doubled(0.5 * X_MEMO)  # the outer table's entry is not looked up here
+            assert len(solves) == preloaded and len(doubled.calls) == 2
         # leaving the inner scope brings the outer table and rows back, unchanged
-        assert matcore._MEMO.get() is outer and len(outer) == 1 and matcore._ROWS.get() is outer_rows
-        expm(0.5 * X_MEMO)
-        assert len(solves) == preloaded + 1
+        assert matcore._SCOPE.get() is outer and len(outer.table) == 1
+        doubled(0.5 * X_MEMO)
+        assert len(doubled.calls) == 2
         expm(_row(X_MEMO, 1.0))  # the inner preload went with its scope
-        assert len(solves) == preloaded + 2
-    assert matcore._MEMO.get() is None and matcore._ROWS.get() is None
+        assert len(solves) == preloaded + 1
+    assert matcore._SCOPE.get() is None
 
 
 def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
@@ -589,7 +605,7 @@ def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
 
     M = np.arange(4.0).reshape(2, 2)
     with memo(X_MEMO, []):
-        preloaded = len(matcore._MEMO.get())
+        preloaded = memo_entries()
         f(M)
         f(M.copy())                       # same bytes, strides, dtype: a hit
         assert len(calls) == 1
@@ -606,7 +622,7 @@ def test_memo_key_is_dtype_shape_strides_bytes_and_arguments():
         f(np.array([[1, 2]], dtype=object))  # not numeric: computed every call
         f(np.array([[1, 2]], dtype=object))
         assert len(calls) == 10
-        assert len(matcore._MEMO.get()) == preloaded + 6
+        assert memo_entries() == preloaded + 6
 
 
 def test_a_keyword_call_in_a_memo_scope_is_computed_and_not_stored(solves):
@@ -618,17 +634,16 @@ def test_a_keyword_call_in_a_memo_scope_is_computed_and_not_stored(solves):
         return float(np.sum(M))
 
     with memo(X_MEMO, [1.0]):
-        table = dict(matcore._MEMO.get())
+        table = dict(matcore._SCOPE.get().table)
         preloaded = len(solves)
         f(X_MEMO, tol=1e-9), f(X_MEMO, tol=1e-9), f(M=X_MEMO)
         assert len(calls) == 3
-        # the preload holds exp(X_MEMO) for its row, but a keyword call does not look it up
+        # `expm` is no memoized kernel: a keyword call on a row finds its exponential as a positional one
         row = _row(X_MEMO, 1.0)
         assert row is scope_rows()[1.0]
-        assert expm(X=row).tobytes() == expm(row).tobytes()
-        expm(X=row)
-        assert len(solves) == preloaded + 2
-        assert matcore._MEMO.get().keys() == table.keys()
+        assert expm(X=row).tobytes() == expm(row).tobytes() == expm(X_MEMO).tobytes()
+        assert len(solves) == preloaded + 1  # the foreign X_MEMO's
+        assert matcore._SCOPE.get().table.keys() == table.keys()
 
 
 def test_memo_stores_no_call_that_raises():
@@ -642,7 +657,7 @@ def test_memo_stores_no_call_that_raises():
         return float(np.sum(M))
 
     with memo(X_MEMO, []):
-        preloaded = len(matcore._MEMO.get())
+        preloaded = memo_entries()
         with pytest.raises(RuntimeError):
             flaky(np.eye(2))
         assert flaky(np.eye(2)) == 2.0
@@ -651,7 +666,7 @@ def test_memo_stores_no_call_that_raises():
             expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFiniteInput):
             expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        assert len(matcore._MEMO.get()) == preloaded + 1  # flaky's one success
+        assert memo_entries() == preloaded + 1  # flaky's one success
     assert len(calls) == 2
 
 
@@ -682,9 +697,9 @@ def _scope_matrices():
 
 
 def _row_expected(t):
-    # a preloaded row: a nonzero Python-float time of the grid or its sums, at every n and order
+    # a preloaded row: a Python-float time of the grid or its sums, zero included, at every n and order
     sums = {s + u for s in SCOPE_GRID for u in SCOPE_GRID}
-    return type(t) is float and t != 0.0 and (t in SCOPE_GRID or t in sums)
+    return type(t) is float and (t in SCOPE_GRID or t in sums)
 
 
 def _is_row(M, t):
@@ -698,16 +713,18 @@ def test_memo_scope_hands_out_t_x_bit_for_bit(case):
     want = [_bits(t * X) for t in SCOPE_TIMES]
     with memo(X, SCOPE_GRID):
         got = [matcore._times(X, t, reach) for t in SCOPE_TIMES]
-        assert [_bits(M) for M in got] == want
-        # a row is the scope's read-only t * X (a stacked slice below n = 32 for a C-ordered X),
+        # -0.0 takes the 0.0 row, the grid's first zero: expm of either product is the identity
+        assert [_bits(M) for M in got] == [_bits(0.0 * X) if t == 0.0 and _row_expected(t) else w
+                                           for t, w in zip(SCOPE_TIMES, want)]
+        # a row is the scope's read-only t * X, a slice of one stacked product at every n and order,
         # every other product a new array
         assert [_is_row(M, t) for M, t in zip(got, SCOPE_TIMES)] == [_row_expected(t) for t in SCOPE_TIMES]
         assert all(not M.flags.writeable for M, t in zip(got, SCOPE_TIMES) if _is_row(M, t))
         assert all(M.flags.writeable for M, t in zip(got, SCOPE_TIMES) if not _is_row(M, t))
-        stacked = case in ("real", "complex", "n=31")
-        assert all((Y.base is not None) == stacked for Y in scope_rows().values())
+        assert len({id(Y.base) for Y in scope_rows().values()}) == 1
+        assert [_bits(expm(M)) for M in got] == [_bits(expm(t * X)) for t in SCOPE_TIMES]
     assert [_bits(matcore._times(X, t, reach)) for t in SCOPE_TIMES] == want
-    assert matcore._ROWS.get() is None
+    assert matcore._SCOPE.get() is None
 
 
 def test_memo_scope_rows_go_with_the_scope():
@@ -716,32 +733,45 @@ def test_memo_scope_rows_go_with_the_scope():
     with memo(X, [0.5]):
         row = matcore._times(X, 0.5, reach)
         assert _is_row(row, 0.5)
-    assert matcore._ROWS.get() is None and matcore._times(X, 0.5, reach) is not row
+    assert matcore._SCOPE.get() is None and matcore._times(X, 0.5, reach) is not row
     with pytest.raises(RuntimeError):
         with memo(X, [0.5]):
             raise RuntimeError("inside the scope")
-    assert matcore._ROWS.get() is None
+    assert matcore._SCOPE.get() is None
     # a preload that fails (2e308 overflows) holds no row, and the products are new
     with memo(X, [0.5, 1e308]):
-        assert matcore._MEMO.get() == {} and matcore._ROWS.get() is None
+        scope = matcore._SCOPE.get()
+        assert scope.rows == scope.exponentials == scope.table == {}
         assert _bits(matcore._times(X, 0.5, reach)) == _bits(0.5 * X)
         assert matcore._times(X, 0.5, reach).flags.writeable
+
+
+@pytest.mark.parametrize("errors", ["warn", "ignore"])
+def test_a_preload_whose_sums_overflow_reports_nothing(errors):
+    # 1e308 + 1e308 overflows: under "warn" the preload fails without a warning, under "ignore" its
+    # infinite time fails it; the calls act as outside a scope either way
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=errors):
+        warnings.simplefilter("always")
+        with memo(X_MEMO, [0.5, 1e308]):
+            assert scope_rows() == {} and memo_entries() == 0
+            assert expm(_row(X_MEMO, 0.5)).tobytes() == expm(0.5 * X_MEMO).tobytes()
+    assert caught == []
 
 
 def test_memo_scope_rows_belong_to_their_own_x():
     X, Y = X_MEMO.copy(), 2.0 * X_MEMO
     reach_x, reach_y = matcore._reach(X), matcore._reach(Y)
     with memo(X, [0.5]):
-        outer = matcore._ROWS.get()
+        outer = matcore._SCOPE.get()
         with memo(Y, [0.75]):
             # the inner scope's rows are Y's: X's products are new, with X's bits
-            assert matcore._times(X, 0.5, reach_x) is not outer[2][0.5]
+            assert matcore._times(X, 0.5, reach_x) is not outer.rows[0.5]
             assert _bits(matcore._times(X, 0.5, reach_x)) == _bits(0.5 * X)
             assert _is_row(matcore._times(Y, 0.75, reach_y), 0.75)
             assert _bits(matcore._times(Y, 0.75, reach_y)) == _bits(0.75 * Y)
             # an equal copy of Y is not the scope's array
             assert not _is_row(matcore._times(Y.copy(), 0.75, reach_y), 0.75)
-        assert matcore._ROWS.get() is outer
+        assert matcore._SCOPE.get() is outer
         assert _is_row(matcore._times(X, 0.5, reach_x), 0.5)
         assert matcore._times(Y, 0.75, reach_y).flags.writeable
 
@@ -749,11 +779,14 @@ def test_memo_scope_rows_belong_to_their_own_x():
 def test_memo_scope_sees_x_mutated_in_place():
     X = X_MEMO.copy()
     reach = matcore._reach(X)
+    changed = X.copy()
+    changed[0, 0] = 1.3
+    want = expm(0.5 * changed).tobytes()
     with memo(X, [0.5]):
         X[0, 0] = 1.3
         M = matcore._times(X, 0.5, reach)
         assert not _is_row(M, 0.5) and _bits(M) == _bits(0.5 * X)
-        assert expm(M).tobytes() == matcore._expm_kernel(0.5 * X).tobytes()
+        assert expm(M).tobytes() == want
         X[0, 0] = X_MEMO[0, 0]  # the preloaded bytes again
         assert _is_row(matcore._times(X, 0.5, reach), 0.5)
 
@@ -769,18 +802,18 @@ def test_a_rows_hit_is_a_private_copy_of_expm_outside_a_scope(solves, n, complex
     rng = np.random.default_rng([n, complex_, 29])
     X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
     X = np.asarray(X / n, order=order)
-    grid = [-1.5, -0.5, 0.25, 1.0, 2.0]  # no sum is zero: every time has a row
+    grid = [-1.5, -0.5, 0.25, 1.0, 2.0, -0.0, 0.0]  # every time has a row, +-0.0 the first zero's
     ts = [*grid, *(s + t for s in grid for t in grid)]
-    want = {t: _bits(expm(t * X)) for t in ts}
+    want = {repr(t): _bits(expm(t * X)) for t in ts}
     with memo(X, grid):
         solves.clear()
         for t in ts:
             row = _row(X, t)
-            assert row is scope_rows()[t] and _bits(row) == _bits(t * X)
+            assert row is scope_rows()[t] and _bits(row) == _bits((t or -0.0) * X)
             E = expm(row)
-            assert _bits(E) == want[t] and E.flags.writeable and E.flags.owndata
+            assert _bits(E) == want[repr(t)] and E.flags.writeable and E.flags.owndata
             E[...] = 99.0  # the caller's own: the next hit is unchanged
-            assert _bits(expm(row)) == want[t]
+            assert _bits(expm(row)) == want[repr(t)]
         assert len(solves) == 0 and memo_entries() == 0  # no call computed, none looked up by bytes
 
 
@@ -789,14 +822,14 @@ def test_rows_are_read_only_and_go_with_the_scope(solves):
     with memo(X, [0.5, 1.0]):
         rows = dict(scope_rows())
         assert sorted(rows) == [0.5, 1.0, 1.5, 2.0]
-        assert set(matcore._ROWS.get()[3]) == {id(Y) for Y in rows.values()}
+        assert set(matcore._SCOPE.get().exponentials) == {id(Y) for Y in rows.values()}
         for Y in rows.values():
             with pytest.raises(ValueError, match="read-only"):
                 Y[0, 0] = 1.0
         solves.clear()
         expm(rows[0.5])
         assert len(solves) == 0
-    assert matcore._ROWS.get() is None
+    assert matcore._SCOPE.get() is None
     # past its scope a row is an ordinary argument, computed by each call
     assert expm(rows[0.5]).tobytes() == expm(0.5 * X).tobytes() and len(solves) == 2
 
@@ -817,16 +850,16 @@ def test_only_expm_finds_a_row_by_identity():
         assert len(calls) == 1 and memo_entries() == 1
 
 
-def test_a_foreign_product_in_a_scope_is_computed_once_then_hit(solves):
+def test_a_foreign_product_in_a_scope_is_computed_each_call(solves):
     X = X_MEMO
     want = expm(0.5 * X).tobytes()
     with memo(X, [0.5]):
         solves.clear()
-        # 0.5 * X formed here, not the scope's row: looked up by its bytes
+        # 0.5 * X formed here, not the scope's row: computed by each call, as outside a scope
         first, again = expm(0.5 * X), expm(0.5 * X)
-        assert len(solves) == 1 and memo_entries() == 1
+        assert len(solves) == 2 and memo_entries() == 0
         assert first.tobytes() == again.tobytes() == want == expm(_row(X, 0.5)).tobytes()
-        assert len(solves) == 1 and first is not again
+        assert len(solves) == 2 and first is not again
 
 
 def test_an_x_mutated_in_its_scope_is_computed_afresh(solves):
@@ -840,7 +873,48 @@ def test_an_x_mutated_in_its_scope_is_computed_afresh(solves):
         M = _row(X, 0.5)  # a new product of the new X, not the preloaded row
         assert not _is_row(M, 0.5)
         assert expm(M).tobytes() == want and len(solves) == 1
-        assert expm(_row(X, 0.5)).tobytes() == want and len(solves) == 1  # then a hit by bytes
+        assert expm(_row(X, 0.5)).tobytes() == want and len(solves) == 2  # computed again
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The `expm` calls that get past the scope lookup, counted as they reach validation."""
+    calls = []
+    square_float = matcore._square_float
+
+    def counted(a, *rest):
+        if sys._getframe(1).f_code is matcore.expm.__code__:
+            calls.append(1)
+        return square_float(a, *rest)
+
+    monkeypatch.setattr(matcore, "_square_float", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 40])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_both_grid_checks_find_every_exponential_by_the_one_lookup(monkeypatch, validated, n, complex_, order):
+    import oracles
+    from evolflow.curves import ExpLine, check_one_parameter_subgroup
+    from evolflow.flows import Flow, flow_axioms
+    from evolflow.lie import Group
+
+    rng = np.random.default_rng([n, complex_, 30])
+    X = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    X = np.asarray(X / n, order=order)
+    A0 = np.eye(n) + rng.normal(size=(n, n)) / (4 * n)
+    grid = [-0.75, 0.0, 0.5, -0.0, 1.25]
+    flow, curve, bases = Flow(X, Group.gl(n)), ExpLine(A0, X), [A0, np.eye(n)]
+    assert flow.X.flags.f_contiguous == (order == "F")
+    with monkeypatch.context() as m:  # the per-pair references outside any scope: every call computed
+        m.setattr(oracles, "memo", lambda X, grid: contextlib.nullcontext())
+        want = oracles.per_pair_flow_axioms(flow, bases, grid), oracles.per_pair_subgroup_report(curve, grid)
+    assert validated  # outside a scope each `expm` call is validated, zero times included
+    validated.clear()
+    got = flow_axioms(flow, bases, grid), check_one_parameter_subgroup(curve, grid)
+    assert len(validated) == 0  # in both checks each `expm` call was a row of the preload
+    assert repr(got) == repr(want)
 
 
 def test_times_past_the_reach_overflow_without_a_warning():
@@ -1537,7 +1611,8 @@ def test_expm_times_computes_a_mixed_dtype_block_row_by_row():
 
 
 def memo_entries():
-    return len(matcore._MEMO.get())
+    # the entries of the open scope's table, the memoized kernels' (`lie.in_group`)
+    return len(matcore._SCOPE.get().table)
 
 
 def test_preload_stores_expm_under_the_key_of_each_call(pade):
@@ -1550,23 +1625,23 @@ def test_preload_stores_expm_under_the_key_of_each_call(pade):
         rows = len(pade)
         # ||t X||_1 <= 3.9 takes no halving: one approximant row per distinct nonzero time (0.25,
         # 1e-9, -1.5 and their sums 0.5, 0.25 + 1e-9, -1.25, 2e-9, -1.5 + 1e-9, -3.0), each the
-        # exponential of its t * X row; 0.0 and -0.0 have none
-        assert rows == 9 == len(preloaded()) == len(want) - 2
+        # exponential of its t * X row; 0.0 and -0.0 share the row of the grid's -0.0, which takes none
+        assert rows == 9 == len(preloaded()) - 1 == len(want) - 2
         for t in ts:
             assert expm(_row(X, t)).tobytes() == want[repr(t)].tobytes()
         assert len(pade) == rows
-        assert memo_entries() == 2  # +-0.0's products, each computed once by its call
+        assert memo_entries() == 0  # no call computed, none looked up by bytes
 
 
 def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
-    # a wrapper bound over `matcore.expm` (as a tracer binds one) reaches the
-    # memoized expm, and the preloaded entry is a hit through it
-    memoized_expm = matcore.expm
+    # a wrapper bound over `matcore.expm` (as a tracer binds one) reaches
+    # expm's own row lookup, and the preloaded entry is a hit through it
+    kernel = matcore.expm
     calls = []
 
     def wrapper(M):
         calls.append(1)
-        return memoized_expm(M)
+        return kernel(M)
 
     monkeypatch.setattr(matcore, "expm", wrapper)
     X = np.array([[0.0, 2.0], [-1.0, 0.5]])
@@ -1589,7 +1664,7 @@ def test_preload_keys_on_the_kernel_not_on_a_binding(monkeypatch, pade):
 def test_preload_never_raises_and_stores_nothing_when_a_time_fails(X, grid, quiet):
     with np.errstate(all="ignore") if quiet else np.errstate():
         with memo(X, grid):
-            assert memo_entries() == 0
+            assert memo_entries() == 0 and preloaded() == {}
 
 
 @pytest.mark.parametrize("X, t, message", [
@@ -1601,12 +1676,12 @@ def test_after_a_failed_preload_each_call_raises_as_outside_a_scope(X, t, messag
     with np.errstate(over="ignore"):
         Y = t * X
     with memo(X, [0.5, t]):
-        assert memo_entries() == 0
+        assert memo_entries() == 0 and scope_rows() == {}
         for _ in range(2):
             with pytest.raises(NonFiniteInput, match=message):
                 expm(Y)
             expm(np.eye(2))
-        assert memo_entries() == 1  # exp(I), stored by its call
+        assert memo_entries() == 0  # exp(I) is computed by each call
     with pytest.raises(NonFiniteInput, match=message):
         expm(Y)
 
@@ -1624,7 +1699,7 @@ def test_preload_stores_nothing_when_an_exponential_would_warn():
             assert preloaded() == {} and memo_entries() == 0
             with pytest.warns(RuntimeWarning, match="overflow"):
                 expm(_row(X, 2.0))  # a new product, which warns as outside a scope
-            assert memo_entries() == 1
+            assert memo_entries() == 0
     with np.errstate(all="ignore"):
         with memo(X, [1.0]):
             assert sorted(preloaded()) == [1.0, 2.0]
@@ -1685,8 +1760,7 @@ def norms(monkeypatch):
 def test_stacked_plan_equals_the_per_time_plan(norms, case):
     X, ts, stacks = _PLAN_CASES[case]
     want = per_time_plan(X, ts)
-    rows = {}
-    stacked, *got = matcore._plan(X, ts, rows)
+    stacked, *got = matcore._plan(X, ts)
     if stacks:  # every time in a stacked block, in order, with the per-time plan's 1-norm (0.0 if zero)
         assert got == [[], {}]
         zeros, families = want
@@ -1698,10 +1772,6 @@ def test_stacked_plan_equals_the_per_time_plan(norms, case):
     else:  # the zero times with their dtypes, the families with their squarings, in order
         assert stacked == [] and repr(tuple(got)) == repr(want)
     assert len(norms) == (0 if stacks else len(dict.fromkeys(ts)))
-    # the t * X of each nonzero Python-float time, read-only, in order: a stacked slice or its own product
-    assert [repr(t) for t in rows] == [repr(t) for t in dict.fromkeys(ts) if t and type(t) is float]
-    for t, Y in rows.items():
-        assert _bits(Y) == _bits(t * X) and not Y.flags.writeable and (Y.base is not None) == stacks
 
 
 @pytest.mark.parametrize("ts, message", [
@@ -1739,14 +1809,14 @@ def test_preload_stores_each_value_under_the_key_of_its_call(norms, complex_, or
     # -0.0 beside 0.0, and 0.5 twice
     grid = [float(t) for t in np.linspace(-2.0, 2.0, 9)] + [-0.0, 0.5]
     ts = [*grid, *(s + t for s in grid for t in grid)]
-    want = {t: expm(t * X).tobytes() for t in ts if t}
+    want = {t: expm(t * X).tobytes() for t in ts}
     with memo(X, grid):
         rows, got = dict(scope_rows()), preloaded()
         assert memo_entries() == 0
     # a C-ordered X is planned from stacked products, an F-ordered one time by time
     assert len(norms) == (0 if order == "C" else len(dict.fromkeys(ts)))
-    # each nonzero time's value under its row, t * X bit for bit
-    assert [repr(t) for t in got] == [repr(t) for t in want] and len(want) == len(dict.fromkeys(ts)) - 1
+    # each distinct time's value under its row, t * X bit for bit; -0.0 is the grid's 0.0
+    assert [repr(t) for t in got] == [repr(t) for t in want] and len(want) == len(dict.fromkeys(ts))
     for t, E in got.items():
         assert E.tobytes() == want[t] and _bits(rows[t]) == _bits(t * X)
 
@@ -1887,8 +1957,8 @@ def test_stacked_rows_preload_hits_through_every_binding(solves, n, complex_):
                 E[...] = 99.0  # a hit is the caller's own: the entry stays
         assert len(solves) == 0
         assert all(module.expm(_row(X, t)).tobytes() == want[repr(t)].tobytes() for t in ts)
-        # a row for each nonzero time; +-0.0's products, which take no solve, stored by their calls
-        assert len(preloaded()) == len(want) - 2 and memo_entries() == 2
+        # a row for each distinct time, +-0.0 sharing one; nothing looked up by bytes
+        assert len(preloaded()) == len(want) - 1 and memo_entries() == 0
     assert len(solves) == 0
 
 

@@ -199,7 +199,7 @@ class _Field(NamedTuple):
 
     encode: Callable
     decode: Callable
-    default: object = None  # None: the key is required
+    optional: bool = False  # an absent optional key leaves the constructor's default
     attr: str | None = None  # the field name when it differs from the key
 
 
@@ -213,7 +213,7 @@ CURVE_VARIANTS = {
     "exp_line": (curves.ExpLine, {"A0": _MAT, "X": _MAT}),
     "tangent_induced": (curves.TangentInduced, {"B": _MAT, "V": _MAT}),
     "so2": (curves.So2, {}),
-    "lorentz11": (curves.Lorentz11, {"i": _Field(int, lambda x: _integer(x, "lorentz11 i"), 1)}),
+    "lorentz11": (curves.Lorentz11, {"i": _Field(int, lambda x: _integer(x, "lorentz11 i"), optional=True)}),
     "heisenberg": (curves.Heisenberg, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
     "heisenberg_exp": (curves.HeisenbergExp, {"a": _FUN, "b": _FUN, "c": _FUN}),
     "sl2_iwasawa": (curves.Sl2Iwasawa, {"alpha": _FUN, "beta": _FUN, "delta": _FUN}),
@@ -223,8 +223,8 @@ CURVE_VARIANTS = {
     "numeric": (curves.Numeric, {
         "A0": _MAT,
         "generator": _Field(_generator_to_json, matrix_function_from_json),
-        "h": _Field(float, lambda x: _number(x, "numeric h"), 1e-3),
-        "horizon": _Field(float, lambda x: _number(x, "numeric horizon"), 2.0),
+        "h": _Field(float, lambda x: _number(x, "numeric h"), optional=True),
+        "horizon": _Field(float, lambda x: _number(x, "numeric horizon"), optional=True),
     }),
 }
 _VARIANT_OF = {cls: variant for variant, (cls, _) in CURVE_VARIANTS.items()}
@@ -247,9 +247,7 @@ def curve_from_json(obj: dict):
         raise ValueError(f"unknown curve variant {variant!r}")
     cls, codecs = CURVE_VARIANTS[variant]
     _reject_unknown_keys(obj, ("variant", *codecs), f"{variant} curve")
-    kwargs = {}
-    for key, f in codecs.items():
-        kwargs[f.attr or key] = f.decode(obj[key] if f.default is None else obj.get(key, f.default))
+    kwargs = {f.attr or key: f.decode(obj[key]) for key, f in codecs.items() if key in obj or not f.optional}
     return cls(**kwargs)
 
 

@@ -689,14 +689,16 @@ def _listed(values, errors):
 
 # Stacking a block of approximants into one call saves numpy's per-call
 # overhead, most of an approximant's cost at n = 2-5.  With the products it
-# stops paying (README, `expm_times`, has the timings), so from n = 32 on
-# they are taken one at a time.
+# stops paying: stacked approximants took 1/5.9 of the one-group time at n = 8,
+# 1/2.1-2.4 at 16, 1/1.0-1.1 at 31 and 1/0.92-1.0 at 40 (2-core x86-64 host,
+# one OpenBLAS thread), so from n = 32 on they are taken one at a time.
 _STACK_BELOW_N = 32
 
 # Two groups at a time pay once a group's products outweigh starting and
 # joining a thread and the two threads' contention for memory: with the
-# helper forced on at every n, `axioms_report` crossed over between n = 150
-# and 175 (README, `expm_times`); the threshold keeps a margin above it.
+# helper forced on at every n, `axioms_report` lost at n = 100, was mixed at
+# 150 and won from 175 on (2-core host, one OpenBLAS thread; `BENCH_pr15.json`
+# has the benchmark pairs); the threshold keeps a margin above the crossover.
 _PARALLEL_MIN_N = 200
 
 # The variables OpenBLAS reads its thread count from, in its order: the
@@ -710,8 +712,9 @@ def _helper_engages() -> bool:
     That is when the BLAS runs one thread, as its environment variables
     set it, and the process may use at least two CPUs.  With more BLAS
     threads (OpenBLAS starts one per CPU when none is set) each product
-    already uses the cores, and a helper only oversubscribes them (README,
-    `expm_times`, has the timings).
+    already uses the cores, and a helper only oversubscribes them: at the
+    default thread count on a 2-core host, a forced helper made
+    `axioms_report` at n = 200 and 300 take 1.2-1.6 times as long.
     """
     for name in _BLAS_THREAD_VARIABLES:
         try:
@@ -792,9 +795,11 @@ def _plan(X, ts):
     # validate every distinct time, `_block_rows(n)` at a time.  A block of several Python-float times
     # whose 1-norms are finite goes to `stacks` as (times, 1-norms), from one stacked t * X (a slice is
     # t * X, bit for bit), while numpy ignores underflow, which a stacked t * X does not report (one time
-    # is cheaper on `expm`'s own path).  The other times are validated one t * X a time, so the first
-    # failing one raises as `expm` does, and sorted into zeros and families (one mantissa of t) of groups
-    # (one exponent of t minus k, the halvings of ||t X||_1) of (k, t, ||t X||_1)
+    # is cheaper on `expm`'s own path), for a C-contiguous X only: an F-ordered X's stacked t * X is
+    # C-ordered, and at n = 17 every exponential from it differed in its last bits.  The other times are
+    # validated one t * X a time, so the first failing one raises as `expm` does, and sorted into zeros
+    # and families (one mantissa of t) of groups (one exponent of t minus k, the halvings of ||t X||_1)
+    # of (k, t, ||t X||_1)
     stacks, zeros, families, times = [], [], {}, list(dict.fromkeys(ts))  # mantissa -> {exponent - k -> [...]}
     per_block = (_block_rows(len(X)) if X.dtype in _FLOAT_DTYPES and X.ndim == 2 and 0 < len(X) == X.shape[1]
                  and X.flags.c_contiguous and np.geterr()["under"] == "ignore" else 1)

@@ -185,9 +185,16 @@ def test_every_curve_variant_round_trips():
 def test_curve_json_optional_keys_and_errors():
     eye = jsonio.matrix_to_json(np.eye(2))
     gen = jsonio.matrix_function_to_json(MatrixFunction([(1.0, np.zeros((2, 2)))]))
-    assert jsonio.curve_from_json({"variant": "lorentz11"}).i == 1
+    # an absent optional key leaves the constructor's default
+    assert jsonio.curve_from_json({"variant": "lorentz11"}) == Lorentz11()
     c = jsonio.curve_from_json({"variant": "numeric", "A0": eye, "generator": gen})
-    assert (c.h, c.horizon) == (1e-3, 2.0)
+    default = Numeric(np.eye(2), c.generator)
+    assert (c.h, c.horizon) == (default.h, default.horizon) == (1e-3, 2.0)
+    # a present one is still type-checked
+    for doc, field in (({"variant": "numeric", "A0": eye, "generator": gen, "h": "0.1"}, "numeric h"),
+                       ({"variant": "lorentz11", "i": 1.5}, "lorentz11 i")):
+        with pytest.raises(ValueError, match=field):
+            jsonio.curve_from_json(doc)
     with pytest.raises(KeyError):
         jsonio.curve_from_json({"variant": "exp_line", "A0": eye})
     with pytest.raises(ValueError, match="unknown curve variant"):

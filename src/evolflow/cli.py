@@ -131,22 +131,35 @@ def _sample_dets(mats) -> list:
 def _write_samples_csv(path, times, mats, columns: dict):
     """One row per sample: t, the entries of its matrix, then each column's value.
 
-    `mats` is as `_stepper._stacked` gives it.  A row joins its fields' str,
-    as `csv.writer` writes a float (its repr) or a complex, with \\r\\n ends;
-    the rows go out one write a batch of CHUNK_ENTRIES matrix entries.
+    `mats` is as `_stepper._stacked` gives it; the times and column values
+    are Python floats.  A row joins its fields' str, as `csv.writer` writes
+    a float (its repr) or a complex, with \\r\\n ends; the rows go out one
+    write a batch of CHUNK_ENTRIES matrix entries.  A float64 stack's batch
+    is one float64 table, t, the entries and the columns, whose text
+    `_csvtext.rows_text` forms from array arithmetic, each field its repr;
+    a complex stack, and a list of matrices of mixed dtypes, join each
+    field's str.
     """
     n = mats[0].shape[0]
     step = max(1, _stepper.CHUNK_ENTRIES // (n * n))
     header = ["t", *(f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)), *columns]
+    real = isinstance(mats, np.ndarray) and mats.dtype == np.float64 and sys.float_repr_style == "short"
+    if real:
+        # imported here: its tables are built on first use, not at CLI start-up
+        from . import _csvtext
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(times), step):
             part = slice(start, start + step)
+            values = [v[part] for v in columns.values()]
+            if real:
+                fh.write(_csvtext.rows_text(np.column_stack([times[part], mats[part].reshape(-1, n * n), *values])))
+                continue
             if isinstance(mats, np.ndarray):
                 entries = mats[part].reshape(-1, n * n).tolist()
             else:
                 entries = [M.reshape(-1).tolist() for M in mats[part]]
-            rows = zip(times[part], entries, *(v[part] for v in columns.values()))
+            rows = zip(times[part], entries, *values)
             fh.write("".join([",".join(map(str, (t, *e, *vals))) + "\r\n" for t, e, *vals in rows]))
 
 
@@ -308,20 +321,21 @@ def _cmd_ode_solve(args):
     mf = jsonio.load_matrix_function(args.gen_spec)
     A0 = jsonio.load_matrix(args.a0)
     cfg = flows.IntegratorConfig(h=args.h, horizon=args.T)
-    if args.side == "right":
-        samples = flows.integrate_right(mf, A0, cfg).samples
-    else:
-        # A' = X A is the transpose of the right-sided problem
-        transposed = curves.MatrixFunction([(f, M.T) for f, M in mf.terms])
-        line = flows.integrate_right(transposed, A0.T, cfg)
-        samples = tuple((t, M.T) for t, M in line.samples)
+    left = args.side == "left"
+    if left:
+        # A' = X A is the transpose of the right-sided problem: only the
+        # matrices the report and the CSV use are transposed back
+        mf = curves.MatrixFunction([(f, M.T) for f, M in mf.terms])
+    samples = flows.integrate_right(mf, A0.T if left else A0, cfg).samples
     # a march that overflows ends non-finite (a non-finite entry never
     # leaves a linear march): the check fails, and the report keeps it
-    final = samples[-1][1]
+    final = samples[-1][1].T if left else samples[-1][1]
     payload = {"final": jsonio.matrix_layout(final), "n_steps": len(samples) - 1}
     if args.out:
         times, mats = zip(*samples)
         mats = _stepper._stacked(mats, A0.shape[0])
+        if left:
+            mats = mats.transpose(0, 2, 1) if isinstance(mats, np.ndarray) else [M.T for M in mats]
         _write_samples_csv(args.out, times, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
     return ("pass" if np.isfinite(final).all() else "fail"), {}, payload

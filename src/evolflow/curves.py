@@ -213,6 +213,11 @@ class Curve:
         """
         return [self.value(t) for t in ts]
 
+    def _stack(self, ts):
+        """`values(ts)` for a stacked residual stage: here the list `values` gives; a variant that
+        forms them as one C-contiguous (len(ts), n, n) stack hands over that stack, not its views."""
+        return self.values(ts)
+
     def derivative(self, t: float) -> np.ndarray:
         """dA/dt at time t."""
         raise NotImplementedError
@@ -258,10 +263,14 @@ class AffineLine(_OneMatrixCurve):
         """I + t A for each t of ts, `value(t)`'s bits: real times (ints and floats) as one broadcast,
         others, and all times of a broadcast that raises, one `value` call a time, so the first failing
         time raises as its own call does (an int's product t * A is its float's)."""
+        return list(self._stack(ts))
+
+    def _stack(self, ts):
+        # the broadcast itself where `values` takes one
         ts = list(ts)
         with contextlib.suppress(Exception):  # then taken again one call a time
             if all(isinstance(t, (int, float)) for t in ts):
-                return list(np.eye(self.n, dtype=self.A.dtype) + np.array(ts, float)[:, None, None] * self.A)
+                return np.eye(self.n, dtype=self.A.dtype) + np.array(ts, float)[:, None, None] * self.A
         return super().values(ts)
 
     def derivative(self, t):
@@ -588,7 +597,8 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
     row from the preload (+-0.0 the one zero row), whose exponential
     `expm` finds by the row's identity; the other variants open no scope
     and take each chunk of sums A(s + t), `_stepper.CHUNK_ENTRIES` entries,
-    from one `values` call.  A chunk goes into one stacked stage
+    from one `values` call (through `_stack`, so an `AffineLine` hands over
+    its broadcast as one stack).  A chunk goes into one stacked stage
     S - V[s] @ V[t], V the grid values, bit for bit the per-pair residuals
     (`matcore.frob_residuals`); others go pair by pair.
     """
@@ -603,7 +613,7 @@ def check_one_parameter_subgroup(curve: Curve, grid, tol: float = 1e-9) -> Subgr
         G, sums, hom = len(grid), (s + t for s in grid for t in grid), 0.0
         for start in range(0, G * G, per_chunk := max(1, _stepper.CHUNK_ENTRIES // V[0].size)):
             chunk = list(itertools.islice(sums, per_chunk))
-            S = [curve.value(u) for u in chunk] if exp_line else curve.values(chunk)
+            S = [curve.value(u) for u in chunk] if exp_line else curve._stack(chunk)
             s, t = np.divmod(np.arange(start, start + len(S)), G)
             P = V[s] @ V[t] if type(V) is np.ndarray else [V[i] @ V[j] for i, j in zip(s, t)]
             hom = worst([hom, *frob_residuals(S, P)])  # the worst residual so far, NaN once one is

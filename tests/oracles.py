@@ -33,7 +33,10 @@ changes' bits.  `per_time_perfectness_profile` and the CLI handlers
 are `curves.perfectness_profile` and `cli`'s `curve-eval`, `markov-semigroup`
 and `flow-orbit` as they were with one `value`, `semigroup_at` or `expm` call
 a time: the references for `Curve.values` and its consumers' reports, CSVs
-and peak memory.
+and peak memory.  `per_row_samples_csv` is `cli._write_samples_csv` as it
+was before float64 rows took their text from `_csvtext.rows_text`: every
+field's str, one row at a time, the reference for the CSV bytes, which
+the three `per_time_*` handlers write.
 """
 
 import contextlib
@@ -408,6 +411,23 @@ def per_time_perfectness_profile(curve, grid):
     return PerfectnessProfile(tuple(samples), all_perfect, sign_constant, passed)
 
 
+def per_row_samples_csv(path, times, mats, columns: dict):
+    """`cli._write_samples_csv` with every field's str joined one row at a time."""
+    n = mats[0].shape[0]
+    step = max(1, _stepper.CHUNK_ENTRIES // (n * n))
+    header = ["t", *(f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)), *columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(times), step):
+            part = slice(start, start + step)
+            if isinstance(mats, np.ndarray):
+                entries = mats[part].reshape(-1, n * n).tolist()
+            else:
+                entries = [M.reshape(-1).tolist() for M in mats[part]]
+            rows = zip(times[part], entries, *(v[part] for v in columns.values()))
+            fh.write("".join([",".join(map(str, (t, *e, *vals))) + "\r\n" for t, e, *vals in rows]))
+
+
 def per_time_curve_eval(args):
     """The `curve-eval` handler with one `value` call a time."""
     c = jsonio.load_curve(args.curve)
@@ -420,7 +440,7 @@ def per_time_curve_eval(args):
     payload = {"samples": samples}
     if args.out:
         mats = _stepper._stacked(values, c.n)
-        cli._write_samples_csv(args.out, grid, mats, {"det": cli._sample_dets(mats)})
+        per_row_samples_csv(args.out, grid, mats, {"det": cli._sample_dets(mats)})
         payload["csv"] = args.out
     return "pass", {}, payload
 
@@ -451,7 +471,7 @@ def per_time_markov_semigroup(args):
     payload = {"samples": samples}
     if args.out:
         columns = {"row_sum_defect": [s.row_sum_defect for s in sems], "det": dets, "exp_t_trace": exps}
-        cli._write_samples_csv(args.out, [s.t for s in sems], mats, columns)
+        per_row_samples_csv(args.out, [s.t for s in sems], mats, columns)
         payload["csv"] = args.out
     ok = worst_row <= 1e-10 and worst_neg <= markov.NONNEG_TOL
     residuals = {"max_row_sum_defect": worst_row, "max_negative_entry": worst_neg}
@@ -479,7 +499,7 @@ def per_time_flow_orbit(args):
         times, mats = zip(*samples)
         mats = _stepper._stacked(mats, X.shape[0])
         columns = {"group_residual": residuals, "det": cli._sample_dets(mats)}
-        cli._write_samples_csv(args.out, times, mats, columns)
+        per_row_samples_csv(args.out, times, mats, columns)
         payload["csv"] = args.out
     top = worst(residuals)
     return ("pass" if top <= args.tol else "fail"), {"max_group_residual": top}, payload

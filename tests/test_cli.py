@@ -32,7 +32,8 @@ from evolflow.curves import (
 from evolflow.errors import BadGrid
 from evolflow.flows import IntegratorConfig
 from evolflow.matcore import expm, expm_times, frob_norm
-from oracles import per_step_march, per_time_curve_eval, per_time_flow_orbit, per_time_markov_semigroup
+from oracles import (per_row_samples_csv, per_step_march, per_time_curve_eval, per_time_flow_orbit,
+                     per_time_markov_semigroup)
 
 
 def write(path, obj):
@@ -811,6 +812,71 @@ def test_the_sample_csv_has_the_bytes_of_csv_writer(tmp_path, monkeypatch, kind,
         cli._write_samples_csv(out, SPECIAL, stack, {**extra, "det": cli._sample_dets(stack)})
         want = per_row_csv(header, list(zip(SPECIAL, mats)), *extra.values())
     assert out.read_bytes() == want.encode()
+
+
+# a real matrix whose fields take every branch of the CSV writer: zeros of
+# both signs, a subnormal, exponent form at the 1e-5 and 1e16 scales,
+# positional form with and without a fraction, and an integer
+EDGE_A0 = [[0.0, -0.0, 5e-324], [1e-05, 1e16, -2.5e-300], [0.1, -123456.789, 3.0]]
+
+
+def edge_csv_argv(tmp_path, case):
+    rng = np.random.default_rng(5)
+    edge = write(tmp_path / "edge.json", jsonio.matrix_to_json(np.array(EDGE_A0)))
+    real_a0 = write(tmp_path / "a0.json", jsonio.matrix_to_json(rng.normal(size=(3, 3))))
+    slow = write(tmp_path / "slow.json", gen_spec(0.5 * np.eye(3)))
+    complex_gen = gen_spec(1j * rng.normal(size=(3, 3)))
+    numeric = {"variant": "numeric", "A0": jsonio.matrix_to_json(rng.normal(size=(3, 3))),
+               "generator": complex_gen, "h": 0.1, "horizon": 1.0}
+    fast = write(tmp_path / "fast.json", jsonio.matrix_to_json(np.diag([500.0, -500.0])))
+    eye = write(tmp_path / "eye.json", jsonio.matrix_to_json(np.eye(2)))
+    constant = write(tmp_path / "k.json", {"variant": "constant", "A": jsonio.matrix_to_json(np.array(EDGE_A0))})
+    return {
+        # the t = 0 row is A0 itself
+        "ode-solve": ["ode-solve", "--gen-spec", slow, "--a0", edge, "--T", "1", "--h", "0.25"],
+        "ode-solve-left": ["ode-solve", "--gen-spec", slow, "--a0", edge, "--T", "1", "--h", "0.25", "--side", "left"],
+        # a real A0 among complex nodes
+        "ode-solve-mixed": ["ode-solve", "--gen-spec", write(tmp_path / "c.json", complex_gen), "--a0", real_a0,
+                            "--T", "0.3", "--h", "0.1"],
+        "curve-eval": ["curve-eval", "--curve", constant, "--t", "[-0.0, 1e-05, 1e+16, 5e-324, 0.1]"],
+        "curve-eval-mixed": ["curve-eval", "--curve", write(tmp_path / "num.json", numeric), "--t", "[-0.45, 0, 0.3]"],
+        # exp(t tr Q) overflows at t = -2, and so do the matrix's entries, to +-inf and NaN
+        "markov-semigroup": ["markov-semigroup", "--lambda", "400", "--t", "[-2.0, -1e-05, -0.0, 1e-05, 0.5]"],
+        # exp(2 X) overflows to [[inf, 0], [nan, 0]]: a non-finite orbit point
+        "flow-orbit": ["flow-orbit", "--generator", fast, "--base", eye, "--group", "gl",
+                       "--grid", "[-0.0, 1e-05, 0.5, 2.0]"],
+        "flow-orbit-left": ["flow-orbit", "--generator", fast, "--base", eye, "--group", "gl",
+                            "--grid", "[-0.0, 1e-05, 0.5, 2.0]", "--side", "left"],
+    }[case]
+
+
+# what each edge case's CSV must hold, so that it tests those branches
+EDGE_FIELDS = {
+    "ode-solve": {",0.0,", ",-0.0,", ",5e-324,", ",1e-05,", ",1e+16,", ",-2.5e-300,", ",-123456.789,"},
+    "ode-solve-mixed": {"j)", "\r\n0.0,"},
+    "curve-eval": {"\r\n-0.0,", "\r\n1e-05,", "\r\n1e+16,", "\r\n5e-324,", ",-0.0,", ",1e-05,"},
+    "curve-eval-mixed": {"j)", "\r\n0.0,"},
+    "markov-semigroup": {",inf,", ",-inf,", ",nan,", "\r\n-0.0,", "\r\n-1e-05,", "e-16,"},
+    "flow-orbit": {",inf,", ",nan,", "e+108,", "e-109,", "\r\n1e-05,"},
+}
+EDGE_FIELDS["ode-solve-left"] = EDGE_FIELDS["ode-solve"]
+EDGE_FIELDS["flow-orbit-left"] = EDGE_FIELDS["flow-orbit"]
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_FIELDS))
+def test_edge_value_csvs_equal_the_per_row_str_reference_byte_for_byte(tmp_path, capsys, monkeypatch, case):
+    # the handler's own arguments to the writer, written again by the per-row str reference
+    seen = []
+    write_csv = cli._write_samples_csv
+    monkeypatch.setattr(cli, "_write_samples_csv", lambda *a: seen.append(a) or write_csv(*a))
+    out, ref = tmp_path / "rows.csv", tmp_path / "ref.csv"
+    assert invoke(capsys, *edge_csv_argv(tmp_path, case), "--out", str(out))[0] in (0, 1)
+    [(_, times, mats, columns)] = seen
+    per_row_samples_csv(ref, times, mats, columns)
+    text = out.read_bytes()
+    assert text == ref.read_bytes()
+    assert [field for field in EDGE_FIELDS[case] if field.encode() not in text] == []
+    assert (not isinstance(mats, np.ndarray)) == case.endswith("mixed")
 
 
 def csv_argv(tmp_path, case):

@@ -434,8 +434,8 @@ def test_subgroup_sums_from_values_equal_the_per_pair_reference(monkeypatch, nam
     want, got = _VALUES_CURVES[name](), _VALUES_CURVES[name]()
     ref = per_pair_subgroup_report(want, _VALUES_GRID)
     calls = []
-    values = type(got).values
-    monkeypatch.setattr(type(got), "values", lambda self, ts: calls.append(len(ts)) or values(self, ts))
+    stack = type(got)._stack  # `values`, or an AffineLine's broadcast as one stack
+    monkeypatch.setattr(type(got), "_stack", lambda self, ts: calls.append(len(ts)) or stack(self, ts))
     rep = check_one_parameter_subgroup(got, _VALUES_GRID)
     assert repr(rep) == repr(ref)
     assert len(_VALUES_GRID) ** 2 in calls  # every sum from one `values` call
@@ -443,6 +443,15 @@ def test_subgroup_sums_from_values_equal_the_per_pair_reference(monkeypatch, nam
 
 _AFFINE_TIMES = [0.5, 0.0, -0.0, -1.25, 3, -2, True, False, 2**53 + 1, -(10**300), 1e-320, np.float64(0.75),
                  math.nan, math.inf, -math.inf]
+
+
+def test_affine_line_hands_its_broadcast_to_the_residual_stage():
+    # one C-contiguous stack, which `stacked` takes as it is, with the bits of `values`' list of views
+    curve, real_times = AffineLine(_A4), _AFFINE_TIMES[:12]
+    S = curve._stack(real_times)
+    assert type(S) is np.ndarray and S.flags.c_contiguous and matcore.stacked(S) is S
+    values = curve.values(real_times)
+    assert type(values) is list and [_bits(M) for M in values] == [_bits(M) for M in S]
 
 
 @pytest.mark.parametrize("A", [_A4, _A4 + 1j * _A4.T, np.asfortranarray(_A4), np.array([[0.0, 1.0], [-1.0, 0.0]])],

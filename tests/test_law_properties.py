@@ -7,7 +7,8 @@ bit; every closed group kind must hold the products and inverses of its
 members; every curve variant must survive its JSON round trip with
 bit-identical values; and every variant's `values(ts)` and `curves.slices`
 must be its `value(t)` at each time, bit for bit, or raise as the first
-failing `value` call does.  Skipped when hypothesis is not installed.
+failing `value` call does; and `_csvtext.rows_text` must give each drawn
+float's `repr`.  Skipped when hypothesis is not installed.
 """
 
 import json
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from evolflow import _stepper, jsonio
+from evolflow import _csvtext, _stepper, jsonio
 from evolflow.curves import (AFFINE_ARG_KINDS, AffineArg, AffineLine, Constant, ExpLine, FlipFlop,
                              Heisenberg, HeisenbergExp, Lorentz11, MatrixFunction, Numeric, Poly,
                              Sl2Iwasawa, So2, TangentInduced, slices)
@@ -258,3 +259,15 @@ def test_values_are_value_at_each_time_bit_for_bit(variant):
             assert outcome(lambda: [A for _, A in slices(c, ts)]) == want
 
     values_at_times()
+
+
+# ---------------------------------------------------------------------------
+# CSV text of float64 rows
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(fields=st.lists(st.floats(width=64), min_size=1, max_size=60), columns=st.integers(1, 6))
+def test_rows_text_is_the_repr_of_every_drawn_float(fields, columns):
+    columns = min(columns, len(fields))
+    table = np.array(fields[: len(fields) // columns * columns]).reshape(-1, columns)
+    assert _csvtext.rows_text(table) == "".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist())

@@ -90,52 +90,56 @@ class Report:
     seed: int | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "subcommand": self.subcommand,
-            "status": self.status,
-            "residuals": _jsonable(self.residuals),
-            "payload": _jsonable(self.payload),
-        }
+        """`json.dumps(doc, indent=2, sort_keys=True)` of the report, byte for byte, written in one pass:
+        in doc a float (numpy's too) stands for itself, NaN and +-inf for "nan", "inf" and "-inf", a
+        numpy integer for an int, a tuple for a list and an ndarray for its matrix format."""
+        doc = {"subcommand": self.subcommand, "status": self.status,
+               "residuals": self.residuals, "payload": self.payload}
         if self.seed is not None:
             doc["seed"] = self.seed
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json(doc, "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+def _json(obj, nl: str) -> str:
+    # obj's text in `Report.to_json`, its later lines opened by nl (a newline and
+    # obj's indent); a list of finite floats, a matrix row, is one join of their reprs
     if isinstance(obj, np.ndarray):
-        return jsonio.matrix_to_json(obj)
-    return obj
+        obj = jsonio.matrix_to_json(obj)
+    if isinstance(obj, dict):
+        items = [f"{json.encoder.encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json(v, nl + '  ')}" for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        row = f",{nl}  ".join(map(float.__repr__, obj)) if all(type(x) is float for x in obj) else "n"
+        items = [row] if obj and "n" not in row else [_json(v, nl + "  ") for v in obj]  # no nan or inf
+    elif isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float.__repr__(f) if math.isfinite(f) else '"nan"' if f != f else '"inf"' if f > 0 else '"-inf"'
+    else:  # a numpy integer as an int; a str, int, bool or None, and anything else raises, as in json.dumps
+        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return f"{ends[0]}{nl}  {f',{nl}  '.join(items)}{nl}{ends[1]}" if items else ends
+
+
+def _blocks(mats) -> list:
+    return mats.stacks if isinstance(mats, flows.Nodes) else [mats]  # a march's stacks, else one block
 
 
 def _sample_dets(mats) -> list:
-    # one stacked det for a `_stepper._stacked` stack, else row by row (a real
-    # A0 among complex nodes): a real det is not a complex one's real part
-    if isinstance(mats, np.ndarray):
-        return np.linalg.det(mats).real.tolist()
-    return [float(np.linalg.det(M).real) for M in mats]
+    # one stacked det a stack, else row by row (a real A0 among complex
+    # nodes): a real det is not a complex one's real part
+    return [d for B in _blocks(mats) for d in (np.linalg.det(B).real.tolist() if isinstance(B, np.ndarray)
+                                                else [float(np.linalg.det(M).real) for M in B])]
 
 
 def _write_samples_csv(path, times, mats, columns: dict):
     """One row per sample: t, the entries of its matrix, then each column's value.
 
-    `mats` is as `_stepper._stacked` gives it; the times and column values
-    are Python floats.  A row joins its fields' str, as `csv.writer` writes
-    a float (its repr) or a complex, with \\r\\n ends; the rows go out one
-    write a batch of CHUNK_ENTRIES matrix entries.  A float64 stack's batch
-    is one float64 table, t, the entries and the columns, whose text
+    `mats` is as `_stepper._stacked` gives it, or a march's `flows.Nodes`,
+    read a stack at a time; the times and column values are Python floats.
+    A row joins its fields' str, as `csv.writer` writes a float (its repr)
+    or a complex, with \\r\\n ends; the rows go out one write a batch of
+    at most CHUNK_ENTRIES matrix entries.  A float64 stack's batch is one
+    float64 table, t, the entries and the columns, whose text
     `_csvtext.rows_text` forms from array arithmetic, each field its repr;
     a complex stack, and a list of matrices of mixed dtypes, join each
     field's str.
@@ -143,24 +147,25 @@ def _write_samples_csv(path, times, mats, columns: dict):
     n = mats[0].shape[0]
     step = max(1, _stepper.CHUNK_ENTRIES // (n * n))
     header = ["t", *(f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)), *columns]
-    real = isinstance(mats, np.ndarray) and mats.dtype == np.float64 and sys.float_repr_style == "short"
-    if real:
-        # imported here: its tables are built on first use, not at CLI start-up
-        from . import _csvtext
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(times), step):
-            part = slice(start, start + step)
-            values = [v[part] for v in columns.values()]
+        done = 0
+        for B in _blocks(mats):
+            real = isinstance(B, np.ndarray) and B.dtype == np.float64 and sys.float_repr_style == "short"
             if real:
-                fh.write(_csvtext.rows_text(np.column_stack([times[part], mats[part].reshape(-1, n * n), *values])))
-                continue
-            if isinstance(mats, np.ndarray):
-                entries = mats[part].reshape(-1, n * n).tolist()
-            else:
-                entries = [M.reshape(-1).tolist() for M in mats[part]]
-            rows = zip(times[part], entries, *values)
-            fh.write("".join([",".join(map(str, (t, *e, *vals))) + "\r\n" for t, e, *vals in rows]))
+                # imported here: its tables are built on first use, not at CLI start-up
+                from . import _csvtext
+            for k in range(0, len(B), step):
+                part = B[k:k + step]
+                rows = slice(done, done := done + len(part))  # the batch's rows in times and columns
+                values = [v[rows] for v in columns.values()]
+                if real:
+                    fh.write(_csvtext.rows_text(np.column_stack([times[rows], part.reshape(-1, n * n), *values])))
+                    continue
+                entries = (part.reshape(-1, n * n).tolist() if isinstance(B, np.ndarray)
+                           else [M.reshape(-1).tolist() for M in part])
+                fields = zip(times[rows], entries, *values)
+                fh.write("".join([",".join(map(str, (t, *e, *vals))) + "\r\n" for t, e, *vals in fields]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ def _write_samples_csv(path, times, mats, columns: dict):
 def _cmd_expm(args):
     M = jsonio.load_matrix(args.matrix)
     E = expm(args.t * M)
-    return "pass", {}, {"result": jsonio.matrix_to_json(E)}
+    return "pass", {}, {"result": jsonio.matrix_to_json(E, name="expm result")}
 
 
 def _cmd_curve_eval(args):
@@ -275,7 +280,7 @@ def _cmd_markov_validate(args):
     try:
         rate = markov.validate_rate(M, args.tol)
     except RateMatrixError as exc:
-        payload = {"error": type(exc).__name__, "defects": _jsonable(exc.defects)}
+        payload = {"error": type(exc).__name__, "defects": exc.defects}
         return "fail", {"defect_count": float(len(exc.defects))}, payload
     return "pass", {}, {"n": rate.n}
 
@@ -326,17 +331,15 @@ def _cmd_ode_solve(args):
         # A' = X A is the transpose of the right-sided problem: only the
         # matrices the report and the CSV use are transposed back
         mf = curves.MatrixFunction([(f, M.T) for f, M in mf.terms])
-    samples = flows.integrate_right(mf, A0.T if left else A0, cfg).samples
+    line = flows.integrate_right(mf, A0.T if left else A0, cfg)
+    stacks = [S.transpose(0, 2, 1) for S in line.mats.stacks] if left else line.mats.stacks
+    mats = stacks[0] if len(stacks) == 1 else flows.Nodes(stacks)  # one stack as it is
     # a march that overflows ends non-finite (a non-finite entry never
     # leaves a linear march): the check fails, and the report keeps it
-    final = samples[-1][1].T if left else samples[-1][1]
-    payload = {"final": jsonio.matrix_layout(final), "n_steps": len(samples) - 1}
+    final = mats[-1]
+    payload = {"final": jsonio.matrix_layout(final), "n_steps": len(mats) - 1}
     if args.out:
-        times, mats = zip(*samples)
-        mats = _stepper._stacked(mats, A0.shape[0])
-        if left:
-            mats = mats.transpose(0, 2, 1) if isinstance(mats, np.ndarray) else [M.T for M in mats]
-        _write_samples_csv(args.out, times, mats, {"det": _sample_dets(mats)})
+        _write_samples_csv(args.out, line.ts, mats, {"det": _sample_dets(mats)})
         payload["csv"] = args.out
     return ("pass" if np.isfinite(final).all() else "fail"), {}, payload
 
@@ -348,7 +351,7 @@ def _cmd_magnus(args):
         result = flows.commuting_magnus(mf, A0, args.t, args.tol)
     except CommutatorTooLarge as exc:
         return "fail", {"commutator_defect": exc.defect}, {"error": "CommutatorTooLarge"}
-    return "pass", {}, {"result": jsonio.matrix_to_json(result)}
+    return "pass", {}, {"result": jsonio.matrix_to_json(result, name="magnus result")}
 
 
 _HANDLERS = {
@@ -496,7 +499,7 @@ def run(argv=None) -> int:
 
     report = Report(args.subcommand, status, residuals, payload, seed)
     print(report.to_json())
-    shown = ", ".join(f"{k}={_jsonable(v)}" for k, v in sorted(residuals.items()))
+    shown = ", ".join(f"{k}=" + _json(v, "").strip('"') for k, v in sorted(residuals.items()))  # nan unquoted
     print(f"evolflow {args.subcommand}: {status}" + (f" ({shown})" if shown else ""), file=sys.stderr)
     return 0 if status == "pass" else 1
 

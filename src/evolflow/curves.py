@@ -504,10 +504,12 @@ class Numeric(Curve):
 
     A dense trajectory table with nodes at +-k*h is integrated once at
     construction (`flows.march` in both time directions) and is read-only
-    afterwards.  `values` takes one partial RK4 step off the stored node at
-    or below each time: every node from one `searchsorted`, the generator
-    values of all the partial steps from one `_stepper.tabulate` call and
-    the steps from one stacked `rk4_step`; `value(t)` is `values([t])[0]`.
+    afterwards: one stack from the marches' stacks, or the list of nodes
+    when their dtypes differ.  `values` takes one partial RK4 step off the
+    stored node at or below each time: every node from one `searchsorted`,
+    the generator values of all the partial steps from one
+    `_stepper.tabulate` call and the steps from one stacked `rk4_step`;
+    `value(t)` is `values([t])[0]`.
     Derivatives are central differences with step _FD_STEP (1e-5).
     Evaluation outside the horizon, or at NaN, raises HorizonExceeded.
     """
@@ -523,10 +525,12 @@ class Numeric(Curve):
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "horizon", float(self.horizon))
         IntegratorConfig(self.h, self.horizon)  # validates h and the horizon
-        fwd_t, fwd_m = march(self.generator, A0, self.h, self.horizon, +1.0)
-        bwd_t, bwd_m = march(self.generator, A0, self.h, self.horizon, -1.0)
+        fwd_t, fwd = march(self.generator, A0, self.h, self.horizon, +1.0)
+        bwd_t, bwd = march(self.generator, A0, self.h, self.horizon, -1.0)
         object.__setattr__(self, "_ts", np.array(bwd_t[::-1] + fwd_t[1:]))
-        object.__setattr__(self, "_table", bwd_m[::-1] + fwd_m[1:])
+        stacks = [S[::-1] for S in bwd.stacks[::-1]] + [fwd.stacks[0][1:], *fwd.stacks[1:]]  # A0 once
+        table = np.concatenate(stacks) if len({S.dtype for S in stacks}) == 1 else [*itertools.chain(*stacks)]
+        object.__setattr__(self, "_table", table)
 
     @property
     def n(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,18 +81,41 @@ class IntegratorConfig:
             raise ValueError(f"need a finite horizon of at most {MAX_STEPS} steps of h")
 
 
+class Nodes(Sequence):
+    """A march's nodes, read one matrix at a time from the (k, n, n) stacks they were folded into:
+    `stacks` has one stack a block and run of one dtype, A0's copy opening the first, or alone."""
+
+    def __init__(self, stacks: list):
+        self.stacks, self._starts = stacks, np.cumsum([0, *map(len, stacks)])
+
+    def __len__(self) -> int:
+        return int(self._starts[-1])
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # as a list's index: from the end when negative, IndexError past it
+        if isinstance(k, range):  # a slice: the list of its nodes
+            return [self[i] for i in k]
+        i = int(self._starts.searchsorted(k, "right")) - 1
+        return self.stacks[i][k - self._starts[i]]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.stacks)
+
+
 @dataclass(frozen=True)
 class FlowLine:
-    """A sampled orbit; the first sample is always (0, base)."""
+    """A sampled orbit; the first sample is always (0, base).  `mats` is a list, or a march's `Nodes`."""
 
     base: np.ndarray = field(repr=False)
-    samples: tuple = field(repr=False)
+    ts: list = field(repr=False)
+    mats: Sequence = field(repr=False)
+    samples = property(lambda self: tuple(zip(self.ts, self.mats)))
 
     def times(self) -> list:
-        return [t for t, _ in self.samples]
+        return list(self.ts)
 
     def final(self) -> np.ndarray:
-        return self.samples[-1][1]
+        return self.mats[-1]
 
 
 def base_point(flow: Flow, A, tol: float = 1e-9) -> np.ndarray:
@@ -172,7 +195,7 @@ def flow_line(flow: Flow, A, grid, tol: float = 1e-9) -> FlowLine:
     A = base_point(flow, A, tol)
     times = [t for t in map(float, grid) if t != 0.0]
     E = dict(expm_times(flow.X, times))
-    return FlowLine(A, ((0.0, A.copy()), *((t, A @ E[t]) for t in times)))
+    return FlowLine(A, [0.0, *times], [A.copy(), *(A @ E[t] for t in times)])
 
 
 def _nodes(h: float, horizon: float, direction: float, per_block: int):
@@ -214,12 +237,13 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
     adds only zeros to a finite P_k.  A column of P_k that overflows turns
     to NaN in I @ P_k, so the same node entries are non-finite, NaN where
-    the per-step loop may hold an infinity.  Returns the node times and
-    matrices; the first node is (0, a copy of A0).
+    the per-step loop may hold an infinity.  Returns the node times, a
+    list, and the nodes, a copy of A0 first, as `Nodes`: the stacks the
+    blocks were folded into, handed on per block, with no per-node list.
     """
     n = A0.shape[0]
     per_block = max(1, _stepper.CHUNK_ENTRIES // (3 * n * n))
-    ts, ms, A, X = [0.0], [A0.copy()], A0, None
+    ts, stacks, A, X = [0.0], [], A0, None
     I = np.eye(n)
     for nodes in _nodes(h, horizon, direction, per_block):
         t, nxt = nodes[:-1, None, None], nodes[1:, None, None]  # (k, 1, 1) each: every step's ends
@@ -236,13 +260,18 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
         for size in runs:
             start, stop = stop, stop + size
             P = rk4_step(I, t[start:stop], dt[start:stop], X)
-            out = np.empty(P.shape, np.result_type(A, P))
-            for Pk, Ak in zip(P, out):
+            dtype = np.result_type(A, P)
+            head = int(not stacks and dtype == A0.dtype)  # A0's copy opens the first stack of its dtype,
+            if not (stacks or head):
+                stacks.append(A0.copy()[None])  # or stands alone before it
+            out = np.empty((head + len(P), n, n), dtype)
+            out[:head] = A0
+            for Pk, Ak in zip(P, out[head:]):
                 # `matcore._matmul`'s rule inline: P and `out` rows are C-contiguous; a strided A0 and n = 1 take `@`
                 A = A.dot(Pk, Ak) if n > 1 and (A is not A0 or A0.flags.forc) else np.matmul(A, Pk, out=Ak)
-            ms.extend(out)
+            stacks.append(out)
         ts.extend(nodes[1:].tolist())
-    return ts, ms
+    return ts, Nodes(stacks or [A0.copy()[None]])
 
 
 def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
@@ -252,8 +281,7 @@ def integrate_right(Xfun: Callable, A0, cfg: IntegratorConfig) -> FlowLine:
     global error against A0 exp(T X) is O(h^4).
     """
     A0 = as_matrix(A0, name="A0")
-    ts, ms = march(Xfun, A0, cfg.h, cfg.horizon, 1.0)
-    return FlowLine(A0, tuple(zip(ts, ms)))
+    return FlowLine(A0, *march(Xfun, A0, cfg.h, cfg.horizon, 1.0))
 
 
 def _simpson_matrix(fun, n: int, t: float, nodes: int) -> np.ndarray:

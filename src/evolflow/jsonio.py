@@ -29,8 +29,8 @@ from .errors import DimensionMismatch
 from .matcore import as_matrix, as_vector
 
 
-def matrix_to_json(M) -> dict:
-    return matrix_layout(as_matrix(M))
+def matrix_to_json(M, name: str = "matrix") -> dict:
+    return matrix_layout(as_matrix(M, name))
 
 
 def matrix_layout(M) -> dict:

@@ -36,10 +36,14 @@ a time: the references for `Curve.values` and its consumers' reports, CSVs
 and peak memory.  `per_row_samples_csv` is `cli._write_samples_csv` as it
 was before float64 rows took their text from `_csvtext.rows_text`: every
 field's str, one row at a time, the reference for the CSV bytes, which
-the three `per_time_*` handlers write.
+the three `per_time_*` handlers write.  `jsonable` and `reference_report_json`
+are `cli.Report.to_json` as it was before it wrote its text in one pass:
+the document made JSON-ready by `jsonable`, then `json.dumps(...,
+indent=2, sort_keys=True)`, the reference for every report's bytes.
 """
 
 import contextlib
+import json
 import math
 
 import numpy as np
@@ -503,3 +507,36 @@ def per_time_flow_orbit(args):
         payload["csv"] = args.out
     top = worst(residuals)
     return ("pass" if top <= args.tol else "fail"), {"max_group_residual": top}, payload
+
+
+def jsonable(obj):
+    """`obj` with its floats, numpy scalars, tuples and arrays as `json.dumps` takes them."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return jsonio.matrix_to_json(obj)
+    return obj
+
+
+def reference_report_json(report):
+    """The text of `cli.Report.to_json` through `jsonable` and `json.dumps`."""
+    doc = {
+        "subcommand": report.subcommand,
+        "status": report.status,
+        "residuals": jsonable(report.residuals),
+        "payload": jsonable(report.payload),
+    }
+    if report.seed is not None:
+        doc["seed"] = report.seed
+    return json.dumps(doc, indent=2, sort_keys=True)

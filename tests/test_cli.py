@@ -32,8 +32,8 @@ from evolflow.curves import (
 from evolflow.errors import BadGrid
 from evolflow.flows import IntegratorConfig
 from evolflow.matcore import expm, expm_times, frob_norm
-from oracles import (per_row_samples_csv, per_step_march, per_time_curve_eval, per_time_flow_orbit,
-                     per_time_markov_semigroup)
+from oracles import (jsonable, per_row_samples_csv, per_step_march, per_time_curve_eval, per_time_flow_orbit,
+                     per_time_markov_semigroup, reference_report_json)
 
 
 def write(path, obj):
@@ -740,6 +740,33 @@ def test_ode_solve_left_csv_is_the_transposed_march_byte_for_byte(tmp_path, caps
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_ode_solve_reads_its_report_and_csv_from_many_march_stacks(tmp_path, capsys, monkeypatch, n, side):
+    # four steps a block: 46 steps in twelve stacks, handed to the writer per stack (transposed
+    # views on the left), byte for byte the per-step march's CSV and final matrix
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 3 * n * n * 4)
+    rng = np.random.default_rng(n)
+    spec = three_term_spec(rng, n)
+    A0 = rng.normal(size=(n, n))
+    out = tmp_path / "m.csv"
+    code, report, _ = invoke(
+        capsys, "ode-solve", "--gen-spec", write(tmp_path / "gen.json", spec),
+        "--a0", write(tmp_path / "a0.json", jsonio.matrix_to_json(A0)),
+        "--T", "1.37", "--h", "0.03", "--side", side, "--out", str(out),
+    )
+    assert code == 0
+    mf = jsonio.matrix_function_from_json(spec)
+    if side == "left":
+        ts, ms = per_step_march(lambda t: mf(t).T, A0.T, 0.03, 1.37, 1.0)
+        ms = [M.T for M in ms]
+    else:
+        ts, ms = per_step_march(mf, A0, 0.03, 1.37, 1.0)
+    header = ["t", *(f"a_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)), "det"]
+    assert out.read_bytes() == per_row_csv(header, list(zip(ts, ms))).encode()
+    assert report["payload"] == {"final": jsonio.matrix_to_json(ms[-1]), "n_steps": 46, "csv": str(out)}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
 def test_ode_solve_that_overflows_fails_its_check_and_writes_its_csv(tmp_path, capsys, side):
     # X(t) = 300 I grows like e^{300 t}: the march passes 1e308 near t = 2.4
     # and ends non-finite; the inputs are valid, so it is a failed check (exit
@@ -759,9 +786,9 @@ def test_ode_solve_that_overflows_fails_its_check_and_writes_its_csv(tmp_path, c
         assert not np.isfinite(ms[-1]).any()
         header = ["t", "a_1_1", "a_1_2", "a_2_1", "a_2_2", "det"]
         assert out.read_bytes() == per_row_csv(header, samples).encode()
-    final = {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}  # as `_jsonable` writes a NaN
+    final = {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}  # as `jsonable` writes a NaN
     assert report["payload"] == {"final": final, "n_steps": 300, "csv": str(out)}
-    assert cli._jsonable(jsonio.matrix_layout(ms[-1])) == final
+    assert jsonable(jsonio.matrix_layout(ms[-1])) == final
 
 
 def test_curve_eval_csv_keeps_a_real_row_among_complex_ones(tmp_path, capsys):
@@ -1149,14 +1176,35 @@ def _stderr_case(tmp_path, name):
 def _expected_outcome(name):
     # (exit code, report, stderr): ode-solve's march fails its check with a
     # NaN final matrix (every entry: inf * 0 reaches each one), magnus
-    # rejects its non-finite result as an input error
+    # rejects its non-finite result as an input error that names the result
     if name == "ode-solve":
         final = {"n": 2, "real": [["nan", "nan"], ["nan", "nan"]]}
         return (1, {"payload": {"final": final, "n_steps": 100}, "residuals": {},
                     "status": "fail", "subcommand": name}, f"evolflow {name}: fail\n")
-    return (2, {"payload": {"message": "matrix has non-finite entries"}, "residuals": {},
+    return (2, {"payload": {"message": "magnus result has non-finite entries"}, "residuals": {},
                 "status": "error", "subcommand": name},
-            f"evolflow {name}: NonFiniteInput: matrix has non-finite entries\n")
+            f"evolflow {name}: NonFiniteInput: magnus result has non-finite entries\n")
+
+
+# finite, but exp(M) overflows: the error names the result, not an input file
+HUGE_ROTATION = {"n": 2, "real": [[0.0, 1e50], [-1e50, 0.0]]}
+
+
+@pytest.mark.parametrize("command", ["expm", "magnus"])
+def test_a_non_finite_result_is_named_as_the_result(tmp_path, capsys, command):
+    if command == "expm":
+        argv = ["expm", write(tmp_path / "M.json", HUGE_ROTATION)]
+    else:
+        spec = {"terms": [{"fun": {"kind": "cos"}, "matrix": HUGE_ROTATION}]}
+        argv = ["magnus", "--gen-spec", write(tmp_path / "gen.json", spec),
+                "--a0", write(tmp_path / "eye.json", jsonio.matrix_to_json(np.eye(2))), "--t", "1"]
+    message = f"{command} result has non-finite entries"
+    assert invoke(capsys, *argv) == (2, {"payload": {"message": message}, "residuals": {}, "status": "error",
+                                         "subcommand": command}, f"evolflow {command}: NonFiniteInput: {message}\n")
+    # a non-finite input file still reads as one
+    bad = write(tmp_path / "bad.json", {"n": 1, "real": [[1e400]]})
+    code, report, _ = invoke(capsys, "expm", bad)
+    assert (code, report["payload"]["message"]) == (2, "matrix has non-finite entries")
 
 
 @pytest.mark.parametrize("name", sorted(_STDERR_CASES))
@@ -1265,3 +1313,110 @@ def test_grid_commands_equal_their_per_time_references_byte_for_byte(monkeypatch
     monkeypatch.setitem(cli._HANDLERS, command, reference)
     assert got == outputs()
     assert got[0] == code
+
+
+# ---------------------------------------------------------------------------
+# report text against the reference encoder
+
+
+def report_files(tmp_path):
+    """`corpus_files` and the inputs of the report text corpus, by name."""
+    rng = np.random.default_rng(41)
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    fast = jsonio.matrix_to_json(np.diag([500.0, -500.0]))  # exp(2X) overflows to [[inf, 0], [nan, 0]]
+    S = rng.normal(size=(3, 3))
+    files = corpus_files(tmp_path)
+    files.update({name: write(tmp_path / f"{name}.json", obj) for name, obj in {
+        "cplx": jsonio.matrix_to_json(np.array([[0.1, 1.0], [-1.0, 0.2]]) + 0.5j * np.eye(2)),
+        "huge": HUGE_ROTATION,
+        "eye2": jsonio.matrix_to_json(np.eye(2)),
+        "so3_far": jsonio.matrix_to_json(expm(S - S.T) + 1e-3),
+        "fast": fast,
+        "exp_fast": {"variant": "exp_line", "A0": jsonio.matrix_to_json(np.eye(2)), "X": fast},
+        "affine": {"variant": "affine_line", "A": _ROTATION},
+        "gen_cos": gen_spec(Q),
+        "gen_c": gen_spec(1j * rng.normal(size=(2, 2))),
+        "gen_nc": {"terms": [{"fun": {"kind": "poly", "coeffs": [1.0]}, "matrix": {"n": 2, "real": [[0, 1], [0, 0]]}},
+                             {"fun": {"kind": "poly", "coeffs": [0, 1.0]}, "matrix": {"n": 2, "real": [[0, 0], [1, 0]]}}]},
+        "gen_huge": {"terms": [{"fun": {"kind": "cos"}, "matrix": HUGE_ROTATION}]},
+        "gen_300": gen_spec(300.0 * np.eye(2)),
+        "rate_bad": {"n": 3, "real": [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, -2.0]]},
+        "rate2": {"n": 2, "real": Q.tolist()},
+        "rate_skew": {"n": 2, "real": [[-1.0, 1.0], [3.0, -3.0]]},
+        "pi": [0.5, 0.5],
+        "bad_shape": {"n": 2, "real": [[1.0]]},
+    }.items()})
+    files["out"] = str(tmp_path / "sämples-ü.csv")
+    files["missing"] = str(tmp_path / "nö-such-matrïx.json")
+    return files
+
+
+REPORT_CASES = {
+    # name: (argv with {file} placeholders, exit code, text the report must hold)
+    "expm-complex": (["--seed", "5", "expm", "{cplx}", "--t", "0.5"], 0, '"imag"'),
+    "expm-overflow": (["expm", "{huge}"], 2, "expm result"),
+    "expm-non-ascii-path": (["expm", "{missing}"], 2, "\\u00f6"),
+    "curve-eval-complex": (["curve-eval", "--curve", "{numeric_c}", "--t", "-1:1:0.25", "--out", "{out}"], 0,
+                           "\\u00e4"),
+    "curve-eval-beyond-horizon": (["curve-eval", "--curve", "{numeric}", "--t", "[0.5, 2.0]"], 2, "horizon"),
+    "curve-check-subgroup-exp": (["curve-check", "--curve", "{exp3}", "--check", "subgroup", "--grid", "-1:1:0.5"],
+                                 1, '"homomorphism"'),
+    "curve-check-error": (["curve-check", "--curve", "{so2}", "--check", "ode"], 2, "--generator"),
+    "curve-check-subgroup-fail": (["curve-check", "--curve", "{affine}", "--check", "subgroup"], 1, "e-"),
+    "curve-check-subgroup-nan": (["curve-check", "--curve", "{exp_fast}", "--check", "subgroup", "--grid", "[0, 1]"],
+                                 1, '"nan"'),
+    "curve-check-ode-nan": (["curve-check", "--curve", "{exp_fast}", "--check", "ode", "--generator", "{fast}",
+                             "--grid", "[0, 2]"], 1, '"nan"'),
+    "curve-check-perfectness": (["curve-check", "--curve", "{so2}", "--check", "perfectness"], 0, '"sign"'),
+    "group-check": (["group-check", "{so3_base}", "--group", "so"], 0, '"component"'),
+    "group-check-fail": (["group-check", "{so3_far}", "--group", "so"], 1, '"defect"'),
+    "group-check-error": (["group-check", "{so3_far}", "--group", "bogus"], 2, "bogus"),
+    "algebra-check": (["algebra-check", "{so3_gen}", "--algebra", "so"], 0, '"belongs": true'),
+    "algebra-check-fail": (["algebra-check", "{so3_base}", "--algebra", "so"], 1, '"belongs": false'),
+    "algebra-check-error": (["algebra-check", "{so3_gen}", "--algebra", "bogus"], 2, '"error"'),
+    "markov-semigroup-inf": (["--seed", "-3", "markov-semigroup", "--lambda", "1", "--t", "[-1000, 0, 1]",
+                              "--out", "{out}"], 1, '"inf"'),
+    "markov-semigroup": (["markov-semigroup", "--lambda", "0.7", "--t", "-1:1:0.5"], 0, '"exp_trace"'),
+    "markov-semigroup-error": (["markov-semigroup", "--lambda", "-1"], 2, "intensity"),
+    "markov-validate": (["markov-validate", "{rate2}"], 0, '"n": 2'),
+    "markov-validate-defects": (["markov-validate", "{rate_bad}"], 1, '"defects"'),
+    "markov-validate-error": (["markov-validate", "{bad_shape}"], 2, "n=2"),
+    "markov-balance": (["markov-balance", "--rate", "{rate2}", "--pi", "{pi}"], 0, '"balance": 0.0'),
+    "markov-balance-fail": (["markov-balance", "--rate", "{rate_skew}", "--pi", "{pi}"], 1, '"balance"'),
+    "markov-balance-error": (["markov-balance", "--rate", "{rate2}", "--pi", "{eye2}"], 2, "stationary"),
+    "flow-orbit": (["flow-orbit", "--generator", "{so3_gen}", "--base", "{so3_base}", "--group", "so",
+                    "--grid", "-1:1:0.5", "--side", "left", "--out", "{out}"], 0, '"n_samples": 5'),
+    "flow-orbit-error": (["flow-orbit", "--generator", "{so3_gen}", "--base", "{so3_far}", "--group", "so"], 2,
+                         "base point fails"),
+    "flow-orbit-nan": (["flow-orbit", "--generator", "{fast}", "--base", "{eye2}", "--group", "gl",
+                        "--grid", "[-0.0, 0.5, 2.0]"], 1, '"nan"'),
+    "ode-solve-complex": (["ode-solve", "--gen-spec", "{gen_c}", "--a0", "{eye2}", "--T", "1", "--h", "0.01",
+                           "--side", "left"], 0, '"imag"'),
+    "ode-solve-overflow": (["ode-solve", "--gen-spec", "{gen_300}", "--a0", "{eye2}", "--T", "3", "--h", "0.01",
+                            "--out", "{out}"], 1, '"nan"'),
+    "ode-solve-error": (["ode-solve", "--gen-spec", "{gen_cos}", "--a0", "{eye2}", "--T", "1", "--h", "0"], 2,
+                        "horizon"),
+    "magnus": (["magnus", "--gen-spec", "{gen_cos}", "--a0", "{eye2}", "--t", "0.5"], 0, '"result"'),
+    "magnus-fail": (["magnus", "--gen-spec", "{gen_nc}", "--a0", "{eye2}", "--t", "1"], 1, '"commutator_defect"'),
+    "magnus-overflow": (["--seed", "0", "magnus", "--gen-spec", "{gen_huge}", "--a0", "{eye2}", "--t", "1"], 2,
+                        "magnus result"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_text_equals_the_reference_encoder(monkeypatch, tmp_path, capsys, name):
+    # every subcommand's pass, fail and error reports, as `oracles.reference_report_json` writes them
+    template, code, held = REPORT_CASES[name]
+    files = report_files(tmp_path)
+    seen = []
+    to_json = cli.Report.to_json
+    monkeypatch.setattr(cli.Report, "to_json", lambda self: seen.append(self) or to_json(self))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise out of run
+        assert run([a.format(**files) for a in template]) == code
+    [report] = seen
+    out = capsys.readouterr().out
+    assert out == reference_report_json(report) + "\n"
+    assert held in out
+    assert report.status == {0: "pass", 1: "fail", 2: "error"}[code]
+    assert ("seed" in json.loads(out)) == ("--seed" in template)

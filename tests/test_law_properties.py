@@ -7,8 +7,10 @@ bit; every closed group kind must hold the products and inverses of its
 members; every curve variant must survive its JSON round trip with
 bit-identical values; and every variant's `values(ts)` and `curves.slices`
 must be its `value(t)` at each time, bit for bit, or raise as the first
-failing `value` call does; and `_csvtext.rows_text` must give each drawn
-float's `repr`.  Skipped when hypothesis is not installed.
+failing `value` call does; `_csvtext.rows_text` must give each drawn
+float's `repr`; and `cli.Report.to_json` must give the text of
+`oracles.reference_report_json` on drawn report documents.  Skipped when
+hypothesis is not installed.
 """
 
 import json
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from evolflow import _csvtext, _stepper, jsonio
+from evolflow import _csvtext, _stepper, cli, jsonio
 from evolflow.curves import (AFFINE_ARG_KINDS, AffineArg, AffineLine, Constant, ExpLine, FlipFlop,
                              Heisenberg, HeisenbergExp, Lorentz11, MatrixFunction, Numeric, Poly,
                              Sl2Iwasawa, So2, TangentInduced, slices)
@@ -25,7 +27,7 @@ from evolflow.evoalg import EvolutionAlgebra, evo_mul, evolution_operator
 from evolflow.lie import Group, in_group
 from evolflow.markov import RateMatrix, axioms_report
 from evolflow.matcore import expm, inv
-from oracles import per_call_axioms_report
+from oracles import per_call_axioms_report, reference_report_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -271,3 +273,42 @@ def test_rows_text_is_the_repr_of_every_drawn_float(fields, columns):
     columns = min(columns, len(fields))
     table = np.array(fields[: len(fields) // columns * columns]).reshape(-1, columns)
     assert _csvtext.rows_text(table) == "".join(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
+
+
+# ---------------------------------------------------------------------------
+# report text
+
+
+report_leaves = st.one_of(
+    st.floats(),  # NaN, +-inf, +-0.0 and subnormals among them
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),  # non-ASCII and control characters among them
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                                 min_size=n * n, max_size=n * n)
+                              .map(lambda xs, n=n: np.array(xs).reshape(n, n))),
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.floats(), max_size=6),  # a row: finite floats join in one pass, others do not
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(residuals=st.dictionaries(st.text(max_size=6), report_values, max_size=4),
+                  payload=st.dictionaries(st.text(max_size=6), report_values, max_size=6),
+                  status=st.sampled_from(["pass", "fail", "error"]),
+                  seed=st.one_of(st.none(), st.integers(-2**40, 2**40)))
+def test_report_text_is_that_of_the_reference_encoder(residuals, payload, status, seed):
+    report = cli.Report("ode-solve", status, residuals, payload, seed)
+    assert report.to_json() == reference_report_json(report)

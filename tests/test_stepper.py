@@ -13,6 +13,7 @@ propagator form A @ P rounds differently from the A form it replaced
 converge at order 4.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -312,6 +313,82 @@ def test_small_simpson_blocks_change_no_byte(monkeypatch, t):
     A0 = np.array([[1.0, 0.3], [0.2, 1.1]])
     assert commuting_magnus(mf, A0, t).tobytes() == reference_magnus(mf, A0, t).tobytes()
     assert len(sizes) > 1 and max(sizes) == 5
+
+
+# ---------------------------------------------------------------------------
+# the march's stacks
+
+
+def assert_nodes_in_stacks(nodes, want):
+    # the per-step nodes bit for bit, each with its own dtype, held in C-contiguous
+    # stacks of one dtype each, A0's copy first
+    assert len(nodes) == len(want) == sum(map(len, nodes.stacks))
+    assert [M.dtype for M in nodes] == [W.dtype for W in want]
+    assert [M.tobytes() for M in nodes] == [W.tobytes() for W in want]
+    assert all(S.ndim == 3 and S.flags.c_contiguous for S in nodes.stacks)
+    assert nodes[-1].tobytes() == want[-1].tobytes() and nodes[0].tobytes() == want[0].tobytes()
+
+
+def a0_of_layout(n, layout):
+    A0 = np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / n
+    if layout == "F":
+        return np.asfortranarray(A0)
+    if layout == "strided":
+        wide = np.zeros((2 * n, 2 * n))
+        wide[::2, ::2] = A0
+        return wide[::2, ::2]
+    return A0
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 4, 60])
+def test_march_stacks_hold_the_per_step_nodes_across_blocks(monkeypatch, n, layout, direction):
+    # four steps a block: 46 steps fold into twelve stacks, the first holding A0's copy too
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 3 * n * n * 4)
+    fun = generators(n=n, seed=n)["matrix_function"]
+    A0 = a0_of_layout(n, layout)
+    ts, nodes = march(fun, A0, H, T, direction)
+    want_ts, want = per_step_march(fun, A0, H, T, direction)
+    assert ts == want_ts
+    assert_nodes_in_stacks(nodes, want)
+    assert [len(S) for S in nodes.stacks] == [5] + [4] * 10 + [2]
+
+
+@pytest.mark.parametrize("fun, first", [(real_then_complex, 4), (complex_then_real, 1)])
+def test_a_generator_that_turns_complex_keeps_each_nodes_dtype(monkeypatch, fun, first):
+    # three steps a block: the dtype changes inside a block, each run a stack of its own;
+    # A0's copy opens the first stack, or stands alone when the first steps are complex
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 3 * 4 * 3)
+    ts, nodes = march(fun, np.eye(2), 0.1, 1.0, 1.0)
+    assert_nodes_in_stacks(nodes, per_step_march(fun, np.eye(2), 0.1, 1.0, 1.0)[1])
+    runs = [dtype for dtype, _ in itertools.groupby(S.dtype for S in nodes.stacks)]
+    assert runs == [np.float64, np.complex128]
+    assert len(nodes.stacks) > len(runs)  # blocks as well as runs
+    assert len(nodes.stacks[0]) == first
+
+
+@pytest.mark.parametrize("complex_terms", [False, True])
+@pytest.mark.parametrize("n", [1, 3])
+def test_numeric_values_off_a_stacked_table_equal_the_per_step_reference(monkeypatch, n, complex_terms):
+    # a table gathered from many blocks' stacks: one stack when the nodes share a dtype,
+    # the list of nodes when a real A0 sits among complex ones
+    monkeypatch.setattr(_stepper, "CHUNK_ENTRIES", 3 * n * n * 5)
+    fun = generators(n=n, complex_terms=complex_terms)["matrix_function"]
+    A0 = np.eye(n) + 0.05 / n
+    c = Numeric(A0, fun, h=H, horizon=T)
+    fwd_t, fwd_m = per_step_march(fun, A0, H, T, 1.0)
+    bwd_t, bwd_m = per_step_march(fun, A0, H, T, -1.0)
+    node_ts, node_ms = bwd_t[::-1] + fwd_t[1:], bwd_m[::-1] + fwd_m[1:]
+    assert isinstance(c._table, list) == complex_terms
+    assert [M.tobytes() for M in c._table] == [W.tobytes() for W in node_ms]
+    gen = checked_generator(fun, n)
+    ts = [-1.3699, -T, -0.0101, 0.0, 0.0004, node_ts[40], 0.5123, 1.3699, T]
+    for t, got in zip(ts, c.values(ts)):
+        k = max(i for i, s in enumerate(node_ts) if s <= t)
+        want = node_ms[k] if t == node_ts[k] else rk4_step(node_ms[k], node_ts[k], t - node_ts[k], gen)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -125,14 +125,22 @@ def _digits(x):
     down = p5 << (mant != 0).astype(np.uint64)  # the lower end is mv - 1 - mmShift
     lo_m = lo - down
     vm = _floor_shift(hi - (lo_m > lo), lo_m, q, shift)
-    # r: the most digits whose removal keeps the ends apart
+    # r: the most digits whose removal keeps the ends apart.  Apart at 10^(r + 1)
+    # implies apart at 10^r, so past the first round each open field's r is
+    # bisected between lo, where its ends are apart, and hi, where they are
+    # not: 19 to start with, since vp < 3.6e18 (the largest (2^55 + 2) 5^i / 2^q)
     r = _R0[b]
     d = _P10[r + 1]
     more = np.flatnonzero(vp // d > vm // d)
+    lo, hi = r[more] + 1, np.full(more.size, 19)
     while more.size:
-        r[more] += 1
-        d = _P10[r[more] + 1]
-        more = more[vp[more] // d > vm[more] // d]
+        mid = (lo + hi) >> 1
+        d = _P10[mid]
+        apart = vp[more] // d > vm[more] // d
+        lo, hi = np.where(apart, mid, lo), np.where(apart, hi, mid)
+        still = hi - lo > 1
+        r[more] = lo
+        more, lo, hi = more[still], lo[still], hi[still]
     scale = _P10[r]
     kept = vr // scale
     out = kept + ((kept == vm // scale) | (vr - kept * scale >= _HALF[r]))

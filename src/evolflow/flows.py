@@ -14,8 +14,8 @@ A0 exp(integral of X) available when X(t) commutes with its integral.
 Both `march` and the Simpson rule of `commuting_magnus` evaluate the
 generator a block of bounded size at a time (`_stepper.CHUNK_ENTRIES`
 entries), checked as `checked_generator` checks: `march` tabulates each
-distinct time of a block of steps once into an array table and reads it
-with one gather per RK4 stage, and the Simpson rule weights a block of
+distinct time of a block of steps once into an array table and reads each
+RK4 stage as a slice of its rows, and the Simpson rule weights a block of
 nodes at once and adds them to its sum in node order.
 """
 
@@ -223,16 +223,19 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
     on the horizon.  The steps are taken a block of CHUNK_ENTRIES / (3 n^2)
     at a time, the block's node times computed as one array when the march
     reaches it.  The generator is tabulated at the block's times into an
-    array table (`_stepper.tabulate`), each distinct time once (a time
-    shared with the previous block is not evaluated again).  One stacked
-    `rk4_step` call from the identity gives the block's propagators P_k,
-    each of its four generator calls one gather from the table, and the
-    block is folded in one BLAS call a node, A_{k+1} = A_k.dot(P_k) written
-    into the block's output: the gemm of the `@` that `rk4_step` ends with,
-    without `np.matmul`'s ufunc dispatch (which doubled a 2000-node fold at
-    n = 2-4).  A run of steps whose values differ in dtype from the previous
-    step's is stacked on its own, so no value is upcast by its neighbours'.
-    Values are multiplied in C order, as `checked_generator` returns them.
+    array table (`_stepper.tabulate`), each distinct time once (the time
+    shared with the previous block is taken from that block's table, the
+    only time looked up there).  Step k's times t_k, t_k + h/2 and t_{k+1}
+    are rows 2k, 2k + 1 and 2k + 2 of a forward block's table and mirrored
+    in a backward one's, so one stacked `rk4_step` call from the identity
+    gives the block's propagators P_k, each of its four generator calls a
+    strided view of the table's rows, and the block is folded in one BLAS
+    call a node, A_{k+1} = A_k.dot(P_k) written into the block's output:
+    the gemm of the `@` that `rk4_step` ends with, without `np.matmul`'s
+    ufunc dispatch (which doubled a 2000-node fold at n = 2-4).  A run of
+    steps whose values differ in dtype from the previous step's is stacked
+    on its own, so no value is upcast by its neighbours'.  Values are
+    multiplied in C order, as `checked_generator` returns them.
 
     The nodes are those of one `rk4_step` call a step, bit for bit: I @ P_k
     adds only zeros to a finite P_k.  A column of P_k that overflows turns
@@ -266,9 +269,15 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
                 stacks.append(A0.copy()[None])  # or stands alone before it
             out = np.empty((head + len(P), n, n), dtype)
             out[:head] = A0
-            for Pk, Ak in zip(P, out[head:]):
-                # `matcore._matmul`'s rule inline: P and `out` rows are C-contiguous; a strided A0 and n = 1 take `@`
-                A = A.dot(Pk, Ak) if n > 1 and (A is not A0 or A0.flags.forc) else np.matmul(A, Pk, out=Ak)
+            steps = zip(P, out[head:])
+            if A is A0 and not (n > 1 and A0.flags.forc):  # a strided A0 and n = 1 take `@`
+                Pk, Ak = next(steps)
+                A = np.matmul(A, Pk, out=Ak)
+            if n == 1:
+                for Pk, Ak in steps:
+                    A = np.matmul(A, Pk, out=Ak)
+            for Pk, Ak in steps:  # `matcore._matmul`'s rule inline: P and `out` rows are C-contiguous
+                A = A.dot(Pk, Ak)
             stacks.append(out)
         ts.extend(nodes[1:].tolist())
     return ts, Nodes(stacks or [A0.copy()[None]])

@@ -12,6 +12,9 @@ Simpson nodes one checked call at a time, in node order.
 form, A + h/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = A X(t),
 k2 = (A + h/2 k1) X(t + h/2) and so on: the same method, rounded
 differently, kept as the reference for that rounding change.
+`expression_rk4_step` is `rk4_step` as it was before its stage sums went
+in place: one expression a stage, a fresh array for each operation, the
+reference for the in-place step's bits and dtypes.
 `per_call_axioms_report` is the other exception: `markov.axioms_report`
 as it was when it took one `expm` per distinct time, kept verbatim as the
 reference for its results and its peak memory.  So is
@@ -111,6 +114,17 @@ def a_form_rk4_step(A, t, h, gen):
     k3 = (A + 0.5 * h * k2) @ gen(t + 0.5 * h)
     k4 = (A + h * k3) @ gen(t + h)
     return A + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def expression_rk4_step(A, t, h, gen):
+    """One classical Runge-Kutta step of size h from (t, A) in the propagator form, an expression a stage."""
+    I = np.eye(A.shape[-1])
+    w = np.float64(h)
+    k1 = gen(t)
+    k2 = (I + 0.5 * w * k1) @ gen(t + 0.5 * h)
+    k3 = (I + 0.5 * w * k2) @ gen(t + 0.5 * h)
+    k4 = (I + w * k3) @ gen(t + h)
+    return A @ (I + (w / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def per_step_march(fun, A0, h, horizon, direction, step=rk4_step):

@@ -104,3 +104,24 @@ def test_the_csv_writer_joins_str_when_float_repr_is_not_short(tmp_path, monkeyp
     cli._write_samples_csv(tmp_path / "a.csv", times, mats, columns)
     per_row_samples_csv(tmp_path / "b.csv", times, mats, columns)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def removed_digits(x):
+    # the digits the kernel removes from each field it takes: x = out 10^(e10 + r), e10 its exponent's
+    kernel, _, exp10 = _csvtext._digits(x)
+    b = ((x.view(np.uint64) >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.intp)
+    return (exp10 - _csvtext._E10[b])[kernel]
+
+
+def test_every_count_of_removed_digits_prints_as_repr():
+    # the search for r bisects past its first round: each count from 1 (the window's least,
+    # `_R0`) to 18 must come out as `repr` does, as must the time columns of a march
+    rng = np.random.default_rng(16)
+    kept = [float(f"{v:.{s}g}") for s in range(1, 18)
+            for v in rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.integers(-4, 15, 400)]
+    times = [k * 1e-3 for k in range(-4000, 4001)] + [k * 1e-4 for k in range(-20000, 20001)]
+    x = np.array(kept + times)
+    assert set(removed_digits(x).tolist()) == set(range(1, 19))
+    assert int(_csvtext._R0[_csvtext._OK].min()) == 1
+    assert_rows_equal(x.reshape(-1, 1))
+    assert_rows_equal(x[: x.size // 18 * 18].reshape(-1, 18))

@@ -20,13 +20,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evolflow import _stepper
+from evolflow import _stepper, curves, flows
 from evolflow._stepper import checked_generator, rk4_step, tabulate
 from evolflow.curves import AffineArg, MatrixFunction, Numeric, Poly
 from evolflow.errors import DimensionMismatch, NonFiniteGenerator
-from evolflow.flows import IntegratorConfig, commuting_magnus, integrate_right, march
+from evolflow.flows import IntegratorConfig, _nodes, commuting_magnus, integrate_right, march
 from evolflow.matcore import frob_norm
-from oracles import a_form_rk4_step, per_step_march, reference_magnus
+from oracles import a_form_rk4_step, expression_rk4_step, per_step_march, reference_magnus
 
 H, T = 0.03, 1.37  # h does not divide the horizon: the last step is short
 
@@ -548,3 +548,177 @@ def test_commuting_magnus_at_a_nan_time_fails_as_the_per_node_loop_does(fun):
     with pytest.raises(type(want.value)) as got:
         commuting_magnus(fun, np.eye(2), math.nan)
     assert str(got.value) == str(want.value)
+
+
+def march_tables(fun, n, direction, per_block, h=1e-3, horizon=0.5):
+    # each block's (k, 1, 1) stage times and its table, tabulated as `flows.march` does
+    X = None
+    for nodes in _nodes(h, horizon, direction, per_block):
+        t, nxt = nodes[:-1, None, None], nodes[1:, None, None]
+        dt = nxt - t
+        X = tabulate(fun, n, np.concatenate((t, t + 0.5 * dt, t + dt), axis=1), X)
+        yield X, (t, t + 0.5 * dt, t + dt)
+
+
+def searched(table, s):
+    # the read by search: each time's position found in `times`, its value taken from there
+    idx = table.times.searchsorted(np.ravel(s))
+    assert (table.times[idx] == np.ravel(s)).all()
+    if isinstance(table.values, np.ndarray):
+        return table.values.take(idx, axis=0)
+    return [table.values[i] for i in idx.tolist()]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_stage_reads_by_position_equal_the_searched_reads(n, direction):
+    # 37 steps a block, 120 steps: four blocks, each after the first taking its first time from the one before
+    fun = generators(n=n, seed=n)["matrix_function"]
+    blocks = list(march_tables(fun, n, direction, per_block=37, h=0.5 / 120))
+    assert [len(stages[0]) for _, stages in blocks] == [37, 37, 37, 9]
+    for X, stages in blocks:
+        assert len(X.times) == 2 * len(stages[0]) + 1
+        if direction < 0:  # the fresh values reversed, as a view
+            assert X.values.strides[0] < 0
+        for s in stages:
+            got = X(s)
+            assert np.shares_memory(got, X.values)  # rows read in place, not searched
+            want = searched(X, s)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_later_block_looks_up_only_its_first_time(monkeypatch):
+    asked = []
+    find = _stepper.Table.find
+    monkeypatch.setattr(_stepper.Table, "find", lambda self, s: asked.append(np.size(s)) or find(self, s))
+    for direction in (1.0, -1.0):
+        list(march_tables(generators(n=2)["matrix_function"], 2, direction, per_block=50))
+    assert asked == [1] * 18  # 500 steps: ten blocks each way, nine of them after a first
+
+
+def test_a_monotone_block_that_overlaps_its_known_table_takes_every_known_time():
+    calls = []
+
+    def fun(t):
+        calls.append(t)
+        return np.full((2, 2), t)
+
+    known = tabulate(fun, 2, [0.1, 0.2, 0.3])
+    calls.clear()
+    table = tabulate(fun, 2, np.array([0.2, 0.25, 0.25, 0.3, 0.4]), known)
+    assert calls == [0.25, 0.4]
+    assert table.times.tolist() == [0.2, 0.25, 0.3, 0.4]
+    assert [table(t)[0, 0] for t in table.times] == [0.2, 0.25, 0.3, 0.4]
+
+
+def test_a_list_valued_table_reads_its_stages_by_search():
+    # a block whose values turn complex keeps them as a list: no row slice, each read searched
+    blocks = list(march_tables(real_then_complex, 2, 1.0, per_block=40, h=0.05, horizon=1.0))
+    assert [type(X.values) for X, _ in blocks] == [list]
+    for X, stages in blocks:
+        for s in stages:
+            got, want = X(s), searched(X, s)
+            assert type(got) is list and len(got) == len(want)
+            assert [(G.dtype, G.tobytes()) for G in got] == [(W.dtype, W.tobytes()) for W in want]
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_a_stage_read_of_a_missing_time_raises(direction):
+    (X, (t, mid, end)), = march_tables(generators(n=2)["matrix_function"], 2, direction, per_block=500, horizon=0.05)
+    off = mid.copy()
+    off[7] = np.nextafter(off[7], math.inf)  # evenly spaced rows but one, which is off by an ulp
+    past = np.concatenate((end, end[-1:] + direction * 1e-3))  # one row past the block's end
+    for s in (off, past, t + 0.25e-3 * direction, np.nextafter(t[3], -math.inf)):
+        with pytest.raises(KeyError):
+            X(s)
+    # a read repeating one row, or of rows not evenly spaced, is searched
+    for s in (t[[3, 3, 3]], t[[0, 1, 5]], mid[[4]]):
+        assert X(s).tobytes() == searched(X, s).tobytes()
+
+
+def counting_steps(monkeypatch):
+    # `rk4_step` rebound where flows and curves bind it, each call's generator calls counted
+    calls = []
+    step = _stepper.rk4_step
+
+    def counted(A, t, h, gen):
+        calls.append(0)
+
+        def one(s):
+            calls[-1] += 1
+            return gen(s)
+
+        return step(A, t, h, one)
+
+    bound = [m for m in (_stepper, curves, flows) if any(v is step for v in vars(m).values())]
+    assert bound == [_stepper, curves, flows]
+    for m in bound:
+        monkeypatch.setattr(m, "rk4_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, direction, blocks", [(2, 1.0, 1), (2, -1.0, 1), (4, 1.0, 2), (4, -1.0, 2)],
+                         ids=["forward", "backward", "two-blocks-forward", "two-blocks-backward"])
+def test_each_march_step_calls_its_generator_four_times(monkeypatch, n, direction, blocks):
+    # perfbench wraps `rk4_step` in each module that binds it and reads 4.0 generator calls a step
+    fun = generators(n=n, seed=n)["matrix_function"]
+    A0 = a0_of_layout(n, "C")
+    _, want = march(fun, A0, 1e-3, 2.0, direction)
+    calls = counting_steps(monkeypatch)
+    _, nodes = march(fun, A0, 1e-3, 2.0, direction)
+    assert calls == [4] * blocks
+    assert [S.tobytes() for S in nodes.stacks] == [S.tobytes() for S in want.stacks]
+    calls.clear()
+    Numeric(A0, fun, 1e-3, 2.0).values([0.25, -1.0005, 1.5])
+    assert calls == [4] * (2 * blocks + 1)
+
+
+def test_a_table_holding_nan_reads_by_search():
+    # NaN sorts last and equals nothing: no read finds it, though its bytes match
+    table = tabulate(lambda t: np.eye(2), 2, [0.25, math.nan])
+    assert table.times[0] == 0.25 and math.isnan(table.times[-1])
+    with pytest.raises(KeyError):
+        table(np.array([0.25, math.nan]).reshape(2, 1, 1))
+    assert table(np.array([[[0.25]]])).tobytes() == np.eye(2).tobytes()
+
+
+def stage_generators():
+    # (name, gen): every stage float64 or complex128 (the in-place sums), and the mixed and narrow
+    # dtypes that keep the expression
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(3, 3))
+
+    def stacked(fun):
+        return lambda s: np.stack([fun(x) for x in np.ravel(s).tolist()]) if np.ndim(s) else fun(s)
+
+    return [
+        ("float64", stacked(lambda x: math.cos(x) * M)),
+        ("complex128", stacked(lambda x: np.exp(1j * x) * M)),
+        ("real-then-complex", stacked(lambda x: M if x < 0.26 else M + 0.5j * x)),  # K1 real, the rest complex
+        ("complex-then-real", stacked(lambda x: M + 0.5j * x if x < 0.26 else M)),
+        ("float32", stacked(lambda x: (math.cos(x) * M).astype(np.float32))),
+        ("int", stacked(lambda x: np.round(3 * M).astype(np.int64))),
+        ("constant", lambda s: M),
+    ]
+
+
+@pytest.mark.parametrize("name, gen", stage_generators(), ids=[name for name, _ in stage_generators()])
+def test_the_step_equals_its_expression_bit_for_bit(name, gen):
+    # the stage sums written in place keep each operation and its order: the same bits and dtype
+    rng = np.random.default_rng(8)
+    t = np.sort(rng.uniform(0.0, 0.25, size=(30, 1, 1)), axis=0)
+    t[-1] = 0.25  # its t + h/2 passes 0.26, where two of the generators change dtype
+    h = np.full((30, 1, 1), 0.03)
+    h[0] = 0.011
+    kinds = set()
+    for A in (np.eye(3), rng.normal(size=(3, 3))):
+        for args in ((t, h), (0.25, 0.03)):
+            got_calls, want_calls = [], []
+            got = rk4_step(A, *args, lambda s: got_calls.append(np.copy(s)) or gen(s))
+            want = expression_rk4_step(A, *args, lambda s: want_calls.append(np.copy(s)) or gen(s))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            kinds.add(tuple(gen(s).dtype for s in got_calls))
+            assert [c.tobytes() for c in got_calls] == [c.tobytes() for c in want_calls]  # t, mid, mid, t + h
+    assert any(len(set(k)) > 1 for k in kinds) == name.endswith(("-complex", "-real"))  # stages of two dtypes

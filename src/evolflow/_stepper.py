@@ -177,7 +177,7 @@ def tabulate(fun, n: int, times, known: Table | None = None) -> Table:
             if ts[0] > ts[-1]:
                 return Table(ts[::-1].copy(), values[::-1])
             return Table(ts, values)
-    distinct, first = _distinct(times)
+    distinct, first = np.unique(times, return_index=True)
     fresh = first.argsort()  # positions in `distinct`, in first-use order
     parts = []
     if known is not None:
@@ -219,20 +219,6 @@ def _runs(times):
     if times.size and ((step >= 0.0).all() or (step <= 0.0).all()):
         return np.flatnonzero(np.concatenate(([True], step != 0.0)))
     return None
-
-
-def _distinct(times):
-    """`np.unique(times, return_index=True)`, without a sort for a block that runs one way.
-
-    A descending block reads its runs (`_runs`) through their reverse; any
-    other block goes to `np.unique`.
-    """
-    first = _runs(times)
-    if first is None:
-        return np.unique(times, return_index=True)
-    if times[0] > times[-1]:
-        first = first[::-1]
-    return times[first], first
 
 
 def rk4_step(A: np.ndarray, t, h, gen) -> np.ndarray:

@@ -269,15 +269,9 @@ def march(fun, A0: np.ndarray, h: float, horizon: float, direction: float):
                 stacks.append(A0.copy()[None])  # or stands alone before it
             out = np.empty((head + len(P), n, n), dtype)
             out[:head] = A0
-            steps = zip(P, out[head:])
-            if A is A0 and not (n > 1 and A0.flags.forc):  # a strided A0 and n = 1 take `@`
-                Pk, Ak = next(steps)
-                A = np.matmul(A, Pk, out=Ak)
-            if n == 1:
-                for Pk, Ak in steps:
-                    A = np.matmul(A, Pk, out=Ak)
-            for Pk, Ak in steps:  # `matcore._matmul`'s rule inline: P and `out` rows are C-contiguous
-                A = A.dot(Pk, Ak)
+            for Pk, Ak in zip(P, out[head:]):
+                # `matcore._matmul`'s rule inline: P and `out` rows are C-contiguous; a strided A0 and n = 1 take `@`
+                A = A.dot(Pk, Ak) if n > 1 and (A is not A0 or A0.flags.forc) else np.matmul(A, Pk, out=Ak)
             stacks.append(out)
         ts.extend(nodes[1:].tolist())
     return ts, Nodes(stacks or [A0.copy()[None]])

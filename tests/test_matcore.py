@@ -1600,7 +1600,7 @@ def test_expm_times_computes_a_mixed_dtype_block_row_by_row():
     # stacked with the real ones it would upcast them, so none is stacked
     X = np.array([[0.2, -1.0], [0.5, 0.1]])
     ts = [0.5, np.complex128(1.5), 2.5]
-    with pytest.warns(np.exceptions.ComplexWarning):
+    with pytest.warns(getattr(np, "exceptions", np).ComplexWarning):  # np.ComplexWarning before NumPy 1.25
         got = dict(expm_times(X, ts))
     for t in ts:
         assert got[t].tobytes() == expm(t * X).tobytes()

@@ -463,11 +463,19 @@ def march_block(direction, steps=2000, h=1e-3, t0=0.0):
 ], ids=["forward", "backward", "backward-short", "zeros-down", "zeros-up", "constant", "one",
         "unordered", "nan", "empty"])
 def test_distinct_times_are_those_of_np_unique(times):
+    # a one-way block takes `tabulate`'s own path, any other `np.unique`: both tabulate np.unique's times
+    calls = []
+
+    def fun(t):
+        calls.append(t)
+        return np.array([[float(len(calls) - 1)]])  # the value is the time's place in call order
+
     want_times, want_first = np.unique(times, return_index=True)
-    got_times, got_first = _stepper._distinct(np.ravel(times))
-    assert got_times.dtype == want_times.dtype and got_times.tobytes() == want_times.tobytes()
-    assert got_first.tolist() == want_first.tolist()
-    assert np.argsort(got_first).tolist() == np.argsort(want_first).tolist()  # first-use order
+    table = tabulate(fun, 1, times)
+    assert table.times.dtype == want_times.dtype and table.times.tobytes() == want_times.tobytes()
+    # each distinct time evaluated once, in first-use order (the entry np.unique keeps of 0.0 and -0.0)
+    assert np.array(calls, dtype=float).tobytes() == np.ravel(times)[np.sort(want_first)].tobytes()
+    assert np.asarray(table.values).reshape(-1).tolist() == np.argsort(np.argsort(want_first)).tolist()
 
 
 def late_nan(t):
